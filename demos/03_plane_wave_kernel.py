@@ -22,7 +22,6 @@ from nstar import (
     grid_oracle_star,
     kernel_exponent,
     star_waves,
-    triple_product_identity_check,
 )
 
 cfg = ThetaConfig(3, (Fraction(2), Fraction(0), Fraction(0)))
@@ -38,8 +37,11 @@ print("star of the three unit waves:", out)
 
 print("\n-- antisymmetric frequency combination ------------------------------")
 print("freq_cross((0,1,0), (0,0,1)) =", freq_cross((0, 1, 0), (0, 0, 1)))
-print("cyclic triple-product identity on (3,1,4),(1,5,9),(2,6,5):",
-      triple_product_identity_check((3, 1, 4), (1, 5, 9), (2, 6, 5)))
+p, q, r = (3, 1, 4), (1, 5, 9), (2, 6, 5)
+triple = [sum(a * b for a, b in zip(u, freq_cross(v, w)))
+          for u, v, w in ((p, q, r), (r, p, q), (q, r, p))]
+print("cyclic triple products p.(q x r), r.(p x q), q.(r x p) on (3,1,4),(1,5,9),(2,6,5):",
+      triple)
 
 print("\n-- lattice oracle ----------------------------------------------------")
 grid = GridSpec(3, 8, 2 * math.pi)

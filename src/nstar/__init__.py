@@ -5,7 +5,6 @@ application."""
 from .scalars import ExactComplex, I, ONE, SQRT2, ZERO
 from .polynomials import Polynomial, x
 from .starcore import (
-    CyclicPerm,
     TensorTerm,
     ThetaConfig,
     conjugate_star_n,
@@ -14,6 +13,7 @@ from .starcore import (
     star_bracket,
     star_n,
     star_n_stepwise,
+    star_series,
 )
 from .closedforms import (
     SlotSpec,
@@ -35,7 +35,6 @@ from .waves import (
     load_lattice,
     save_lattice,
     star_waves,
-    triple_product_identity_check,
 )
 from .audit import (
     CLAIM_IDS,

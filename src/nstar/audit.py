@@ -45,7 +45,6 @@ THETA_CHOICES = (Fraction(0), Fraction(1, 2), Fraction(-1, 2),
                  Fraction(1), Fraction(-1), Fraction(2), Fraction(-2))
 
 VERDICT_HOLDS = "holds-exact"
-VERDICT_TOL = "holds-within-tol"
 VERDICT_FAILS = "fails"
 
 
@@ -263,9 +262,10 @@ def _jacobi_expansion_sides(inputs: ClaimInputs, star):
 
 
 def _conjugation_sides(inputs: ClaimInputs, star):
+    # conj(star_theta(f1..fn)) = star_{-theta}(conj f1 .. conj fn)
     cfg = inputs.cfg()
-    lhs = conjugate_star_n(inputs.polys, cfg)
-    rhs = star(inputs.polys, ThetaConfig(inputs.n, tuple(-t for t in inputs.theta)))
+    lhs = star(inputs.polys, cfg).conjugate()
+    rhs = conjugate_star_n(tuple(p.conjugate() for p in inputs.polys), cfg)
     return lhs, rhs
 
 
@@ -726,10 +726,8 @@ def audit_jacobi(corpus: CorpusSpec | None = None, seed: int = 0,
             audit_claim("jacobi-expansion", corpus, seed, trials))
 
 
-def run_suite(seed: int = 0, trials: int = 100, tolerance: float = 1e-9) -> list[ClaimReport]:
-    """Audit every claim; deterministic given (seed, trials).  The
-    tolerance parameter is reserved for float-valued claims; the
-    polynomial claims compare exactly."""
+def run_suite(seed: int = 0, trials: int = 100) -> list[ClaimReport]:
+    """Audit every claim; deterministic given (seed, trials)."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     return [audit_claim(claim, seed=seed, trials=trials) for claim in CLAIM_IDS]

@@ -199,8 +199,7 @@ def _cmd_omega(args, config) -> int:
 def _cmd_verify(args, config) -> int:
     seed = int(_setting(args, config, "seed", 0))
     trials = int(_setting(args, config, "trials", 100))
-    tolerance = float(_setting(args, config, "tolerance", 1e-9))
-    reports = run_suite(seed=seed, trials=trials, tolerance=tolerance)
+    reports = run_suite(seed=seed, trials=trials)
     out_path = _setting(args, config, "output", "nstar_audit.json")
     Path(out_path).write_text(reports_to_json(reports) + "\n")
     for rep in reports:
@@ -376,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("spectrum", help="closed-form oscillator eigenvalues")

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 from .closedforms import complex_pair
 from .polynomials import Polynomial, x
 from .scalars import ExactComplex
-from .starcore import ThetaConfig, deformation_terms, _compositions
+from .starcore import ThetaConfig, star_series
 
 RationalLike = int | Fraction
 
@@ -173,8 +173,13 @@ class PolyGauss:
             reduced = reduced - x(axis, self.poly.n) * self.poly * self.scale
         return PolyGauss(reduced, self.scale)
 
-    def __mul__(self, other: "PolyGauss") -> "PolyGauss":
-        return PolyGauss(self.poly * other.poly, self.scale + other.scale)
+    def is_zero(self) -> bool:
+        return self.poly.is_zero()
+
+    def __mul__(self, other) -> "PolyGauss":
+        if isinstance(other, PolyGauss):
+            return PolyGauss(self.poly * other.poly, self.scale + other.scale)
+        return PolyGauss(self.poly * other, self.scale)  # scalar factor
 
     def __add__(self, other: "PolyGauss") -> "PolyGauss":
         if self.scale != other.scale:
@@ -219,54 +224,9 @@ def star_increments(factors: Sequence[PolyGauss], cfg: ThetaConfig,
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    n = cfg.n
-    if len(factors) != n:
-        raise ValueError(f"expected {n} factors, got {len(factors)}")
-    terms = deformation_terms(cfg)
-
-    diff_cache: list[dict[tuple[int, ...], PolyGauss]] = [{(0,) * n: f} for f in factors]
-
-    def diffed(slot: int, counts: tuple[int, ...]) -> PolyGauss:
-        cache = diff_cache[slot]
-        got = cache.get(counts)
-        if got is not None:
-            return got
-        ax = next(i for i, c in enumerate(counts) if c)
-        prev = counts[:ax] + (counts[ax] - 1,) + counts[ax + 1:]
-        val = diffed(slot, prev).diff(ax + 1)
-        cache[counts] = val
-        return val
-
-    increments: list[Polynomial] = []
-    T = len(terms)
-    for m in range(order + 1):
-        increment = Polynomial.zero(n)
-        if m == 0:
-            increment = factors[0].poly
-            for f in factors[1:]:
-                increment = increment * f.poly
-        elif T:
-            for comp in _compositions(m, T):
-                coeff = ExactComplex(1)
-                for t, c in enumerate(comp):
-                    if c:
-                        coeff = coeff * terms[t].weight**c
-                        coeff = coeff * Fraction(1, math.factorial(c))
-                prod = None
-                for j in range(n):
-                    counts = [0] * n
-                    for t, c in enumerate(comp):
-                        if c:
-                            counts[terms[t].slot_axes[j] - 1] += c
-                    pj = diffed(j, tuple(counts)).poly
-                    if pj.is_zero():
-                        prod = None
-                        break
-                    prod = pj if prod is None else prod * pj
-                if prod is not None:
-                    increment = increment + prod * coeff
-        increments.append(increment)
-    return increments
+    if len(factors) != cfg.n:
+        raise ValueError(f"expected {cfg.n} factors, got {len(factors)}")
+    return [increment.poly for increment in star_series(factors, cfg, order)]
 
 
 def star_polygauss_truncated(factors: Sequence[PolyGauss], cfg: ThetaConfig,

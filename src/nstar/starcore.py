@@ -10,11 +10,18 @@ order.  Each term differentiates every slot exactly once, so on
 polynomials the exponential series terminates at the smallest factor
 degree.
 
-Two independent evaluation paths are provided:
+One series engine, ``star_series``, yields the per-order increments of
+that exponential over any slot value that can be differentiated,
+multiplied and tested for zero.  It has two callers:
 
-* ``star_n``          multinomial expansion over term multisets (fast path)
-* ``star_n_stepwise`` literal repeated application of the operator,
-                      dividing by m! (naive oracle used to cross-check)
+* ``star_n``                        polynomials; sums the increments up to
+                                    the smallest factor degree
+* ``oscillator.star_increments``    Gaussian-weighted polynomials, where
+                                    the series does not terminate
+
+``conjugate_star_n`` is ``star_n`` at negated theta.  ``star_n_stepwise``
+applies the operator literally, m times, and divides by m!: a naive
+oracle that shares no loop with the engine, kept to cross-check it.
 """
 
 from __future__ import annotations
@@ -61,16 +68,6 @@ def sigma_power(k: int, p: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class CyclicPerm:
-    """Order-n cycle; thin wrapper over sigma_power for callers that want an object."""
-
-    n: int
-
-    def apply(self, k: int, p: int = 1) -> int:
-        return sigma_power(k, p, self.n)
-
-
-@dataclass(frozen=True)
 class TensorTerm:
     """One weighted summand of the derivation operator.
 
@@ -113,35 +110,40 @@ def _check_arity(factors: Sequence[Polynomial], cfg: ThetaConfig) -> None:
 
 
 def _series_bound(factors: Sequence[Polynomial]) -> int:
-    degs = [f.degree() for f in factors]
-    if any(d < 0 for d in degs):
-        return -1  # some factor is identically zero
-    return min(degs)
+    """Smallest factor degree; -1 (an empty series) if some factor is zero."""
+    return min(f.degree() for f in factors)
 
 
-def _star_from_terms(factors: Sequence[Polynomial], terms: list[TensorTerm],
-                     n: int, bound: int) -> Polynomial:
-    """Multinomial expansion of m[exp(sum of terms) applied to the factors].
+def _compositions(m: int, parts: int):
+    """All tuples of `parts` non-negative integers summing to m."""
+    if parts == 0:
+        if m == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in _compositions(m - first, parts - 1):
+            yield (first,) + rest
 
-    exp(sum_t T_t) = sum over multisets (m_1..m_T) of prod_t T_t^{m_t}/m_t!
-    because the tensor terms commute (they are built from partial
-    derivatives).  Slot derivatives are memoized per factor on the vector
-    of per-axis derivative counts.
+
+def star_series(factors: Sequence, cfg: ThetaConfig, order: int):
+    """Yield the increments 0..order of m[exp(operator) applied to the factors].
+
+    Increment m is (1/m!) times the m-fold operator application,
+    multiplied out across the slots.  The tensor terms commute (they are
+    built from partial derivatives), so it is a sum over multisets
+    (c_1..c_T) of total size m of prod_t (T_t)^{c_t} / c_t!.  A slot value
+    needs ``diff(axis)``, ``is_zero()`` and ``*`` by a slot value and by a
+    scalar.  Slot derivatives are memoized per factor on the vector of
+    per-axis derivative counts.
     """
-    result = Polynomial.zero(n)
-    if bound < 0:
-        return result
-    if not terms:
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = prod * f
-        return prod
+    n = cfg.n
+    terms = deformation_terms(cfg)
+    ndiff_cache = [{(0,) * n: f} for f in factors]
 
-    ndiff_cache: list[dict[tuple[int, ...], Polynomial]] = [
-        {(0,) * n: f} for f in factors
-    ]
-
-    def diffed(slot: int, counts: tuple[int, ...]) -> Polynomial:
+    def diffed(slot: int, counts: tuple[int, ...]):
         cache = ndiff_cache[slot]
         got = cache.get(counts)
         if got is not None:
@@ -153,16 +155,10 @@ def _star_from_terms(factors: Sequence[Polynomial], terms: list[TensorTerm],
         cache[counts] = val
         return val
 
-    T = len(terms)
-    for m in range(bound + 1):
-        for comp in _compositions(m, T):
-            coeff = ExactComplex(1)
-            for t, c in enumerate(comp):
-                if c:
-                    coeff = coeff * terms[t].weight**c
-                    coeff = coeff * Fraction(1, math.factorial(c))
-            slot_polys = []
-            dead = False
+    for m in range(order + 1):
+        increment = None
+        for comp in _compositions(m, len(terms)):
+            slots = []
             for j in range(n):
                 counts = [0] * n
                 for t, c in enumerate(comp):
@@ -170,44 +166,40 @@ def _star_from_terms(factors: Sequence[Polynomial], terms: list[TensorTerm],
                         counts[terms[t].slot_axes[j] - 1] += c
                 pj = diffed(j, tuple(counts))
                 if pj.is_zero():
-                    dead = True
                     break
-                slot_polys.append(pj)
-            if dead:
-                continue
-            prod = slot_polys[0]
-            for pj in slot_polys[1:]:
-                prod = prod * pj
-            result = result + prod * coeff
-    return result
-
-
-def _compositions(m: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to m."""
-    if parts == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(m - first, parts - 1):
-            yield (first,) + rest
+                slots.append(pj)
+            else:  # no slot vanished
+                prod = slots[0]
+                for pj in slots[1:]:
+                    prod = prod * pj
+                if m:
+                    coeff = ExactComplex(1)
+                    for t, c in enumerate(comp):
+                        if c:
+                            coeff = coeff * terms[t].weight**c
+                            coeff = coeff * Fraction(1, math.factorial(c))
+                    prod = prod * coeff
+                increment = prod if increment is None else increment + prod
+        if increment is None:  # a zero slot in every product of this order
+            increment = math.prod((f * 0 for f in factors[1:]), start=factors[0] * 0)
+        yield increment
 
 
 def star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
     """Exact n-ary star product of the factors."""
     _check_arity(factors, cfg)
-    return _star_from_terms(factors, deformation_terms(cfg), cfg.n, _series_bound(factors))
+    result = Polynomial.zero(cfg.n)
+    for increment in star_series(factors, cfg, _series_bound(factors)):
+        result = result + increment
+    return result
 
 
 def conjugate_star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
     """The conjugate product m[exp(-operator) applied to the factors].
 
-    The operator is linear in theta, so this coincides with star_n at
-    negated theta; it is computed here from the negated tensor terms so
-    the two routes stay independent enough to cross-check.
+    The operator is linear in theta, so this is star_n at negated theta.
     """
-    _check_arity(factors, cfg)
-    terms = [TensorTerm(t.slot_axes, -t.weight) for t in deformation_terms(cfg)]
-    return _star_from_terms(factors, terms, cfg.n, _series_bound(factors))
+    return star_n(factors, cfg.negate())
 
 
 def star_bracket(f: Polynomial, h: Polynomial, g, cfg: ThetaConfig) -> Polynomial:
@@ -224,13 +216,11 @@ def star_bracket(f: Polynomial, h: Polynomial, g, cfg: ThetaConfig) -> Polynomia
     return star_n((f, *mids, h), cfg) - star_n((h, *mids, f), cfg)
 
 
-def star_n_stepwise(factors: Sequence[Polynomial], cfg: ThetaConfig,
-                    terms: list[TensorTerm] | None = None) -> Polynomial:
+def star_n_stepwise(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
     """Independent oracle: apply the derivation operator literally, m times,
     divide by m!, and sum.  Slower than star_n; kept deliberately naive."""
     _check_arity(factors, cfg)
-    if terms is None:
-        terms = deformation_terms(cfg)
+    terms = deformation_terms(cfg)
     n = cfg.n
     bound = _series_bound(factors)
     result = Polynomial.zero(n)

@@ -50,15 +50,6 @@ def freq_cross(q: Sequence[float], r: Sequence[float]) -> tuple:
     return tuple(out)
 
 
-def triple_product_identity_check(p: Sequence[float], q: Sequence[float],
-                                  r: Sequence[float], tol: float = 1e-12) -> bool:
-    """True iff p.(q x r) == r.(p x q) == q.(r x p), each equal to det[p|q|r]."""
-    a = sum(pi * wi for pi, wi in zip(p, freq_cross(q, r)))
-    b = sum(ri * wi for ri, wi in zip(r, freq_cross(p, q)))
-    c = sum(qi * wi for qi, wi in zip(q, freq_cross(r, p)))
-    return abs(a - b) <= tol and abs(b - c) <= tol
-
-
 def kernel_exponent(freqs: Sequence[Sequence[float]], cfg: ThetaConfig) -> complex:
     """Exponent acquired by a star product of n single plane waves.
 

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import nstar
 from nstar.cli import main
 from nstar.polynomials import x
@@ -12,9 +14,11 @@ from nstar.starcore import ThetaConfig, star_n
 
 # The directory holding the nstar package this test run imported.
 IMPORT_ROOT = str(Path(nstar.__file__).resolve().parent.parent)
+# The narrative scripts under demos/, each run as a child process.
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-def run_cli(args, cwd=None):
+def run_child(args, cwd=None):
     # The child runs in another working directory, so a relative PYTHONPATH
     # entry (e.g. "src") would no longer find the package.  Put the imported
     # package's directory first and make every inherited entry absolute, so
@@ -22,8 +26,12 @@ def run_cli(args, cwd=None):
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     paths = [IMPORT_ROOT] + [os.path.abspath(p) for p in inherited if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    return subprocess.run([sys.executable, "-m", "nstar.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(args, cwd=None):
+    return run_child(["-m", "nstar.cli", *args], cwd=cwd)
 
 
 def test_star_output_matches_engine_serialization(tmp_path):
@@ -72,6 +80,9 @@ def test_usage_error_exit_codes(tmp_path):
     assert body["error"]["line"] == 1
 
     proc = run_cli(["--bogus-flag"], cwd=tmp_path)  # argparse usage error
+    assert proc.returncode == 2
+
+    proc = run_cli(["verify", "--tolerance", "1e-9"], cwd=tmp_path)  # removed flag
     assert proc.returncode == 2
 
 
@@ -152,3 +163,9 @@ def test_malformed_config_is_usage_error(tmp_path):
     proc = run_cli(["star", "x1", "x2", "x3"], cwd=tmp_path)
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"]["code"] == "config"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = run_child([str(demo)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nstar.audit import CorpusSpec, sample_poly, sample_theta
 from nstar.closedforms import complex_pair
 from nstar.oscillator import (
     HamiltonianSpec,
@@ -14,10 +15,11 @@ from nstar.oscillator import (
     ground_state,
     hermite_coeffs,
     residual_report,
+    star_increments,
     star_polygauss_truncated,
 )
 from nstar.polynomials import Polynomial, x
-from nstar.starcore import ThetaConfig
+from nstar.starcore import ThetaConfig, star_n
 
 
 UNIT3 = ThetaConfig(3, (Fraction(1), Fraction(1), Fraction(1)))
@@ -207,6 +209,35 @@ def test_star_polygauss_hand_first_order():
     rev = (-x(3, 3) * x(2, 3)) * (-x(2, 3))
     expected = x(1, 3) * x(2, 3) + (fwd - rev) * ExactComplex(0, Fraction(1, 2))
     assert out2.poly == expected
+
+
+def test_star_increments_agree_with_star_n():
+    # the series engine's two callers: polynomials embedded at scale 0 give
+    # increments that sum to star_n and vanish past the smallest degree
+    rng = random.Random(17)
+    for n in (3, 4):
+        corpus = CorpusSpec(dims=(n,), max_degree=3)
+        for _ in range(4):
+            polys = [sample_poly(rng, n, corpus) for _ in range(n)]
+            theta = list(sample_theta(rng, n))
+            theta[rng.randrange(n)] = Fraction(0)
+            cfg = ThetaConfig(n, tuple(theta))
+            bound = min(p.degree() for p in polys)
+            incs = star_increments([PolyGauss(p, 0) for p in polys], cfg, bound + 2)
+            total = Polynomial.zero(n)
+            for inc in incs[:bound + 1]:
+                total = total + inc
+            assert total == star_n(polys, cfg)
+            assert all(inc.is_zero() for inc in incs[bound + 1:])
+
+
+def test_star_increments_theta_zero_is_pointwise():
+    cfg0 = ThetaConfig(3, (Fraction(0),) * 3)
+    f = PolyGauss(x(1, 3) ** 2 + x(2, 3), 0)
+    psi = ground_state(1, 3)
+    incs = star_increments([f, psi, psi], cfg0, 3)
+    assert incs[0] == f.poly * psi.poly * psi.poly
+    assert all(inc.is_zero() for inc in incs[1:])
 
 
 def test_residual_report_rows():

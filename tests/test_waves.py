@@ -16,7 +16,6 @@ from nstar.waves import (
     load_lattice,
     save_lattice,
     star_waves,
-    triple_product_identity_check,
 )
 
 
@@ -39,13 +38,23 @@ def test_freq_cross_antisymmetry_random():
         assert freq_cross(q, r) == tuple(-v for v in freq_cross(r, q))
 
 
+def _cyclic_triple_products(p, q, r):
+    """p.(q x r), r.(p x q), q.(r x p) and det[p|q|r], exact on ints."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+    det = (p[0] * (q[1] * r[2] - q[2] * r[1]) - p[1] * (q[0] * r[2] - q[2] * r[0])
+           + p[2] * (q[0] * r[1] - q[1] * r[0]))
+    return dot(p, freq_cross(q, r)), dot(r, freq_cross(p, q)), dot(q, freq_cross(r, p)), det
+
+
 def test_triple_product_examples():
-    assert triple_product_identity_check((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert triple_product_identity_check((1, 2, 0), (2, 4, 0), (3, 1, 0))  # coplanar
+    assert _cyclic_triple_products((1, 0, 0), (0, 1, 0), (0, 0, 1)) == (1, 1, 1, 1)
+    assert _cyclic_triple_products((1, 2, 0), (2, 4, 0), (3, 1, 0)) == (0, 0, 0, 0)  # coplanar
     rng = random.Random(4)
     for _ in range(200):
         p, q, r = (tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
-        assert triple_product_identity_check(p, q, r)
+        a, b, c, det = _cyclic_triple_products(p, q, r)
+        assert a == b == c == det
 
 
 def test_kernel_worked_example():

@@ -6,7 +6,8 @@ reports are emitted as JSON or CSV.  An optional ./nstar.json config
 file supplies defaults; explicit flags win.
 
 Exit codes: 0 success, 1 a guaranteed audit claim failed, 2 usage error
-(bad flags, malformed expressions, dimension mismatches).
+(bad flags, malformed expressions, dimension mismatches, out-of-range
+values).
 """
 
 from __future__ import annotations
@@ -77,25 +78,11 @@ def _setting(args, config, name, default):
     return default
 
 
-def _parse_rational_list(text: str, what: str) -> tuple[Fraction, ...]:
+def _parse_list(text: str, what: str, conv=Fraction) -> tuple:
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        return tuple(conv(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed {what} {text!r}: {exc}", code="usage")
-
-
-def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"malformed {what} {text!r}: {exc}", code="usage")
-
-
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"malformed {what} {text!r}: {exc}", code="usage")
+        raise UsageError(f"malformed {what} {text!r}: {exc}")
 
 
 def _theta_config(args, config) -> ThetaConfig:
@@ -104,28 +91,44 @@ def _theta_config(args, config) -> ThetaConfig:
     if theta_raw is None:
         theta = (Fraction(1),) * n
     else:
-        theta = _parse_rational_list(str(theta_raw), "theta")
+        theta = _parse_list(str(theta_raw), "theta")
     if len(theta) != n:
         raise UsageError(f"theta must have {n} components, got {len(theta)}")
-    try:
-        return ThetaConfig(n, theta)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return ThetaConfig(n, theta)
 
 
 def _parse_exprs(texts, n):
     return [parse_expression(t, n) for t in texts]
 
 
-def _emit(text_body: str, json_body, args, config) -> None:
+def _write_json(path: str, body) -> None:
+    Path(path).write_text(json.dumps(body, indent=2) + "\n")
+
+
+def _table_save(body, header: list[str], rows: list[list]):
+    """save(path) for a report with a table: CSV for a *.csv path, else JSON."""
+    def save(path: str) -> None:
+        if not path.endswith(".csv"):
+            _write_json(path, body)
+            return
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return save
+
+
+def _emit(text: str, body, args, config, save=None) -> None:
+    """Print text, or body as JSON under --format json; write --output
+    with save(path) when given, else as indented JSON."""
     fmt = _setting(args, config, "format", "text")
     out_path = _setting(args, config, "output", None)
-    if fmt == "json":
-        print(json.dumps(json_body))
-    else:
-        print(text_body)
+    print(json.dumps(body) if fmt == "json" else text)
     if out_path:
-        Path(out_path).write_text(json.dumps(json_body, indent=2) + "\n")
+        if save is None:
+            _write_json(out_path, body)
+        else:
+            save(out_path)
 
 
 def _cmd_star(args, config) -> int:
@@ -173,7 +176,7 @@ def _cmd_kernel(args, config) -> int:
     cfg = _theta_config(args, config)
     if len(args.freqs) != cfg.n:
         raise UsageError(f"kernel takes {cfg.n} frequency vectors, got {len(args.freqs)}")
-    vectors = [_parse_float_list(v, "frequency vector") for v in args.freqs]
+    vectors = [_parse_list(v, "frequency vector", float) for v in args.freqs]
     for v in vectors:
         if len(v) != cfg.n:
             raise UsageError(f"frequency vector must have {cfg.n} components, got {len(v)}")
@@ -187,8 +190,8 @@ def _cmd_kernel(args, config) -> int:
 
 
 def _cmd_omega(args, config) -> int:
-    q = _parse_float_list(args.q, "frequency vector")
-    r = _parse_float_list(args.r, "frequency vector")
+    q = _parse_list(args.q, "frequency vector", float)
+    r = _parse_list(args.r, "frequency vector", float)
     if len(q) != 3 or len(r) != 3:
         raise UsageError("omega is defined for dimension 3 vectors")
     w = freq_cross(q, r)
@@ -215,11 +218,11 @@ def _hamiltonian_spec(args, config, n) -> HamiltonianSpec:
     lam2 = getattr(args, "lambda2", None)
     rows = []
     if lam0 is not None:
-        rows.append(_parse_rational_list(lam0, "lambda0"))
+        rows.append(_parse_list(lam0, "lambda0"))
     if lam2 is not None:
         if lam0 is None:
             raise UsageError("--lambda2 requires --lambda0")
-        rows.append(_parse_rational_list(lam2, "lambda2"))
+        rows.append(_parse_list(lam2, "lambda2"))
     for row in rows:
         if len(row) != n:
             raise UsageError(f"diagonal coefficient rows must have {n} entries")
@@ -231,17 +234,13 @@ def _hamiltonian_spec(args, config, n) -> HamiltonianSpec:
             pairs[(i, j)] = Fraction(val_text)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"malformed pair coupling {spec_text!r}: {exc}")
-    try:
-        return HamiltonianSpec(n, lambda_pair=pairs,
-                               diag_lambdas=tuple(rows) if rows else None)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return HamiltonianSpec(n, lambda_pair=pairs, diag_lambdas=tuple(rows) if rows else None)
 
 
 def _cmd_spectrum(args, config) -> int:
     cfg = _theta_config(args, config)
     spec = _hamiltonian_spec(args, config, cfg.n)
-    nbar = QuantumNumber(_parse_int_list(args.nbar, "nbar")) if args.nbar else QuantumNumber((0,) * cfg.n)
+    nbar = QuantumNumber(_parse_list(args.nbar, "nbar", int) if args.nbar else (0,) * cfg.n)
     if len(nbar.nbar) != cfg.n:
         raise UsageError(f"nbar must have {cfg.n} components")
     k = int(_setting(args, config, "k", 1))
@@ -251,20 +250,10 @@ def _cmd_spectrum(args, config) -> int:
     rows = [{"k": kk, "nbar": list(nbar.nbar),
              "energy": str(energy(kk, nbar, cfg, spec))}
             for kk in range(1, cfg.n + 1)]
-    text = f"E = {value}"
     body = {"k": k, "nbar": list(nbar.nbar), "energy": str(value), "table": rows}
-    fmt = _setting(args, config, "format", "text")
-    out_path = _setting(args, config, "output", None)
-    print(json.dumps(body) if fmt == "json" else text)
-    if out_path:
-        if out_path.endswith(".csv"):
-            with open(out_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["k", "nbar", "energy"])
-                for row in rows:
-                    writer.writerow([row["k"], " ".join(map(str, row["nbar"])), row["energy"]])
-        else:
-            Path(out_path).write_text(json.dumps(body, indent=2) + "\n")
+    csv_rows = [[row["k"], " ".join(map(str, row["nbar"])), row["energy"]] for row in rows]
+    _emit(f"E = {value}", body, args, config,
+          save=_table_save(body, ["k", "nbar", "energy"], csv_rows))
     return 0
 
 
@@ -279,28 +268,18 @@ def _cmd_residual(args, config) -> int:
     points = [tuple(Fraction(rng.randint(-200, 200), 100) for _ in range(cfg.n))
               for _ in range(npoints)]
     report = residual_report(spec, cfg, k, order, points)
-    fmt = _setting(args, config, "format", "text")
-    out_path = _setting(args, config, "output", None)
-    if fmt == "json":
-        print(json.dumps(report))
-    else:
-        print(f"residuals for k={k}, n={cfg.n}, E={report['energy']} "
-              f"({npoints} points, order <= {order})")
-        print("order  ground_max      ground_mean     eigen_max       eigen_mean")
-        for row in report["rows"]:
-            print(f"{row['order']:>5}  {row['ground_max']:<14.8g}  {row['ground_mean']:<14.8g}"
-                  f"  {row['eigen_max']:<14.8g}  {row['eigen_mean']:<14.8g}")
-    if out_path:
-        if out_path.endswith(".csv"):
-            with open(out_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["order", "point_index", "ground_residual", "eigen_residual"])
+    lines = [f"residuals for k={k}, n={cfg.n}, E={report['energy']} "
+             f"({npoints} points, order <= {order})",
+             "order  ground_max      ground_mean     eigen_max       eigen_mean"]
+    lines += [f"{row['order']:>5}  {row['ground_max']:<14.8g}  {row['ground_mean']:<14.8g}"
+              f"  {row['eigen_max']:<14.8g}  {row['eigen_mean']:<14.8g}"
+              for row in report["rows"]]
+    csv_rows = [[m, pi, repr(gv), repr(ev)]
                 for m, (grow, erow) in enumerate(zip(report["ground_residuals"],
-                                                     report["eigen_residuals"])):
-                    for pi, (gv, ev) in enumerate(zip(grow, erow)):
-                        writer.writerow([m, pi, repr(gv), repr(ev)])
-        else:
-            Path(out_path).write_text(json.dumps(report, indent=2) + "\n")
+                                                     report["eigen_residuals"]))
+                for pi, (gv, ev) in enumerate(zip(grow, erow))]
+    header = ["order", "point_index", "ground_residual", "eigen_residual"]
+    _emit("\n".join(lines), report, args, config, save=_table_save(report, header, csv_rows))
     return 0
 
 
@@ -320,14 +299,10 @@ def _cmd_oracle(args, config) -> int:
     reference = closed.sample_on_grid(grid)
     scale = max(1e-300, float(np.abs(reference).max()))
     err = float(np.abs(lattice - reference).max()) / scale
-    text = f"max relative error = {err!r}"
     body = {"max_relative_error": err, "N": N, "L": L,
             "closed_form": json.loads(closed.to_json())}
-    fmt = _setting(args, config, "format", "text")
-    print(json.dumps(body) if fmt == "json" else text)
-    out_path = _setting(args, config, "output", None)
-    if out_path:
-        save_lattice(out_path, lattice, grid)
+    _emit(f"max relative error = {err!r}", body, args, config,
+          save=lambda path: save_lattice(path, lattice, grid))
     return 0
 
 
@@ -425,6 +400,9 @@ def main(argv=None) -> int:
         return 2
     except WorkBudgetError as exc:
         print(UsageError(str(exc), code="budget").to_json(), file=sys.stderr)
+        return 2
+    except (ValueError, OverflowError) as exc:  # out-of-range values
+        print(UsageError(str(exc)).to_json(), file=sys.stderr)
         return 2
 
 

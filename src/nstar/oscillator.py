@@ -17,6 +17,10 @@ from .starcore import ThetaConfig, star_series
 
 RationalLike = int | Fraction
 
+# Axes of the complex coordinate (x_1 + i x_2)/sqrt(2) in the ground-state
+# annihilation equation of residual_report.
+COMPLEX_AXES = (1, 2)
+
 
 @dataclass(frozen=True)
 class QuantumNumber:
@@ -77,10 +81,6 @@ class HamiltonianSpec:
         object.__setattr__(self, "lambda_pair", pair)
         object.__setattr__(self, "lambda_quad", quad)
         object.__setattr__(self, "diag_lambdas", diag)
-
-    @property
-    def levi_civita_rank(self) -> int:
-        return self.n if self.n % 2 == 0 else self.n - 1
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> Polynomial:
@@ -247,7 +247,7 @@ def star_polygauss_truncated(factors: Sequence[PolyGauss], cfg: ThetaConfig,
 
 
 def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
-                    sample_points: Sequence[Sequence], complex_axes: tuple[int, int] = (1, 2)) -> dict:
+                    sample_points: Sequence[Sequence]) -> dict:
     """Residual magnitudes, per truncation order and sample point, of
 
     (a) the ground-state annihilation equation: the star product of a
@@ -263,6 +263,8 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
     if order < 0:
         raise ValueError("order must be non-negative")
     points = [tuple(p) for p in sample_points]
+    if not points:
+        raise ValueError("at least one sample point is required")
     for p in points:
         if len(p) != n:
             raise ValueError("sample point dimension mismatch")
@@ -270,7 +272,7 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
             raise ValueError("sample points must satisfy |x| <= 4")
 
     psi = ground_state(k, n)
-    a_poly, _ = complex_pair(complex_axes[0], complex_axes[1], n)
+    a_poly, _ = complex_pair(*COMPLEX_AXES, n)
     H = build_hamiltonian(spec)
     E = energy(1, QuantumNumber((k,) + (0,) * (n - 1)), cfg, spec)
     Ec = float(E)
@@ -309,7 +311,7 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
         "k": k,
         "order": order,
         "num_points": len(points),
-        "complex_axes": list(complex_axes),
+        "complex_axes": list(COMPLEX_AXES),
         "energy": f"{E.numerator}/{E.denominator}",
         "points": [[float(v) for v in p] for p in points],
         "ground_residuals": ground_table,

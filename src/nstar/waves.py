@@ -26,6 +26,9 @@ import numpy as np
 from .starcore import ThetaConfig, sigma_power
 
 MERGE_TOL = 1e-12
+# A lattice frequency is occupied when its amplitude exceeds this fraction
+# of the largest one (or of 1, whichever is larger).
+OCCUPANCY_CUTOFF = 1e-12
 
 # i^(n+1) without float drift
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -221,7 +224,7 @@ def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:
 
 
 def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaConfig,
-                     budget: float = 1e8, occupancy_cutoff: float = 1e-12) -> np.ndarray:
+                     budget: float = 1e8) -> np.ndarray:
     """Lattice-sample star product via the discrete Fourier representation.
 
     Each factor is an N^n array of samples of a band-limited periodic
@@ -245,7 +248,7 @@ def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaCo
     base = spec.base_freq
     occupied = []
     for F in specs:
-        cutoff = occupancy_cutoff * max(1.0, float(np.abs(F).max()))
+        cutoff = OCCUPANCY_CUTOFF * max(1.0, float(np.abs(F).max()))
         idx = np.argwhere(np.abs(F) > cutoff)
         occupied.append([tuple(ix) for ix in idx])
 

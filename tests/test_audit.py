@@ -1,8 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from nstar import audit
 from nstar.audit import (
     CLAIM_IDS,
     GUARANTEED_CLAIMS,
@@ -125,6 +127,29 @@ def test_noncomm_witness_found():
     assert rep.witness["oracle_confirmed"] is True
 
 
+def _scaled_theta_engine(factor):
+    """star_n evaluated at factor * theta."""
+    def engine(factors, cfg):
+        return star_n(factors, ThetaConfig(cfg.n, tuple(factor * t for t in cfg.theta)))
+    return engine
+
+
+def test_engine_oracle_disagreement_raises(monkeypatch):
+    # the engine computes at 2*theta, the stepwise oracle at theta: the
+    # counterexample the engine finds is not confirmed
+    monkeypatch.setattr(audit, "star_n", _scaled_theta_engine(2))
+    with pytest.raises(RuntimeError, match="oracle disagree"):
+        audit_claim("cf-coord-first", seed=3, trials=40)
+
+
+def test_witness_without_differing_inputs_fails(monkeypatch):
+    monkeypatch.setattr(audit, "star_n", _scaled_theta_engine(0))
+    rep = audit_claim("noncomm-witness-1", seed=13, trials=30)
+    assert rep.verdict == VERDICT_FAILS
+    assert rep.witness is None
+    assert rep.counterexample == {"note": "no differing inputs found"}
+
+
 def test_conj_inequality_witnesses():
     for idx in (1, 2, 3):
         rep = audit_claim(f"conj-inequality-{idx}", seed=17, trials=40)
@@ -145,6 +170,8 @@ def test_run_suite_deterministic_and_complete():
     data = json.loads(reports_to_json(reports1))
     assert all(set(rec) == {"claim", "verdict", "trials", "seed", "corpus",
                             "counterexample", "witness"} for rec in data)
+    digest = hashlib.sha256(reports_to_json(reports1).encode("utf-8")).hexdigest()
+    assert digest == "9fcc6bdd4e16a1a886d2754c2abbabb671e310607acdb06761e5c55676b3cc0b"
 
 
 def test_run_suite_seed_changes_reports():

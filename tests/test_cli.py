@@ -67,7 +67,21 @@ def test_bracket_and_conj(capsys):
     assert capsys.readouterr().out.strip() == "x1*x2*x3 - (1/2)i"
 
 
-def test_usage_error_exit_codes(tmp_path):
+# Out-of-range values: each is a usage error, not a traceback.
+OUT_OF_RANGE = [
+    ["oracle", "--N", "0", "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"],
+    ["residual", "--order", "-1"],
+    ["residual", "--k", "-1"],
+    ["residual", "--points", "0"],
+    ["spectrum", "--nbar", "1,-1,0"],
+    ["verify", "--trials", "0"],
+    ["star", "--theta", "2000,0,0", "wave(10,0,0)", "wave(0,10,0)", "wave(0,0,10)"],
+    ["kernel", "--theta", "2000,0,0", "10,0,0", "0,10,0", "0,0,10"],
+    ["star", "wave(1e300,0,0)", "wave(0,1,0)", "wave(0,0,1)"],
+]
+
+
+def test_usage_error_exit_codes(tmp_path, monkeypatch, capsys):
     proc = run_cli(["star", "x1", "x2"], cwd=tmp_path)  # wrong arity
     assert proc.returncode == 2
     body = json.loads(proc.stderr)
@@ -84,6 +98,12 @@ def test_usage_error_exit_codes(tmp_path):
 
     proc = run_cli(["verify", "--tolerance", "1e-9"], cwd=tmp_path)  # removed flag
     assert proc.returncode == 2
+
+    monkeypatch.chdir(tmp_path)
+    for argv in OUT_OF_RANGE:
+        assert main(argv) == 2, argv
+        body = json.loads(capsys.readouterr().err)
+        assert body["error"]["code"] == "usage", argv
 
 
 def test_spectrum_value(capsys):

@@ -44,12 +44,6 @@ def test_spec_validation():
         HamiltonianSpec(3, diag_lambdas=((Fraction(1),) * 2,))
 
 
-def test_levi_civita_rank_parity():
-    assert HamiltonianSpec(4).levi_civita_rank == 4
-    assert HamiltonianSpec(3).levi_civita_rank == 2
-    assert HamiltonianSpec(5).levi_civita_rank == 4
-
-
 def test_build_hamiltonian_free():
     assert build_hamiltonian(HamiltonianSpec(3)) == radial_sq(3)
 

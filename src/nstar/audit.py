@@ -294,7 +294,7 @@ def _cf_two_coords_sides(variant: str):
     return sides
 
 
-def _cf_complex_sides(variant: str, symmetric_fix: bool = False):
+def _cf_complex_sides(variant: str):
     def sides(inputs: ClaimInputs, star):
         cfg = inputs.cfg()
         i, j = inputs.meta["i"], inputs.meta["j"]
@@ -305,10 +305,11 @@ def _cf_complex_sides(variant: str, symmetric_fix: bool = False):
             "abar-f-g": (abar, f, g),
             "g-f-a": (g, f, a),
             "g-f-abar": (g, f, abar),
+            "g-f-abar-alt": (g, f, abar),
             "f-a-g": (f, a, g),
             "f-abar-g": (f, abar, g),
         }[variant]
-        closed = star_complex_form(variant, i, j, f, g, cfg, symmetric_fix=symmetric_fix)
+        closed = star_complex_form(variant, i, j, f, g, cfg)
         return closed, star(slots, cfg)
     return sides
 
@@ -452,7 +453,7 @@ def _build_claim_table() -> dict[str, ClaimDef]:
     defs.append(ClaimDef(
         name="cf-complex-4-alt", kind="equality", corpus=three,
         sampler=_axis_poly_sampler(2, distinct_pair=True),
-        sides=_cf_complex_sides("g-f-abar", symmetric_fix=True)))
+        sides=_cf_complex_sides("g-f-abar-alt")))
 
     defs.append(ClaimDef(
         name="cf-nary-slot", kind="equality", corpus=general,
@@ -507,17 +508,19 @@ GUARANTEED_CLAIMS: tuple[str, ...] = (
 # --------------------------------------------------------------------------
 # shrinking
 
+SHRINK_ROUNDS = 12  # passes of the greedy shrinker; it stops early at a fixed point
+
+
 def _with_poly(inputs: ClaimInputs, index: int, poly: Polynomial) -> ClaimInputs:
     return replace(inputs, polys=inputs.polys[:index] + (poly,) + inputs.polys[index + 1:])
 
 
-def _shrink(inputs: ClaimInputs, still_fails: Callable[[ClaimInputs], object],
-            max_rounds: int = 12) -> ClaimInputs:
+def _shrink(inputs: ClaimInputs, still_fails: Callable[[ClaimInputs], object]) -> ClaimInputs:
     """Greedy minimization: zero theta components, drop polynomial terms,
     simplify coefficients to 1, reduce exponents; keep a move only if the
     failure persists (still_fails returns a truthy value)."""
     current = inputs
-    for _ in range(max_rounds):
+    for _ in range(SHRINK_ROUNDS):
         changed = False
 
         for idx, th in enumerate(current.theta):

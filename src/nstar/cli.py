@@ -70,12 +70,30 @@ def _load_config() -> dict:
 
 
 def _setting(args, config, name, default):
-    value = getattr(args, name, None)
+    """The flag's value, else the config file's, else default."""
+    value = getattr(args, name)
     if value is not None:
         return value
     if name in config:
-        return config[name]
+        return _config_value(args.flags[name], name, config[name])
     return default
+
+
+def _config_value(flag: argparse.Action, name: str, raw):
+    """A config value converted with its flag's type: a JSON string as if
+    typed on the command line, a JSON number as an int or float flag's."""
+    conv = flag.type or str
+    numeric = {int: int, float: (int, float)}.get(conv, ())
+    if isinstance(raw, str) or (isinstance(raw, numeric) and not isinstance(raw, bool)):
+        try:
+            value = conv(raw)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if flag.choices is None or value in flag.choices:
+                return value
+    expected = " or ".join(map(str, flag.choices)) if flag.choices else conv.__name__
+    raise UsageError(f"config key {name!r}: expected {expected}, got {raw!r}", code="config")
 
 
 def _parse_list(text: str, what: str, conv=Fraction) -> tuple:
@@ -86,12 +104,12 @@ def _parse_list(text: str, what: str, conv=Fraction) -> tuple:
 
 
 def _theta_config(args, config) -> ThetaConfig:
-    n = int(_setting(args, config, "n", 3))
+    n = _setting(args, config, "n", 3)
     theta_raw = _setting(args, config, "theta", None)
     if theta_raw is None:
         theta = (Fraction(1),) * n
     else:
-        theta = _parse_list(str(theta_raw), "theta")
+        theta = _parse_list(theta_raw, "theta")
     if len(theta) != n:
         raise UsageError(f"theta must have {n} components, got {len(theta)}")
     return ThetaConfig(n, theta)
@@ -200,10 +218,10 @@ def _cmd_omega(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
-    seed = int(_setting(args, config, "seed", 0))
-    trials = int(_setting(args, config, "trials", 100))
-    reports = run_suite(seed=seed, trials=trials)
+    seed = _setting(args, config, "seed", 0)
+    trials = _setting(args, config, "trials", 100)
     out_path = _setting(args, config, "output", "nstar_audit.json")
+    reports = run_suite(seed=seed, trials=trials)
     Path(out_path).write_text(reports_to_json(reports) + "\n")
     for rep in reports:
         print(f"{rep.claim}: {rep.verdict}")
@@ -243,7 +261,7 @@ def _cmd_spectrum(args, config) -> int:
     nbar = QuantumNumber(_parse_list(args.nbar, "nbar", int) if args.nbar else (0,) * cfg.n)
     if len(nbar.nbar) != cfg.n:
         raise UsageError(f"nbar must have {cfg.n} components")
-    k = int(_setting(args, config, "k", 1))
+    k = _setting(args, config, "k", 1)
     if not 1 <= k <= cfg.n:
         raise UsageError(f"k must be in 1..{cfg.n}")
     value = energy(k, nbar, cfg, spec)
@@ -260,10 +278,10 @@ def _cmd_spectrum(args, config) -> int:
 def _cmd_residual(args, config) -> int:
     cfg = _theta_config(args, config)
     spec = _hamiltonian_spec(args, config, cfg.n)
-    k = int(_setting(args, config, "k", 0))
-    order = int(_setting(args, config, "order", 4))
-    npoints = int(_setting(args, config, "points", 20))
-    seed = int(_setting(args, config, "seed", 0))
+    k = _setting(args, config, "k", 0)
+    order = _setting(args, config, "order", 4)
+    npoints = _setting(args, config, "points", 20)
+    seed = _setting(args, config, "seed", 0)
     rng = random.Random(seed)
     points = [tuple(Fraction(rng.randint(-200, 200), 100) for _ in range(cfg.n))
               for _ in range(npoints)]
@@ -287,9 +305,9 @@ def _cmd_oracle(args, config) -> int:
     cfg = _theta_config(args, config)
     if len(args.exprs) != cfg.n:
         raise UsageError(f"oracle takes exactly {cfg.n} wave expressions, got {len(args.exprs)}")
-    N = int(_setting(args, config, "N", 8))
-    L = float(_setting(args, config, "L", 2 * np.pi))
-    budget = float(_setting(args, config, "budget", 1e8))
+    N = _setting(args, config, "N", 8)
+    L = _setting(args, config, "L", 2 * np.pi)
+    budget = _setting(args, config, "budget", 1e8)
     grid = GridSpec(cfg.n, N, L)
     nodes = _parse_exprs(args.exprs, cfg.n)
     waves = [lower_wave(nd, cfg.n) for nd in nodes]
@@ -382,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("exprs", nargs="+")
     p.set_defaults(func=_cmd_oracle)
 
+    for p in sub.choices.values():  # each command's flags, for typing config values
+        p.set_defaults(flags={action.dest: action for action in p._actions})
     return parser
 
 

@@ -30,41 +30,37 @@ def _require_n3(cfg: ThetaConfig) -> None:
         raise ValueError("this closed form is defined for dimension 3 only")
 
 
-def _ith(cfg: ThetaConfig, k: int) -> Fraction:
-    return cfg.theta[k - 1]
+def _require_n3_axis(cfg: ThetaConfig, k: int) -> None:
+    _require_n3(cfg)
+    if not 1 <= k <= 3:
+        raise ValueError(f"axis {k} out of range 1..3")
 
 
 def star_coord_first(k: int, f: Polynomial, g: Polynomial, cfg: ThetaConfig) -> Polynomial:
     """Closed form for the product with x_k in the first slot (3-ary)."""
-    _require_n3(cfg)
-    if not 1 <= k <= 3:
-        raise ValueError(f"axis {k} out of range 1..3")
+    _require_n3_axis(cfg, k)
     s1, s2 = sigma_power(k, 1, 3), sigma_power(k, 2, 3)
     corr = f.diff(s1) * g.diff(s2) - f.diff(s2) * g.diff(s1)
-    half_i_th = ExactComplex(0, Fraction(_ith(cfg, k), 2))
+    half_i_th = ExactComplex(0, Fraction(cfg.theta[k - 1], 2))
     return x(k, 3) * f * g + corr * half_i_th
 
 
 def star_coord_middle(k: int, g: Polynomial, f: Polynomial, cfg: ThetaConfig) -> Polynomial:
     """Closed form for the product with x_k in the middle slot (3-ary):
     g in the first slot, f in the last."""
-    _require_n3(cfg)
-    if not 1 <= k <= 3:
-        raise ValueError(f"axis {k} out of range 1..3")
+    _require_n3_axis(cfg, k)
     s1, s2 = sigma_power(k, 1, 3), sigma_power(k, 2, 3)
-    t1 = g.diff(s1) * f.diff(s2) * ExactComplex(0, Fraction(_ith(cfg, s1), 2))
-    t2 = g.diff(s2) * f.diff(s1) * ExactComplex(0, Fraction(_ith(cfg, s2), 2))
+    t1 = g.diff(s1) * f.diff(s2) * ExactComplex(0, Fraction(cfg.theta[s1 - 1], 2))
+    t2 = g.diff(s2) * f.diff(s1) * ExactComplex(0, Fraction(cfg.theta[s2 - 1], 2))
     return x(k, 3) * f * g - t1 + t2
 
 
 def star_coord_last(k: int, f: Polynomial, g: Polynomial, cfg: ThetaConfig) -> Polynomial:
     """Closed form for the product with x_k in the last slot (3-ary)."""
-    _require_n3(cfg)
-    if not 1 <= k <= 3:
-        raise ValueError(f"axis {k} out of range 1..3")
+    _require_n3_axis(cfg, k)
     s1, s2 = sigma_power(k, 1, 3), sigma_power(k, 2, 3)
-    t1 = f.diff(s1) * g.diff(s2) * ExactComplex(0, Fraction(_ith(cfg, s1), 2))
-    t2 = f.diff(s2) * g.diff(s1) * ExactComplex(0, Fraction(_ith(cfg, s2), 2))
+    t1 = f.diff(s1) * g.diff(s2) * ExactComplex(0, Fraction(cfg.theta[s1 - 1], 2))
+    t2 = f.diff(s2) * g.diff(s1) * ExactComplex(0, Fraction(cfg.theta[s2 - 1], 2))
     return x(k, 3) * f * g + t1 - t2
 
 
@@ -79,13 +75,11 @@ def star_two_coords(k: int, variant: str, f: Polynomial, cfg: ThetaConfig) -> Po
     * sigma2-next-middle:  x_k (*) x_{s2(k)} (*) f  = x_k x_{s2(k)} f - (i th_k/2) d_{s(k)} f
     * sigma2-next-last:    x_k (*) f (*) x_{s2(k)}  = x_k x_{s2(k)} f + (i th_k/2) d_{s(k)} f
     """
-    _require_n3(cfg)
-    if not 1 <= k <= 3:
-        raise ValueError(f"axis {k} out of range 1..3")
+    _require_n3_axis(cfg, k)
     if variant not in TWO_COORD_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     s1, s2 = sigma_power(k, 1, 3), sigma_power(k, 2, 3)
-    half_i_th = ExactComplex(0, Fraction(_ith(cfg, k), 2))
+    half_i_th = ExactComplex(0, Fraction(cfg.theta[k - 1], 2))
     if variant == "sigma-next-middle":
         return x(k, 3) * x(s1, 3) * f + f.diff(s2) * half_i_th
     if variant == "sigma-next-last":
@@ -114,7 +108,7 @@ def _bracket_pair(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
 
 
 def star_complex_form(variant: str, i: int, j: int, f: Polynomial, g: Polynomial,
-                      cfg: ThetaConfig, symmetric_fix: bool = False) -> Polynomial:
+                      cfg: ThetaConfig) -> Polynomial:
     """The six closed forms with one complex coordinate slot, as printed.
 
     variant names the slot layout: 'a-f-g' has the complex coordinate in
@@ -124,19 +118,17 @@ def star_complex_form(variant: str, i: int, j: int, f: Polynomial, g: Polynomial
     is an audit question, not an assumption.
 
     The 'g-f-abar' form as printed contains the product d_{s(i)}f d_{s2(i)}f
-    (f twice); passing symmetric_fix=True evaluates the variant with the
-    first factor read as g instead, mirroring the 'g-f-a' form.
+    (f twice); the seventh variant 'g-f-abar-alt', not one of the printed
+    forms, reads that first factor as g instead, mirroring 'g-f-a'.
     """
     _require_n3(cfg)
     if i == j:
         raise ValueError("complex coordinate requires two distinct axes")
-    if variant not in COMPLEX_FORM_VARIANTS:
+    if variant not in COMPLEX_FORM_VARIANTS + ("g-f-abar-alt",):
         raise ValueError(f"unknown variant {variant!r}")
-    if symmetric_fix and variant != "g-f-abar":
-        raise ValueError("symmetric_fix applies to the g-f-abar form only")
     a, abar = complex_pair(i, j, 3)
     quarter = Fraction(1, 4)
-    th = lambda m: _ith(cfg, m)
+    th = lambda m: cfg.theta[m - 1]
     si1, si2 = sigma_power(i, 1, 3), sigma_power(i, 2, 3)
     sj1, sj2 = sigma_power(j, 1, 3), sigma_power(j, 2, 3)
 
@@ -154,8 +146,8 @@ def star_complex_form(variant: str, i: int, j: int, f: Polynomial, g: Polynomial
                 - g.diff(si2) * f.diff(si1) * ExactComplex(0, th(si2) * quarter)
                 - g.diff(sj1) * f.diff(sj2) * ExactComplex(th(sj1) * quarter)
                 + g.diff(sj2) * f.diff(sj1) * ExactComplex(th(sj2) * quarter))
-    if variant == "g-f-abar":
-        first = g.diff(si1) if symmetric_fix else f.diff(si1)
+    if variant in ("g-f-abar", "g-f-abar-alt"):
+        first = g.diff(si1) if variant == "g-f-abar-alt" else f.diff(si1)
         return (abar * f * g
                 + first * f.diff(si2) * ExactComplex(0, th(si1) * quarter)
                 - g.diff(si2) * f.diff(si1) * ExactComplex(0, th(si2) * quarter)
@@ -238,5 +230,5 @@ def star_coord_slot(spec: SlotSpec, fs: Sequence[Polynomial], gs: Sequence[Polyn
         rev = rev * factors[slot - 1].diff(rev_axis(slot))
 
     return (base
-            + fwd * ExactComplex(0, Fraction(_ith(cfg, k_fwd), 2))
-            - rev * ExactComplex(0, Fraction(_ith(cfg, k_rev), 2)))
+            + fwd * ExactComplex(0, Fraction(cfg.theta[k_fwd - 1], 2))
+            - rev * ExactComplex(0, Fraction(cfg.theta[k_rev - 1], 2)))

@@ -297,14 +297,6 @@ def parse_expression(text: str, n: int) -> Node:
 
 # -- printer -----------------------------------------------------------------
 
-def _frac_text(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def _float_text(v: float) -> str:
-    return repr(v)
-
-
 def to_text(node: Node) -> str:
     """Parseable canonical text; parse(to_text(t)) == t for parser output."""
     return _print(node, parent="expr")
@@ -312,18 +304,14 @@ def to_text(node: Node) -> str:
 
 def _print(node: Node, parent: str) -> str:
     if isinstance(node, Lit):
-        if node.im:
-            body = f"{_frac_text(node.im)}i"
-        else:
-            body = _frac_text(node.re)
-        return body
+        return f"{node.im}i" if node.im else str(node.re)
     if isinstance(node, Coord):
         return f"x{node.k}"
     if isinstance(node, ComplexCoord):
         name = "abar" if node.conj else "a"
         return f"{name}({node.i},{node.j})"
     if isinstance(node, Wave):
-        return "wave(" + ",".join(_float_text(v) for v in node.freqs) + ")"
+        return "wave(" + ",".join(map(repr, node.freqs)) + ")"
     if isinstance(node, Pow):
         base = _print(node.base, parent="atom")
         if isinstance(node.base, (Sum, Prod, Pow)):

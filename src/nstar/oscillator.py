@@ -187,13 +187,12 @@ class PolyGauss:
         return PolyGauss(self.poly + other.poly, self.scale)
 
     def eval(self, point: Sequence) -> complex:
-        if all(isinstance(v, (int, Fraction)) for v in point):
-            sumsq = sum(Fraction(v) * Fraction(v) for v in point)
-            value = self.poly.eval_exact(point).to_complex()
-            return value * math.exp(-float(Fraction(self.scale) * sumsq / 2))
-        pt = [float(v) for v in point]
-        sumsq = sum(v * v for v in pt)
-        return self.poly.eval_complex(pt) * math.exp(-self.scale * sumsq / 2.0)
+        """Value at a point.  The polynomial part is evaluated exactly, with
+        each coordinate taken as Fraction(v), which is exact for int,
+        Fraction and float."""
+        pt = [Fraction(v) for v in point]
+        value = self.poly.eval_exact(pt).to_complex()
+        return value * math.exp(-float(self.scale * sum(v * v for v in pt) / 2))
 
 
 def ground_state(k: int, n: int) -> PolyGauss:

@@ -57,6 +57,15 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _trusted(n: int, terms: dict[MultiIndex, ExactComplex]) -> "Polynomial":
+        """Wrap terms that are already canonical (length-n keys, no zero
+        coefficients) without the checks of __init__."""
+        p = Polynomial.__new__(Polynomial)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @staticmethod
     def zero(n: int) -> "Polynomial":
         return Polynomial(n)
 
@@ -72,11 +81,6 @@ class Polynomial:
             raise ValueError(f"coordinate index {k} out of range 1..{n}")
         exps = tuple(1 if i == k - 1 else 0 for i in range(n))
         return Polynomial(n, {exps: ONE})
-
-    @staticmethod
-    def monomial(exps: Sequence[int], coeff, n: int | None = None) -> "Polynomial":
-        exps = tuple(exps)
-        return Polynomial(n if n is not None else len(exps), {exps: ExactComplex.coerce(coeff)})
 
     # -- structure ---------------------------------------------------------
 
@@ -120,18 +124,12 @@ class Polynomial:
                 out[exps] = total
             elif exps in out:
                 del out[exps]
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "n", self.n)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Polynomial._trusted(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "n", self.n)
-        object.__setattr__(p, "terms", {e: -c for e, c in self.terms.items()})
-        return p
+        return Polynomial._trusted(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce_operand(other))
@@ -144,10 +142,7 @@ class Polynomial:
             c = ExactComplex.coerce(other)
             if not c:
                 return Polynomial.zero(self.n)
-            p = Polynomial.__new__(Polynomial)
-            object.__setattr__(p, "n", self.n)
-            object.__setattr__(p, "terms", {e: v * c for e, v in self.terms.items()})
-            return p
+            return Polynomial._trusted(self.n, {e: v * c for e, v in self.terms.items()})
         other = self._coerce_operand(other)
         out: dict[MultiIndex, ExactComplex] = {}
         for e1, c1 in self.terms.items():
@@ -160,10 +155,7 @@ class Polynomial:
                     out[exps] = total
                 elif exps in out:
                     del out[exps]
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "n", self.n)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Polynomial._trusted(self.n, out)
 
     __rmul__ = __mul__
 
@@ -193,17 +185,11 @@ class Polynomial:
                 continue
             new = exps[:j] + (e - 1,) + exps[j + 1:]
             out[new] = coeff * e
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "n", self.n)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Polynomial._trusted(self.n, out)
 
     def conjugate(self) -> "Polynomial":
         """Complex conjugate (coefficient-wise; the variables are real)."""
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "n", self.n)
-        object.__setattr__(p, "terms", {e: c.conjugate() for e, c in self.terms.items()})
-        return p
+        return Polynomial._trusted(self.n, {e: c.conjugate() for e, c in self.terms.items()})
 
     # -- evaluation --------------------------------------------------------
 
@@ -211,7 +197,7 @@ class Polynomial:
         """Evaluate at a point with rational (or ExactComplex) components."""
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
-        pt = [ExactComplex.coerce(v) if not isinstance(v, ExactComplex) else v for v in point]
+        pt = [ExactComplex.coerce(v) for v in point]
         total = ZERO
         for exps, coeff in self.terms.items():
             val = coeff
@@ -219,18 +205,6 @@ class Polynomial:
                 if e:
                     val = val * v**e
             total = total + val
-        return total
-
-    def eval_complex(self, point: Sequence[float]) -> complex:
-        if len(point) != self.n:
-            raise ValueError("point dimension mismatch")
-        total = 0j
-        for exps, coeff in self.terms.items():
-            val = coeff.to_complex()
-            for v, e in zip(point, exps):
-                if e:
-                    val *= v**e
-            total += val
         return total
 
     def max_coeff_magnitude(self) -> float:

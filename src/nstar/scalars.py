@@ -58,9 +58,6 @@ class ExactComplex:
     def is_rational_complex(self) -> bool:
         return not (self.rt2_re or self.rt2_im)
 
-    def is_real(self) -> bool:
-        return not (self.im or self.rt2_im)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ExactComplex(other)
@@ -103,25 +100,6 @@ class ExactComplex:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "ExactComplex":
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        # z = u + rt2*v with u, v in Q(i).  z*(u - rt2*v) = u^2 - 2 v^2 in Q(i),
-        # nonzero for z != 0 since sqrt(2) is not in Q(i).
-        u_re, u_im = self.re, self.im
-        v_re, v_im = self.rt2_re, self.rt2_im
-        w_re = u_re * u_re - u_im * u_im - 2 * (v_re * v_re - v_im * v_im)
-        w_im = 2 * u_re * u_im - 4 * v_re * v_im
-        norm = w_re * w_re + w_im * w_im
-        winv = ExactComplex(Fraction(w_re, norm), Fraction(-w_im, norm))
-        return ExactComplex(u_re, u_im, -v_re, -v_im) * winv
-
-    def __truediv__(self, other) -> "ExactComplex":
-        return self * ExactComplex.coerce(other).inverse()
-
-    def __rtruediv__(self, other) -> "ExactComplex":
-        return ExactComplex.coerce(other) * self.inverse()
-
     def __pow__(self, k: int) -> "ExactComplex":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
@@ -158,18 +136,14 @@ SQRT2 = ExactComplex(0, 0, 1)
 HALF_SQRT2 = ExactComplex(0, 0, Fraction(1, 2))  # 1/sqrt(2)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _complex_part_str(re: Fraction, im: Fraction) -> str:
     """Render re + im*i as a compact string, e.g. '3', '1/2', '2i', '1 + 2i'."""
     if re and im:
         sign = " - " if im < 0 else " + "
-        return f"{_frac_str(re)}{sign}{_imag_str(abs(im))}"
+        return f"{re}{sign}{_imag_str(abs(im))}"
     if im:
         return _imag_str(im)
-    return _frac_str(re)
+    return str(re)
 
 
 def _imag_str(im: Fraction) -> str:
@@ -187,22 +161,15 @@ def format_scalar(c: ExactComplex) -> str:
     if not c:
         return "0"
     base = _complex_part_str(c.re, c.im) if (c.re or c.im) else ""
-    if c.rt2_re or c.rt2_im:
-        sub = _complex_part_str(c.rt2_re, c.rt2_im)
-        if sub == "1":
-            rt = "rt2"
-        elif sub == "-1":
-            rt = "-rt2"
-        elif ("+" in sub or " - " in sub) or sub.startswith("-"):
-            rt = f"({sub})*rt2"
-        else:
-            rt = f"({sub})*rt2" if "/" in sub or sub.endswith("i") else f"{sub}*rt2"
-        if base:
-            if rt.startswith("-"):
-                return f"{base} - {rt[1:]}"
-            return f"{base} + {rt}"
+    if not (c.rt2_re or c.rt2_im):
+        return base
+    sub = _complex_part_str(c.rt2_re, c.rt2_im)
+    rt = {"1": "rt2", "-1": "-rt2"}.get(sub)
+    if rt is None:
+        rt = f"{sub}*rt2" if sub.isdigit() else f"({sub})*rt2"
+    if not base:
         return rt
-    return base
+    return f"{base} - rt2" if rt == "-rt2" else f"{base} + {rt}"
 
 
 def scalar_is_negative_leading(c: ExactComplex) -> bool:

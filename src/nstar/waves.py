@@ -167,10 +167,6 @@ class WaveSum:
                 out.append((c1 * c2, tuple(a + b for a, b in zip(f1, f2))))
         return WaveSum(self.n, out)
 
-    def eval_at(self, point: Sequence[float]) -> complex:
-        return sum(c * cmath.exp(1j * sum(fi * xi for fi, xi in zip(f, point)))
-                   for c, f in self.terms)
-
     def sample_on_grid(self, spec: GridSpec) -> np.ndarray:
         if spec.n != self.n:
             raise ValueError("dimension mismatch")

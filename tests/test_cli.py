@@ -185,6 +185,40 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert json.loads(proc.stderr)["error"]["code"] == "config"
 
 
+# Config values of the wrong type for their flag: each exits 2 with a
+# "config" diagnostic naming the key, before any output.
+BAD_CONFIG = [
+    ({"output": 5}, ["star", "x1", "x2", "x3"]),
+    ({"output": 5}, ["spectrum"]),
+    ({"k": 1.5}, ["spectrum"]),
+    ({"k": True}, ["spectrum"]),
+    ({"format": "xml"}, ["star", "x1", "x2", "x3"]),
+    ({"trials": [1]}, ["verify"]),
+]
+
+
+def test_config_values_take_their_flag_type(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config_file = tmp_path / "nstar.json"
+    for config, argv in BAD_CONFIG:
+        config_file.write_text(json.dumps(config))
+        assert main(argv) == 2, config
+        captured = capsys.readouterr()
+        assert captured.out == "", config
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "config", config
+        assert repr(next(iter(config))) in error["message"], config
+    assert list(tmp_path.iterdir()) == [config_file]
+
+    # a JSON string converts as if typed on the command line
+    config_file.write_text(json.dumps({"k": "2", "theta": "1,2,3"}))
+    assert main(["spectrum"]) == 0
+    assert capsys.readouterr().out == "E = 3\n"
+    # a float flag takes a JSON integer; a budget of 10 would exit 2
+    config_file.write_text(json.dumps({"N": 4, "budget": 10**9}))
+    assert main(["oracle", "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 0
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     proc = run_child([str(demo)], cwd=tmp_path)

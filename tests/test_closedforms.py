@@ -122,7 +122,26 @@ def test_complex_form_printed_values():
     with pytest.raises(ValueError):
         star_complex_form("nope", 1, 2, f, g, GEN3)
     with pytest.raises(ValueError):
-        star_complex_form("a-f-g", 1, 2, f, g, GEN3, symmetric_fix=True)
+        star_complex_form("a-f-g-alt", 1, 2, f, g, GEN3)  # only g-f-abar has an alt form
+
+
+def test_complex_form_alt_differs_in_first_factor():
+    # g-f-abar-alt reads the first factor of the s(i) correction as g
+    rng = random.Random(11)
+    corpus = CorpusSpec()
+    nonzero = 0
+    for _ in range(20):
+        cfg = ThetaConfig(3, sample_theta(rng, 3))
+        f = sample_poly(rng, 3, corpus)
+        g = sample_poly(rng, 3, corpus)
+        i, j = rng.sample((1, 2, 3), 2)
+        s1, s2 = sigma_power(i, 1, 3), sigma_power(i, 2, 3)
+        gap = (star_complex_form("g-f-abar-alt", i, j, f, g, cfg)
+               - star_complex_form("g-f-abar", i, j, f, g, cfg))
+        i_th_quarter = ExactComplex(0, cfg.theta[s1 - 1] / 4)
+        assert gap == (g.diff(s1) - f.diff(s1)) * f.diff(s2) * i_th_quarter
+        nonzero += not gap.is_zero()
+    assert nonzero >= 3
 
 
 def test_complex_forms_differ_from_engine_generically():

@@ -155,6 +155,15 @@ def test_polygauss_eval_matches_direct():
     assert abs(got - want) < 1e-15
 
 
+def test_polygauss_eval_float_point_is_exact():
+    # a float coordinate is converted exactly, so the value is the one at
+    # the equal Fraction point, bit for bit
+    a, _ = complex_pair(1, 2, 3)
+    pg = PolyGauss(a * ground_state(2, 3).poly * Fraction(1, 3), 1)
+    for pt in [(0.1, -1.3, 0.7), (1.0, 0.25, -2.5), (0.3, 0.0, 1e-3)]:
+        assert pg.eval(pt) == pg.eval(tuple(Fraction(v) for v in pt))
+
+
 def test_star_polygauss_order0_is_pointwise():
     psi = ground_state(1, 3)
     out, mag = star_polygauss_truncated([psi, psi, psi], UNIT3, 0)

@@ -38,6 +38,8 @@ from .waves import (
 )
 
 CONFIG_PATH = "nstar.json"
+# How far a wave frequency, in units of 2*pi/L, may sit from an integer.
+LATTICE_FIT_TOL = 1e-9
 
 
 class UsageError(Exception):
@@ -301,6 +303,19 @@ def _cmd_residual(args, config) -> int:
     return 0
 
 
+def _check_lattice_fit(texts, waves, grid: GridSpec) -> None:
+    """Every wave frequency must be an integer multiple of 2*pi/L, or the
+    lattice samples are not periodic and the oracle compares nothing."""
+    for pos, (text, wave) in enumerate(zip(texts, waves), start=1):
+        for _, freq in wave.terms:
+            for v in freq:
+                steps = v / grid.base_freq
+                if abs(steps - round(steps)) > LATTICE_FIT_TOL:
+                    raise UsageError(
+                        f"wave {pos} ({text}) has frequency {v!r}, which is not an integer "
+                        f"multiple of 2*pi/L for L = {grid.period!r}")
+
+
 def _cmd_oracle(args, config) -> int:
     cfg = _theta_config(args, config)
     if len(args.exprs) != cfg.n:
@@ -311,6 +326,7 @@ def _cmd_oracle(args, config) -> int:
     grid = GridSpec(cfg.n, N, L)
     nodes = _parse_exprs(args.exprs, cfg.n)
     waves = [lower_wave(nd, cfg.n) for nd in nodes]
+    _check_lattice_fit(args.exprs, waves, grid)
     closed = star_waves(waves, cfg)
     samples = [w.sample_on_grid(grid) for w in waves]
     lattice = grid_oracle_star(samples, grid, cfg, budget=budget)

@@ -311,7 +311,7 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
         "order": order,
         "num_points": len(points),
         "complex_axes": list(COMPLEX_AXES),
-        "energy": f"{E.numerator}/{E.denominator}",
+        "energy": str(E),
         "points": [[float(v) for v in p] for p in points],
         "ground_residuals": ground_table,
         "eigen_residuals": eigen_table,

@@ -1,14 +1,23 @@
 """Exact scalar arithmetic for the engine: complex numbers with rational
 parts, extended by sqrt(2).
 
-A scalar is stored as four rationals (re, im, rt2_re, rt2_im) and denotes
+A scalar denotes
 
     (re + im*i) + sqrt(2)*(rt2_re + rt2_im*i)
 
-This is the field Q(i, sqrt(2)).  Plain rational-complex values keep the
-rt2 parts at zero; the sqrt(2) parts only appear once the complex
-coordinates (x_k + i*x_l)/sqrt(2) enter a computation.  Every operation
-is exact, so identity checks are unambiguous equality tests.
+with four rational parts.  This is the field Q(i, sqrt(2)).  Plain
+rational-complex values keep the rt2 parts at zero; the sqrt(2) parts
+only appear once the complex coordinates (x_k + i*x_l)/sqrt(2) enter a
+computation.  Every operation is exact, so identity checks are
+unambiguous equality tests.
+
+The four parts are stored as integer numerators over one common
+denominator, in the tuple ``_q = (a, b, c, d, den)`` with den > 0 and
+gcd(a, b, c, d, den) = 1: re = a/den, im = b/den, rt2_re = c/den and
+rt2_im = d/den.  That form is canonical, so equality compares the five
+integers, and arithmetic works on integers with one gcd per result
+instead of one per rational part.  The properties ``re``, ``im``,
+``rt2_re`` and ``rt2_im`` return the parts as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -32,17 +41,33 @@ def _frac(v: RationalLike) -> Fraction:
 class ExactComplex:
     """Element of Q(i, sqrt(2)), immutable."""
 
-    __slots__ = ("re", "im", "rt2_re", "rt2_im")
+    __slots__ = ("_q",)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0,
                  rt2_re: RationalLike = 0, rt2_im: RationalLike = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
-        object.__setattr__(self, "rt2_re", _frac(rt2_re))
-        object.__setattr__(self, "rt2_im", _frac(rt2_im))
+        parts = [_frac(re), _frac(im), _frac(rt2_re), _frac(rt2_im)]
+        # over the lcm of reduced denominators the five ints are coprime
+        den = math.lcm(*(p.denominator for p in parts))
+        _set_q(self, tuple(p.numerator * (den // p.denominator) for p in parts) + (den,))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._q[0], self._q[4])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._q[1], self._q[4])
+
+    @property
+    def rt2_re(self) -> Fraction:
+        return Fraction(self._q[2], self._q[4])
+
+    @property
+    def rt2_im(self) -> Fraction:
+        return Fraction(self._q[3], self._q[4])
 
     @staticmethod
     def coerce(v) -> "ExactComplex":
@@ -53,31 +78,39 @@ class ExactComplex:
         raise TypeError(f"cannot coerce {type(v).__name__} to ExactComplex")
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im or self.rt2_re or self.rt2_im)
+        a, b, c, d, _ = self._q
+        return bool(a or b or c or d)
 
     def is_rational_complex(self) -> bool:
-        return not (self.rt2_re or self.rt2_im)
+        return not (self._q[2] or self._q[3])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ExactComplex(other)
         if not isinstance(other, ExactComplex):
             return NotImplemented
-        return (self.re == other.re and self.im == other.im
-                and self.rt2_re == other.rt2_re and self.rt2_im == other.rt2_im)
+        return self._q == other._q
 
     def __hash__(self):
-        return hash((self.re, self.im, self.rt2_re, self.rt2_im))
+        return hash(self._q)
 
     def __add__(self, other) -> "ExactComplex":
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re + other.re, self.im + other.im,
-                            self.rt2_re + other.rt2_re, self.rt2_im + other.rt2_im)
+        if not isinstance(other, ExactComplex):
+            other = ExactComplex.coerce(other)
+        a1, b1, c1, d1, e1 = self._q
+        a2, b2, c2, d2, e2 = other._q
+        if e1 == e2:
+            return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
+        g = math.gcd(e1, e2)
+        s1, s2 = e2 // g, e1 // g
+        return _make(a1 * s1 + a2 * s2, b1 * s1 + b2 * s2,
+                     c1 * s1 + c2 * s2, d1 * s1 + d2 * s2, e1 * s1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im, -self.rt2_re, -self.rt2_im)
+        a, b, c, d, den = self._q
+        return _make(-a, -b, -c, -d, den)
 
     def __sub__(self, other) -> "ExactComplex":
         return self + (-ExactComplex.coerce(other))
@@ -86,17 +119,21 @@ class ExactComplex:
         return ExactComplex.coerce(other) + (-self)
 
     def __mul__(self, other) -> "ExactComplex":
-        other = ExactComplex.coerce(other)
+        a1, b1, c1, d1, e1 = self._q
+        if isinstance(other, ExactComplex):
+            a2, b2, c2, d2, e2 = other._q
+        elif isinstance(other, int):
+            return _make(a1 * other, b1 * other, c1 * other, d1 * other, e1)
+        else:
+            a2, b2, c2, d2, e2 = ExactComplex.coerce(other)._q
         # (u1 + rt2*v1)(u2 + rt2*v2) = (u1*u2 + 2*v1*v2) + rt2*(u1*v2 + v1*u2)
-        a1, b1, c1, d1 = self.re, self.im, self.rt2_re, self.rt2_im
-        a2, b2, c2, d2 = other.re, other.im, other.rt2_re, other.rt2_im
         if not (c1 or d1 or c2 or d2):  # plain complex rationals: the common case
-            return ExactComplex(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
-        re = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
-        im = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
-        rre = a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
-        rim = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-        return ExactComplex(re, im, rre, rim)
+            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0, e1 * e2)
+        return _make(a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+                     a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+                     a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+                     a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+                     e1 * e2)
 
     __rmul__ = __mul__
 
@@ -113,11 +150,12 @@ class ExactComplex:
         return out
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im, self.rt2_re, -self.rt2_im)
+        a, b, c, d, den = self._q
+        return _make(a, -b, c, -d, den)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re) + _SQRT2 * float(self.rt2_re),
-                       float(self.im) + _SQRT2 * float(self.rt2_im))
+        a, b, c, d, den = self._q
+        return complex(a / den + _SQRT2 * (c / den), b / den + _SQRT2 * (d / den))
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
@@ -127,6 +165,24 @@ class ExactComplex:
 
     def __repr__(self) -> str:
         return f"ExactComplex({self.re!r}, {self.im!r}, {self.rt2_re!r}, {self.rt2_im!r})"
+
+
+_set_q = ExactComplex._q.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, c: int, d: int, den: int) -> ExactComplex:
+    """The scalar (a + b*i + sqrt(2)*(c + d*i)) / den, for den > 0."""
+    g = math.gcd(a, b, c, d, den)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        d //= g
+        den //= g
+    z = _new(ExactComplex)
+    _set_q(z, (a, b, c, d, den))
+    return z
 
 
 ZERO = ExactComplex(0)
@@ -175,7 +231,7 @@ def format_scalar(c: ExactComplex) -> str:
 def scalar_is_negative_leading(c: ExactComplex) -> bool:
     """True when the first nonzero component is negative (used for sign
     extraction when printing polynomial terms)."""
-    for part in (c.re, c.im, c.rt2_re, c.rt2_im):
+    for part in c._q[:4]:  # the parts' signs, as the denominator is positive
         if part:
             return part < 0
     return False

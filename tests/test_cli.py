@@ -9,7 +9,7 @@ import pytest
 
 import nstar
 from nstar.cli import main
-from nstar.polynomials import x
+from nstar.polynomials import Polynomial, x
 from nstar.starcore import ThetaConfig, star_n
 
 # The directory holding the nstar package this test run imported.
@@ -52,6 +52,86 @@ def test_star_json_format(tmp_path, capsys):
     assert {"exponents": [0, 0, 0], "re_num": 0, "re_den": 1,
             "im_num": 1, "im_den": 2} in data["terms"]
 
+
+# One n = 3 product with fractional, imaginary and a(1,2) coefficients, so
+# its output goes through the sqrt(2) printing path.  The expected stdout
+# of both formats was measured with the four-Fraction scalar.
+STAR_PIN_ARGS = ["star", "--theta", "1,1/2,-2", "1/2*x1 + 2/3i*x2^2 - a(1,2)*x3",
+                 "a(1,2)*x3 + 1i", "x1*x3 - 3/4 + abar(1,2)"]
+STAR_PIN_TEXT = (
+    '-(1/2)*x1^3*x3^3 + (((1/3)i)*rt2)*x1^2*x2^2*x3^2 - i*x1^2*x2*x3^3'
+    ' - ((1/3)*rt2)*x1*x2^3*x3^2 + (1/2)*x1*x2^2*x3^3 + ((1/3)i)*x1^2*x2^2*x3'
+    ' - ((1/4)*rt2)*x1*x2^2*x3^2 + ((1/3)i)*x2^4*x3 - (((1/4)i)*rt2)*x2^3*x3^2'
+    ' + (1/4)*x1^3*x3 + (3/8 + ((-1/2)i)*rt2)*x1^2*x3^2 - (5/12 + ((1/4)i)*rt2)*x1*x2^2*x3'
+    ' + ((3/4)i + (1/2)*rt2)*x1*x2*x3^2 + ((1/4)*rt2)*x2^3*x3 - (3/8)*x2^2*x3^2'
+    ' - ((3/16)*rt2)*x1^2*x3 - ((1/3)*rt2)*x1*x2^2 - (((3/16)i)*rt2)*x1*x2*x3'
+    ' + (3/4)*x1*x3^2 + (((1/3)i)*rt2)*x2^3 - ((1/2)i + ((1/6)i)*rt2)*x2^2*x3'
+    ' + ((5/8)i)*x2*x3^2 + (((1/4)i)*rt2)*x1^2 - (1/6 + (-1/4)*rt2)*x1*x2 + ((9/16'
+    ' + (3/8)i)*rt2)*x1*x3 + (1/2 - (1/6)i)*x2^2 - ((3/8 - (11/16)i)*rt2)*x2*x3 - (1/8'
+    ' + (3/8)i)*x1 - ((1/8)i)*x2 + ((1/24)i)*rt2'
+)
+STAR_PIN_JSON = (
+    '{"n": 3, "terms": [{"exponents": [3, 0, 3], "re_num": -1, "re_den": 2, "im_num": 0, '
+    '"im_den": 1}, {"exponents": [2, 2, 2], "re_num": 0, "re_den": 1, "im_num": 0, '
+    '"im_den": 1, "rt2_re_num": 0, "rt2_re_den": 1, "rt2_im_num": 1, "rt2_im_den": 3}, '
+    '{"exponents": [2, 1, 3], "re_num": 0, "re_den": 1, "im_num": -1, "im_den": 1}, '
+    '{"exponents": [1, 3, 2], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": -1, "rt2_re_den": 3, "rt2_im_num": 0, "rt2_im_den": 1}, '
+    '{"exponents": [1, 2, 3], "re_num": 1, "re_den": 2, "im_num": 0, "im_den": 1}, '
+    '{"exponents": [2, 2, 1], "re_num": 0, "re_den": 1, "im_num": 1, "im_den": 3}, '
+    '{"exponents": [1, 2, 2], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": -1, "rt2_re_den": 4, "rt2_im_num": 0, "rt2_im_den": 1}, '
+    '{"exponents": [0, 4, 1], "re_num": 0, "re_den": 1, "im_num": 1, "im_den": 3}, '
+    '{"exponents": [0, 3, 2], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 0, "rt2_re_den": 1, "rt2_im_num": -1, "rt2_im_den": 4}, '
+    '{"exponents": [3, 0, 1], "re_num": 1, "re_den": 4, "im_num": 0, "im_den": 1}, '
+    '{"exponents": [2, 0, 2], "re_num": 3, "re_den": 8, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 0, "rt2_re_den": 1, "rt2_im_num": -1, "rt2_im_den": 2}, '
+    '{"exponents": [1, 2, 1], "re_num": -5, "re_den": 12, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 0, "rt2_re_den": 1, "rt2_im_num": -1, "rt2_im_den": 4}, '
+    '{"exponents": [1, 1, 2], "re_num": 0, "re_den": 1, "im_num": 3, "im_den": 4, '
+    '"rt2_re_num": 1, "rt2_re_den": 2, "rt2_im_num": 0, "rt2_im_den": 1}, '
+    '{"exponents": [0, 3, 1], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 1, "rt2_re_den": 4, "rt2_im_num": 0, "rt2_im_den": 1}, '
+    '{"exponents": [0, 2, 2], "re_num": -3, "re_den": 8, "im_num": 0, "im_den": 1}, '
+    '{"exponents": [2, 0, 1], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": -3, "rt2_re_den": 16, "rt2_im_num": 0, "rt2_im_den": 1}, '
+    '{"exponents": [1, 2, 0], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": -1, "rt2_re_den": 3, "rt2_im_num": 0, "rt2_im_den": 1}, '
+    '{"exponents": [1, 1, 1], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 0, "rt2_re_den": 1, "rt2_im_num": -3, "rt2_im_den": 16}, '
+    '{"exponents": [1, 0, 2], "re_num": 3, "re_den": 4, "im_num": 0, "im_den": 1}, '
+    '{"exponents": [0, 3, 0], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 0, "rt2_re_den": 1, "rt2_im_num": 1, "rt2_im_den": 3}, '
+    '{"exponents": [0, 2, 1], "re_num": 0, "re_den": 1, "im_num": -1, "im_den": 2, '
+    '"rt2_re_num": 0, "rt2_re_den": 1, "rt2_im_num": -1, "rt2_im_den": 6}, '
+    '{"exponents": [0, 1, 2], "re_num": 0, "re_den": 1, "im_num": 5, "im_den": 8}, '
+    '{"exponents": [2, 0, 0], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 0, "rt2_re_den": 1, "rt2_im_num": 1, "rt2_im_den": 4}, '
+    '{"exponents": [1, 1, 0], "re_num": -1, "re_den": 6, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 1, "rt2_re_den": 4, "rt2_im_num": 0, "rt2_im_den": 1}, '
+    '{"exponents": [1, 0, 1], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 9, "rt2_re_den": 16, "rt2_im_num": 3, "rt2_im_den": 8}, '
+    '{"exponents": [0, 2, 0], "re_num": 1, "re_den": 2, "im_num": -1, "im_den": 6}, '
+    '{"exponents": [0, 1, 1], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": -3, "rt2_re_den": 8, "rt2_im_num": 11, "rt2_im_den": 16}, '
+    '{"exponents": [1, 0, 0], "re_num": -1, "re_den": 8, "im_num": -3, "im_den": 8}, '
+    '{"exponents": [0, 1, 0], "re_num": 0, "re_den": 1, "im_num": -1, "im_den": 8}, '
+    '{"exponents": [0, 0, 0], "re_num": 0, "re_den": 1, "im_num": 0, "im_den": 1, '
+    '"rt2_re_num": 0, "rt2_re_den": 1, "rt2_im_num": 1, "rt2_im_den": 24}]}'
+)
+
+
+def test_star_printed_output_pinned(capsys):
+    assert main(STAR_PIN_ARGS) == 0
+    assert capsys.readouterr().out == "".join(STAR_PIN_TEXT) + "\n"
+    assert main(STAR_PIN_ARGS[:1] + ["--format", "json"] + STAR_PIN_ARGS[1:]) == 0
+    out = capsys.readouterr().out
+    assert out == "".join(STAR_PIN_JSON) + "\n"
+    data = json.loads(out)
+    product = Polynomial.from_json_terms(data["n"], data["terms"])
+    assert any("rt2_re_num" in rec for rec in data["terms"])
+    assert Polynomial.from_json_terms(3, product.to_json_terms()) == product
 
 def test_star_wave_mode(capsys):
     code = main(["star", "--theta", "0,0,0", "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"])
@@ -160,6 +240,13 @@ def test_residual_csv(tmp_path):
     assert len(rows) == 1 + 3 * 4
 
 
+def test_residual_integer_energy(capsys):
+    argv = ["residual", "--n", "4", "--theta", "1,2,1,1", "--order", "1", "--points", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("residuals for k=0, n=4, E=2 (")
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["energy"] == "2"
+
 def test_oracle_command(capsys):
     code = main(["oracle", "--theta", "2,0,0", "--N", "8",
                  "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"])
@@ -168,6 +255,21 @@ def test_oracle_command(capsys):
     err = float(out.split("=")[1])
     assert err <= 1e-9
 
+
+def test_oracle_rejects_period_that_does_not_fit_waves(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    waves = ["wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]
+    (tmp_path / "nstar.json").write_text(json.dumps({"N": "4", "L": 3}))
+    assert main(["oracle", *waves]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "usage"
+    assert "wave 1 (wave(1,0,0))" in error["message"]
+    assert "L = 3.0" in error["message"]
+    (tmp_path / "nstar.json").unlink()
+    assert main(["oracle", "--N", "4", *waves]) == 0  # the default L = 2*pi fits
+    assert float(capsys.readouterr().out.split("=")[1]) <= 1e-9
 
 def test_config_file_defaults_and_flag_precedence(tmp_path):
     (tmp_path / "nstar.json").write_text(json.dumps({"n": 3, "theta": "2,0,0"}))

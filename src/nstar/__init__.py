@@ -27,11 +27,13 @@ from .closedforms import (
 )
 from .waves import (
     GridSpec,
+    KernelOverflowError,
     WaveSum,
     WorkBudgetError,
     freq_cross,
     grid_oracle_star,
     kernel_exponent,
+    kernel_weights,
     load_lattice,
     save_lattice,
     star_waves,

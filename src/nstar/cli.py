@@ -13,7 +13,6 @@ values).
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import random
@@ -32,7 +31,7 @@ from .waves import (
     WorkBudgetError,
     freq_cross,
     grid_oracle_star,
-    kernel_exponent,
+    kernel_weights,
     save_lattice,
     star_waves,
 )
@@ -200,8 +199,8 @@ def _cmd_kernel(args, config) -> int:
     for v in vectors:
         if len(v) != cfg.n:
             raise UsageError(f"frequency vector must have {cfg.n} components, got {len(v)}")
-    expo = kernel_exponent(vectors, cfg)
-    mult = cmath.exp(expo)
+    expo, weight = kernel_weights(vectors, cfg)
+    mult = complex(weight)
     text = f"exponent = {expo.real!r} + {expo.imag!r}i\nmultiplier = {mult.real!r} + {mult.imag!r}i"
     body = {"exponent": {"re": expo.real, "im": expo.imag},
             "multiplier": {"re": mult.real, "im": mult.imag}}
@@ -305,15 +304,24 @@ def _cmd_residual(args, config) -> int:
 
 def _check_lattice_fit(texts, waves, grid: GridSpec) -> None:
     """Every wave frequency must be an integer multiple of 2*pi/L, or the
-    lattice samples are not periodic and the oracle compares nothing."""
+    lattice samples are not periodic and the oracle compares nothing; and
+    that integer must lie in the lattice's band, or the DFT aliases it to
+    another frequency."""
+    N = grid.points_per_axis
+    low, high = -(N // 2), (N + 1) // 2 - 1  # the range of GridSpec.int_freqs()
     for pos, (text, wave) in enumerate(zip(texts, waves), start=1):
         for _, freq in wave.terms:
             for v in freq:
                 steps = v / grid.base_freq
-                if abs(steps - round(steps)) > LATTICE_FIT_TOL:
+                k = round(steps)
+                if abs(steps - k) > LATTICE_FIT_TOL:
                     raise UsageError(
                         f"wave {pos} ({text}) has frequency {v!r}, which is not an integer "
                         f"multiple of 2*pi/L for L = {grid.period!r}")
+                if not low <= k <= high:
+                    raise UsageError(
+                        f"wave {pos} ({text}) has frequency {v!r} = {k} x 2*pi/L, "
+                        f"outside the band {low}..{high} that an N = {N} lattice resolves")
 
 
 def _cmd_oracle(args, config) -> int:

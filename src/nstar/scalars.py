@@ -96,7 +96,9 @@ class ExactComplex:
 
     def __add__(self, other) -> "ExactComplex":
         if not isinstance(other, ExactComplex):
-            other = ExactComplex.coerce(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # let the other operand's reflected method try
+            other = ExactComplex(other)
         a1, b1, c1, d1, e1 = self._q
         a2, b2, c2, d2, e2 = other._q
         if e1 == e2:
@@ -113,9 +115,13 @@ class ExactComplex:
         return _make(-a, -b, -c, -d, den)
 
     def __sub__(self, other) -> "ExactComplex":
+        if not isinstance(other, (ExactComplex, int, Fraction)):
+            return NotImplemented
         return self + (-ExactComplex.coerce(other))
 
     def __rsub__(self, other) -> "ExactComplex":
+        if not isinstance(other, (ExactComplex, int, Fraction)):
+            return NotImplemented
         return ExactComplex.coerce(other) + (-self)
 
     def __mul__(self, other) -> "ExactComplex":
@@ -124,8 +130,10 @@ class ExactComplex:
             a2, b2, c2, d2, e2 = other._q
         elif isinstance(other, int):
             return _make(a1 * other, b1 * other, c1 * other, d1 * other, e1)
+        elif isinstance(other, Fraction):
+            a2, b2, c2, d2, e2 = ExactComplex(other)._q
         else:
-            a2, b2, c2, d2, e2 = ExactComplex.coerce(other)._q
+            return NotImplemented
         # (u1 + rt2*v1)(u2 + rt2*v2) = (u1*u2 + 2*v1*v2) + rt2*(u1*v2 + v1*u2)
         if not (c1 or d1 or c2 or d2):  # plain complex rationals: the common case
             return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0, e1 * e2)

@@ -14,10 +14,9 @@ float rounding, which is the cross-check the test suite leans on.
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +25,8 @@ import numpy as np
 from .starcore import ThetaConfig, sigma_power
 
 MERGE_TOL = 1e-12
+# The largest frequency component whose merge key round(v / MERGE_TOL) is finite.
+_MAX_FREQ = MERGE_TOL * sys.float_info.max
 # A lattice frequency is occupied when its amplitude exceeds this fraction
 # of the largest one (or of 1, whichever is larger).
 OCCUPANCY_CUTOFF = 1e-12
@@ -36,6 +37,10 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 class WorkBudgetError(RuntimeError):
     """Raised when a lattice product would exceed the configured work budget."""
+
+
+class KernelOverflowError(OverflowError):
+    """Raised when a plane-wave multiplier exp(kernel exponent) is not finite."""
 
 
 def freq_cross(q: Sequence[float], r: Sequence[float]) -> tuple:
@@ -53,32 +58,60 @@ def freq_cross(q: Sequence[float], r: Sequence[float]) -> tuple:
     return tuple(out)
 
 
-def kernel_exponent(freqs: Sequence[Sequence[float]], cfg: ThetaConfig) -> complex:
+def kernel_exponent(freqs: Sequence, cfg: ThetaConfig) -> complex | np.ndarray:
     """Exponent acquired by a star product of n single plane waves.
 
     exponent = (i^(n+1)/2) * sum_k theta_k * (forward product - reverse
     product) of the slot frequencies routed through the cyclic
     permutation.  Purely real for n = 3, purely imaginary for n = 4.
+
+    Each of the n slots is one frequency vector or an array of them
+    (last axis n).  The slots broadcast against each other and the
+    result is an array of exponents over the broadcast shape; n plain
+    vectors give a Python complex.
     """
     n = cfg.n
     if len(freqs) != n:
         raise ValueError(f"expected {n} frequency vectors, got {len(freqs)}")
-    for s in freqs:
-        if len(s) != n:
-            raise ValueError("frequency vector dimension mismatch")
-    total = 0.0
+    slots = [np.asarray(s, dtype=float) for s in freqs]
+    if any(s.shape[-1:] != (n,) for s in slots):
+        raise ValueError("frequency vector dimension mismatch")
+    shape = np.broadcast_shapes(*(s.shape[:-1] for s in slots))
+    total = np.zeros(shape)
     for k in range(1, n + 1):
         th = float(cfg.theta[k - 1])
         if th == 0.0:
             continue
         fwd = 1.0
         for j in range(1, n + 1):
-            fwd *= freqs[j - 1][sigma_power(k, j - 1, n) - 1]
-        rev = freqs[0][k - 1]
+            fwd = fwd * slots[j - 1][..., sigma_power(k, j - 1, n) - 1]
+        rev = slots[0][..., k - 1]
         for j in range(2, n + 1):
-            rev *= freqs[j - 1][sigma_power(k, n - j + 1, n) - 1]
-        total += th * (fwd - rev)
-    return _I_POW[(n + 1) % 4] * (total / 2.0)
+            rev = rev * slots[j - 1][..., sigma_power(k, n - j + 1, n) - 1]
+        total = total + th * (fwd - rev)
+    expo = _I_POW[(n + 1) % 4] * (total / 2.0)
+    return expo if shape else complex(expo)
+
+
+def kernel_weights(freqs: Sequence, cfg: ThetaConfig) -> tuple:
+    """(exponent, exp(exponent)) for the slots of kernel_exponent.
+
+    Raises KernelOverflowError, naming the first frequency tuple, its
+    exponent and theta, when a multiplier is not a finite float.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = kernel_exponent(freqs, cfg)
+        weight = np.exp(expo)
+    bad = ~np.isfinite(weight)
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        vectors = [np.broadcast_to(np.asarray(s, dtype=float), bad.shape + (cfg.n,))[first].tolist()
+                   for s in freqs]
+        raise KernelOverflowError(
+            f"plane-wave multiplier exp(exponent) is not a finite float for the frequency "
+            f"tuple {vectors}: exponent {complex(np.asarray(expo)[first])!r} at theta "
+            f"({', '.join(map(str, cfg.theta))})")
+    return expo, weight
 
 
 @dataclass(frozen=True)
@@ -123,7 +156,13 @@ class WaveSum:
             freq = tuple(float(v) for v in freq)
             if len(freq) != n:
                 raise ValueError("frequency dimension mismatch")
-            key = tuple(int(round(v / MERGE_TOL)) for v in freq)
+            try:
+                key = tuple(int(round(v / MERGE_TOL)) for v in freq)
+            except OverflowError:
+                raise OverflowError(
+                    f"wave frequency {list(freq)} is out of range: every component v must "
+                    f"keep |v| / MERGE_TOL = |v| / {MERGE_TOL!r} finite, so |v| must stay "
+                    f"below about {_MAX_FREQ:.4g}") from None
             slot = merged.get(key)
             if slot is None:
                 merged[key] = [complex(coeff), freq]
@@ -200,6 +239,24 @@ class WaveSum:
         return f"<WaveSum n={self.n} {body}>"
 
 
+def _along(j: int, arr: np.ndarray, n: int) -> np.ndarray:
+    """arr with its first axis moved to axis j of an n-way tuple grid."""
+    return arr.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j) + arr.shape[1:])
+
+
+def _weighted_products(coeffs: Sequence[np.ndarray], slots: Sequence[np.ndarray],
+                       cfg: ThetaConfig) -> np.ndarray:
+    """prod_j coeffs[j] * exp(kernel exponent) over every n-way tuple, one
+    term per factor; coeffs[j] and slots[j] hold factor j's terms and
+    frequency vectors along axis 0.  Axis j of the result is factor j."""
+    n = cfg.n
+    coeff = 1.0 + 0j
+    for j, c in enumerate(coeffs):
+        coeff = coeff * _along(j, c, n)
+    _, weight = kernel_weights([_along(j, f, n) for j, f in enumerate(slots)], cfg)
+    return coeff * weight
+
+
 def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:
     """n-ary star product of finite wave sums, by multilinearity."""
     n = cfg.n
@@ -208,15 +265,11 @@ def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:
     for w in factors:
         if w.n != n:
             raise ValueError("factor dimension mismatch")
-    out = []
-    for combo in itertools.product(*(w.terms for w in factors)):
-        coeff = 1.0 + 0j
-        for c, _ in combo:
-            coeff *= c
-        freqs = [f for _, f in combo]
-        coeff *= cmath.exp(kernel_exponent(freqs, cfg))
-        out.append((coeff, tuple(sum(v) for v in zip(*freqs))))
-    return WaveSum(n, out)
+    coeffs = [np.array([c for c, _ in w.terms], dtype=complex) for w in factors]
+    slots = [np.array([f for _, f in w.terms], dtype=float).reshape(-1, n) for w in factors]
+    coeff = _weighted_products(coeffs, slots, cfg)
+    freq = sum(_along(j, f, n) for j, f in enumerate(slots))
+    return WaveSum(n, zip(coeff.ravel().tolist(), freq.reshape(-1, n).tolist()))
 
 
 def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaConfig,
@@ -240,13 +293,10 @@ def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaCo
             raise ValueError(f"factor shape {arr.shape} does not match grid {shape}")
         specs.append(np.fft.fftn(arr) / N**n)
 
-    ints = spec.int_freqs()
-    base = spec.base_freq
-    occupied = []
+    occupied = []  # per factor: the (m, n) lattice indices of its occupied frequencies
     for F in specs:
         cutoff = OCCUPANCY_CUTOFF * max(1.0, float(np.abs(F).max()))
-        idx = np.argwhere(np.abs(F) > cutoff)
-        occupied.append([tuple(ix) for ix in idx])
+        occupied.append(np.argwhere(np.abs(F) > cutoff))
 
     max_occ = max((len(o) for o in occupied), default=0)
     cost = float(N**n) * float(max_occ) ** (n - 1)
@@ -254,15 +304,12 @@ def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaCo
         raise WorkBudgetError(
             f"lattice star cost {cost:.3g} exceeds budget {budget:.3g}")
 
+    ints = spec.int_freqs()
+    coeffs = [F[tuple(idx.T)] for F, idx in zip(specs, occupied)]
+    coeff = _weighted_products(coeffs, [spec.base_freq * ints[idx] for idx in occupied], cfg)
+    target = sum(_along(j, idx, n) for j, idx in enumerate(occupied))
     out_spec = np.zeros(shape, dtype=complex)
-    for combo in itertools.product(*occupied):
-        coeff = 1.0 + 0j
-        for F, ix in zip(specs, combo):
-            coeff *= F[ix]
-        freqs = [tuple(base * ints[i] for i in ix) for ix in combo]
-        coeff *= cmath.exp(kernel_exponent(freqs, cfg))
-        target = tuple((sum(ix[d] for ix in combo)) % N for d in range(n))
-        out_spec[target] += coeff
+    np.add.at(out_spec, tuple(np.moveaxis(target % N, -1, 0)), coeff)
     return np.fft.ifftn(out_spec) * N**n
 
 

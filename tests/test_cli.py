@@ -271,6 +271,30 @@ def test_oracle_rejects_period_that_does_not_fit_waves(tmp_path, monkeypatch, ca
     assert main(["oracle", "--N", "4", *waves]) == 0  # the default L = 2*pi fits
     assert float(capsys.readouterr().out.split("=")[1]) <= 1e-9
 
+
+@pytest.mark.parametrize("wave", ["wave(2,0,0)", "wave(3,0,0)", "wave(-3,0,0)"])
+def test_oracle_rejects_wave_outside_lattice_band(wave, capsys):
+    # N = 4 resolves the integer frequencies -2..1; beyond them the DFT aliases
+    assert main(["oracle", "--N", "4", wave, "wave(0,1,0)", "wave(0,0,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "usage"
+    assert f"wave 1 ({wave})" in error["message"]
+    assert "N = 4" in error["message"]
+    assert main(["oracle", "--N", "4", "wave(-2,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 0
+    assert float(capsys.readouterr().out.split("=")[1]) <= 1e-9
+
+
+def test_wave_overflow_diagnostics_name_the_input(capsys):
+    assert main(OUT_OF_RANGE[-2]) == 2  # the kernel command at theta = 2000
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "[[10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]]" in message
+    assert "(1000000+0j)" in message and "theta (2000, 0, 0)" in message
+    assert main(OUT_OF_RANGE[-1]) == 2  # a frequency whose merge key overflows
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "[1e+300, 0.0, 0.0]" in message and "MERGE_TOL" in message
+
 def test_config_file_defaults_and_flag_precedence(tmp_path):
     (tmp_path / "nstar.json").write_text(json.dumps({"n": 3, "theta": "2,0,0"}))
     proc = run_cli(["star", "x1", "x2", "x3"], cwd=tmp_path)

@@ -97,3 +97,12 @@ def test_conjugate():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         x(1, 3) + x(1, 4)
+
+
+def test_scalar_on_the_left_defers_to_polynomial():
+    one = ExactComplex(1)
+    p = x(1, 3)
+    assert one * p == p * one == p
+    assert one + p == p + one
+    assert one - p == -(p - one)
+    assert I * p == p * I

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +9,9 @@ import pytest
 
 from nstar.starcore import ThetaConfig
 from nstar.waves import (
+    MERGE_TOL,
     GridSpec,
+    KernelOverflowError,
     WaveSum,
     WorkBudgetError,
     freq_cross,
@@ -224,3 +228,121 @@ def test_lattice_io_round_trip(tmp_path):
     loaded, spec2 = load_lattice(str(path))
     assert spec2 == grid
     assert np.array_equal(loaded, arr)
+
+
+# -- the array kernel against per-tuple loops ----------------------------------
+
+def star_waves_loop(factors, cfg):
+    """Reference: one scalar kernel call and one cmath.exp per frequency tuple."""
+    out = []
+    for combo in itertools.product(*(w.terms for w in factors)):
+        coeff = 1.0 + 0j
+        for c, _ in combo:
+            coeff *= c
+        freqs = [f for _, f in combo]
+        coeff *= cmath.exp(kernel_exponent(freqs, cfg))
+        out.append((coeff, tuple(sum(v) for v in zip(*freqs))))
+    return WaveSum(cfg.n, out)
+
+
+def grid_oracle_loop(factors, spec, cfg):
+    """Reference: the lattice oracle with a Python loop over occupied tuples."""
+    n, N = spec.n, spec.points_per_axis
+    specs = [np.fft.fftn(np.asarray(a, dtype=complex)) / N**n for a in factors]
+    ints = spec.int_freqs()
+    occupied = []
+    for F in specs:
+        cutoff = 1e-12 * max(1.0, float(np.abs(F).max()))
+        occupied.append([tuple(ix) for ix in np.argwhere(np.abs(F) > cutoff)])
+    out_spec = np.zeros((N,) * n, dtype=complex)
+    for combo in itertools.product(*occupied):
+        coeff = 1.0 + 0j
+        for F, ix in zip(specs, combo):
+            coeff *= F[ix]
+        freqs = [tuple(spec.base_freq * ints[i] for i in ix) for ix in combo]
+        coeff *= cmath.exp(kernel_exponent(freqs, cfg))
+        out_spec[tuple(sum(ix[d] for ix in combo) % N for d in range(n))] += coeff
+    return np.fft.ifftn(out_spec) * N**n
+
+
+def _random_theta(rng, n):
+    return ThetaConfig(n, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)))
+
+
+def _random_wave(rng, n, terms, reach=1):
+    return WaveSum(n, [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                        tuple(float(rng.randint(-reach, reach)) for _ in range(n)))
+                       for _ in range(terms)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_array_kernel_equals_scalar_calls(n):
+    rng = random.Random(30 + n)
+    np_rng = np.random.default_rng(30 + n)
+    for _ in range(5):
+        cfg = _random_theta(rng, n)
+        slots = [np_rng.uniform(-3, 3, size=(1,) * j + (4,) + (1,) * (n - 1 - j) + (n,))
+                 for j in range(n)]
+        expo = kernel_exponent(slots, cfg)
+        assert expo.shape == (4,) * n
+        for ix in itertools.product(range(4), repeat=n):
+            scalar = kernel_exponent([s[(0,) * j + (ix[j],) + (0,) * (n - 1 - j)]
+                                      for j, s in enumerate(slots)], cfg)
+            assert type(scalar) is complex
+            assert expo[ix] == scalar
+
+
+@pytest.mark.parametrize("n, terms", [(3, 6), (4, 3)])
+def test_star_waves_matches_loop_reference(n, terms):
+    rng = random.Random(40 + n)
+    for _ in range(6):
+        cfg = _random_theta(rng, n)
+        factors = [_random_wave(rng, n, rng.randint(1, terms)) for _ in range(n)]
+        got, ref = star_waves(factors, cfg), star_waves_loop(factors, cfg)
+        assert [f for _, f in got.terms] == [f for _, f in ref.terms]
+        for (c1, _), (c2, _) in zip(got.terms, ref.terms):
+            assert abs(c1 - c2) <= 1e-12 * abs(c2)
+
+
+@pytest.mark.parametrize("n, N", [(3, 8), (4, 4)])
+def test_grid_oracle_matches_loop_reference(n, N):
+    rng = random.Random(50 + n)
+    grid = GridSpec(n, N, 2 * math.pi)
+    for _ in range(3):
+        cfg = _random_theta(rng, n)
+        samples = [_random_wave(rng, n, 4).sample_on_grid(grid) for _ in range(n)]
+        got, ref = grid_oracle_star(samples, grid, cfg), grid_oracle_loop(samples, grid, cfg)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_empty_factor_gives_zero():
+    cfg = theta3(1, 2, 3)
+    w = WaveSum(3, [(1.0, (1.0, 0.0, 0.0)), (2j, (0.0, -1.0, 0.0))])
+    assert star_waves([w, WaveSum(3), w], cfg) == WaveSum(3)
+    grid = GridSpec(3, 4, 2 * math.pi)
+    zero = np.zeros((4, 4, 4), dtype=complex)
+    out = grid_oracle_star([w.sample_on_grid(grid), zero, w.sample_on_grid(grid)], grid, cfg)
+    assert out.shape == (4, 4, 4) and not out.any()
+
+
+def test_kernel_overflow_names_the_tuple():
+    cfg = theta3(2000, 0, 0)
+    waves = [WaveSum(3, [(1.0, (0.0, 0.0, 0.0)), (1.0, (10.0, 0.0, 0.0))]),
+             WaveSum.single(1, (0, 10, 0)), WaveSum.single(1, (0, 0, 10))]
+    with pytest.raises(KernelOverflowError) as exc:
+        star_waves(waves, cfg)
+    message = str(exc.value)
+    assert "[[10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]]" in message
+    assert "(1000000+0j)" in message and "theta (2000, 0, 0)" in message
+    assert "np." not in message
+    grid = GridSpec(3, 4, 2 * math.pi / 10)  # the lattice frequency 1 is the wave frequency 10
+    with pytest.raises(KernelOverflowError, match=r"\[\[10\.0, 0\.0, 0\.0\], "):
+        grid_oracle_star([w.sample_on_grid(grid) for w in waves], grid, cfg)
+    assert isinstance(exc.value, OverflowError)
+
+
+def test_merge_key_overflow_names_the_limit():
+    with pytest.raises(OverflowError, match=r"\[1e\+300, 0\.0, 0\.0\].*MERGE_TOL") as exc:
+        WaveSum.single(1, (1e300, 0, 0))
+    assert repr(MERGE_TOL) in str(exc.value)
+    WaveSum.single(1, (1e295, 0, 0))  # within range

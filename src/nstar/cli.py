@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -356,8 +357,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", type=str, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument that starts with a minus sign and a digit (or ".digit")
+    is a value, never a flag: a negative number or a comma-separated vector
+    such as -1,0,2.  argparse by default takes only a plain number such as
+    -1 or -0.5 for a value, and reads "-1,0,2" as an unknown flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nstar",
         description="Exact n-ary star products, identity audits, and the oscillator application.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -26,13 +26,14 @@ oracle that shares no loop with the engine, kept to cross-check it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import Polynomial
-from .scalars import ExactComplex
+from .scalars import ExactComplex, _make
 
 RationalLike = int | Fraction
 
@@ -93,11 +94,10 @@ def deformation_terms(cfg: ThetaConfig) -> list[TensorTerm]:
         th = cfg.theta[k - 1]
         if th == 0:
             continue
-        w = ExactComplex(0, Fraction(th, 2))
         fwd = tuple(sigma_power(k, j - 1, n) for j in range(1, n + 1))
         rev = (k,) + tuple(sigma_power(k, n - j + 1, n) for j in range(2, n + 1))
-        terms.append(TensorTerm(fwd, w))
-        terms.append(TensorTerm(rev, -w))
+        terms.append(TensorTerm(fwd, _make(0, th.numerator, 0, 0, 2 * th.denominator)))
+        terms.append(TensorTerm(rev, _make(0, -th.numerator, 0, 0, 2 * th.denominator)))
     return terms
 
 
@@ -115,17 +115,24 @@ def _series_bound(factors: Sequence[Polynomial]) -> int:
 
 
 def _compositions(m: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to m."""
+    """All tuples of `parts` non-negative integers summing to m, in
+    lexicographic order.
+
+    Stars and bars: m stars and parts - 1 bars fill m + parts - 1 places,
+    and a part is the number of stars between two neighbouring bars.
+    ``combinations`` yields the bar places in lexicographic order, which
+    is the lexicographic order of the parts.
+    """
     if parts == 0:
         if m == 0:
             yield ()
         return
-    if parts == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(m - first, parts - 1):
-            yield (first,) + rest
+    places = m + parts - 1
+    for bars in itertools.combinations(range(places), parts - 1):
+        # tuple() of a list, not of a generator: a tuple of known length
+        # reuses the freed ones, where a guessed length would leave them
+        # unreused on the interpreter's free list
+        yield tuple([right - left - 1 for left, right in zip((-1,) + bars, bars + (places,))])
 
 
 def star_series(factors: Sequence, cfg: ThetaConfig, order: int):
@@ -142,6 +149,9 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int):
     n = cfg.n
     terms = deformation_terms(cfg)
     ndiff_cache = [{(0,) * n: f} for f in factors]
+    # (t, c) -> w_t^c / c!, built on first use: most compositions hit a
+    # zero slot and need no coefficient at all
+    powers: dict[tuple[int, int], ExactComplex] = {}
 
     def diffed(slot: int, counts: tuple[int, ...]):
         cache = ndiff_cache[slot]
@@ -158,12 +168,12 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int):
     for m in range(order + 1):
         increment = None
         for comp in _compositions(m, len(terms)):
+            used = [(t, c) for t, c in enumerate(comp) if c]
             slots = []
             for j in range(n):
                 counts = [0] * n
-                for t, c in enumerate(comp):
-                    if c:
-                        counts[terms[t].slot_axes[j] - 1] += c
+                for t, c in used:
+                    counts[terms[t].slot_axes[j] - 1] += c
                 pj = diffed(j, tuple(counts))
                 if pj.is_zero():
                     break
@@ -173,11 +183,13 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int):
                 for pj in slots[1:]:
                     prod = prod * pj
                 if m:
-                    coeff = ExactComplex(1)
-                    for t, c in enumerate(comp):
-                        if c:
-                            coeff = coeff * terms[t].weight**c
-                            coeff = coeff * Fraction(1, math.factorial(c))
+                    coeff = None
+                    for key in used:
+                        wc = powers.get(key)
+                        if wc is None:
+                            t, c = key
+                            wc = powers[key] = terms[t].weight**c * Fraction(1, math.factorial(c))
+                        coeff = wc if coeff is None else coeff * wc
                     prod = prod * coeff
                 increment = prod if increment is None else increment + prod
         if increment is None:  # a zero slot in every product of this order

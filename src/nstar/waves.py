@@ -40,7 +40,8 @@ class WorkBudgetError(RuntimeError):
 
 
 class KernelOverflowError(OverflowError):
-    """Raised when a plane-wave multiplier exp(kernel exponent) is not finite."""
+    """Raised when a plane-wave multiplier exp(kernel exponent), or its
+    product with the factor coefficients, is not finite."""
 
 
 def freq_cross(q: Sequence[float], r: Sequence[float]) -> tuple:
@@ -250,11 +251,21 @@ def _weighted_products(coeffs: Sequence[np.ndarray], slots: Sequence[np.ndarray]
     term per factor; coeffs[j] and slots[j] hold factor j's terms and
     frequency vectors along axis 0.  Axis j of the result is factor j."""
     n = cfg.n
-    coeff = 1.0 + 0j
-    for j, c in enumerate(coeffs):
-        coeff = coeff * _along(j, c, n)
     _, weight = kernel_weights([_along(j, f, n) for j, f in enumerate(slots)], cfg)
-    return coeff * weight
+    coeff = 1.0 + 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, c in enumerate(coeffs):
+            coeff = coeff * _along(j, c, n)
+        out = coeff * weight
+    bad = ~np.isfinite(out)
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        raise KernelOverflowError(
+            f"wave coefficient product is not finite for the term tuple "
+            f"{[int(i) for i in first]}: factor coefficients "
+            f"{[complex(c[i]) for c, i in zip(coeffs, first)]} times multiplier "
+            f"{complex(weight[first])!r}")
+    return out
 
 
 def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:

@@ -295,6 +295,29 @@ def test_wave_overflow_diagnostics_name_the_input(capsys):
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert "[1e+300, 0.0, 0.0]" in message and "MERGE_TOL" in message
 
+
+def test_wave_coefficient_overflow_exits_2(capsys):
+    waves = ["(10^200)*wave(1,0,0)", "(10^200)*wave(0,1,0)", "wave(0,0,1)"]
+    for argv in (["star", *waves], ["oracle", "--theta", "0,0,0", *waves]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["error"]["message"]
+        assert "not finite" in message and "term tuple [0, 0, 0]" in message
+
+
+@pytest.mark.parametrize("command, flags, vectors", [
+    ("omega", [], ["1,2,3", "-1,0,2"]),
+    ("kernel", [], ["1,2,0", "-1,0,3", "0,-1,1"]),
+    ("kernel", ["--format", "json", "--theta", "-1,2,-1/2"], ["-1.5,0,2", "0,1,0", "-.5,2,1"]),
+])
+def test_negative_vectors_are_positionals(command, flags, vectors, capsys):
+    assert main([command, *flags, *vectors]) == 0
+    plain = capsys.readouterr().out
+    assert main([command, *flags, "--", *vectors]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path):
     (tmp_path / "nstar.json").write_text(json.dumps({"n": 3, "theta": "2,0,0"}))
     proc = run_cli(["star", "x1", "x2", "x3"], cwd=tmp_path)

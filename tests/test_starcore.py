@@ -5,9 +5,10 @@ import pytest
 
 from nstar.audit import CorpusSpec, sample_poly, sample_theta
 from nstar.polynomials import Polynomial, x
-from nstar.scalars import ExactComplex
+from nstar.scalars import ExactComplex, I
 from nstar.starcore import (
     ThetaConfig,
+    _compositions,
     conjugate_star_n,
     deformation_terms,
     sigma_power,
@@ -52,6 +53,13 @@ def test_deformation_terms_n3_single_theta():
     assert fwd.weight == ExactComplex(0, Fraction(1, 2))
     assert rev.slot_axes == (1, 3, 2)
     assert rev.weight == ExactComplex(0, Fraction(-1, 2))
+
+
+def test_deformation_terms_fractional_theta():
+    cfg = theta3(Fraction(-4, 6), 0, Fraction(3, 5))
+    weights = [t.weight for t in deformation_terms(cfg)]
+    assert weights == [ExactComplex(0, Fraction(-1, 3)), ExactComplex(0, Fraction(1, 3)),
+                       ExactComplex(0, Fraction(3, 10)), ExactComplex(0, Fraction(-3, 10))]
 
 
 def test_deformation_terms_zero_theta_empty():
@@ -184,6 +192,43 @@ def test_engine_matches_stepwise_oracle():
             theta = sample_theta(rng, n)
             cfg = ThetaConfig(n, theta)
             assert star_n(factors, cfg) == star_n_stepwise(factors, cfg)
+
+
+@pytest.mark.parametrize("theta", [
+    (Fraction(2, 3), Fraction(-5, 7), 0),
+    (Fraction(1, 2), 0, -3, Fraction(4, 9)),
+])
+def test_engine_matches_stepwise_at_fractional_theta_with_a_zero(theta):
+    n = len(theta)
+    cfg = ThetaConfig(n, theta)
+    coords = [x(k, n) for k in range(1, n + 1)]
+    total = sum(coords[1:], coords[0])
+    factors = [total ** 3 + coords[0] * coords[1] * Fraction(1, 3) + I,
+               total ** 2 * coords[-1] - coords[1] ** 2 * Fraction(5, 2),
+               total ** 3 + coords[-1] * I]
+    factors += [total ** 2 + Fraction(7, 4) * coords[0]] * (n - 3)
+    assert star_n(factors, cfg) == star_n_stepwise(factors, cfg)
+
+
+def compositions_reference(m, parts):
+    """All tuples of `parts` non-negative integers summing to m, by the
+    recursive definition: every first part, then the rest."""
+    if parts == 0:
+        if m == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in compositions_reference(m - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_recursive_definition():
+    for m in range(5):
+        for parts in range(9):
+            assert list(_compositions(m, parts)) == list(compositions_reference(m, parts))
 
 
 def test_series_terminates_at_min_degree():

@@ -346,3 +346,21 @@ def test_merge_key_overflow_names_the_limit():
         WaveSum.single(1, (1e300, 0, 0))
     assert repr(MERGE_TOL) in str(exc.value)
     WaveSum.single(1, (1e295, 0, 0))  # within range
+
+
+def test_coefficient_overflow_names_the_tuple():
+    # each multiplier is finite; the product of the coefficients is not
+    waves = [WaveSum.single(1e200, (1, 0, 0)), WaveSum.single(1e200, (0, 1, 0)),
+             WaveSum.single(1, (0, 0, 1))]
+    for cfg in (theta3(1, 1, 1), theta3(0, 0, 0)):
+        with pytest.raises(KernelOverflowError, match=r"term tuple \[0, 0, 0\]: factor "
+                           r"coefficients \[\(1e\+200\+0j\), \(1e\+200\+0j\), \(1\+0j\)\]"):
+            star_waves(waves, cfg)
+    grid = GridSpec(3, 4, 2 * math.pi)
+    with pytest.raises(KernelOverflowError, match="not finite"):
+        grid_oracle_star([w.sample_on_grid(grid) for w in waves], grid, theta3(0, 0, 0))
+    # just inside the float range the product is returned
+    inside = [WaveSum.single(1e150, (1, 0, 0)), WaveSum.single(1e150, (0, 1, 0)),
+              WaveSum.single(1, (0, 0, 1))]
+    (coeff, _), = star_waves(inside, theta3(0, 0, 0)).terms
+    assert coeff == (1e150 + 0j) * 1e150

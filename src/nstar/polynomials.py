@@ -14,18 +14,14 @@ first, which keeps every output deterministic.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import ExactComplex, ONE, ZERO, _make, format_scalar, scalar_is_negative_leading
+from .scalars import (ExactComplex, ONE, ZERO, _lowest_terms, _make, _numerators, format_scalar,
+                      scalar_is_negative_leading)
 
 MultiIndex = tuple[int, ...]
-
-# the JSON keys of the four scalar parts, built once and shared by every
-# record (keys built per record held a string pair per term in memory)
-_PART_KEYS = tuple((f"{part}_num", f"{part}_den") for part in ("re", "im", "rt2_re", "rt2_im"))
 
 
 def _grlex_key(exps: MultiIndex):
@@ -229,13 +225,18 @@ class Polynomial:
     def to_json_terms(self) -> list[dict]:
         out = []
         for exps, c in self.sorted_terms():
-            *nums, den = c._q
-            rec = {"exponents": list(exps)}
-            for (num_key, den_key), num in zip(_PART_KEYS if nums[2] or nums[3] else _PART_KEYS[:2],
-                                               nums):
-                g = math.gcd(num, den)  # each part in lowest terms, as a Fraction has it
-                rec[num_key] = num // g
-                rec[den_key] = den // g
+            re_num, re_den, im_num, im_den, rt2_re_num, rt2_re_den, rt2_im_num, rt2_im_den = \
+                _lowest_terms(c)
+            rec = {
+                "exponents": list(exps),
+                "re_num": re_num, "re_den": re_den,
+                "im_num": im_num, "im_den": im_den,
+            }
+            if rt2_re_num or rt2_im_num:
+                rec["rt2_re_num"] = rt2_re_num
+                rec["rt2_re_den"] = rt2_re_den
+                rec["rt2_im_num"] = rt2_im_num
+                rec["rt2_im_den"] = rt2_im_den
             out.append(rec)
         return out
 
@@ -274,72 +275,36 @@ def _product(a: Mapping[MultiIndex, ExactComplex], b: Mapping[MultiIndex, ExactC
     denominator, so the products accumulate as integer numerators over one
     denominator, and a scalar is built once per nonzero output term.  Keys
     are unpacked once, at the end.
-
-    A one-term operand skips all of that: each term of the other operand
-    then gives its own output term, so there is nothing to collect, and
-    packing would cost more than it saves.  Most products of the audit's
-    small polynomials have a one-term operand.
     """
     if not a or not b:
         return {}
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        (e1, c1), = a.items()
-        return {tuple(map(operator.add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
     width = (max(map(sum, a)) + max(map(sum, b))).bit_length()
     shifts = [width * i for i in range(n)]
-    den_a, rows_a, rt2_a = _rows(a, shifts)
-    den_b, rows_b, rt2_b = _rows(b, shifts)
+    den_a, rows_a = _numerators(a.values())
+    den_b, rows_b = _numerators(b.values())
+    packed_b = [(sum(map(operator.lshift, e, shifts)), row) for e, row in zip(b, rows_b)]
     acc: dict[int, list[int]] = {}
     get = acc.get
-    if rt2_a or rt2_b:
-        # (u1 + rt2*v1)(u2 + rt2*v2) = (u1*u2 + 2*v1*v2) + rt2*(u1*v2 + v1*u2)
-        for k1, a1, b1, c1, d1 in rows_a:
-            for k2, a2, b2, c2, d2 in rows_b:
-                re = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
-                im = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
-                r2re = a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
-                r2im = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-                cur = get(k1 + k2)
-                if cur is None:
-                    acc[k1 + k2] = [re, im, r2re, r2im]
-                else:
-                    cur[0] += re
-                    cur[1] += im
-                    cur[2] += r2re
-                    cur[3] += r2im
-    else:
-        for k1, a1, b1, _, _ in rows_a:
-            for k2, a2, b2, _, _ in rows_b:
-                cur = get(k1 + k2)
-                if cur is None:
-                    acc[k1 + k2] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0]
-                else:
-                    cur[0] += a1 * a2 - b1 * b2
-                    cur[1] += a1 * b2 + b1 * a2
+    for e1, (a1, b1, c1, d1) in zip(a, rows_a):
+        k1 = sum(map(operator.lshift, e1, shifts))
+        for k2, (a2, b2, c2, d2) in packed_b:
+            # (u1 + rt2*v1)(u2 + rt2*v2) = (u1*u2 + 2*v1*v2) + rt2*(u1*v2 + v1*u2)
+            re = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+            im = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+            r2re = a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
+            r2im = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
+            cur = get(k1 + k2)
+            if cur is None:
+                acc[k1 + k2] = [re, im, r2re, r2im]
+            else:
+                cur[0] += re
+                cur[1] += im
+                cur[2] += r2re
+                cur[3] += r2im
     den = den_a * den_b
     mask = (1 << width) - 1
     return {tuple([(key >> s) & mask for s in shifts]): _make(re, im, r2re, r2im, den)
             for key, (re, im, r2re, r2im) in acc.items() if re or im or r2re or r2im}
-
-
-def _rows(terms: Mapping[MultiIndex, ExactComplex], shifts: list[int]):
-    """(den, rows, rt2): den is the common denominator of the
-    coefficients; each row is a term's packed key and its four numerators
-    over den; rt2 tells whether any sqrt(2) part is nonzero."""
-    qs = [c._q for c in terms.values()]
-    den = math.lcm(*[q[4] for q in qs])
-    rt2 = False
-    rows = []
-    for exps, (a, b, c, d, e) in zip(terms, qs):
-        if c or d:
-            rt2 = True
-        if e != den:
-            f = den // e
-            a, b, c, d = a * f, b * f, c * f, d * f
-        rows.append((sum(map(operator.lshift, exps, shifts)), a, b, c, d))
-    return den, rows, rt2
 
 
 def _monomial_str(exps: MultiIndex) -> str:

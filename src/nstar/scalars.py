@@ -193,6 +193,30 @@ def _make(a: int, b: int, c: int, d: int, den: int) -> ExactComplex:
     return z
 
 
+def _numerators(values) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """(den, rows): den is the least common denominator of the scalars
+    `values`, and each row holds one scalar's numerators (a, b, c, d) over
+    den, as ``_make`` takes them."""
+    qs = [v._q for v in values]
+    den = math.lcm(*[q[4] for q in qs])
+    rows = []
+    for a, b, c, d, e in qs:
+        if e != den:
+            f = den // e
+            a, b, c, d = a * f, b * f, c * f, d * f
+        rows.append((a, b, c, d))
+    return den, rows
+
+
+def _lowest_terms(v: ExactComplex) -> tuple[int, int, int, int, int, int, int, int]:
+    """The numerator and denominator of re, im, rt2_re and rt2_im, each
+    in lowest terms as its ``Fraction`` has it, without building the
+    ``Fraction``s."""
+    a, b, c, d, den = v._q
+    ga, gb, gc, gd = math.gcd(a, den), math.gcd(b, den), math.gcd(c, den), math.gcd(d, den)
+    return a // ga, den // ga, b // gb, den // gb, c // gc, den // gc, d // gd, den // gd
+
+
 ZERO = ExactComplex(0)
 ONE = ExactComplex(1)
 I = ExactComplex(0, 1)

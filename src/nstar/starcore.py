@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import Polynomial
-from .scalars import ExactComplex, _make
+from .scalars import ExactComplex
 
 RationalLike = int | Fraction
 
@@ -94,10 +94,11 @@ def deformation_terms(cfg: ThetaConfig) -> list[TensorTerm]:
         th = cfg.theta[k - 1]
         if th == 0:
             continue
+        w = ExactComplex(0, Fraction(th, 2))
         fwd = tuple(sigma_power(k, j - 1, n) for j in range(1, n + 1))
         rev = (k,) + tuple(sigma_power(k, n - j + 1, n) for j in range(2, n + 1))
-        terms.append(TensorTerm(fwd, _make(0, th.numerator, 0, 0, 2 * th.denominator)))
-        terms.append(TensorTerm(rev, _make(0, -th.numerator, 0, 0, 2 * th.denominator)))
+        terms.append(TensorTerm(fwd, w))
+        terms.append(TensorTerm(rev, -w))
     return terms
 
 

@@ -2,9 +2,11 @@
 
 The closed-form eigenvalues depend on the quantum numbers only through
 their norm; the ground states are radial Hermite polynomials under a
-Gaussian weight.  The star-product eigenvalue equations do not
-terminate in this class, so residuals are tabulated against the
-truncation order rather than asserted to converge.
+Gaussian weight.  Residuals of the star-product eigenvalue equations
+are tabulated against the truncation order rather than asserted to
+vanish.  The lead factor of each product (a complex coordinate, H or 1)
+is a polynomial, so each series stops at that factor's degree and the
+rows past it repeat.
 
 Run:  python demos/05_oscillator_spectrum.py
 """

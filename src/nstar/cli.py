@@ -138,17 +138,26 @@ def _table_save(body, header: list[str], rows: list[list]):
     return save
 
 
-def _emit(text: str, body, args, config, save=None) -> None:
-    """Print text, or body as JSON under --format json; write --output
-    with save(path) when given, else as indented JSON."""
+def _emit(text, body, args, config, save=None) -> None:
+    """Print text(), or body() as JSON under --format json; write --output
+    with save(path) when given, else body() as indented JSON.
+
+    text and body are callables, so only the forms printed or written are
+    rendered: formatting a large product takes as long as computing it."""
     fmt = _setting(args, config, "format", "text")
     out_path = _setting(args, config, "output", None)
-    print(json.dumps(body) if fmt == "json" else text)
+    data = body() if fmt == "json" or (out_path and save is None) else None
+    print(json.dumps(data) if fmt == "json" else text())
     if out_path:
         if save is None:
-            _write_json(out_path, body)
+            _write_json(out_path, data)
         else:
             save(out_path)
+
+
+def _emit_poly(result, args, config) -> None:
+    _emit(lambda: str(result), lambda: {"n": result.n, "terms": result.to_json_terms()},
+          args, config)
 
 
 def _cmd_star(args, config) -> int:
@@ -159,11 +168,10 @@ def _cmd_star(args, config) -> int:
     if any(contains_wave(nd) for nd in nodes):
         waves = [lower_wave(nd, cfg.n) for nd in nodes]
         result = star_waves(waves, cfg)
-        _emit(str(result), json.loads(result.to_json()), args, config)
+        _emit(lambda: str(result), lambda: json.loads(result.to_json()), args, config)
         return 0
     polys = [lower_poly(nd, cfg.n) for nd in nodes]
-    result = star_n(polys, cfg)
-    _emit(str(result), {"n": cfg.n, "terms": result.to_json_terms()}, args, config)
+    _emit_poly(star_n(polys, cfg), args, config)
     return 0
 
 
@@ -176,8 +184,7 @@ def _cmd_bracket(args, config) -> int:
     nodes = _parse_exprs(args.exprs, cfg.n)
     polys = [lower_poly(nd, cfg.n) for nd in nodes]
     f, h, mids = polys[0], polys[1], polys[2:]
-    result = star_bracket(f, h, mids, cfg)
-    _emit(str(result), {"n": cfg.n, "terms": result.to_json_terms()}, args, config)
+    _emit_poly(star_bracket(f, h, mids, cfg), args, config)
     return 0
 
 
@@ -187,8 +194,7 @@ def _cmd_conj(args, config) -> int:
         raise UsageError(f"conj takes exactly {cfg.n} expressions, got {len(args.exprs)}")
     nodes = _parse_exprs(args.exprs, cfg.n)
     polys = [lower_poly(nd, cfg.n) for nd in nodes]
-    result = conjugate_star_n(polys, cfg)
-    _emit(str(result), {"n": cfg.n, "terms": result.to_json_terms()}, args, config)
+    _emit_poly(conjugate_star_n(polys, cfg), args, config)
     return 0
 
 
@@ -205,7 +211,7 @@ def _cmd_kernel(args, config) -> int:
     text = f"exponent = {expo.real!r} + {expo.imag!r}i\nmultiplier = {mult.real!r} + {mult.imag!r}i"
     body = {"exponent": {"re": expo.real, "im": expo.imag},
             "multiplier": {"re": mult.real, "im": mult.imag}}
-    _emit(text, body, args, config)
+    _emit(lambda: text, lambda: body, args, config)
     return 0
 
 
@@ -215,7 +221,7 @@ def _cmd_omega(args, config) -> int:
     if len(q) != 3 or len(r) != 3:
         raise UsageError("omega is defined for dimension 3 vectors")
     w = freq_cross(q, r)
-    _emit(f"omega = {list(w)}", {"omega": list(w)}, args, config)
+    _emit(lambda: f"omega = {list(w)}", lambda: {"omega": list(w)}, args, config)
     return 0
 
 
@@ -272,7 +278,7 @@ def _cmd_spectrum(args, config) -> int:
             for kk in range(1, cfg.n + 1)]
     body = {"k": k, "nbar": list(nbar.nbar), "energy": str(value), "table": rows}
     csv_rows = [[row["k"], " ".join(map(str, row["nbar"])), row["energy"]] for row in rows]
-    _emit(f"E = {value}", body, args, config,
+    _emit(lambda: f"E = {value}", lambda: body, args, config,
           save=_table_save(body, ["k", "nbar", "energy"], csv_rows))
     return 0
 
@@ -288,18 +294,22 @@ def _cmd_residual(args, config) -> int:
     points = [tuple(Fraction(rng.randint(-200, 200), 100) for _ in range(cfg.n))
               for _ in range(npoints)]
     report = residual_report(spec, cfg, k, order, points)
-    lines = [f"residuals for k={k}, n={cfg.n}, E={report['energy']} "
-             f"({npoints} points, order <= {order})",
-             "order  ground_max      ground_mean     eigen_max       eigen_mean"]
-    lines += [f"{row['order']:>5}  {row['ground_max']:<14.8g}  {row['ground_mean']:<14.8g}"
-              f"  {row['eigen_max']:<14.8g}  {row['eigen_mean']:<14.8g}"
-              for row in report["rows"]]
+
+    def text() -> str:
+        lines = [f"residuals for k={k}, n={cfg.n}, E={report['energy']} "
+                 f"({npoints} points, order <= {order})",
+                 "order  ground_max      ground_mean     eigen_max       eigen_mean"]
+        lines += [f"{row['order']:>5}  {row['ground_max']:<14.8g}  {row['ground_mean']:<14.8g}"
+                  f"  {row['eigen_max']:<14.8g}  {row['eigen_mean']:<14.8g}"
+                  for row in report["rows"]]
+        return "\n".join(lines)
+
     csv_rows = [[m, pi, repr(gv), repr(ev)]
                 for m, (grow, erow) in enumerate(zip(report["ground_residuals"],
                                                      report["eigen_residuals"]))
                 for pi, (gv, ev) in enumerate(zip(grow, erow))]
     header = ["order", "point_index", "ground_residual", "eigen_residual"]
-    _emit("\n".join(lines), report, args, config, save=_table_save(report, header, csv_rows))
+    _emit(text, lambda: report, args, config, save=_table_save(report, header, csv_rows))
     return 0
 
 
@@ -342,9 +352,9 @@ def _cmd_oracle(args, config) -> int:
     reference = closed.sample_on_grid(grid)
     scale = max(1e-300, float(np.abs(reference).max()))
     err = float(np.abs(lattice - reference).max()) / scale
-    body = {"max_relative_error": err, "N": N, "L": L,
-            "closed_form": json.loads(closed.to_json())}
-    _emit(f"max relative error = {err!r}", body, args, config,
+    _emit(lambda: f"max relative error = {err!r}",
+          lambda: {"max_relative_error": err, "N": N, "L": L,
+                   "closed_form": json.loads(closed.to_json())}, args, config,
           save=lambda path: save_lattice(path, lattice, grid))
     return 0
 

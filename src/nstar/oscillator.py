@@ -176,6 +176,11 @@ class PolyGauss:
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
+    def degree(self) -> int | None:
+        """Degree as a polynomial: the polynomial part's at scale 0; None at
+        a positive scale, where the value is no polynomial."""
+        return None if self.scale else self.poly.degree()
+
     def __mul__(self, other) -> "PolyGauss":
         if isinstance(other, PolyGauss):
             return PolyGauss(self.poly * other.poly, self.scale + other.scale)
@@ -192,7 +197,11 @@ class PolyGauss:
         Fraction and float."""
         pt = [Fraction(v) for v in point]
         value = self.poly.eval_exact(pt).to_complex()
-        return value * math.exp(-float(self.scale * sum(v * v for v in pt) / 2))
+        # |x|^2 = norm2 / D^2 in integers; int / int rounds correctly, so the
+        # exponent is the float nearest the exact one
+        D = math.lcm(*[v.denominator for v in pt])
+        norm2 = sum((v.numerator * (D // v.denominator)) ** 2 for v in pt)
+        return value * math.exp(-(self.scale * norm2) / (2 * D * D))
 
 
 def ground_state(k: int, n: int) -> PolyGauss:
@@ -232,7 +241,7 @@ def star_polygauss_truncated(factors: Sequence[PolyGauss], cfg: ThetaConfig,
                              order: int) -> tuple[PolyGauss, float]:
     """Order-truncated star product in the Gaussian-weighted class.
 
-    Unlike the polynomial case the exponential series does not
+    Unless a factor has scale 0 the exponential series does not
     terminate, so the sum runs to the requested order.  Returns the
     truncated result together with the largest coefficient magnitude of
     the final increment, a cheap convergence indicator.
@@ -254,7 +263,9 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
     (b) the eigenvalue equation: star{H, state, ...} - E * star{1, state, ...}.
 
     This is a report, not an assertion: the table records how the
-    residuals behave as the truncation order grows.
+    residuals behave as the truncation order grows.  Every lead factor is
+    a polynomial, so each series stops at the lead's degree and the rows
+    past it repeat.
     """
     n = cfg.n
     if spec.n != n:
@@ -282,6 +293,9 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
         rows = []
         running = Polynomial.zero(n)
         for increment in star_increments(factors, cfg, order):
+            if rows and increment.is_zero():  # the running sum is unchanged
+                rows.append(rows[-1])
+                continue
             running = running + increment
             rows.append([PolyGauss(running, scale).eval(p) for p in points])
         return rows

@@ -13,7 +13,9 @@ first, which keeps every output deterministic.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -184,19 +186,35 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_exact(self, point: Sequence) -> ExactComplex:
-        """Evaluate at a point with rational (or ExactComplex) components."""
+    def eval_exact(self, point: Sequence[int | Fraction]) -> ExactComplex:
+        """Exact value at a point with rational (int or Fraction) coordinates.
+
+        The coordinates are put over one common denominator D, so a
+        monomial of degree e is a product of the coordinates' numerators
+        over D**e; scaled by D**(deg - e), deg the total degree, every
+        monomial is an integer over D**deg.  With the coefficients over
+        their common denominator, the value is four integer sums, and one
+        scalar is built.
+        """
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
-        pt = [ExactComplex.coerce(v) for v in point]
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for v, e in zip(pt, exps):
-                if e:
-                    val = val * v**e
-            total = total + val
-        return total
+        if not self.terms:
+            return ZERO
+        D = math.lcm(*[v.denominator for v in point])
+        deg = self.degree()
+        # per axis, the powers of its numerator up to the axis's top exponent
+        tables = [_powers(v.numerator * (D // v.denominator), top)
+                  for v, top in zip(point, map(max, zip(*self.terms)))]
+        scales = _powers(D, deg)
+        den, rows = _numerators(self.terms.values())
+        re = im = r2re = r2im = 0
+        for exps, (a, b, c, d) in zip(self.terms, rows):
+            mono = math.prod(map(list.__getitem__, tables, exps), start=scales[deg - sum(exps)])
+            re += a * mono
+            im += b * mono
+            r2re += c * mono
+            r2im += d * mono
+        return _make(re, im, r2re, r2im, den * scales[deg])
 
     def max_coeff_magnitude(self) -> float:
         if not self.terms:
@@ -305,6 +323,11 @@ def _product(a: Mapping[MultiIndex, ExactComplex], b: Mapping[MultiIndex, ExactC
     mask = (1 << width) - 1
     return {tuple([(key >> s) & mask for s in shifts]): _make(re, im, r2re, r2im, den)
             for key, (re, im, r2re, r2im) in acc.items() if re or im or r2re or r2im}
+
+
+def _powers(base: int, top: int) -> list[int]:
+    """[base**0, base**1, ..., base**top]."""
+    return list(itertools.accumulate(itertools.repeat(base, top), operator.mul, initial=1))
 
 
 def _monomial_str(exps: MultiIndex) -> str:

@@ -16,8 +16,10 @@ multiplied and tested for zero.  It has two callers:
 
 * ``star_n``                        polynomials; sums the increments up to
                                     the smallest factor degree
-* ``oscillator.star_increments``    Gaussian-weighted polynomials, where
-                                    the series does not terminate
+* ``oscillator.star_increments``    Gaussian-weighted polynomials, to a
+                                    requested order; the series stops at
+                                    the smallest degree among the factors
+                                    of scale 0, and runs on if there is none
 
 ``conjugate_star_n`` is ``star_n`` at negated theta.  ``star_n_stepwise``
 applies the operator literally, m times, and divides by m!: a naive
@@ -110,9 +112,15 @@ def _check_arity(factors: Sequence[Polynomial], cfg: ThetaConfig) -> None:
             raise ValueError("factor dimension does not match configuration")
 
 
-def _series_bound(factors: Sequence[Polynomial]) -> int:
-    """Smallest factor degree; -1 (an empty series) if some factor is zero."""
-    return min(f.degree() for f in factors)
+def _series_bound(factors: Sequence) -> int | None:
+    """The order past which every increment of the series is zero, or None.
+
+    Increment m differentiates every slot m times, so a factor whose
+    derivatives terminate (one with a degree: a polynomial) zeroes every
+    increment past its degree.  The bound is the smallest such degree;
+    -1 if such a factor is zero, None if no factor has a degree.
+    """
+    return min((d for d in (f.degree() for f in factors) if d is not None), default=None)
 
 
 def _compositions(m: int, parts: int):
@@ -136,16 +144,19 @@ def _compositions(m: int, parts: int):
         yield tuple([right - left - 1 for left, right in zip((-1,) + bars, bars + (places,))])
 
 
-def star_series(factors: Sequence, cfg: ThetaConfig, order: int):
-    """Yield the increments 0..order of m[exp(operator) applied to the factors].
+def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
+    """Yield the increments 0..order of m[exp(operator) applied to the factors];
+    without an order, every increment up to the series bound.
 
     Increment m is (1/m!) times the m-fold operator application,
     multiplied out across the slots.  The tensor terms commute (they are
     built from partial derivatives), so it is a sum over multisets
     (c_1..c_T) of total size m of prod_t (T_t)^{c_t} / c_t!.  A slot value
-    needs ``diff(axis)``, ``is_zero()`` and ``*`` by a slot value and by a
-    scalar.  Slot derivatives are memoized per factor on the vector of
-    per-axis derivative counts.
+    needs ``diff(axis)``, ``is_zero()``, ``degree()`` (None when its
+    derivatives never vanish) and ``*`` by a slot value and by a scalar.
+    Slot derivatives are memoized per factor on the vector of per-axis
+    derivative counts.  Past the series bound (``_series_bound``) every
+    increment is zero and is yielded without enumerating compositions.
     """
     n = cfg.n
     terms = deformation_terms(cfg)
@@ -166,9 +177,16 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int):
         cache[counts] = val
         return val
 
+    bound = _series_bound(factors)
+    if order is None:
+        if bound is None:
+            raise ValueError("the series does not terminate: give an order")
+        order = bound
     for m in range(order + 1):
         increment = None
-        for comp in _compositions(m, len(terms)):
+        # past the bound every composition has a zero slot: none is enumerated
+        comps = _compositions(m, len(terms)) if bound is None or m <= bound else ()
+        for comp in comps:
             used = [(t, c) for t, c in enumerate(comp) if c]
             slots = []
             for j in range(n):
@@ -202,7 +220,7 @@ def star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
     """Exact n-ary star product of the factors."""
     _check_arity(factors, cfg)
     result = Polynomial.zero(cfg.n)
-    for increment in star_series(factors, cfg, _series_bound(factors)):
+    for increment in star_series(factors, cfg):
         result = result + increment
     return result
 
@@ -235,7 +253,7 @@ def star_n_stepwise(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomi
     _check_arity(factors, cfg)
     terms = deformation_terms(cfg)
     n = cfg.n
-    bound = _series_bound(factors)
+    bound = min(f.degree() for f in factors)  # -1 if a factor is zero
     result = Polynomial.zero(n)
     if bound < 0:
         return result

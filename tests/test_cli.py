@@ -11,6 +11,7 @@ import nstar
 from nstar.cli import main
 from nstar.polynomials import Polynomial, x
 from nstar.starcore import ThetaConfig, star_n
+from nstar.waves import WaveSum
 
 # The directory holding the nstar package this test run imported.
 IMPORT_ROOT = str(Path(nstar.__file__).resolve().parent.parent)
@@ -132,6 +133,28 @@ def test_star_printed_output_pinned(capsys):
     product = Polynomial.from_json_terms(data["n"], data["terms"])
     assert any("rt2_re_num" in rec for rec in data["terms"])
     assert Polynomial.from_json_terms(3, product.to_json_terms()) == product
+
+
+def test_only_the_requested_format_is_rendered(monkeypatch, capsys):
+    # formatting a large product costs about as much as computing it
+    rendered = []
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self: rendered.append(name) or original(self))
+
+    counting(Polynomial, "__str__")
+    counting(Polynomial, "to_json_terms")
+    counting(WaveSum, "__str__")
+    counting(WaveSum, "to_json")
+    exprs = STAR_PIN_ARGS[1:]
+    waves = ["--theta", "1,0,0", "wave(1,0,0)", "2*wave(0,1,0)", "wave(0,0,1)"]
+    for argv in (["star", *exprs], ["conj", *exprs], ["bracket", *exprs], ["star", *waves]):
+        assert main(argv[:1] + ["--format", "json"] + argv[1:]) == 0
+        assert main(argv) == 0
+    assert rendered == ["to_json_terms", "__str__"] * 3 + ["to_json", "__str__"]
+    capsys.readouterr()
+
 
 def test_star_wave_mode(capsys):
     code = main(["star", "--theta", "0,0,0", "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"])

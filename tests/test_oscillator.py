@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import nstar.starcore as starcore
 from nstar.audit import CorpusSpec, sample_poly, sample_theta
 from nstar.closedforms import complex_pair
 from nstar.oscillator import (
@@ -19,7 +20,7 @@ from nstar.oscillator import (
     star_polygauss_truncated,
 )
 from nstar.polynomials import Polynomial, x
-from nstar.starcore import ThetaConfig, star_n
+from nstar.starcore import ThetaConfig, star_n, star_series
 
 
 UNIT3 = ThetaConfig(3, (Fraction(1), Fraction(1), Fraction(1)))
@@ -153,6 +154,14 @@ def test_polygauss_eval_matches_direct():
     got = pg.eval(pt)
     want = 0.25 * math.exp(-float(Fraction(5, 8)))
     assert abs(got - want) < 1e-15
+    # the weight is exp of the float nearest the exact exponent, bit for bit
+    rng = random.Random(3)
+    for scale in (1, 2, 3):
+        pg = PolyGauss(x(1, 3) * x(2, 3) - Fraction(1, 3), scale)
+        for _ in range(200):
+            pt = [Fraction(rng.randint(-400, 400), rng.choice((1, 3, 100, 7))) for _ in range(3)]
+            exponent = Fraction(scale) * sum(v * v for v in pt) / 2
+            assert pg.eval(pt) == pg.poly.eval_exact(pt).to_complex() * math.exp(-float(exponent))
 
 
 def test_polygauss_eval_float_point_is_exact():
@@ -265,3 +274,104 @@ def test_residual_report_point_validation():
         residual_report(spec, UNIT3, 0, 1, [(5, 0, 0)])
     with pytest.raises(ValueError):
         residual_report(spec, UNIT3, 0, 1, [(1, 0)])
+
+
+class Unbounded(PolyGauss):
+    """A slot value that hides its degree, so the engine applies no series
+    bound and enumerates every composition of every order."""
+
+    def degree(self):
+        return None
+
+
+def test_series_bound_changes_no_increment(monkeypatch):
+    # the increments past the smallest degree among the scale-0 factors are
+    # the ones a full enumeration finds, and none of their compositions is
+    # enumerated
+    enumerated = []
+    compositions = starcore._compositions
+    monkeypatch.setattr(starcore, "_compositions",
+                        lambda m, parts: enumerated.append(m) or compositions(m, parts))
+    a, _ = complex_pair(1, 2, 3)
+    cases = [(UNIT3, PolyGauss(a, 0), [ground_state(0, 3)] * 2, 4),
+             (ThetaConfig(3, (1, Fraction(1, 2), 2)), PolyGauss(radial_sq(3), 0),
+              [ground_state(1, 3), PolyGauss(x(2, 3) - 1, 0)], 4),
+             (ThetaConfig(4, (1, 2, 1, 1)), PolyGauss(x(3, 4) ** 2 * x(1, 4), 0),
+              [ground_state(1, 4)] * 3, 5)]
+    for cfg, lead, rest, order in cases:
+        bound = min(f.degree() for f in [lead, *rest] if f.scale == 0)
+        enumerated.clear()
+        bounded = star_increments([lead, *rest], cfg, order)
+        assert max(enumerated) == bound < order
+        enumerated.clear()
+        full = star_increments([Unbounded(f.poly, f.scale) for f in [lead, *rest]], cfg, order)
+        assert max(enumerated) == order
+        assert bounded == full
+        assert all(inc.is_zero() for inc in bounded[bound + 1:])
+    with pytest.raises(ValueError):  # no factor of scale 0, no order
+        list(star_series([ground_state(0, 3)] * 3, UNIT3))
+
+
+def test_ground_state_equations_exact_closed_forms():
+    # n = 3, theta = 1, k = 0, H = |x|^2.  The annihilation product is the
+    # pointwise one: its first increment cancels (the trailing factors are
+    # equal) and the series stops at the degree of a.  The eigen residual
+    # at the closed-form energy 3/2 is (2|x|^2 - 3) exp(-|x|^2), not zero.
+    spec = HamiltonianSpec(3)
+    psi = ground_state(0, 3)
+    assert psi.poly == Polynomial.constant(1, 3)
+    a, _ = complex_pair(1, 2, 3)
+    incs = star_increments([PolyGauss(a, 0), psi, psi], UNIT3, 4)
+    assert incs[0] == a * psi.poly * psi.poly
+    assert all(inc.is_zero() for inc in incs[1:])
+    H = build_hamiltonian(spec)
+    assert H == radial_sq(3)
+    E = energy(1, QuantumNumber((0, 0, 0)), UNIT3, spec)
+    assert E == Fraction(3, 2)
+    ham, _ = star_polygauss_truncated([PolyGauss(H, 0), psi, psi], UNIT3, 4)
+    one, _ = star_polygauss_truncated([PolyGauss(Polynomial.constant(1, 3), 0), psi, psi],
+                                      UNIT3, 4)
+    assert ham.scale == one.scale == 2
+    assert ham.poly - one.poly * E == radial_sq(3) * 2 - 3
+
+
+def reevaluated_tables(spec, cfg, k, order, points):
+    """Reference for residual_report's float tables: the running sum of
+    each series evaluated afresh at every order."""
+    n = cfg.n
+    psi = ground_state(k, n)
+    a, _ = complex_pair(1, 2, n)
+    Ec = float(energy(1, QuantumNumber((k,) + (0,) * (n - 1)), cfg, spec))
+
+    def values(lead):
+        running, rows = Polynomial.zero(n), []
+        for inc in star_increments([PolyGauss(lead, 0)] + [psi] * (n - 1), cfg, order):
+            running = running + inc
+            rows.append([PolyGauss(running, n - 1).eval(p) for p in points])
+        return rows
+
+    ann = values(a)
+    ham = values(build_hamiltonian(spec))
+    one = values(Polynomial.constant(1, n))
+    ground = [[abs(v) for v in row] for row in ann]
+    eigen = [[abs(h - Ec * o) for h, o in zip(hrow, orow)] for hrow, orow in zip(ham, one)]
+    return ground, eigen
+
+
+def test_residual_report_tables_match_reevaluation():
+    rng = random.Random(8)
+    cases = [(HamiltonianSpec(3), UNIT3, 0, 4),
+             (HamiltonianSpec(4, diag_lambdas=((1, Fraction(1, 2), 2, 1),
+                                               (Fraction(1, 4), 0, Fraction(1, 8), 1))),
+              ThetaConfig(4, (1, 2, 1, 1)), 1, 4),
+             (HamiltonianSpec(3, lambda_pair={(1, 2): Fraction(1, 3)}),
+              ThetaConfig(3, (Fraction(1, 2), Fraction(3, 2), 2)), 2, 5),
+             (HamiltonianSpec(3, diag_lambdas=((0, 0, 0),)), UNIT3, 0, 2)]  # H = 0
+    for spec, cfg, k, order in cases:
+        points = [tuple(Fraction(rng.randint(-200, 200), 100) for _ in range(cfg.n))
+                  for _ in range(5)]
+        points.append(tuple(Fraction(v) for v in (0.5, -1.25, 0.0, 1.0)[:cfg.n]))
+        report = residual_report(spec, cfg, k, order, points)
+        ground, eigen = reevaluated_tables(spec, cfg, k, order, points)
+        assert report["ground_residuals"] == ground  # float equality: bit for bit
+        assert report["eigen_residuals"] == eigen

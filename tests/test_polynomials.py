@@ -64,6 +64,45 @@ def test_eval_exact():
     assert val == ExactComplex(Fraction(1, 4), 3)
 
 
+def fraction_eval(p, point):
+    """Reference: each of the four rational parts summed term by term in
+    Fractions."""
+    parts = [Fraction(0)] * 4
+    for exps, c in p.terms.items():
+        mono = Fraction(1)
+        for v, e in zip(point, exps):
+            mono *= Fraction(v) ** e
+        for i, part in enumerate((c.re, c.im, c.rt2_re, c.rt2_im)):
+            parts[i] += part * mono
+    return ExactComplex(*parts)
+
+
+def test_eval_exact_matches_fraction_reference():
+    rng = random.Random(23)
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) if rng.random() < 0.6 else 0
+
+    for n in range(1, 6):
+        points = [
+            tuple(Fraction(rng.randint(-50, 50), rng.choice((1, 3, 4, 10, 49))) for _ in range(n)),
+            (0,) * n,
+            tuple(rng.choice((0, 2, Fraction(-1, 3))) for _ in range(n)),
+            tuple(Fraction(rng.choice((0.1, -1.3, 2.5, 1e-3, 0.0))) for _ in range(n)),
+            tuple(rng.randint(-4, 4) for _ in range(n)),
+        ]
+        polys = [Polynomial.zero(n), Polynomial.constant(ExactComplex(Fraction(-2, 3), 0, 1), n)]
+        for _ in range(6):
+            polys.append(Polynomial(n, {tuple(rng.randint(0, 3) for _ in range(n)):
+                                        ExactComplex(part(), part(), part(), part())
+                                        for _ in range(rng.randint(1, 6))}))
+        for p in polys:
+            for pt in points:
+                assert p.eval_exact(pt) == fraction_eval(p, pt), (p, pt)
+    assert Polynomial.zero(2).eval_exact((Fraction(1, 3), 5)) == ExactComplex(0)
+    assert Polynomial.constant(7, 2).eval_exact((Fraction(1, 3), 5)) == ExactComplex(7)
+
+
 def test_graded_lex_ordering():
     p = Polynomial.constant(1, 3) + x(1, 3) ** 2 + x(1, 3) * x(2, 3) + x(3, 3)
     keys = [k for k, _ in p.sorted_terms()]

@@ -39,7 +39,7 @@ from .closedforms import (
     SlotSpec,
 )
 from .polynomials import Polynomial, x
-from .scalars import ExactComplex
+from .scalars import ONE, ZERO, ExactComplex
 from .starcore import ThetaConfig, conjugate_star_n, sigma_power, star_n, star_n_stepwise
 from .waves import freq_cross
 
@@ -515,6 +515,26 @@ def _with_poly(inputs: ClaimInputs, index: int, poly: Polynomial) -> ClaimInputs
     return replace(inputs, polys=inputs.polys[:index] + (poly,) + inputs.polys[index + 1:])
 
 
+# Per-term shrinking moves, tried in this order.  Each yields candidate
+# term dicts for one key of a polynomial.
+def _drop_term(terms: dict, key):
+    yield {k: v for k, v in terms.items() if k != key}
+
+
+def _unit_coefficient(terms: dict, key):
+    if terms[key] != ONE:
+        yield {**terms, key: ONE}
+
+
+def _lower_exponent(terms: dict, key):
+    for ax, e in enumerate(key):
+        if e:
+            new_terms = dict(terms)
+            lowered = key[:ax] + (e - 1,) + key[ax + 1:]
+            new_terms[lowered] = new_terms.get(lowered, ZERO) + new_terms.pop(key)
+            yield new_terms
+
+
 def _shrink(inputs: ClaimInputs, still_fails: Callable[[ClaimInputs], object]) -> ClaimInputs:
     """Greedy minimization: zero theta components, drop polynomial terms,
     simplify coefficients to 1, reduce exponents; keep a move only if the
@@ -530,48 +550,17 @@ def _shrink(inputs: ClaimInputs, still_fails: Callable[[ClaimInputs], object]) -
             if still_fails(cand):
                 current, changed = cand, True
 
-        for pi, poly in enumerate(current.polys):
-            for key in sorted(poly.terms, reverse=True):
-                if key not in poly.terms:
-                    continue
-                new_terms = dict(poly.terms)
-                del new_terms[key]
-                cand_poly = Polynomial(poly.n, new_terms)
-                cand = _with_poly(current, pi, cand_poly)
-                if still_fails(cand):
-                    current, changed = cand, True
-                    poly = cand_poly
-
-        one = ExactComplex(1)
-        for pi, poly in enumerate(current.polys):
-            for key in sorted(poly.terms, reverse=True):
-                if poly.terms.get(key, one) == one:
-                    continue
-                new_terms = dict(poly.terms)
-                new_terms[key] = one
-                cand_poly = Polynomial(poly.n, new_terms)
-                cand = _with_poly(current, pi, cand_poly)
-                if still_fails(cand):
-                    current, changed = cand, True
-                    poly = cand_poly
-
-        for pi, poly in enumerate(current.polys):
-            for key in sorted(poly.terms, reverse=True):
-                if key not in poly.terms:
-                    continue
-                for ax in range(poly.n):
-                    if key[ax] == 0:
+        for moves in (_drop_term, _unit_coefficient, _lower_exponent):
+            for pi, poly in enumerate(current.polys):
+                for key in sorted(poly.terms, reverse=True):
+                    if key not in poly.terms:
                         continue
-                    new_key = key[:ax] + (key[ax] - 1,) + key[ax + 1:]
-                    new_terms = dict(poly.terms)
-                    coeff = new_terms.pop(key)
-                    new_terms[new_key] = new_terms.get(new_key, ExactComplex(0)) + coeff
-                    cand_poly = Polynomial(poly.n, new_terms)
-                    cand = _with_poly(current, pi, cand_poly)
-                    if still_fails(cand):
-                        current, changed = cand, True
-                        poly = cand_poly
-                        break
+                    for new_terms in moves(poly.terms, key):
+                        cand_poly = Polynomial(poly.n, new_terms)
+                        cand = _with_poly(current, pi, cand_poly)
+                        if still_fails(cand):
+                            current, changed, poly = cand, True, cand_poly
+                            break
 
         if not changed:
             break

@@ -2,8 +2,15 @@
 
 Commands: star, bracket, conj, kernel, omega, verify, spectrum,
 residual, oracle.  Exact results print in canonical graded-lex form;
-reports are emitted as JSON or CSV.  An optional ./nstar.json config
-file supplies defaults; explicit flags win.
+reports are emitted as JSON or CSV.
+
+One table, COMMANDS, declares every command: its help, its handler, its
+positionals and its flags with their types, choices and defaults.  The
+parser is built from it once per process.  main then sets each flag of
+the chosen command in one place: from the command line, else from the
+optional ./nstar.json config file (converted with the flag's type),
+else from the flag's default.  The repeatable --pair is read from the
+command line only.
 
 Exit codes: 0 success, 1 a guaranteed audit claim failed, 2 usage error
 (bad flags, malformed expressions, dimension mismatches, out-of-range
@@ -14,12 +21,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +67,23 @@ class UsageError(Exception):
         return json.dumps({"error": body})
 
 
+class Flag(NamedTuple):
+    """A command's --flag.  A repeatable flag collects every occurrence
+    and is never read from the config file."""
+    type: type = str
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+    repeat: bool = False
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    positionals: dict[str, dict]  # name -> add_argument keywords
+    flags: dict[str, Flag]
+
+
 def _load_config() -> dict:
     path = Path(CONFIG_PATH)
     if not path.is_file():
@@ -71,20 +97,10 @@ def _load_config() -> dict:
     return data
 
 
-def _setting(args, config, name, default):
-    """The flag's value, else the config file's, else default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    if name in config:
-        return _config_value(args.flags[name], name, config[name])
-    return default
-
-
-def _config_value(flag: argparse.Action, name: str, raw):
+def _config_value(flag: Flag, name: str, raw):
     """A config value converted with its flag's type: a JSON string as if
     typed on the command line, a JSON number as an int or float flag's."""
-    conv = flag.type or str
+    conv = flag.type
     numeric = {int: int, float: (int, float)}.get(conv, ())
     if isinstance(raw, str) or (isinstance(raw, numeric) and not isinstance(raw, bool)):
         try:
@@ -105,16 +121,14 @@ def _parse_list(text: str, what: str, conv=Fraction) -> tuple:
         raise UsageError(f"malformed {what} {text!r}: {exc}")
 
 
-def _theta_config(args, config) -> ThetaConfig:
-    n = _setting(args, config, "n", 3)
-    theta_raw = _setting(args, config, "theta", None)
-    if theta_raw is None:
-        theta = (Fraction(1),) * n
+def _theta_config(args) -> ThetaConfig:
+    if args.theta is None:
+        theta = (Fraction(1),) * args.n
     else:
-        theta = _parse_list(theta_raw, "theta")
-    if len(theta) != n:
-        raise UsageError(f"theta must have {n} components, got {len(theta)}")
-    return ThetaConfig(n, theta)
+        theta = _parse_list(args.theta, "theta")
+    if len(theta) != args.n:
+        raise UsageError(f"theta must have {args.n} components, got {len(theta)}")
+    return ThetaConfig(args.n, theta)
 
 
 def _parse_exprs(texts, n):
@@ -138,68 +152,46 @@ def _table_save(body, header: list[str], rows: list[list]):
     return save
 
 
-def _emit(text, body, args, config, save=None) -> None:
+def _emit(text, body, args, save=None) -> None:
     """Print text(), or body() as JSON under --format json; write --output
     with save(path) when given, else body() as indented JSON.
 
     text and body are callables, so only the forms printed or written are
     rendered: formatting a large product takes as long as computing it."""
-    fmt = _setting(args, config, "format", "text")
-    out_path = _setting(args, config, "output", None)
-    data = body() if fmt == "json" or (out_path and save is None) else None
-    print(json.dumps(data) if fmt == "json" else text())
-    if out_path:
+    data = body() if args.format == "json" or (args.output and save is None) else None
+    print(json.dumps(data) if args.format == "json" else text())
+    if args.output:
         if save is None:
-            _write_json(out_path, data)
+            _write_json(args.output, data)
         else:
-            save(out_path)
+            save(args.output)
 
 
-def _emit_poly(result, args, config) -> None:
-    _emit(lambda: str(result), lambda: {"n": result.n, "terms": result.to_json_terms()},
-          args, config)
-
-
-def _cmd_star(args, config) -> int:
-    cfg = _theta_config(args, config)
+def _cmd_product(args) -> int:
+    """star, conj and bracket: one product of n expressions."""
+    cfg = _theta_config(args)
     if len(args.exprs) != cfg.n:
-        raise UsageError(f"star takes exactly {cfg.n} expressions, got {len(args.exprs)}")
+        takes = (f"the two outer factors plus {cfg.n - 2} middle factors ({cfg.n} expressions)"
+                 if args.command == "bracket" else f"exactly {cfg.n} expressions")
+        raise UsageError(f"{args.command} takes {takes}, got {len(args.exprs)}")
     nodes = _parse_exprs(args.exprs, cfg.n)
-    if any(contains_wave(nd) for nd in nodes):
-        waves = [lower_wave(nd, cfg.n) for nd in nodes]
-        result = star_waves(waves, cfg)
-        _emit(lambda: str(result), lambda: json.loads(result.to_json()), args, config)
+    if args.command == "star" and any(contains_wave(nd) for nd in nodes):
+        result = star_waves([lower_wave(nd, cfg.n) for nd in nodes], cfg)
+        _emit(lambda: str(result), lambda: json.loads(result.to_json()), args)
         return 0
     polys = [lower_poly(nd, cfg.n) for nd in nodes]
-    _emit_poly(star_n(polys, cfg), args, config)
+    if args.command == "bracket":
+        result = star_bracket(polys[0], polys[1], polys[2:], cfg)
+    elif args.command == "conj":
+        result = conjugate_star_n(polys, cfg)
+    else:
+        result = star_n(polys, cfg)
+    _emit(lambda: str(result), lambda: {"n": result.n, "terms": result.to_json_terms()}, args)
     return 0
 
 
-def _cmd_bracket(args, config) -> int:
-    cfg = _theta_config(args, config)
-    if len(args.exprs) != cfg.n:
-        raise UsageError(
-            f"bracket takes the two outer factors plus {cfg.n - 2} middle factors "
-            f"({cfg.n} expressions), got {len(args.exprs)}")
-    nodes = _parse_exprs(args.exprs, cfg.n)
-    polys = [lower_poly(nd, cfg.n) for nd in nodes]
-    f, h, mids = polys[0], polys[1], polys[2:]
-    _emit_poly(star_bracket(f, h, mids, cfg), args, config)
-    return 0
-
-
-def _cmd_conj(args, config) -> int:
-    cfg = _theta_config(args, config)
-    if len(args.exprs) != cfg.n:
-        raise UsageError(f"conj takes exactly {cfg.n} expressions, got {len(args.exprs)}")
-    nodes = _parse_exprs(args.exprs, cfg.n)
-    polys = [lower_poly(nd, cfg.n) for nd in nodes]
-    _emit_poly(conjugate_star_n(polys, cfg), args, config)
-    return 0
-
-
-def _cmd_kernel(args, config) -> int:
-    cfg = _theta_config(args, config)
+def _cmd_kernel(args) -> int:
+    cfg = _theta_config(args)
     if len(args.freqs) != cfg.n:
         raise UsageError(f"kernel takes {cfg.n} frequency vectors, got {len(args.freqs)}")
     vectors = [_parse_list(v, "frequency vector", float) for v in args.freqs]
@@ -211,49 +203,44 @@ def _cmd_kernel(args, config) -> int:
     text = f"exponent = {expo.real!r} + {expo.imag!r}i\nmultiplier = {mult.real!r} + {mult.imag!r}i"
     body = {"exponent": {"re": expo.real, "im": expo.imag},
             "multiplier": {"re": mult.real, "im": mult.imag}}
-    _emit(lambda: text, lambda: body, args, config)
+    _emit(lambda: text, lambda: body, args)
     return 0
 
 
-def _cmd_omega(args, config) -> int:
+def _cmd_omega(args) -> int:
     q = _parse_list(args.q, "frequency vector", float)
     r = _parse_list(args.r, "frequency vector", float)
     if len(q) != 3 or len(r) != 3:
         raise UsageError("omega is defined for dimension 3 vectors")
     w = freq_cross(q, r)
-    _emit(lambda: f"omega = {list(w)}", lambda: {"omega": list(w)}, args, config)
+    _emit(lambda: f"omega = {list(w)}", lambda: {"omega": list(w)}, args)
     return 0
 
 
-def _cmd_verify(args, config) -> int:
-    seed = _setting(args, config, "seed", 0)
-    trials = _setting(args, config, "trials", 100)
-    out_path = _setting(args, config, "output", "nstar_audit.json")
-    reports = run_suite(seed=seed, trials=trials)
-    Path(out_path).write_text(reports_to_json(reports) + "\n")
+def _cmd_verify(args) -> int:
+    reports = run_suite(seed=args.seed, trials=args.trials)
+    Path(args.output).write_text(reports_to_json(reports) + "\n")
     for rep in reports:
         print(f"{rep.claim}: {rep.verdict}")
     ok = all_guaranteed_hold(reports)
-    print(f"report written to {out_path}")
+    print(f"report written to {args.output}")
     print("guaranteed claims: " + ("all hold" if ok else "FAILURE"))
     return 0 if ok else 1
 
 
-def _hamiltonian_spec(args, config, n) -> HamiltonianSpec:
-    lam0 = getattr(args, "lambda0", None)
-    lam2 = getattr(args, "lambda2", None)
+def _hamiltonian_spec(args, n) -> HamiltonianSpec:
     rows = []
-    if lam0 is not None:
-        rows.append(_parse_list(lam0, "lambda0"))
-    if lam2 is not None:
-        if lam0 is None:
+    if args.lambda0 is not None:
+        rows.append(_parse_list(args.lambda0, "lambda0"))
+    if args.lambda2 is not None:
+        if args.lambda0 is None:
             raise UsageError("--lambda2 requires --lambda0")
-        rows.append(_parse_list(lam2, "lambda2"))
+        rows.append(_parse_list(args.lambda2, "lambda2"))
     for row in rows:
         if len(row) != n:
             raise UsageError(f"diagonal coefficient rows must have {n} entries")
     pairs = {}
-    for spec_text in getattr(args, "pair", None) or []:
+    for spec_text in getattr(args, "pair", ()):
         try:
             key_text, val_text = spec_text.split("=")
             i, j = (int(v) for v in key_text.split(","))
@@ -263,13 +250,13 @@ def _hamiltonian_spec(args, config, n) -> HamiltonianSpec:
     return HamiltonianSpec(n, lambda_pair=pairs, diag_lambdas=tuple(rows) if rows else None)
 
 
-def _cmd_spectrum(args, config) -> int:
-    cfg = _theta_config(args, config)
-    spec = _hamiltonian_spec(args, config, cfg.n)
+def _cmd_spectrum(args) -> int:
+    cfg = _theta_config(args)
+    spec = _hamiltonian_spec(args, cfg.n)
     nbar = QuantumNumber(_parse_list(args.nbar, "nbar", int) if args.nbar else (0,) * cfg.n)
     if len(nbar.nbar) != cfg.n:
         raise UsageError(f"nbar must have {cfg.n} components")
-    k = _setting(args, config, "k", 1)
+    k = args.k
     if not 1 <= k <= cfg.n:
         raise UsageError(f"k must be in 1..{cfg.n}")
     value = energy(k, nbar, cfg, spec)
@@ -278,19 +265,16 @@ def _cmd_spectrum(args, config) -> int:
             for kk in range(1, cfg.n + 1)]
     body = {"k": k, "nbar": list(nbar.nbar), "energy": str(value), "table": rows}
     csv_rows = [[row["k"], " ".join(map(str, row["nbar"])), row["energy"]] for row in rows]
-    _emit(lambda: f"E = {value}", lambda: body, args, config,
+    _emit(lambda: f"E = {value}", lambda: body, args,
           save=_table_save(body, ["k", "nbar", "energy"], csv_rows))
     return 0
 
 
-def _cmd_residual(args, config) -> int:
-    cfg = _theta_config(args, config)
-    spec = _hamiltonian_spec(args, config, cfg.n)
-    k = _setting(args, config, "k", 0)
-    order = _setting(args, config, "order", 4)
-    npoints = _setting(args, config, "points", 20)
-    seed = _setting(args, config, "seed", 0)
-    rng = random.Random(seed)
+def _cmd_residual(args) -> int:
+    cfg = _theta_config(args)
+    spec = _hamiltonian_spec(args, cfg.n)
+    k, order, npoints = args.k, args.order, args.points
+    rng = random.Random(args.seed)
     points = [tuple(Fraction(rng.randint(-200, 200), 100) for _ in range(cfg.n))
               for _ in range(npoints)]
     report = residual_report(spec, cfg, k, order, points)
@@ -309,7 +293,7 @@ def _cmd_residual(args, config) -> int:
                                                      report["eigen_residuals"]))
                 for pi, (gv, ev) in enumerate(zip(grow, erow))]
     header = ["order", "point_index", "ground_residual", "eigen_residual"]
-    _emit(text, lambda: report, args, config, save=_table_save(report, header, csv_rows))
+    _emit(text, lambda: report, args, save=_table_save(report, header, csv_rows))
     return 0
 
 
@@ -335,36 +319,63 @@ def _check_lattice_fit(texts, waves, grid: GridSpec) -> None:
                         f"outside the band {low}..{high} that an N = {N} lattice resolves")
 
 
-def _cmd_oracle(args, config) -> int:
-    cfg = _theta_config(args, config)
+def _cmd_oracle(args) -> int:
+    cfg = _theta_config(args)
     if len(args.exprs) != cfg.n:
         raise UsageError(f"oracle takes exactly {cfg.n} wave expressions, got {len(args.exprs)}")
-    N = _setting(args, config, "N", 8)
-    L = _setting(args, config, "L", 2 * np.pi)
-    budget = _setting(args, config, "budget", 1e8)
-    grid = GridSpec(cfg.n, N, L)
+    grid = GridSpec(cfg.n, args.N, args.L)
     nodes = _parse_exprs(args.exprs, cfg.n)
     waves = [lower_wave(nd, cfg.n) for nd in nodes]
     _check_lattice_fit(args.exprs, waves, grid)
     closed = star_waves(waves, cfg)
     samples = [w.sample_on_grid(grid) for w in waves]
-    lattice = grid_oracle_star(samples, grid, cfg, budget=budget)
+    lattice = grid_oracle_star(samples, grid, cfg, budget=args.budget)
     reference = closed.sample_on_grid(grid)
     scale = max(1e-300, float(np.abs(reference).max()))
     err = float(np.abs(lattice - reference).max()) / scale
     _emit(lambda: f"max relative error = {err!r}",
-          lambda: {"max_relative_error": err, "N": N, "L": L,
-                   "closed_form": json.loads(closed.to_json())}, args, config,
+          lambda: {"max_relative_error": err, "N": args.N, "L": args.L,
+                   "closed_form": json.loads(closed.to_json())}, args,
           save=lambda path: save_lattice(path, lattice, grid))
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None, help="space dimension (default 3)")
-    parser.add_argument("--theta", type=str, default=None,
-                        help="comma-separated rational deformation parameters")
-    parser.add_argument("--format", choices=("text", "json"), default=None)
-    parser.add_argument("--output", type=str, default=None)
+_THETA = {"n": Flag(int, 3, help="space dimension (default 3)"),
+          "theta": Flag(help="comma-separated rational deformation parameters")}
+_FORM = {"format": Flag(default="text", choices=("text", "json")), "output": Flag()}
+_LAMBDAS = {"lambda0": Flag(help="comma-separated diagonal quadratic coefficients"),
+            "lambda2": Flag(help="comma-separated diagonal quartic coefficients")}
+_EXPRS = {"exprs": {"nargs": "+"}}
+
+COMMANDS: dict[str, Command] = {
+    "star": Command("star product of n expressions", _cmd_product, _EXPRS,
+                    {**_THETA, **_FORM}),
+    "bracket": Command("antisymmetrized product of the outer factors", _cmd_product,
+                       {"exprs": {"nargs": "+", "help": "f h middle1 [middle2 ...]"}},
+                       {**_THETA, **_FORM}),
+    "conj": Command("conjugate star product of n expressions", _cmd_product, _EXPRS,
+                    {**_THETA, **_FORM}),
+    "kernel": Command("plane-wave kernel exponent for n frequency vectors", _cmd_kernel,
+                      {"freqs": {"nargs": "+", "help": "comma-separated float vectors"}},
+                      {**_THETA, **_FORM}),
+    "omega": Command("antisymmetric frequency combination (n=3)", _cmd_omega,
+                     {"q": {}, "r": {}}, _FORM),
+    "verify": Command("run the full identity audit suite", _cmd_verify, {},
+                      {"seed": Flag(int, 0), "trials": Flag(int, 100),
+                       "output": Flag(default="nstar_audit.json")}),
+    "spectrum": Command("closed-form oscillator eigenvalues", _cmd_spectrum, {},
+                        {**_THETA, "k": Flag(int, 1), "nbar": Flag(), **_LAMBDAS, **_FORM}),
+    "residual": Command("residual table for the eigenvalue equations", _cmd_residual, {},
+                        {**_THETA, "k": Flag(int, 0), "order": Flag(int, 4),
+                         "points": Flag(int, 20), "seed": Flag(int, 0), **_LAMBDAS,
+                         "pair": Flag(default=(), repeat=True,
+                                      help="pair coupling as i,j=value (repeatable)"),
+                         **_FORM}),
+    "oracle": Command("cross-check wave star product on a lattice", _cmd_oracle, _EXPRS,
+                      {**_THETA, "N": Flag(int, 8, help="points per axis"),
+                       "L": Flag(float, 2 * np.pi, help="period"),
+                       "budget": Flag(float, 1e8, help="kernel work budget"), **_FORM}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -378,85 +389,34 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for COMMANDS, built on first use.  Every flag parses to
+    None when absent, so main can tell it from a value."""
     parser = _Parser(
         prog="nstar",
         description="Exact n-ary star products, identity audits, and the oscillator application.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("star", help="star product of n expressions")
-    _add_common(p)
-    p.add_argument("exprs", nargs="+")
-    p.set_defaults(func=_cmd_star)
-
-    p = sub.add_parser("bracket", help="antisymmetrized product of the outer factors")
-    _add_common(p)
-    p.add_argument("exprs", nargs="+", help="f h middle1 [middle2 ...]")
-    p.set_defaults(func=_cmd_bracket)
-
-    p = sub.add_parser("conj", help="conjugate star product of n expressions")
-    _add_common(p)
-    p.add_argument("exprs", nargs="+")
-    p.set_defaults(func=_cmd_conj)
-
-    p = sub.add_parser("kernel", help="plane-wave kernel exponent for n frequency vectors")
-    _add_common(p)
-    p.add_argument("freqs", nargs="+", help="comma-separated float vectors")
-    p.set_defaults(func=_cmd_kernel)
-
-    p = sub.add_parser("omega", help="antisymmetric frequency combination (n=3)")
-    _add_common(p)
-    p.add_argument("q")
-    p.add_argument("r")
-    p.set_defaults(func=_cmd_omega)
-
-    p = sub.add_parser("verify", help="run the full identity audit suite")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("spectrum", help="closed-form oscillator eigenvalues")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--nbar", type=str, default=None)
-    p.add_argument("--lambda0", type=str, default=None,
-                   help="comma-separated diagonal quadratic coefficients")
-    p.add_argument("--lambda2", type=str, default=None,
-                   help="comma-separated diagonal quartic coefficients")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("residual", help="residual table for the eigenvalue equations")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lambda0", type=str, default=None)
-    p.add_argument("--lambda2", type=str, default=None)
-    p.add_argument("--pair", action="append", default=None,
-                   help="pair coupling as i,j=value (repeatable)")
-    p.set_defaults(func=_cmd_residual)
-
-    p = sub.add_parser("oracle", help="cross-check wave star product on a lattice")
-    _add_common(p)
-    p.add_argument("--N", type=int, default=None, help="points per axis")
-    p.add_argument("--L", type=float, default=None, help="period")
-    p.add_argument("--budget", type=float, default=None, help="kernel work budget")
-    p.add_argument("exprs", nargs="+")
-    p.set_defaults(func=_cmd_oracle)
-
-    for p in sub.choices.values():  # each command's flags, for typing config values
-        p.set_defaults(flags={action.dest: action for action in p._actions})
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for pos, keywords in command.positionals.items():
+            p.add_argument(pos, **keywords)
+        for flag_name, flag in command.flags.items():
+            p.add_argument(f"--{flag_name}", type=flag.type, choices=flag.choices,
+                           help=flag.help, action="append" if flag.repeat else "store")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         config = _load_config()
-        return args.func(args, config)
+        for name, flag in command.flags.items():
+            if getattr(args, name) is None:
+                setattr(args, name, _config_value(flag, name, config[name])
+                        if name in config and not flag.repeat else flag.default)
+        return command.handler(args)
     except ExprError as exc:
         err = UsageError(exc.message, code="parse-error", line=exc.line, col=exc.col)
         print(err.to_json(), file=sys.stderr)

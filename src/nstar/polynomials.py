@@ -160,8 +160,9 @@ class Polynomial:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # the square past the top bit would go unused
+                base = base * base
         return out
 
     # -- calculus ----------------------------------------------------------

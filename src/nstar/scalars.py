@@ -153,8 +153,9 @@ class ExactComplex:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # the square past the top bit would go unused
+                base = base * base
         return out
 
     def conjugate(self) -> "ExactComplex":

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +17,9 @@ from nstar.waves import WaveSum
 
 # The directory holding the nstar package this test run imported.
 IMPORT_ROOT = str(Path(nstar.__file__).resolve().parent.parent)
+REPO = Path(__file__).resolve().parent.parent
 # The narrative scripts under demos/, each run as a child process.
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 
 def run_child(args, cwd=None):
@@ -389,6 +392,83 @@ def test_config_values_take_their_flag_type(tmp_path, monkeypatch, capsys):
     # a float flag takes a JSON integer; a budget of 10 would exit 2
     config_file.write_text(json.dumps({"N": 4, "budget": 10**9}))
     assert main(["oracle", "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 0
+
+
+# Flags their commands never read: verify has no theta and prints only text,
+# omega takes two 3-vectors whatever --n says.
+REMOVED_FLAGS = [
+    ["verify", "--trials", "1", "--n", "3"],
+    ["verify", "--trials", "1", "--theta", "1,1,1"],
+    ["verify", "--trials", "1", "--format", "json"],
+    ["omega", "--n", "3", "0,1,0", "0,0,1"],
+    ["omega", "--theta", "1,1,1", "0,1,0", "0,0,1"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=[" ".join(a) for a in REMOVED_FLAGS])
+def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_sets_hamiltonian_and_nbar(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config_file = tmp_path / "nstar.json"
+    for config, flags in [({"lambda0": "2,3,5", "nbar": "2,1,0"}, []),
+                          ({"lambda0": "2,3,5"}, ["--nbar", "2,1,0"]),
+                          ({"nbar": "2,1,0"}, ["--lambda0", "2,3,5"])]:
+        config_file.write_text(json.dumps(config))
+        assert main(["spectrum", *flags]) == 0
+        assert capsys.readouterr().out == "E = 15/2\n", config
+    config_file.write_text(json.dumps({"lambda0": "2,3,5", "nbar": "2,1,0"}))
+    assert main(["spectrum", "--lambda0", "1,1,1", "--nbar", "0,0,0"]) == 0
+    assert capsys.readouterr().out == "E = 3/2\n"  # the flags win
+    config_file.write_text(json.dumps({"lambda2": "1,1,1"}))
+    assert main(["spectrum"]) == 2
+    assert "--lambda2 requires --lambda0" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    argv = ["omega", "0,1,0", "0,0,1"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    assert main(argv) == 0
+    assert main(["kernel", "1,0,0", "0,1,0", "0,0,1"]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def readme_command_lines() -> list[str]:
+    """The nstar lines of the fenced block under README's "Command line"."""
+    section = (REPO / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("nstar ")]
+
+
+# The README comments that show a command's output.
+README_OUTPUTS = {"x1*x2*x3 + (1/2)i", "E = 3/2"}
+
+
+def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_command_lines()
+    assert len(lines) >= 10
+    shown = set()
+    for line in lines:
+        command, _, comment = line.partition("#")
+        assert main(shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        if comment.strip() in README_OUTPUTS:
+            assert out == comment.strip() + "\n", line
+            shown.add(comment.strip())
+    assert shown == README_OUTPUTS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from nstar import polynomials
 from nstar.polynomials import Polynomial, x
 from nstar.scalars import SQRT2, ExactComplex, I
 
@@ -229,6 +230,20 @@ def test_product_kernel_at_bit_width_boundaries(e1, e2):
     assert_kernel_matches_reference(p, q)
     assert_kernel_matches_reference(p, x1 + x2 + x3)
     assert (p * q).degree() == max(sum(a) + sum(b) for a in p.terms for b in q.terms)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_power_squares_only_while_bits_remain(k, monkeypatch):
+    # a square past the top bit would be the largest product and go unused
+    base = x(1, 3) + x(2, 3) * I + x(3, 3) * Fraction(1, 2)
+    expected = Polynomial.constant(1, 3)
+    for _ in range(k):
+        expected = expected * base
+    calls = []
+    kernel = polynomials._product
+    monkeypatch.setattr(polynomials, "_product", lambda *a: calls.append(a) or kernel(*a))
+    assert base ** k == expected
+    assert len(calls) <= k.bit_length() - 1 + k.bit_count()
 
 
 def test_json_terms_read_each_part_in_lowest_terms():

@@ -56,6 +56,19 @@ def test_pow():
         ONE ** -1
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_pow_squares_only_while_bits_remain(k, monkeypatch):
+    base = ExactComplex(Fraction(1, 2), 3, -1, Fraction(2, 3))
+    expected = ONE
+    for _ in range(k):
+        expected = expected * base
+    calls = []
+    mul = ExactComplex.__mul__
+    monkeypatch.setattr(ExactComplex, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    assert base ** k == expected
+    assert len(calls) <= k.bit_length() - 1 + k.bit_count()
+
+
 # (re, im, rt2_re, rt2_im) -> printed form, measured before the sqrt(2)
 # branch of format_scalar was reduced to one rule.
 RT2_FORMS = [

@@ -401,11 +401,11 @@ def lower_wave(node: Node, n: int) -> WaveSum:
             raise ExprError(f"wave arity {len(node.freqs)} does not match dimension {n}", *node.pos)
         return WaveSum.single(1.0 + 0j, node.freqs)
     if isinstance(node, Sum):
-        total = WaveSum(n)
+        terms = []
         for sign, term in zip(node.signs, node.terms):
             w = lower_wave(term, n)
-            total = total + (w if sign > 0 else w.scale(-1.0))
-        return total
+            terms.extend((w if sign > 0 else w.scale(-1.0)).terms)
+        return WaveSum(n, terms)
     if isinstance(node, Prod):
         total = WaveSum.constant(1.0 + 0j, n)
         for f in node.factors:

@@ -148,14 +148,17 @@ class ExactComplex:
     def __pow__(self, k: int) -> "ExactComplex":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = ONE
+        if k == 0:
+            return ONE
         base = self
-        while k:
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base  # the lowest set bit: no product with the unit
+        while k := k >> 1:
+            base = base * base
             if k & 1:
                 out = out * base
-            k >>= 1
-            if k:  # the square past the top bit would go unused
-                base = base * base
         return out
 
     def conjugate(self) -> "ExactComplex":

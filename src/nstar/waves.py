@@ -30,6 +30,9 @@ _MAX_FREQ = MERGE_TOL * sys.float_info.max
 # A lattice frequency is occupied when its amplitude exceeds this fraction
 # of the largest one (or of 1, whichever is larger).
 OCCUPANCY_CUTOFF = 1e-12
+# Terms per matrix product in WaveSum.sample_on_grid; bounds its scratch
+# memory to SAMPLE_BLOCK * N^(n-1) samples.
+SAMPLE_BLOCK = 64
 
 # i^(n+1) without float drift
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -145,6 +148,13 @@ class GridSpec:
         return np.rint(np.fft.fftfreq(N) * N).astype(int)
 
 
+def _freq_range_error(freq: Sequence[float]) -> OverflowError:
+    return OverflowError(
+        f"wave frequency {list(freq)} is out of range: every component v must "
+        f"keep |v| / MERGE_TOL = |v| / {MERGE_TOL!r} finite, so |v| must stay "
+        f"below about {_MAX_FREQ:.4g}")
+
+
 class WaveSum:
     """Finite sum of plane waves sum_a c_a exp(i s_a . x), canonicalized so
     no two stored frequencies coincide (within MERGE_TOL per component)."""
@@ -160,10 +170,7 @@ class WaveSum:
             try:
                 key = tuple(int(round(v / MERGE_TOL)) for v in freq)
             except OverflowError:
-                raise OverflowError(
-                    f"wave frequency {list(freq)} is out of range: every component v must "
-                    f"keep |v| / MERGE_TOL = |v| / {MERGE_TOL!r} finite, so |v| must stay "
-                    f"below about {_MAX_FREQ:.4g}") from None
+                raise _freq_range_error(freq) from None
             slot = merged.get(key)
             if slot is None:
                 merged[key] = [complex(coeff), freq]
@@ -172,6 +179,14 @@ class WaveSum:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", tuple(
             (c, f) for c, f in (merged[k] for k in sorted(merged)) if c != 0))
+
+    @staticmethod
+    def _canonical(n: int, terms: tuple) -> "WaveSum":
+        """Wrap terms that are already merged, sorted and free of zeros."""
+        w = object.__new__(WaveSum)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "terms", terms)
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("WaveSum is immutable")
@@ -208,15 +223,27 @@ class WaveSum:
         return WaveSum(self.n, out)
 
     def sample_on_grid(self, spec: GridSpec) -> np.ndarray:
+        """sum_a c_a exp(i s_a . x) at every lattice point.
+
+        exp(i s . x) is the product over axes of exp(i s_k x_k), read from
+        one table per axis; each block of terms is one matrix product of
+        its first-axis factors, scaled by the coefficients, with the outer
+        product of its other axes' factors."""
         if spec.n != self.n:
             raise ValueError("dimension mismatch")
-        axes = spec.axis_points()
-        grids = np.meshgrid(*([axes] * self.n), indexing="ij")
-        out = np.zeros((spec.points_per_axis,) * self.n, dtype=complex)
-        for c, f in self.terms:
-            phase = sum(fi * g for fi, g in zip(f, grids))
-            out += c * np.exp(1j * phase)
-        return out
+        n, N = self.n, spec.points_per_axis
+        out = np.zeros((N, N ** (n - 1)), dtype=complex)
+        if self.terms:
+            coeff = np.array([c for c, _ in self.terms], dtype=complex)
+            freq = np.array([f for _, f in self.terms], dtype=float)
+            tables = np.exp(1j * (freq[:, :, None] * spec.axis_points()))  # term, axis, point
+            for lo in range(0, len(coeff), SAMPLE_BLOCK):
+                block = tables[lo:lo + SAMPLE_BLOCK]
+                rest = block[:, n - 1]
+                for k in range(n - 2, 0, -1):
+                    rest = (block[:, k, :, None] * rest[:, None, :]).reshape(len(block), -1)
+                out += (coeff[lo:lo + SAMPLE_BLOCK, None] * block[:, 0]).T @ rest
+        return out.reshape((N,) * n)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -278,9 +305,31 @@ def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:
             raise ValueError("factor dimension mismatch")
     coeffs = [np.array([c for c, _ in w.terms], dtype=complex) for w in factors]
     slots = [np.array([f for _, f in w.terms], dtype=float).reshape(-1, n) for w in factors]
-    coeff = _weighted_products(coeffs, slots, cfg)
-    freq = sum(_along(j, f, n) for j, f in enumerate(slots))
-    return WaveSum(n, zip(coeff.ravel().tolist(), freq.reshape(-1, n).tolist()))
+    coeff = _weighted_products(coeffs, slots, cfg).ravel()
+    freq = sum(_along(j, f, n) for j, f in enumerate(slots)).reshape(-1, n)
+    return _merge(n, coeff, freq)
+
+
+def _merge(n: int, coeff: np.ndarray, freq: np.ndarray) -> WaveSum:
+    """The WaveSum of the rows (coeff[i], freq[i]), merged with arrays into
+    exactly the terms WaveSum.__init__ builds from them: the same keys, the
+    first frequency of each key, the coefficients summed in row order."""
+    with np.errstate(over="ignore"):
+        keys = np.rint(freq / MERGE_TOL)
+    bad = ~np.isfinite(keys).all(axis=1)
+    if bad.any():
+        raise _freq_range_error(freq[np.argmax(bad)].tolist())
+    order = np.lexsort(keys.T[::-1])  # stable: rows of one key keep their order
+    keys, coeff, freq = keys[order], coeff[order], freq[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    group = np.cumsum(starts) - 1
+    sums = coeff[starts]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(sums, group[~starts], coeff[~starts])
+    keep = sums != 0
+    return WaveSum._canonical(n, tuple(zip(sums[keep].tolist(),
+                                           map(tuple, freq[starts][keep].tolist()))))
 
 
 def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaConfig,

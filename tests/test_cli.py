@@ -1,6 +1,9 @@
 import argparse
+import hashlib
+import itertools
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -280,6 +283,40 @@ def test_oracle_command(capsys):
     out = capsys.readouterr().out
     err = float(out.split("=")[1])
     assert err <= 1e-9
+
+
+def _pinned_wave_text(rng, freqs):
+    parts = []
+    for f in freqs:
+        a, b = rng.randint(-8, 8), rng.randint(1, 8)
+        parts.append(f"({a}/8 {rng.choice('+-')} {b}/8i)*wave({','.join(map(str, f))})")
+    return " + ".join(parts)
+
+
+def _pinned_oracle_inputs():
+    rng = random.Random("oracle-pin")
+    cube = list(itertools.product((-1, 0, 1), repeat=3))
+    unit = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    star = [(0,) * 4] + unit + [tuple(-v for v in u) for u in unit]
+    return [("3", "1,-1/2,2", [_pinned_wave_text(rng, cube) for _ in range(3)]),
+            ("4", "1,2,-1,1/2", [_pinned_wave_text(rng, star) for _ in range(4)])]
+
+
+# sha256 of json.dumps(closed_form), measured before star_waves merged its
+# output with arrays: the 27-term n = 3 and the 9-term n = 4 input.
+ORACLE_CLOSED_FORM_SHA256 = [
+    "763f9f937efdf73152ded8b2ae8420b5f384cb5db370b56be7ad3155a72d88a4",
+    "31ff75c1ff3a0d15c1258e621547cf2ee716ee7c14e7cc6f152574799d24f44a",
+]
+
+
+def test_oracle_closed_form_pinned(capsys):
+    for (n, theta, texts), digest in zip(_pinned_oracle_inputs(), ORACLE_CLOSED_FORM_SHA256):
+        assert main(["oracle", "--n", n, "--N", "8", f"--theta={theta}", "--format", "json",
+                     *texts]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["max_relative_error"] <= 1e-12
+        assert hashlib.sha256(json.dumps(body["closed_form"]).encode()).hexdigest() == digest
 
 
 def test_oracle_rejects_period_that_does_not_fit_waves(tmp_path, monkeypatch, capsys):

@@ -100,6 +100,41 @@ def test_lower_wave():
     assert w == WaveSum(3, [(2.0, (1.0, 0.0, 0.0)), (1.0, (0.0, 1.0, 1.0))])
 
 
+def _running_sum_lowering(node, n):
+    """Reference: a Sum lowered by adding its terms to a running WaveSum."""
+    total = WaveSum(n)
+    for sign, term in zip(node.signs, node.terms):
+        w = lower_wave(term, n)
+        total = total + (w if sign > 0 else w.scale(-1.0))
+    return total
+
+
+def test_lower_wave_sum_matches_running_merge():
+    rng = random.Random("wave-sums")
+    for _ in range(40):
+        parts = []
+        for _ in range(rng.randint(1, 40)):
+            a, b = rng.randint(-4, 4), rng.randint(0, 4)
+            freq = ",".join(str(rng.randint(-1, 1)) for _ in range(3))
+            parts.append(f"{rng.choice('+-')} ({a}/3 {rng.choice('+-')} {b}/5i)*wave({freq})")
+        tree = parse_expression(" ".join(parts).lstrip("+ "), 3)
+        assert isinstance(tree, Sum)
+        got, ref = lower_wave(tree, 3), _running_sum_lowering(tree, 3)
+        assert got == ref
+        assert [f for _, f in got.terms] == [f for _, f in ref.terms]
+
+
+def test_lower_wave_sum_after_exact_cancellation():
+    # The one place one merge and a running merge can differ: once a key
+    # cancels exactly, the running merge drops it and restarts from the next
+    # term, while one merge adds that term to +0.0.  The values stay ==.
+    tree = parse_expression("wave(1,0,0) - wave(1,0,0) - 1i*wave(1,0,0)", 3)
+    got, ref = lower_wave(tree, 3), _running_sum_lowering(tree, 3)
+    assert repr(got.terms) == "((-1j, (1.0, 0.0, 0.0)),)"
+    assert repr(ref.terms) == "(((-0-1j), (1.0, 0.0, 0.0)),)"
+    assert got == ref
+
+
 def test_round_trip_examples():
     for text in ("x1*x2 + 2*x3^2", "a(1,2)*abar(1,2)", "-x1 - 2i*x2",
                  "(x1 + x2)^3", "wave(1.0,0.5,-2.0)", "1/2i", "3 - 1/7*x3"):

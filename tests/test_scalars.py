@@ -66,7 +66,7 @@ def test_pow_squares_only_while_bits_remain(k, monkeypatch):
     mul = ExactComplex.__mul__
     monkeypatch.setattr(ExactComplex, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
     assert base ** k == expected
-    assert len(calls) <= k.bit_length() - 1 + k.bit_count()
+    assert len(calls) == k.bit_length() - 1 + k.bit_count() - 1
 
 
 # (re, im, rt2_re, rt2_im) -> printed form, measured before the sqrt(2)

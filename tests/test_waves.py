@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nstar import waves
 from nstar.starcore import ThetaConfig
 from nstar.waves import (
     MERGE_TOL,
+    SAMPLE_BLOCK,
     GridSpec,
     KernelOverflowError,
     WaveSum,
@@ -364,3 +366,84 @@ def test_coefficient_overflow_names_the_tuple():
               WaveSum.single(1, (0, 0, 1))]
     (coeff, _), = star_waves(inside, theta3(0, 0, 0)).terms
     assert coeff == (1e150 + 0j) * 1e150
+
+
+# -- the array merge and the separable sampler ---------------------------------
+
+def _merge_value(rng, big):
+    """A frequency component: small integers nudged within MERGE_TOL, signed
+    zeros, or (when big) magnitudes up to 1e295."""
+    r = rng.random()
+    if r < 0.15:
+        return rng.choice([0.0, -0.0])
+    if big and r < 0.5:
+        return rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(250, 295)
+    return float(rng.randint(-1, 1)) + rng.choice([0.0, 0.0, 3e-13, -4e-13, 2e-12])
+
+
+def _merge_coeff(rng):
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5)
+    return complex(rng.choice(parts), rng.choice(parts))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_star_waves_merge_matches_wavesum_by_repr(n, monkeypatch):
+    rows = []
+    merge = waves._merge
+    monkeypatch.setattr(waves, "_merge", lambda *a: rows.append(a) or merge(*a))
+    rng = random.Random(60 + n)
+    zero, e1 = (0.0,) * n, (1.0,) + (0.0,) * (n - 1)
+    # the two tuples that reach e1 cancel exactly, so the key is dropped
+    cancel = [WaveSum(n, [(1, e1), (1, zero)]), WaveSum(n, [(1, zero), (-1, e1)])]
+    cancel += [WaveSum.constant(1, n)] * (n - 2)
+    cases = [(ThetaConfig(n, (Fraction(0),) * n), cancel)]
+    for case in range(60):
+        big = case % 3 == 0  # only theta = 0 keeps exp(kernel) finite at 1e295
+        cfg = ThetaConfig(n, (Fraction(0),) * n) if case % 3 < 2 else _random_theta(rng, n)
+        cases.append((cfg, [WaveSum(n, [(_merge_coeff(rng), [_merge_value(rng, big) for _ in range(n)])
+                                        for _ in range(rng.randint(1, 6))]) for _ in range(n)]))
+    for cfg, factors in cases:
+        got = star_waves(factors, cfg)
+        _, coeff, freq = rows.pop()
+        ref = WaveSum(n, zip(coeff.tolist(), freq.tolist()))
+        assert repr(got.terms) == repr(ref.terms)
+        assert got.n == n
+
+
+def test_star_waves_merge_key_overflow_names_the_frequency():
+    # each factor's key is finite; the output frequency 3e296 is not
+    factors = [WaveSum.single(1, (1e296, 0, 0)) for _ in range(3)]
+    with pytest.raises(OverflowError) as exc:
+        star_waves(factors, theta3(0, 0, 0))
+    total = 1e296 + 1e296 + 1e296
+    assert f"wave frequency {[total, 0.0, 0.0]} is out of range" in str(exc.value)
+    with pytest.raises(OverflowError) as direct:
+        WaveSum.single(1, (total, 0, 0))
+    assert str(exc.value) == str(direct.value)
+
+
+def _sample_direct(w, spec):
+    """Reference: exp(i s . x) evaluated term by term at every lattice point."""
+    points = list(itertools.product(spec.axis_points(), repeat=w.n))
+    out = np.zeros(len(points), dtype=complex)
+    for c, f in w.terms:
+        out += np.array([c * cmath.exp(1j * sum(a * b for a, b in zip(f, x))) for x in points])
+    return out.reshape((spec.points_per_axis,) * w.n)
+
+
+@pytest.mark.parametrize("n, N, terms", [(3, 6, 5), (3, 4, 2 * SAMPLE_BLOCK + 7), (4, 4, SAMPLE_BLOCK + 1)])
+def test_sample_on_grid_matches_direct_evaluation(n, N, terms):
+    rng = random.Random(70 + terms)
+    spec = GridSpec(n, N, 2.5)  # 2*pi/L does not divide these frequencies
+    w = WaveSum(n, [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                     tuple(rng.uniform(-4, 4) for _ in range(n))) for _ in range(terms)])
+    assert len(w.terms) == terms
+    got, ref = w.sample_on_grid(spec), _sample_direct(w, spec)
+    assert got.shape == (N,) * n
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_sample_on_grid_of_empty_sum_is_zero():
+    for n in (3, 4):
+        out = WaveSum(n).sample_on_grid(GridSpec(n, 4, 1.0))
+        assert out.shape == (4,) * n and out.dtype == complex and not out.any()

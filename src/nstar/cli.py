@@ -177,15 +177,14 @@ def _cmd_product(args) -> int:
     nodes = _parse_exprs(args.exprs, cfg.n)
     if args.command == "star" and any(contains_wave(nd) for nd in nodes):
         result = star_waves([lower_wave(nd, cfg.n) for nd in nodes], cfg)
-        _emit(lambda: str(result), lambda: json.loads(result.to_json()), args)
-        return 0
-    polys = [lower_poly(nd, cfg.n) for nd in nodes]
-    if args.command == "bracket":
-        result = star_bracket(polys[0], polys[1], polys[2:], cfg)
-    elif args.command == "conj":
-        result = conjugate_star_n(polys, cfg)
     else:
-        result = star_n(polys, cfg)
+        polys = [lower_poly(nd, cfg.n) for nd in nodes]
+        if args.command == "bracket":
+            result = star_bracket(polys[0], polys[1], polys[2:], cfg)
+        elif args.command == "conj":
+            result = conjugate_star_n(polys, cfg)
+        else:
+            result = star_n(polys, cfg)
     _emit(lambda: str(result), lambda: {"n": result.n, "terms": result.to_json_terms()}, args)
     return 0
 
@@ -335,7 +334,7 @@ def _cmd_oracle(args) -> int:
     err = float(np.abs(lattice - reference).max()) / scale
     _emit(lambda: f"max relative error = {err!r}",
           lambda: {"max_relative_error": err, "N": args.N, "L": args.L,
-                   "closed_form": json.loads(closed.to_json())}, args,
+                   "closed_form": {"n": closed.n, "terms": closed.to_json_terms()}}, args,
           save=lambda path: save_lattice(path, lattice, grid))
     return 0
 

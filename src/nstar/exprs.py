@@ -24,11 +24,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .closedforms import complex_pair
 from .polynomials import Polynomial
 from .scalars import ExactComplex
-from .waves import WaveSum
+from .waves import WaveSum, merge_terms
 
 
 class ExprError(ValueError):
@@ -100,8 +101,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -110,28 +110,29 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
+    line, line_start = 1, 0  # the offset pos is in column pos - line_start + 1
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:  # text[pos] starts no token
+            break
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind != "ws":
+            tokens.append(Token(kind, m.group(), line, start - line_start + 1))
+        elif newlines := text.count("\n", start, pos):
+            line += newlines
+            line_start = text.rfind("\n", start, pos) + 1
+    if pos != len(text):
+        raise ExprError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
 # -- parser ------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+
 
 class _Parser:
     def __init__(self, text: str, n: int):
@@ -226,10 +227,10 @@ class _Parser:
         start = (tok.line, tok.col)
         if tok.kind == "imag":
             self.advance()
-            return Lit(Fraction(0), Fraction(tok.text[:-1]), pos=start)
+            return Lit(_ZERO, self.rational(tok, tok.text[:-1]), pos=start)
         if tok.kind == "number":
             self.advance()
-            return Lit(Fraction(tok.text), Fraction(0), pos=start)
+            return Lit(self.rational(tok, tok.text), _ZERO, pos=start)
         if tok.kind == "float":
             self.error("float literals are only allowed inside wave(...)", tok)
         if tok.kind == "name":
@@ -272,6 +273,15 @@ class _Parser:
         self.error(f"expected an atom, found {tok.text!r}" if tok.kind != "eof"
                    else "unexpected end of input", tok)
 
+    def rational(self, tok: Token, text: str) -> Fraction:
+        """The rational p or p/q in text, read from tok."""
+        num, _, den = text.partition("/")
+        if not den:
+            return Fraction(int(num))
+        if not int(den):
+            self.error(f"zero denominator in {text!r}", tok)
+        return Fraction(int(num), int(den))
+
     def real(self, what: str) -> float:
         sign = 1.0
         tok = self.peek()
@@ -279,13 +289,16 @@ class _Parser:
             self.advance()
             sign = -1.0
             tok = self.peek()
+        if tok.kind not in ("float", "number"):
+            self.error(f"expected {what}", tok)
+        self.advance()
         if tok.kind == "float":
-            self.advance()
             return sign * float(tok.text)
-        if tok.kind == "number":
-            self.advance()
-            return sign * float(Fraction(tok.text))
-        self.error(f"expected {what}", tok)
+        # an integer needs no Fraction: float(int) rounds as float(Fraction) does
+        try:
+            return sign * float(self.rational(tok, tok.text) if "/" in tok.text else int(tok.text))
+        except OverflowError:
+            self.error(f"{what} out of float range", tok)
 
 
 def parse_expression(text: str, n: int) -> Node:
@@ -389,32 +402,56 @@ def lower_poly(node: Node, n: int) -> Polynomial:
 
 
 def lower_wave(node: Node, n: int) -> WaveSum:
-    """Lower to a WaveSum; coordinate atoms are rejected."""
+    """Lower to a WaveSum; coordinate atoms are rejected.
+
+    The tree lowers to plain (coeff, freq) term lists, and one WaveSum is
+    built from the top one.  Its terms are exactly those of a merged
+    WaveSum built at every node: each node's list is merged (merge_terms),
+    except a Sum's, which is merged where it is used (by a product, a
+    power, a minus sign or an enclosing Sum, or at the top by WaveSum).
+    """
+    return WaveSum(n, _wave_terms(node, n))
+
+
+def _wave_terms(node: Node, n: int):
+    """node's terms: merged, except a Sum's, which are its terms' merged
+    terms, negated by sign, one after another."""
     if isinstance(node, Lit):
-        if node.im:
-            return WaveSum.constant(complex(0, float(node.im)), n)
-        return WaveSum.constant(complex(float(node.re), 0), n)
+        coeff = complex(0, float(node.im)) if node.im else complex(float(node.re), 0)
+        return [(coeff, (0.0,) * n)] if coeff else []
     if isinstance(node, (Coord, ComplexCoord)):
         raise ExprError("coordinate atoms cannot appear in a wave expression", *node.pos)
     if isinstance(node, Wave):
         if len(node.freqs) != n:
             raise ExprError(f"wave arity {len(node.freqs)} does not match dimension {n}", *node.pos)
-        return WaveSum.single(1.0 + 0j, node.freqs)
+        return merge_terms(n, [(1.0 + 0j, node.freqs)])
     if isinstance(node, Sum):
         terms = []
         for sign, term in zip(node.signs, node.terms):
-            w = lower_wave(term, n)
-            terms.extend((w if sign > 0 else w.scale(-1.0)).terms)
-        return WaveSum(n, terms)
+            part = _merged_terms(term, n)
+            terms.extend(part if sign > 0 else [(c * -1.0, f) for c, f in part])
+        return terms
     if isinstance(node, Prod):
-        total = WaveSum.constant(1.0 + 0j, n)
+        total = [(1.0 + 0j, (0.0,) * n)]
         for f in node.factors:
-            total = total * lower_wave(f, n)
+            total = _pointwise(total, _merged_terms(f, n), n)
         return total
     if isinstance(node, Pow):
-        base = lower_wave(node.base, n)
-        total = WaveSum.constant(1.0 + 0j, n)
+        base = _merged_terms(node.base, n)
+        total = [(1.0 + 0j, (0.0,) * n)]
         for _ in range(node.exp):
-            total = total * base
+            total = _pointwise(total, base, n)
         return total
     raise TypeError(f"unknown node {node!r}")
+
+
+def _merged_terms(node: Node, n: int):
+    terms = _wave_terms(node, n)
+    return merge_terms(n, terms) if isinstance(node, Sum) else terms
+
+
+def _pointwise(a, b, n: int) -> tuple:
+    """The merged terms of the product of two merged term lists, as
+    WaveSum.__mul__ forms them."""
+    return merge_terms(n, [(c1 * c2, tuple([u + v for u, v in zip(f1, f2)]))
+                           for c1, f1 in a for c2, f2 in b])

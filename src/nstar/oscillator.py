@@ -170,7 +170,7 @@ class PolyGauss:
         # d_a (p w^s) = (d_a p - s x_a p) w^s
         reduced = self.poly.diff(axis)
         if self.scale:
-            reduced = reduced - x(axis, self.poly.n) * self.poly * self.scale
+            reduced = reduced + self.poly.times_coordinate(axis) * -self.scale
         return PolyGauss(reduced, self.scale)
 
     def is_zero(self) -> bool:

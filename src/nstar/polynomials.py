@@ -184,6 +184,14 @@ class Polynomial:
             out[new] = coeff * e
         return Polynomial._trusted(self.n, out)
 
+    def times_coordinate(self, axis: int) -> "Polynomial":
+        """self * x_axis (1-based): every exponent of x_axis up by one."""
+        if not 1 <= axis <= self.n:
+            raise ValueError(f"axis {axis} out of range 1..{self.n}")
+        j = axis - 1
+        return Polynomial._trusted(self.n, {exps[:j] + (exps[j] + 1,) + exps[j + 1:]: coeff
+                                            for exps, coeff in self.terms.items()})
+
     def conjugate(self) -> "Polynomial":
         """Complex conjugate (coefficient-wise; the variables are real)."""
         return Polynomial._trusted(self.n, {e: c.conjugate() for e, c in self.terms.items()})

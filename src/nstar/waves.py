@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,8 +43,9 @@ class WorkBudgetError(RuntimeError):
 
 
 class KernelOverflowError(OverflowError):
-    """Raised when a plane-wave multiplier exp(kernel exponent), or its
-    product with the factor coefficients, is not finite."""
+    """Raised when a plane-wave multiplier exp(kernel exponent), its product
+    with the factor coefficients, or a merged wave coefficient is not
+    finite."""
 
 
 def freq_cross(q: Sequence[float], r: Sequence[float]) -> tuple:
@@ -155,30 +156,54 @@ def _freq_range_error(freq: Sequence[float]) -> OverflowError:
         f"below about {_MAX_FREQ:.4g}")
 
 
+def _coeff_overflow_error(coeff: complex, freq: Sequence[float]) -> KernelOverflowError:
+    return KernelOverflowError(
+        f"merged wave coefficient at frequency {list(freq)} is not finite: {coeff!r}")
+
+
+def merge_terms(n: int, terms: Iterable[tuple[complex, Sequence[float]]]) -> tuple:
+    """(coeff, freq) terms in the canonical form a WaveSum holds.
+
+    Frequencies whose components round to the same multiples of MERGE_TOL
+    share a key; each key keeps its first frequency and the sum of its
+    coefficients, added in input order.  Keys come out sorted and exact
+    zeros are dropped.  A frequency whose key is not finite raises
+    OverflowError, and a non-finite coefficient KernelOverflowError, both
+    naming the frequency.
+    """
+    merged: dict[tuple[int, ...], list] = {}
+    for coeff, freq in terms:
+        freq = tuple(map(float, freq))
+        if len(freq) != n:
+            raise ValueError("frequency dimension mismatch")
+        try:
+            key = tuple([round(v / MERGE_TOL) for v in freq])
+        except OverflowError:
+            raise _freq_range_error(freq) from None
+        slot = merged.get(key)
+        if slot is None:
+            merged[key] = [complex(coeff), freq]
+        else:
+            slot[0] += complex(coeff)
+    out = []
+    for key in sorted(merged):
+        coeff, freq = merged[key]
+        if coeff != 0:
+            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+                raise _coeff_overflow_error(coeff, freq)
+            out.append((coeff, freq))
+    return tuple(out)
+
+
 class WaveSum:
     """Finite sum of plane waves sum_a c_a exp(i s_a . x), canonicalized so
     no two stored frequencies coincide (within MERGE_TOL per component)."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Sequence[tuple[complex, Sequence[float]]] = ()):
-        merged: dict[tuple[int, ...], list] = {}
-        for coeff, freq in terms:
-            freq = tuple(float(v) for v in freq)
-            if len(freq) != n:
-                raise ValueError("frequency dimension mismatch")
-            try:
-                key = tuple(int(round(v / MERGE_TOL)) for v in freq)
-            except OverflowError:
-                raise _freq_range_error(freq) from None
-            slot = merged.get(key)
-            if slot is None:
-                merged[key] = [complex(coeff), freq]
-            else:
-                slot[0] += complex(coeff)
+    def __init__(self, n: int, terms: Iterable[tuple[complex, Sequence[float]]] = ()):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple(
-            (c, f) for c, f in (merged[k] for k in sorted(merged)) if c != 0))
+        object.__setattr__(self, "terms", merge_terms(n, terms))
 
     @staticmethod
     def _canonical(n: int, terms: tuple) -> "WaveSum":
@@ -245,11 +270,11 @@ class WaveSum:
                 out += (coeff[lo:lo + SAMPLE_BLOCK, None] * block[:, 0]).T @ rest
         return out.reshape((N,) * n)
 
+    def to_json_terms(self) -> list[dict]:
+        return [{"re": c.real, "im": c.imag, "freq": list(f)} for c, f in self.terms]
+
     def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "terms": [{"re": c.real, "im": c.imag, "freq": list(f)} for c, f in self.terms],
-        })
+        return json.dumps({"n": self.n, "terms": self.to_json_terms()})
 
     @staticmethod
     def from_json(text: str) -> "WaveSum":
@@ -312,24 +337,29 @@ def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:
 
 def _merge(n: int, coeff: np.ndarray, freq: np.ndarray) -> WaveSum:
     """The WaveSum of the rows (coeff[i], freq[i]), merged with arrays into
-    exactly the terms WaveSum.__init__ builds from them: the same keys, the
-    first frequency of each key, the coefficients summed in row order."""
+    exactly the terms merge_terms builds from them: the same keys, the
+    first frequency of each key, the coefficients summed in row order, and
+    the same errors for a key or a sum that is not finite."""
     with np.errstate(over="ignore"):
         keys = np.rint(freq / MERGE_TOL)
     bad = ~np.isfinite(keys).all(axis=1)
     if bad.any():
         raise _freq_range_error(freq[np.argmax(bad)].tolist())
     order = np.lexsort(keys.T[::-1])  # stable: rows of one key keep their order
-    keys, coeff, freq = keys[order], coeff[order], freq[order]
+    keys, coeff = keys[order], coeff[order]
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     group = np.cumsum(starts) - 1
     sums = coeff[starts]
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(sums, group[~starts], coeff[~starts])
+    freq = freq[order[starts]]  # the first frequency of each key
+    bad = ~np.isfinite(sums)
+    if bad.any():
+        first = np.argmax(bad)
+        raise _coeff_overflow_error(complex(sums[first]), freq[first].tolist())
     keep = sums != 0
-    return WaveSum._canonical(n, tuple(zip(sums[keep].tolist(),
-                                           map(tuple, freq[starts][keep].tolist()))))
+    return WaveSum._canonical(n, tuple(zip(sums[keep].tolist(), map(tuple, freq[keep].tolist()))))
 
 
 def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaConfig,

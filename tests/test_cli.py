@@ -152,13 +152,13 @@ def test_only_the_requested_format_is_rendered(monkeypatch, capsys):
     counting(Polynomial, "__str__")
     counting(Polynomial, "to_json_terms")
     counting(WaveSum, "__str__")
-    counting(WaveSum, "to_json")
+    counting(WaveSum, "to_json_terms")
     exprs = STAR_PIN_ARGS[1:]
     waves = ["--theta", "1,0,0", "wave(1,0,0)", "2*wave(0,1,0)", "wave(0,0,1)"]
     for argv in (["star", *exprs], ["conj", *exprs], ["bracket", *exprs], ["star", *waves]):
         assert main(argv[:1] + ["--format", "json"] + argv[1:]) == 0
         assert main(argv) == 0
-    assert rendered == ["to_json_terms", "__str__"] * 3 + ["to_json", "__str__"]
+    assert rendered == ["to_json_terms", "__str__"] * 4
     capsys.readouterr()
 
 
@@ -347,6 +347,102 @@ def test_oracle_rejects_wave_outside_lattice_band(wave, capsys):
     assert "N = 4" in error["message"]
     assert main(["oracle", "--N", "4", "wave(-2,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 0
     assert float(capsys.readouterr().out.split("=")[1]) <= 1e-9
+
+# -- wave output, byte for byte ---------------------------------------------------
+
+# One product with nested sums, a power, a p/q frequency component and
+# repeated output frequencies; the strings are the output of the code before
+# the wave front end was flattened (lowering, tokens, JSON built once).
+WAVE_FACTORS = ["(1/2 + 3i)*(wave(1,0,0) - wave(0,1,0))^2", "2*wave(0,0,1) - 1i*wave(1,1,0)",
+                "wave(1,0,0) + 1/4"]
+WAVE_STAR_ARGS = ["star", "--theta", "1,1/2,-1",
+                  WAVE_FACTORS[0] + " + wave(1/3,-2,0.5)", *WAVE_FACTORS[1:]]
+
+WAVE_STAR_TEXT = (
+    '((0.25+1.5j))*exp(i[0.0, 2.0, 1.0].x)'
+    ' + ((0.5+0j))*exp(i[0.3333333333333333, -2.0, 1.5].x)'
+    ' + ((-0.5-3j))*exp(i[1.0, 1.0, 1.0].x)'
+    ' + ((1.6487212707001282+9.89232762420077j))*exp(i[1.0, 2.0, 1.0].x)'
+    ' + ((0.75-0.125j))*exp(i[1.0, 3.0, 0.0].x)'
+    ' + ((1.2130613194252668+0j))*exp(i[1.3333333333333333, -2.0, 1.5].x)'
+    ' + (-0.25j)*exp(i[1.3333333333333333, -1.0, 0.5].x)'
+    ' + ((0.25+1.5j))*exp(i[2.0, 0.0, 1.0].x)'
+    ' + ((-2.568050833375483-15.408305000252897j))*exp(i[2.0, 1.0, 1.0].x)'
+    ' + ((-1.5+0.25j))*exp(i[2.0, 2.0, 0.0].x)'
+    ' + ((3-0.5j))*exp(i[2.0, 3.0, 0.0].x)'
+    ' + (-1.2840254166877414j)*exp(i[2.333333333333333, -1.0, 0.5].x)'
+    ' + ((1+6j))*exp(i[3.0, 0.0, 1.0].x)'
+    ' + ((0.75-0.125j))*exp(i[3.0, 1.0, 0.0].x)'
+    ' + ((-6+1j))*exp(i[3.0, 2.0, 0.0].x)'
+    ' + ((3-0.5j))*exp(i[4.0, 1.0, 0.0].x)\n'
+)
+
+WAVE_STAR_JSON = (
+    '{"n": 3, "terms": [{"re": 0.25, "im": 1.5, "freq": [0.0, 2.0, 1.0]}'
+    ', {"re": 0.5, "im": 0.0, "freq": [0.3333333333333333, -2.0, 1.5]}'
+    ', {"re": -0.5, "im": -3.0, "freq": [1.0, 1.0, 1.0]}'
+    ', {"re": 1.6487212707001282, "im": 9.89232762420077, "freq": [1.0, 2.0, 1.0]}'
+    ', {"re": 0.75, "im": -0.125, "freq": [1.0, 3.0, 0.0]}'
+    ', {"re": 1.2130613194252668, "im": 0.0, "freq": [1.3333333333333333, -2.0, 1.5]}'
+    ', {"re": 0.0, "im": -0.25, "freq": [1.3333333333333333, -1.0, 0.5]}'
+    ', {"re": 0.25, "im": 1.5, "freq": [2.0, 0.0, 1.0]}'
+    ', {"re": -2.568050833375483, "im": -15.408305000252897, "freq": [2.0, 1.0, 1.0]}'
+    ', {"re": -1.5, "im": 0.25, "freq": [2.0, 2.0, 0.0]}'
+    ', {"re": 3.0, "im": -0.5, "freq": [2.0, 3.0, 0.0]}'
+    ', {"re": 0.0, "im": -1.2840254166877414, "freq": [2.333333333333333, -1.0, 0.5]}'
+    ', {"re": 1.0, "im": 6.0, "freq": [3.0, 0.0, 1.0]}'
+    ', {"re": 0.75, "im": -0.125, "freq": [3.0, 1.0, 0.0]}'
+    ', {"re": -6.0, "im": 1.0, "freq": [3.0, 2.0, 0.0]}'
+    ', {"re": 3.0, "im": -0.5, "freq": [4.0, 1.0, 0.0]}]}\n'
+)
+
+WAVE_ORACLE_JSON_TAIL = (
+    '"N": 8, "L": 6.283185307179586, "closed_form": '
+    '{"n": 3, "terms": [{"re": 0.25, "im": 1.5, "freq": [0.0, 2.0, 1.0]}'
+    ', {"re": -0.5, "im": -3.0, "freq": [1.0, 1.0, 1.0]}'
+    ', {"re": 1.6487212707001282, "im": 9.89232762420077, "freq": [1.0, 2.0, 1.0]}'
+    ', {"re": 0.75, "im": -0.125, "freq": [1.0, 3.0, 0.0]}'
+    ', {"re": 0.25, "im": 1.5, "freq": [2.0, 0.0, 1.0]}'
+    ', {"re": -2.568050833375483, "im": -15.408305000252897, "freq": [2.0, 1.0, 1.0]}'
+    ', {"re": -1.5, "im": 0.25, "freq": [2.0, 2.0, 0.0]}'
+    ', {"re": 3.0, "im": -0.5, "freq": [2.0, 3.0, 0.0]}'
+    ', {"re": 1.0, "im": 6.0, "freq": [3.0, 0.0, 1.0]}'
+    ', {"re": 0.75, "im": -0.125, "freq": [3.0, 1.0, 0.0]}'
+    ', {"re": -6.0, "im": 1.0, "freq": [3.0, 2.0, 0.0]}'
+    ', {"re": 3.0, "im": -0.5, "freq": [4.0, 1.0, 0.0]}]}}\n'
+)
+
+
+def test_wave_star_output_is_pinned(capsys):
+    assert main(WAVE_STAR_ARGS) == 0
+    assert capsys.readouterr().out == WAVE_STAR_TEXT
+    assert main(WAVE_STAR_ARGS + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == WAVE_STAR_JSON
+
+
+def test_wave_oracle_output_is_pinned(capsys):
+    assert main(["oracle", "--theta", "1,1/2,-1", "--N", "8", "--format", "json",
+                 *WAVE_FACTORS]) == 0
+    # the lattice error is numpy's FFT rounding, which need not match to the
+    # last bit across numpy builds; every other byte is this package's
+    head, _, tail = capsys.readouterr().out.partition(", ")
+    assert head.startswith('{"max_relative_error": ') and float(head.split(": ")[1]) <= 1e-12
+    assert tail == WAVE_ORACLE_JSON_TAIL
+
+
+def test_overflowing_merged_wave_coefficient_is_a_usage_error(capsys):
+    big = "(10^154)*wave(1,0,0) + (10^154)*wave(0,1,0)"
+    big_swapped = "(10^154)*wave(0,1,0) + (10^154)*wave(1,0,0)"
+    assert main(["star", "--theta", "0,0,0", big, big_swapped, "wave(0,0,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err)["error"]["message"]
+    assert message.startswith("merged wave coefficient at frequency [1.0, 1.0, 1.0] is not finite")
+    # a sum that overflows while the expression is lowered names its frequency too
+    assert main(["star", "10^308*wave(1,0,0) + 10^308*wave(1,0,0)", "wave(0,1,0)",
+                 "wave(0,0,1)"]) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == "merged wave coefficient at frequency [1.0, 0.0, 0.0] is not finite: (inf+0j)"
 
 
 def test_wave_overflow_diagnostics_name_the_input(capsys):

@@ -148,6 +148,21 @@ def test_polygauss_derivative():
     assert plain.diff(1).poly == x(1, 3) * 2
 
 
+def test_polygauss_derivative_matches_the_product_formula():
+    # x_a * p is taken as an exponent shift; the derivative stays the exact
+    # (d_a p - s x_a p) of the product kernel
+    rng = random.Random(21)
+    for n in (3, 4):
+        corpus = CorpusSpec(dims=(n,))
+        for _ in range(10):
+            p = sample_poly(rng, n, corpus) + ground_state(rng.randint(0, 2), n).poly
+            for scale in (0, 1, 3):
+                for axis in range(1, n + 1):
+                    got = PolyGauss(p, scale).diff(axis)
+                    assert got.scale == scale
+                    assert got.poly == p.diff(axis) - x(axis, n) * p * scale
+
+
 def test_polygauss_eval_matches_direct():
     pg = PolyGauss(x(1, 3) ** 2, 1)
     pt = (Fraction(1, 2), Fraction(0), Fraction(1))

@@ -104,6 +104,17 @@ def test_eval_exact_matches_fraction_reference():
     assert Polynomial.constant(7, 2).eval_exact((Fraction(1, 3), 5)) == ExactComplex(7)
 
 
+def test_times_coordinate_is_the_product_with_x():
+    rng = random.Random("times-coordinate")
+    for n in (1, 3, 4):
+        for trial in range(8):
+            p = seeded_poly(rng, n, rng.randint(0, 6), rng.choice((1, 3)), trial % 2 == 1)
+            for k in range(1, n + 1):
+                assert parts_of(p.times_coordinate(k)) == parts_of(x(k, n) * p)
+    with pytest.raises(ValueError):
+        x(1, 3).times_coordinate(4)
+
+
 def test_graded_lex_ordering():
     p = Polynomial.constant(1, 3) + x(1, 3) ** 2 + x(1, 3) * x(2, 3) + x(3, 3)
     keys = [k for k, _ in p.sorted_terms()]

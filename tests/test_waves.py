@@ -368,6 +368,23 @@ def test_coefficient_overflow_names_the_tuple():
     assert coeff == (1e150 + 0j) * 1e150
 
 
+def test_overflowing_merge_names_the_frequency():
+    # every coefficient is finite; their merged sum is not
+    with pytest.raises(KernelOverflowError) as exc:
+        WaveSum(3, [(1e308, (1, 0, 0)), (2.0, (0, 1, 0)), (1e308, (1, 0, 0))])
+    assert str(exc.value) == ("merged wave coefficient at frequency [1.0, 0.0, 0.0] is not "
+                              "finite: (inf+0j)")
+    # star_waves' array merge: every tuple's product is finite, two of them
+    # reach [1, 1, 1]
+    factors = [WaveSum(3, [(1e308, (1, 0, 0)), (1e308, (0, 1, 0))]),
+               WaveSum(3, [(1, (0, 1, 0)), (1, (1, 0, 0))]), WaveSum.single(1, (0, 0, 1))]
+    with pytest.raises(KernelOverflowError) as exc:
+        star_waves(factors, theta3(0, 0, 0))
+    assert str(exc.value) == ("merged wave coefficient at frequency [1.0, 1.0, 1.0] is not "
+                              "finite: (inf+0j)")
+    assert isinstance(exc.value, OverflowError)
+
+
 # -- the array merge and the separable sampler ---------------------------------
 
 def _merge_value(rng, big):

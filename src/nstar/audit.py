@@ -10,6 +10,13 @@ asserted but do not follow mechanically (associativity, both Jacobi
 forms, the complex-coordinate closed forms) are audited and reported,
 whichever way they come out.
 
+Every claim is declared once, as one row of ``_build_claim_table``: id,
+kind, corpus, sampler and the function that computes its two sides.  A
+three-factor claim's row names the factor in each slot with a layout of
+three words, such as ``"xk f xs1"`` or ``"g f abar"``: ``f`` and ``g`` are
+the sampled polynomials; ``xk``, ``xs1`` and ``xs2`` are x_k, x_sigma(k)
+and x_sigma^2(k); ``a`` and ``abar`` are ``complex_pair(i, j)``.
+
 Every claim runs on its own fixed corpus.  A failing equality and a
 generic witness take one confirmation path: the differing inputs are
 shrunk, re-checked against the naive term-by-term operator oracle, and
@@ -142,7 +149,6 @@ class ClaimDef:
     sampler: Callable[[random.Random, int, CorpusSpec], ClaimInputs] | None = None
     sides: Callable[[ClaimInputs, Callable], tuple[Polynomial, Polynomial]] | None = None
     canonical_first: Callable[[], ClaimInputs] | None = None
-    coincidence: Callable[[int], ClaimInputs] | None = None
     vector_check: Callable[[random.Random], bool] | None = None
 
 
@@ -176,25 +182,15 @@ def _slot_sampler(rng: random.Random, n: int, corpus: CorpusSpec) -> ClaimInputs
     return ClaimInputs(n, theta, polys, {"m": m, "p": p})
 
 
-def _distributivity_sides(slot: str):
+def _distributivity_sides(pos: int | None):
+    """Additivity in slot pos (None: the last slot)."""
     def sides(inputs: ClaimInputs, star) -> tuple[Polynomial, Polynomial]:
         cfg = inputs.cfg()
-        n = inputs.n
-        u, v, *rest = inputs.polys  # the two summands, then the fixed factors
-        fixed = list(rest)  # n-1 fixed factors
-        if slot == "first":
-            pos = 0
-        elif slot == "middle":
-            pos = 1
-        else:
-            pos = n - 1
+        u, v, *fixed = inputs.polys  # the two summands, then the n-1 fixed factors
+        at = len(fixed) if pos is None else pos
         def place(p):
-            slots = list(fixed)
-            slots.insert(pos, p)
-            return slots
-        lhs = star(place(u + v), cfg)
-        rhs = star(place(u), cfg) + star(place(v), cfg)
-        return lhs, rhs
+            return (*fixed[:at], p, *fixed[at:])
+        return star(place(u + v), cfg), star(place(u), cfg) + star(place(v), cfg)
     return sides
 
 
@@ -265,52 +261,35 @@ def _theta_zero_sides(inputs: ClaimInputs, star):
     return lhs, rhs
 
 
-def _cf_coord_sides(which: str):
+def _factors(layout: str, inputs: ClaimInputs) -> tuple[Polynomial, ...]:
+    """The factors a layout names, one per word, in its order."""
+    words = layout.split()
+    n, meta = inputs.n, inputs.meta
+    named = dict(zip(("f", "g"), inputs.polys))
+    for power, word in enumerate(("xk", "xs1", "xs2")):
+        if word in words:
+            named[word] = x(sigma_power(meta["k"], power, n), n)
+    if "a" in words or "abar" in words:
+        named["a"], named["abar"] = complex_pair(meta["i"], meta["j"], n)
+    return tuple(named[word] for word in words)
+
+
+def _closed_form_sides(closed: Callable, layout: str):
+    """closed(meta, *polys, cfg) against the product of the layout's factors."""
     def sides(inputs: ClaimInputs, star):
         cfg = inputs.cfg()
-        k = inputs.meta["k"]
-        f, g = inputs.polys
-        if which == "first":
-            return star_coord_first(k, f, g, cfg), star((x(k, 3), f, g), cfg)
-        if which == "middle":
-            return star_coord_middle(k, g, f, cfg), star((g, x(k, 3), f), cfg)
-        return star_coord_last(k, f, g, cfg), star((f, g, x(k, 3)), cfg)
+        return closed(inputs.meta, *inputs.polys, cfg), star(_factors(layout, inputs), cfg)
     return sides
 
 
-def _cf_two_coords_sides(variant: str):
+def _products_sides(left: str, right: str, conjugate_left: bool = False):
+    """The products of two three-factor layouts' factors, the first
+    conjugated when conjugate_left is set."""
     def sides(inputs: ClaimInputs, star):
         cfg = inputs.cfg()
-        k = inputs.meta["k"]
-        (f,) = inputs.polys
-        s1, s2 = sigma_power(k, 1, 3), sigma_power(k, 2, 3)
-        slots = {
-            "sigma-next-middle": (x(k, 3), x(s1, 3), f),
-            "sigma-next-last": (x(k, 3), f, x(s1, 3)),
-            "sigma2-next-middle": (x(k, 3), x(s2, 3), f),
-            "sigma2-next-last": (x(k, 3), f, x(s2, 3)),
-        }[variant]
-        return star_two_coords(k, variant, f, cfg), star(slots, cfg)
-    return sides
-
-
-def _cf_complex_sides(variant: str):
-    def sides(inputs: ClaimInputs, star):
-        cfg = inputs.cfg()
-        i, j = inputs.meta["i"], inputs.meta["j"]
-        f, g = inputs.polys
-        a, abar = complex_pair(i, j, 3)
-        slots = {
-            "a-f-g": (a, f, g),
-            "abar-f-g": (abar, f, g),
-            "g-f-a": (g, f, a),
-            "g-f-abar": (g, f, abar),
-            "g-f-abar-alt": (g, f, abar),
-            "f-a-g": (f, a, g),
-            "f-abar-g": (f, abar, g),
-        }[variant]
-        closed = star_complex_form(variant, i, j, f, g, cfg)
-        return closed, star(slots, cfg)
+        factors = _factors(f"{left} {right}", inputs)  # complex_pair runs once
+        lhs = star(factors[:3], cfg)
+        return (lhs.conjugate() if conjugate_left else lhs), star(factors[3:], cfg)
     return sides
 
 
@@ -324,56 +303,11 @@ def _cf_nary_slot_sides(inputs: ClaimInputs, star):
     return closed, star(tuple(slots), cfg)
 
 
-def _conj_xx_sides(power: int):
-    def sides(inputs: ClaimInputs, star):
-        cfg = inputs.cfg()
-        k = inputs.meta["k"]
-        (f,) = inputs.polys
-        s = sigma_power(k, power, 3)
-        lhs = star((x(k, 3), x(s, 3), f), cfg).conjugate()
-        rhs = star((x(k, 3), f, x(s, 3)), cfg)
-        return lhs, rhs
-    return sides
-
-
-def _noncomm_sides(which: int):
-    def sides(inputs: ClaimInputs, star):
-        cfg = inputs.cfg()
-        if which == 1:
-            k = inputs.meta["k"]
-            f, g = inputs.polys
-            return star((x(k, 3), g, f), cfg), star((f, g, x(k, 3)), cfg)
-        if which == 2:
-            k = inputs.meta["k"]
-            f, g = inputs.polys
-            return star((g, x(k, 3), f), cfg), star((f, x(k, 3), g), cfg)
-        i, j = inputs.meta["i"], inputs.meta["j"]
-        f, g = inputs.polys
-        a, _ = complex_pair(i, j, 3)
-        return star((a, f, g), cfg), star((g, f, a), cfg)
-    return sides
-
-
-def _conj_inequality_sides(which: int):
-    def sides(inputs: ClaimInputs, star):
-        cfg = inputs.cfg()
-        i, j = inputs.meta["i"], inputs.meta["j"]
-        f, g = inputs.polys
-        a, abar = complex_pair(i, j, 3)
-        if which == 1:
-            return star((a, f, g), cfg).conjugate(), star((abar, f, g), cfg)
-        if which == 2:
-            return star((g, f, a), cfg).conjugate(), star((g, f, abar), cfg)
-        return star((f, a, g), cfg).conjugate(), star((f, abar, g), cfg)
-    return sides
-
-
-def _constant_coincidence(meta_axes: str):
-    def build(n: int) -> ClaimInputs:
-        polys = (Polynomial.constant(2, n), Polynomial.constant(3, n))
-        meta = {"k": 1} if meta_axes == "k" else {"i": 1, "j": 2}
-        return ClaimInputs(n, (Fraction(1),) * n, polys, meta)
-    return build
+# The inputs on which a witness claim's two sides must coincide: constant
+# factors, with every axis a layout may name.
+_CONSTANT_INPUTS = ClaimInputs(3, (Fraction(1),) * 3,
+                               (Polynomial.constant(2, 3), Polynomial.constant(3, 3)),
+                               {"k": 1, "i": 1, "j": 2})
 
 
 def _omega_antisym_check(rng: random.Random) -> bool:
@@ -407,10 +341,10 @@ def _build_claim_table() -> dict[str, ClaimDef]:
 
     defs: list[ClaimDef] = []
 
-    for idx, slot in enumerate(("first", "middle", "last"), start=1):
+    for idx, pos in enumerate((0, 1, None), start=1):
         defs.append(ClaimDef(
             name=f"distributivity-{idx}", kind="equality", corpus=general,
-            sampler=_poly_sampler(1), sides=_distributivity_sides(slot)))
+            sampler=_poly_sampler(1), sides=_distributivity_sides(pos)))
 
     defs.append(ClaimDef(
         name="associativity", kind="equality", corpus=three,
@@ -435,60 +369,64 @@ def _build_claim_table() -> dict[str, ClaimDef]:
         name="theta-zero", kind="equality", corpus=general,
         sampler=_poly_sampler(0), sides=_theta_zero_sides))
 
-    for which in ("first", "middle", "last"):
+    # The three-factor claims: each row names the factor in every slot
+    # with a layout (see the module docstring for its words).
+    coord_forms = (
+        ("first", lambda m, f, g, cfg: star_coord_first(m["k"], f, g, cfg), "xk f g"),
+        ("middle", lambda m, f, g, cfg: star_coord_middle(m["k"], g, f, cfg), "g xk f"),
+        ("last", lambda m, f, g, cfg: star_coord_last(m["k"], f, g, cfg), "f g xk"),
+    )
+    for which, closed, layout in coord_forms:
         defs.append(ClaimDef(
             name=f"cf-coord-{which}", kind="equality", corpus=three,
-            sampler=_axis_poly_sampler(2), sides=_cf_coord_sides(which)))
+            sampler=_axis_poly_sampler(2), sides=_closed_form_sides(closed, layout)))
 
-    for idx, variant in enumerate(TWO_COORD_VARIANTS, start=1):
+    two_coord_layouts = ("xk xs1 f", "xk f xs1", "xk xs2 f", "xk f xs2")
+    for idx, (variant, layout) in enumerate(zip(TWO_COORD_VARIANTS, two_coord_layouts), start=1):
         defs.append(ClaimDef(
             name=f"cf-two-coords-{idx}", kind="equality", corpus=three,
-            sampler=_axis_poly_sampler(1), sides=_cf_two_coords_sides(variant)))
+            sampler=_axis_poly_sampler(1), sides=_closed_form_sides(
+                lambda m, f, cfg, v=variant: star_two_coords(m["k"], v, f, cfg), layout)))
 
-    for idx, variant in enumerate(COMPLEX_FORM_VARIANTS, start=1):
+    # a complex form's variant name spells its layout: "g-f-abar" is "g f abar"
+    complex_forms = {f"cf-complex-{idx}": variant
+                     for idx, variant in enumerate(COMPLEX_FORM_VARIANTS, start=1)}
+    complex_forms["cf-complex-4-alt"] = "g-f-abar-alt"
+    for name, variant in complex_forms.items():
         defs.append(ClaimDef(
-            name=f"cf-complex-{idx}", kind="equality", corpus=three,
-            sampler=_axis_poly_sampler(2, distinct_pair=True),
-            sides=_cf_complex_sides(variant)))
-    defs.append(ClaimDef(
-        name="cf-complex-4-alt", kind="equality", corpus=three,
-        sampler=_axis_poly_sampler(2, distinct_pair=True),
-        sides=_cf_complex_sides("g-f-abar-alt")))
+            name=name, kind="equality", corpus=three,
+            sampler=_axis_poly_sampler(2, distinct_pair=True), sides=_closed_form_sides(
+                lambda m, f, g, cfg, v=variant: star_complex_form(v, m["i"], m["j"], f, g, cfg),
+                variant.removesuffix("-alt").replace("-", " "))))
 
     defs.append(ClaimDef(
         name="cf-nary-slot", kind="equality", corpus=general,
         sampler=_slot_sampler, sides=_cf_nary_slot_sides))
 
-    for idx, power in enumerate((1, 2), start=1):
+    for idx, s in enumerate(("xs1", "xs2"), start=1):
         defs.append(ClaimDef(
             name=f"conj-xx-f-{idx}", kind="equality", corpus=real3,
-            sampler=_axis_poly_sampler(1), sides=_conj_xx_sides(power)))
+            sampler=_axis_poly_sampler(1),
+            sides=_products_sides(f"xk {s} f", f"xk f {s}", conjugate_left=True)))
 
-    defs.append(ClaimDef(
-        name="noncomm-witness-1", kind="witness", corpus=three,
-        sampler=_axis_poly_sampler(2, nonzero_theta=True), sides=_noncomm_sides(1),
-        coincidence=_constant_coincidence("k")))
-    defs.append(ClaimDef(
-        name="noncomm-witness-2", kind="witness", corpus=three,
-        sampler=_axis_poly_sampler(2, nonzero_theta=True), sides=_noncomm_sides(2),
-        coincidence=_constant_coincidence("k")))
-    defs.append(ClaimDef(
-        name="noncomm-witness-3", kind="witness", corpus=three,
-        sampler=_axis_poly_sampler(2, nonzero_theta=True, distinct_pair=True),
-        sides=_noncomm_sides(3),
-        coincidence=_constant_coincidence("ij")))
+    noncomm_layouts = (("xk g f", "f g xk"), ("g xk f", "f xk g"), ("a f g", "g f a"))
+    for idx, (left, right) in enumerate(noncomm_layouts, start=1):
+        defs.append(ClaimDef(
+            name=f"noncomm-witness-{idx}", kind="witness", corpus=three,
+            sampler=_axis_poly_sampler(2, nonzero_theta=True, distinct_pair="a" in left.split()),
+            sides=_products_sides(left, right)))
 
     defs.append(ClaimDef(
         name="omega-antisym", kind="vector", vector_check=_omega_antisym_check))
     defs.append(ClaimDef(
         name="omega-cyclic", kind="vector", vector_check=_omega_cyclic_check))
 
-    for idx in (1, 2, 3):
+    inequality_layouts = (("a f g", "abar f g"), ("g f a", "g f abar"), ("f a g", "f abar g"))
+    for idx, (left, right) in enumerate(inequality_layouts, start=1):
         defs.append(ClaimDef(
             name=f"conj-inequality-{idx}", kind="witness", corpus=real3,
             sampler=_axis_poly_sampler(2, nonzero_theta=True, distinct_pair=True),
-            sides=_conj_inequality_sides(idx),
-            coincidence=_constant_coincidence("ij")))
+            sides=_products_sides(left, right, conjugate_left=True)))
 
     return {d.name: d for d in defs}
 
@@ -650,7 +588,7 @@ def audit_claim(claim: str, seed: int = 0, trials: int = 100) -> ClaimReport:
     # witness kind: the sides differ generically but coincide on constants
     if record is None:
         note = "no differing inputs found"
-    elif engine_mismatch(cdef.coincidence(corpus.dims[0])):
+    elif engine_mismatch(_CONSTANT_INPUTS):
         note = "degenerate inputs unexpectedly differ"
     else:
         record["coincidence"] = "sides coincide on constant inputs"

@@ -302,7 +302,8 @@ def _check_lattice_fit(texts, waves, grid: GridSpec) -> None:
     that integer must lie in the lattice's band, or the DFT aliases it to
     another frequency."""
     N = grid.points_per_axis
-    low, high = -(N // 2), (N + 1) // 2 - 1  # the range of GridSpec.int_freqs()
+    ints = grid.int_freqs()
+    low, high = int(ints.min()), int(ints.max())
     for pos, (text, wave) in enumerate(zip(texts, waves), start=1):
         for _, freq in wave.terms:
             for v in freq:
@@ -323,6 +324,10 @@ def _cmd_oracle(args) -> int:
     if len(args.exprs) != cfg.n:
         raise UsageError(f"oracle takes exactly {cfg.n} wave expressions, got {len(args.exprs)}")
     grid = GridSpec(cfg.n, args.N, args.L)
+    # checked before sampling: the oracle's cost is at least N^n once a factor is nonzero
+    if args.N ** cfg.n > args.budget:
+        raise WorkBudgetError(f"lattice of N^n = {args.N}^{cfg.n} points exceeds "
+                              f"budget {args.budget:.3g}")
     nodes = _parse_exprs(args.exprs, cfg.n)
     waves = [lower_wave(nd, cfg.n) for nd in nodes]
     _check_lattice_fit(args.exprs, waves, grid)

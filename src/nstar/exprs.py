@@ -417,7 +417,10 @@ def _wave_terms(node: Node, n: int):
     """node's terms: merged, except a Sum's, which are its terms' merged
     terms, negated by sign, one after another."""
     if isinstance(node, Lit):
-        coeff = complex(0, float(node.im)) if node.im else complex(float(node.re), 0)
+        try:
+            coeff = complex(0, float(node.im)) if node.im else complex(float(node.re), 0)
+        except OverflowError:
+            raise ExprError("literal out of float range in a wave expression", *node.pos) from None
         return [(coeff, (0.0,) * n)] if coeff else []
     if isinstance(node, (Coord, ComplexCoord)):
         raise ExprError("coordinate atoms cannot appear in a wave expression", *node.pos)

@@ -132,8 +132,9 @@ class GridSpec:
             raise ValueError("dimension must be at least 3")
         if self.points_per_axis < 1:
             raise ValueError("points_per_axis must be positive")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not (0 < self.period < math.inf and math.isfinite(self.base_freq)):
+            raise ValueError(f"period L = {self.period!r} must be positive and finite, "
+                             f"with 2*pi/L finite")
 
     @property
     def base_freq(self) -> float:

@@ -174,6 +174,13 @@ def test_run_suite_deterministic_and_complete():
     assert digest == "9fcc6bdd4e16a1a886d2754c2abbabb671e310607acdb06761e5c55676b3cc0b"
 
 
+def test_full_report_pinned():
+    # the bytes `nstar verify --seed 42 --trials 100` writes
+    report = reports_to_json(run_suite(seed=42, trials=100)) + "\n"
+    digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
+    assert digest == "b6cf6560081592cea6db6968a8b391dc9b29f6d16ec9f6dfe650fab1b2f7e7b3"
+
+
 def test_run_suite_seed_changes_reports():
     r1 = run_suite(seed=1, trials=4)
     r2 = run_suite(seed=2, trials=4)

@@ -335,6 +335,30 @@ def test_oracle_rejects_period_that_does_not_fit_waves(tmp_path, monkeypatch, ca
     assert float(capsys.readouterr().out.split("=")[1]) <= 1e-9
 
 
+@pytest.mark.parametrize("period", ["inf", "nan", "1e-320"])
+def test_oracle_rejects_non_finite_period(period, capsys):
+    # L = 1e-320 is positive and finite, but 2*pi/L is not
+    assert main(["oracle", "--L", period, "wave(0,0,0)", "wave(0,0,0)", "wave(0,0,0)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "usage"
+    assert f"period L = {float(period)!r}" in error["message"]
+
+
+def test_oracle_budget_is_checked_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the budget check")
+    monkeypatch.setattr(WaveSum, "sample_on_grid", no_sampling)
+    assert main(["oracle", "--N", "8", "--budget", "100",
+                 "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "budget"
+    assert "8^3" in error["message"] and "budget 100" in error["message"]
+
+
 @pytest.mark.parametrize("wave", ["wave(2,0,0)", "wave(3,0,0)", "wave(-3,0,0)"])
 def test_oracle_rejects_wave_outside_lattice_band(wave, capsys):
     # N = 4 resolves the integer frequencies -2..1; beyond them the DFT aliases

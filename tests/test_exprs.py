@@ -95,6 +95,18 @@ def test_mixing_wave_and_coordinates_rejected():
         lower_wave(tree, 3)
 
 
+@pytest.mark.parametrize("text, col", [
+    ("1" + "0" * 400 + "*wave(1,0,0)", 1),
+    ("wave(1,0,0) + 1" + "0" * 400 + "i", 15),
+], ids=["real", "imaginary"])
+def test_wave_literal_out_of_float_range_is_positioned(text, col):
+    tree = parse_expression(text, 3)
+    with pytest.raises(ExprError) as err:
+        lower_wave(tree, 3)
+    assert "out of float range" in err.value.message
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_lower_wave():
     tree = parse_expression("2*wave(1,0,0) + wave(0,1,0)*wave(0,0,1)", 3)
     assert contains_wave(tree)

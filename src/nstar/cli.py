@@ -324,6 +324,8 @@ def _cmd_oracle(args) -> int:
     if len(args.exprs) != cfg.n:
         raise UsageError(f"oracle takes exactly {cfg.n} wave expressions, got {len(args.exprs)}")
     grid = GridSpec(cfg.n, args.N, args.L)
+    if not args.budget > 0:  # a NaN budget would pass every comparison below
+        raise UsageError(f"--budget must be positive (inf for no limit), got {args.budget!r}")
     # checked before sampling: the oracle's cost is at least N^n once a factor is nonzero
     if args.N ** cfg.n > args.budget:
         raise WorkBudgetError(f"lattice of N^n = {args.N}^{cfg.n} points exceeds "

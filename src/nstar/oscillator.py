@@ -176,20 +176,15 @@ class PolyGauss:
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
+    @property
+    def terms(self):
+        """The term dict of the polynomial part."""
+        return self.poly.terms
+
     def degree(self) -> int | None:
         """Degree as a polynomial: the polynomial part's at scale 0; None at
         a positive scale, where the value is no polynomial."""
         return None if self.scale else self.poly.degree()
-
-    def __mul__(self, other) -> "PolyGauss":
-        if isinstance(other, PolyGauss):
-            return PolyGauss(self.poly * other.poly, self.scale + other.scale)
-        return PolyGauss(self.poly * other, self.scale)  # scalar factor
-
-    def __add__(self, other: "PolyGauss") -> "PolyGauss":
-        if self.scale != other.scale:
-            raise ValueError("cannot add Gaussian-weighted values of different scale")
-        return PolyGauss(self.poly + other.poly, self.scale)
 
     def eval(self, point: Sequence) -> complex:
         """Value at a point.  The polynomial part is evaluated exactly, with
@@ -234,7 +229,7 @@ def star_increments(factors: Sequence[PolyGauss], cfg: ThetaConfig,
         raise ValueError("order must be non-negative")
     if len(factors) != cfg.n:
         raise ValueError(f"expected {cfg.n} factors, got {len(factors)}")
-    return [increment.poly for increment in star_series(factors, cfg, order)]
+    return list(star_series(factors, cfg, order))
 
 
 def star_polygauss_truncated(factors: Sequence[PolyGauss], cfg: ThetaConfig,

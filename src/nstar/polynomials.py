@@ -13,6 +13,7 @@ first, which keeps every output deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -24,6 +25,9 @@ from .scalars import (ExactComplex, ONE, ZERO, _lowest_terms, _make, _numerators
                       scalar_is_negative_leading)
 
 MultiIndex = tuple[int, ...]
+# packed terms: (key, (a, b, c, d)) rows, and the (shifts, mask) of a key
+Rows = list[tuple[int, tuple[int, int, int, int]]]
+Layout = tuple[tuple[int, ...], int]
 
 
 def _grlex_key(exps: MultiIndex):
@@ -64,9 +68,9 @@ class Polynomial:
     def _trusted(n: int, terms: dict[MultiIndex, ExactComplex]) -> "Polynomial":
         """Wrap terms that are already canonical (length-n keys, no zero
         coefficients) without the checks of __init__."""
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", terms)
+        p = _new(Polynomial)
+        _set_n(p, n)
+        _set_terms(p, terms)
         return p
 
     @staticmethod
@@ -293,31 +297,61 @@ class Polynomial:
         return Polynomial.from_json_terms(data["n"], data["terms"])
 
 
+# the slots' setters, past the immutability guard of __setattr__
+_set_n = Polynomial.n.__set__
+_set_terms = Polynomial.terms.__set__
+_new = object.__new__
+
+
 def _product(a: Mapping[MultiIndex, ExactComplex], b: Mapping[MultiIndex, ExactComplex],
              n: int) -> dict[MultiIndex, ExactComplex]:
-    """Term dict of the product of two term dicts in n variables.
+    """Term dict of the product of two term dicts in n variables: pack
+    both, one multiply, one unpack.
 
-    Exponent tuples are packed into one int each (Kronecker substitution)
-    with w bits per axis, where w is the bit width of the product's total
-    degree; no exponent of the product needs more, so multiplying two
-    monomials is one int add that never carries between axes.  Each
-    operand's coefficients are taken over that operand's common
-    denominator, so the products accumulate as integer numerators over one
-    denominator, and a scalar is built once per nonzero output term.  Keys
-    are unpacked once, at the end.
+    The keys are packed at the bit width of the product's total degree;
+    no exponent of the product needs more, so no key carries between axes.
     """
     if not a or not b:
         return {}
-    width = (max(map(sum, a)) + max(map(sum, b))).bit_length()
-    shifts = [width * i for i in range(n)]
-    den_a, rows_a = _numerators(a.values())
-    den_b, rows_b = _numerators(b.values())
-    packed_b = [(sum(map(operator.lshift, e, shifts)), row) for e, row in zip(b, rows_b)]
+    layout = _layout((max(map(sum, a)) + max(map(sum, b))).bit_length(), n)
+    den_a, rows_a = _pack(a, layout)
+    den_b, rows_b = _pack(b, layout)
     acc: dict[int, list[int]] = {}
+    _multiply(rows_a, rows_b, acc)
+    return _unpack(acc, den_a * den_b, layout)
+
+
+@functools.cache
+def _layout(width: int, n: int) -> Layout:
+    """(shifts, mask) of keys packed at `width` bits per axis in n
+    variables: the bit offset of each axis, and the mask of one axis."""
+    return tuple([width * i for i in range(n)]), (1 << width) - 1
+
+
+def _pack(terms: Mapping[MultiIndex, ExactComplex], layout: Layout) -> tuple[int, Rows]:
+    """(den, rows): den is the least common denominator of the
+    coefficients, and rows lists the terms as (key, (a, b, c, d)) pairs,
+    the numerators over den.
+
+    A key packs an exponent tuple into one int (Kronecker substitution),
+    in the fields of ``_layout``.  While no exponent outgrows its field,
+    the key of a product of monomials is the sum of their keys.
+    """
+    shifts = layout[0]
+    den, numerators = _numerators(terms.values())
+    return den, [(sum(map(operator.lshift, e, shifts)), row) for e, row in zip(terms, numerators)]
+
+
+def _multiply(rows_a, rows_b, acc: dict[int, list[int]]) -> None:
+    """Add the product of two sequences of packed (key, (a, b, c, d)) rows
+    into acc, key -> [a, b, c, d]; the items of such an acc are rows too.
+
+    Numerators (a, b, c, d) denote (a + b*i) + sqrt(2)*(c + d*i); the
+    product's are over the product of the operands' denominators.
+    """
     get = acc.get
-    for e1, (a1, b1, c1, d1) in zip(a, rows_a):
-        k1 = sum(map(operator.lshift, e1, shifts))
-        for k2, (a2, b2, c2, d2) in packed_b:
+    for k1, (a1, b1, c1, d1) in rows_a:
+        for k2, (a2, b2, c2, d2) in rows_b:
             # (u1 + rt2*v1)(u2 + rt2*v2) = (u1*u2 + 2*v1*v2) + rt2*(u1*v2 + v1*u2)
             re = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
             im = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
@@ -331,10 +365,62 @@ def _product(a: Mapping[MultiIndex, ExactComplex], b: Mapping[MultiIndex, ExactC
                 cur[1] += im
                 cur[2] += r2re
                 cur[3] += r2im
-    den = den_a * den_b
-    mask = (1 << width) - 1
+
+
+def _unpack(acc: Mapping[int, Sequence[int]], den: int,
+            layout: Layout) -> dict[MultiIndex, ExactComplex]:
+    """The term dict of an accumulator of keys packed in the fields of
+    ``layout`` and numerators over den: one scalar per nonzero term."""
+    shifts, mask = layout
     return {tuple([(key >> s) & mask for s in shifts]): _make(re, im, r2re, r2im, den)
             for key, (re, im, r2re, r2im) in acc.items() if re or im or r2re or r2im}
+
+
+def _sum_of_products(weights: Sequence[ExactComplex], chains: Sequence[Sequence],
+                     slots: Sequence[Mapping[object, Mapping[MultiIndex, ExactComplex]]],
+                     n: int) -> dict[MultiIndex, ExactComplex]:
+    """Term dict of sum_i weights[i] * prod_j slots[j][chains[i][j]], where
+    slots[j] maps a key to a term dict in n variables.
+
+    Every term dict is packed once, at the bit width of the largest
+    possible product degree (the sum over slots of their largest degree).
+    A chain's numerators are over the product of its slots' denominators,
+    so its weight is taken over that product too; then every chain's
+    numerators are over one common denominator, and ``_fold`` multiplies
+    all of them out into one accumulator, unpacked once.
+    """
+    if not chains:
+        return {}
+    layout = _layout(sum(max(max(map(sum, terms)) for terms in slot.values())
+                         for slot in slots).bit_length(), n)
+    packed = [{key: _pack(terms, layout) for key, terms in slot.items()} for slot in slots]
+    scaled = []
+    for w, chain in zip(weights, chains):
+        a, b, c, d, e = w._q
+        scaled.append(_make(a, b, c, d, e * math.prod([packed[j][key][0]
+                                                       for j, key in enumerate(chain)])))
+    den, rows = _numerators(scaled)
+    return _unpack(_fold(0, list(zip(rows, chains)), packed), den, layout)
+
+
+def _fold(level: int, group: list, packed: list[dict]) -> dict[int, list[int]]:
+    """The accumulator of sum over group of weight * prod_{j >= level} slot_j.
+
+    group holds (weight numerators, chain) pairs, chain[j] naming slot j's
+    packed rows in packed[j].  Chains that share slot `level`'s rows share
+    one multiply by them (the distributive law): each distinct entry
+    multiplies the fold of its chains over the later slots, and past the
+    last slot a fold is the sum of the weights.
+    """
+    if level == len(packed):
+        return {0: [sum(parts) for parts in zip(*[row for row, _ in group])]}
+    by_slot: dict[object, list] = {}
+    for item in group:
+        by_slot.setdefault(item[1][level], []).append(item)
+    acc: dict[int, list[int]] = {}
+    for key, sub in by_slot.items():
+        _multiply(_fold(level + 1, sub, packed).items(), packed[level][key][1], acc)
+    return acc
 
 
 def _powers(base: int, top: int) -> list[int]:

@@ -11,8 +11,12 @@ polynomials the exponential series terminates at the smallest factor
 degree.
 
 One series engine, ``star_series``, yields the per-order increments of
-that exponential over any slot value that can be differentiated,
-multiplied and tested for zero.  It has two callers:
+that exponential, as polynomials, over any slot value that can be
+differentiated and tested for zero and has a polynomial part (for a
+Gaussian-weighted value, the polynomial its weight multiplies).  Each
+order is one integer pass: the slot derivatives are packed once, and the
+slot products are multiplied out as packed integer rows through the loop
+of ``Polynomial.__mul__``.  It has two callers:
 
 * ``star_n``                        polynomials; sums the increments up to
                                     the smallest factor degree
@@ -23,7 +27,8 @@ multiplied and tested for zero.  It has two callers:
 
 ``conjugate_star_n`` is ``star_n`` at negated theta.  ``star_n_stepwise``
 applies the operator literally, m times, and divides by m!: a naive
-oracle that shares no loop with the engine, kept to cross-check it.
+oracle that shares no series loop with the engine, kept to cross-check
+it.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import Polynomial
-from .scalars import ExactComplex
+from .polynomials import Polynomial, _sum_of_products
+from .scalars import ONE, ExactComplex
 
 RationalLike = int | Fraction
 
@@ -145,16 +150,25 @@ def _compositions(m: int, parts: int):
 
 
 def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
-    """Yield the increments 0..order of m[exp(operator) applied to the factors];
-    without an order, every increment up to the series bound.
+    """Yield the increments 0..order of m[exp(operator) applied to the factors]
+    as polynomials; without an order, every increment up to the series bound.
 
     Increment m is (1/m!) times the m-fold operator application,
     multiplied out across the slots.  The tensor terms commute (they are
     built from partial derivatives), so it is a sum over multisets
     (c_1..c_T) of total size m of prod_t (T_t)^{c_t} / c_t!.  A slot value
     needs ``diff(axis)``, ``is_zero()``, ``degree()`` (None when its
-    derivatives never vanish) and ``*`` by a slot value and by a scalar.
-    Slot derivatives are memoized per factor on the vector of per-axis
+    derivatives never vanish) and ``terms``, the term dict of its
+    polynomial part; an increment is the polynomial part of the product
+    (for Gaussian-weighted slots, the part at the summed scale).
+
+    Each order is one integer pass.  Its live compositions (those with no
+    zero slot) are collected first, with each one's weight
+    prod_t w_t^c_t / c_t!; ``polynomials._sum_of_products`` then packs
+    every slot derivative they use once (it has m derivatives, so it
+    belongs to this order only) and multiplies the weighted slot products
+    out as packed integer rows into one accumulator, unpacked once.  Slot
+    derivatives are memoized per factor on the vector of per-axis
     derivative counts.  Past the series bound (``_series_bound``) every
     increment is zero and is yielded without enumerating compositions.
     """
@@ -183,37 +197,35 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
             raise ValueError("the series does not terminate: give an order")
         order = bound
     for m in range(order + 1):
-        increment = None
+        weights: list[ExactComplex] = []
+        chains: list[list[tuple[int, ...]]] = []  # per live composition, each slot's counts
         # past the bound every composition has a zero slot: none is enumerated
         comps = _compositions(m, len(terms)) if bound is None or m <= bound else ()
         for comp in comps:
             used = [(t, c) for t, c in enumerate(comp) if c]
-            slots = []
+            chain = []
             for j in range(n):
                 counts = [0] * n
                 for t, c in used:
                     counts[terms[t].slot_axes[j] - 1] += c
-                pj = diffed(j, tuple(counts))
-                if pj.is_zero():
+                counts = tuple(counts)
+                if diffed(j, counts).is_zero():
                     break
-                slots.append(pj)
+                chain.append(counts)
             else:  # no slot vanished
-                prod = slots[0]
-                for pj in slots[1:]:
-                    prod = prod * pj
-                if m:
-                    coeff = None
-                    for key in used:
-                        wc = powers.get(key)
-                        if wc is None:
-                            t, c = key
-                            wc = powers[key] = terms[t].weight**c * Fraction(1, math.factorial(c))
-                        coeff = wc if coeff is None else coeff * wc
-                    prod = prod * coeff
-                increment = prod if increment is None else increment + prod
-        if increment is None:  # a zero slot in every product of this order
-            increment = math.prod((f * 0 for f in factors[1:]), start=factors[0] * 0)
-        yield increment
+                coeff = None
+                for key in used:
+                    wc = powers.get(key)
+                    if wc is None:
+                        t, c = key
+                        wc = powers[key] = terms[t].weight**c * Fraction(1, math.factorial(c))
+                    coeff = wc if coeff is None else coeff * wc
+                weights.append(ONE if coeff is None else coeff)
+                chains.append(chain)
+        # each slot's distinct derivatives, by their derivative counts; none
+        # when every product of this order has a zero slot
+        slots = [{chain[j]: ndiff_cache[j][chain[j]].terms for chain in chains} for j in range(n)]
+        yield Polynomial._trusted(n, _sum_of_products(weights, chains, slots, n))
 
 
 def star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:

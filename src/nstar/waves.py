@@ -371,8 +371,11 @@ def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaCo
     function on [0, L)^n.  The factors are analyzed into discrete
     frequencies, every occupied frequency tuple is weighted with
     exp(kernel_exponent), and the weighted sum is synthesized back to
-    position samples.
+    position samples.  The work is bounded by `budget`, a positive number
+    (inf for no limit); a NaN or non-positive budget is a ValueError.
     """
+    if not budget > 0:
+        raise ValueError(f"budget must be positive (inf for no limit), got {budget!r}")
     n, N = spec.n, spec.points_per_axis
     if len(factors) != n:
         raise ValueError(f"expected {n} factors, got {len(factors)}")

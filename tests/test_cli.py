@@ -359,6 +359,27 @@ def test_oracle_budget_is_checked_before_sampling(monkeypatch, capsys):
     assert "8^3" in error["message"] and "budget 100" in error["message"]
 
 
+@pytest.mark.parametrize("budget", ["nan", "0", "-1", "-2.5"])
+def test_oracle_rejects_a_budget_that_bounds_nothing(budget, monkeypatch, capsys):
+    # NaN compares false with every cost, so it would switch both budget checks off
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with an invalid budget")
+    monkeypatch.setattr(WaveSum, "sample_on_grid", no_sampling)
+    assert main(["oracle", "--N", "8", "--budget", budget,
+                 "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "usage"
+    assert "--budget must be positive" in error["message"]
+
+
+def test_oracle_budget_inf_is_no_limit(capsys):
+    assert main(["oracle", "--N", "4", "--budget", "inf", "--format", "json",
+                 "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_relative_error"] < 1e-9
+
+
 @pytest.mark.parametrize("wave", ["wave(2,0,0)", "wave(3,0,0)", "wave(-3,0,0)"])
 def test_oracle_rejects_wave_outside_lattice_band(wave, capsys):
     # N = 4 resolves the integer frequencies -2..1; beyond them the DFT aliases

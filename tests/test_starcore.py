@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from nstar.audit import CorpusSpec, sample_poly, sample_theta
+from nstar.oscillator import PolyGauss, ground_state, star_increments
 from nstar.polynomials import Polynomial, x
 from nstar.scalars import ExactComplex, I
 from nstar.starcore import (
@@ -15,6 +17,7 @@ from nstar.starcore import (
     star_bracket,
     star_n,
     star_n_stepwise,
+    star_series,
 )
 
 
@@ -243,3 +246,166 @@ def test_series_terminates_at_min_degree():
     assert full == oracle
     # zero factor: empty series
     assert star_n([f, Polynomial.zero(3), h], cfg).is_zero()
+
+
+# -- the series engine's integer pass against a schoolbook reference ----------
+
+ZERO4 = (Fraction(0),) * 4
+
+
+def parts(c):
+    return (c.re, c.im, c.rt2_re, c.rt2_im)
+
+
+def times4(p, q):
+    """Product of two scalars given as (re, im, rt2_re, rt2_im) Fractions."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+            a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+            a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+
+def plus4(p, q):
+    return tuple(u + v for u, v in zip(p, q))
+
+
+def schoolbook_increments(factors, cfg, order):
+    """Reference for star_series: for every composition of every order,
+    each slot differentiated by repeated diff, the weight and the slots'
+    polynomial parts multiplied term by term in Fractions, and the products
+    summed; zero sums are dropped at the end."""
+    n = cfg.n
+    terms = deformation_terms(cfg)
+    out = []
+    for m in range(order + 1):
+        total = {}
+        for comp in compositions_reference(m, len(terms)):
+            weight = (Fraction(1),) + ZERO4[1:]
+            for term, c in zip(terms, comp):
+                for _ in range(c):
+                    weight = times4(weight, parts(term.weight))
+                weight = tuple(v * Fraction(1, math.factorial(c)) for v in weight)
+            product = {(0,) * n: weight}
+            for j, f in enumerate(factors):
+                for term, c in zip(terms, comp):
+                    for _ in range(c):
+                        f = f.diff(term.slot_axes[j])
+                step = {}
+                for e1, s1 in product.items():
+                    for e2, coeff in f.terms.items():
+                        key = tuple(u + v for u, v in zip(e1, e2))
+                        step[key] = plus4(step.get(key, ZERO4), times4(s1, parts(coeff)))
+                product = step
+            for key, v in product.items():
+                total[key] = plus4(total.get(key, ZERO4), v)
+        out.append({key: v for key, v in total.items() if any(v)})
+    return out
+
+
+def assert_series_matches_reference(factors, cfg, order=None):
+    incs = list(star_series(factors, cfg, order))
+    reference = schoolbook_increments(factors, cfg, len(incs) - 1)
+    assert [{e: parts(c) for e, c in inc.terms.items()} for inc in incs] == reference
+    # every stored coefficient is nonzero and in the canonical scalar form
+    assert all(c and ExactComplex(*parts(c))._q == c._q for inc in incs for c in inc.terms.values())
+    return incs
+
+
+def rt2_poly(rng, n, nterms, degree):
+    """A seeded polynomial with fractional and sqrt(2) parts, one term of
+    the full degree."""
+    def part():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5)))
+    out = {}
+    exps = [0] * n
+    for _ in range(degree):
+        exps[rng.randrange(n)] += 1
+    out[tuple(exps)] = ExactComplex(1, part(), part(), part())
+    while len(out) < nterms:
+        exps = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(n)] += 1
+        out[tuple(exps)] = ExactComplex(part(), part(), part(), part())
+    return Polynomial(n, out)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_series_sums_slot_products_like_the_schoolbook_reference(n):
+    rng = random.Random(f"series-{n}")
+    thetas = [(1,) * n, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n))]
+    for theta in thetas:
+        cfg = ThetaConfig(n, theta)
+        degree = 3 if n == 3 else 2
+        factors = [rt2_poly(rng, n, rng.randint(2, 4), degree) for _ in range(n)]
+        incs = assert_series_matches_reference(factors, cfg)
+        assert sum(incs[1:], incs[0]) == star_n_stepwise(factors, cfg)
+
+
+def test_series_cancels_across_compositions_to_an_exact_zero():
+    # with one factor in every slot, each forward term's product equals its
+    # reverse term's, at the opposite weight: increment 1 cancels exactly
+    # although every composition of order 1 is live
+    rng = random.Random("cancel")
+    for n in (3, 4):
+        p = rt2_poly(rng, n, 4, 3) + sum((x(k, n) for k in range(1, n + 1)), Polynomial.zero(n))
+        incs = assert_series_matches_reference([p] * n, ThetaConfig.uniform(n))
+        assert incs[1].is_zero() and not incs[0].is_zero()
+
+
+def test_series_order_without_a_live_composition():
+    # slot 1's derivatives are all along x1, which routes x2 or x3 into
+    # slot 2, and slot 2 depends on x1 only: orders 1 and 2 have no live
+    # composition, though the series bound is 2
+    f = x(1, 3) ** 2 * Fraction(1, 3)
+    g = x(1, 3) ** 2 + x(1, 3) * ExactComplex(0, 0, 1)
+    h = x(2, 3) * x(3, 3) + x(1, 3) ** 2 * I
+    incs = assert_series_matches_reference([f, g, h], UNIT3)
+    assert len(incs) == 3 and incs[1].is_zero() and incs[2].is_zero()
+    assert incs[0] == f * g * h == star_n([f, g, h], UNIT3) == star_n_stepwise([f, g, h], UNIT3)
+
+
+@pytest.mark.parametrize("degrees", [(5, 5, 5), (5, 5, 6), (3, 2, 2), (8, 4, 4), (6, 4, 5, 1)])
+def test_series_exponents_at_the_packing_width_boundary(degrees):
+    # order 0 multiplies x1^d1 * x1^d2 * ...: the largest product degree is
+    # their sum, 15 = 2^4 - 1, 16 = 2^4 or 7 = 2^3 - 1; a field one bit
+    # narrower carries x1's exponent into x2's
+    n = len(degrees)
+    cfg = ThetaConfig(n, (1, Fraction(1, 2)) + (Fraction(-2, 3),) * (n - 2))
+    factors = [x(1, n) ** d + x(2, n) ** d * ExactComplex(0, 0, Fraction(1, 2)) + x(n, n) * I
+               for d in degrees]
+    incs = assert_series_matches_reference(factors, cfg)
+    top = sum(degrees)
+    assert incs[0].terms[(top,) + (0,) * (n - 1)] == 1
+    assert sum(incs[1:], incs[0]) == star_n_stepwise(factors, cfg)
+
+
+def test_star_n_with_one_factor_in_every_slot():
+    # the same object in several slots: each slot keeps its own derivatives
+    # and denominators
+    rng = random.Random("same-object")
+    for n, degree in ((3, 3), (3, 4), (4, 3)):
+        f = rt2_poly(rng, n, 5, degree) * Fraction(2, 7)
+        cfg = ThetaConfig(n, tuple(Fraction(k, 3) for k in range(1, n + 1)))
+        assert star_n((f,) * n, cfg) == star_n_stepwise((f,) * n, cfg)
+        assert_series_matches_reference((f,) * n, cfg)
+        g = f * x(1, n)
+        assert star_n((f, g) + (f,) * (n - 2), cfg) == star_n_stepwise((f, g) + (f,) * (n - 2), cfg)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_star_increments_with_one_state_in_every_trailing_slot(k):
+    # [psi] * (n - 1): one Gaussian-weighted object in several slots; an
+    # increment is the polynomial part at the summed scale
+    for n, lead in ((3, x(1, 3) * x(2, 3) + Fraction(1, 3)), (4, x(3, 4) * I - 2)):
+        psi = ground_state(k, n)
+        factors = [PolyGauss(lead, 0)] + [psi] * (n - 1)
+        cfg = ThetaConfig(n, (1, Fraction(1, 2)) + (Fraction(3, 2),) * (n - 2))
+        order = 3
+        incs = star_increments(factors, cfg, order)
+        assert all(isinstance(inc, Polynomial) for inc in incs)
+        assert [{e: parts(c) for e, c in inc.terms.items()} for inc in incs] == \
+            schoolbook_increments(factors, cfg, order)
+        assert incs[0] == lead * psi.poly ** (n - 1)
+        assert all(inc.is_zero() for inc in incs[lead.degree() + 1:])

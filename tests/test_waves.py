@@ -214,6 +214,24 @@ def test_grid_oracle_budget():
         grid_oracle_star([dense, dense, dense], grid, cfg, budget=1e3)
 
 
+@pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0])
+def test_grid_oracle_rejects_a_budget_that_bounds_nothing(budget):
+    cfg = theta3(1, 1, 1)
+    grid = GridSpec(3, 4, 1.0)
+    ones = np.ones((4, 4, 4), dtype=complex)
+    with pytest.raises(ValueError, match="budget must be positive") as info:
+        grid_oracle_star([ones, ones, ones], grid, cfg, budget=budget)
+    assert not isinstance(info.value, WorkBudgetError)
+
+
+def test_grid_oracle_budget_inf_is_no_limit():
+    cfg = theta3(1, 1, 1)
+    grid = GridSpec(3, 4, 1.0)
+    ones = np.ones((4, 4, 4), dtype=complex)
+    out = grid_oracle_star([2 * ones, 3 * ones, ones], grid, cfg, budget=math.inf)
+    assert np.allclose(out, 6.0)
+
+
 def test_grid_oracle_shape_mismatch():
     cfg = theta3(1, 1, 1)
     grid = GridSpec(3, 4, 1.0)

@@ -385,14 +385,16 @@ COMMANDS: dict[str, Command] = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument that starts with a minus sign and a digit (or ".digit")
-    is a value, never a flag: a negative number or a comma-separated vector
-    such as -1,0,2.  argparse by default takes only a plain number such as
-    -1 or -0.5 for a value, and reads "-1,0,2" as an unknown flag."""
+    """An argument that starts with a minus sign and a digit (or ".digit"),
+    or with -inf or -nan in any case, is a value, never a flag: a negative
+    number or a comma-separated vector such as -1,0,2 or -inf,1,1.
+    argparse by default takes only a plain number such as -1 or -0.5 for
+    a value, and reads "-1,0,2" or "-inf" as a flag.  A value so read
+    reaches the flag's own check, which rejects it with a JSON diagnostic."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
 @functools.cache

@@ -30,14 +30,6 @@ _SQRT2 = math.sqrt(2.0)
 RationalLike = int | Fraction
 
 
-def _frac(v: RationalLike) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
-
-
 class ExactComplex:
     """Element of Q(i, sqrt(2)), immutable."""
 
@@ -45,10 +37,15 @@ class ExactComplex:
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0,
                  rt2_re: RationalLike = 0, rt2_im: RationalLike = 0):
-        parts = [_frac(re), _frac(im), _frac(rt2_re), _frac(rt2_im)]
-        # over the lcm of reduced denominators the five ints are coprime
-        den = math.lcm(*(p.denominator for p in parts))
-        _set_q(self, tuple(p.numerator * (den // p.denominator) for p in parts) + (den,))
+        for part in (re, im, rt2_re, rt2_im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(part).__name__}")
+        # an int or a Fraction is its numerator over its reduced denominator;
+        # over the lcm of those denominators the five ints are coprime
+        den = math.lcm(re.denominator, im.denominator, rt2_re.denominator, rt2_im.denominator)
+        _set_q(self, (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator),
+                      rt2_re.numerator * (den // rt2_re.denominator),
+                      rt2_im.numerator * (den // rt2_im.denominator), den))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")

@@ -13,17 +13,26 @@ degree.
 One series engine, ``star_series``, yields the per-order increments of
 that exponential, as polynomials, over any slot value that can be
 differentiated and tested for zero and has a polynomial part (for a
-Gaussian-weighted value, the polynomial its weight multiplies).  Each
-order is one integer pass: the slot derivatives are packed once, and the
-slot products are multiplied out as packed integer rows through the loop
-of ``Polynomial.__mul__``.  It has two callers:
+Gaussian-weighted value, the polynomial its weight multiplies).  The
+compositions of each order (how many times each tensor term is applied)
+are structure: they depend on n and the order only, so ``_plan`` builds
+them once per process as a trie keyed by each slot's derivative counts
+in turn, with the terms' slot axes taken from ``deformation_terms``.  A
+product walks that trie, differentiating slot after slot, and drops a
+whole subtree at the first zero slot derivative, or at slot 0 when its
+compositions use a term with theta_k = 0.  The live compositions left
+are multiplied out in one integer pass: every slot derivative is packed
+once, and the weighted slot products are multiplied as packed integer
+rows through the loop of ``Polynomial.__mul__``.  It has two callers:
 
-* ``star_n``                        polynomials; sums the increments up to
-                                    the smallest factor degree
-* ``oscillator.star_increments``    Gaussian-weighted polynomials, to a
-                                    requested order; the series stops at
-                                    the smallest degree among the factors
-                                    of scale 0, and runs on if there is none
+* ``star_n``                        polynomials; walks every order up to
+                                    the smallest factor degree and
+                                    multiplies all of them out in one pass
+* ``oscillator.star_increments``    Gaussian-weighted polynomials, one pass
+                                    per order up to a requested order; the
+                                    series stops at the smallest degree
+                                    among the factors of scale 0, and runs
+                                    on if there is none
 
 ``conjugate_star_n`` is ``star_n`` at negated theta.  ``star_n_stepwise``
 applies the operator literally, m times, and divides by m!: a naive
@@ -33,6 +42,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -149,6 +159,131 @@ def _compositions(m: int, parts: int):
         yield tuple([right - left - 1 for left, right in zip((-1,) + bars, bars + (places,))])
 
 
+@functools.cache
+def _plan_terms(n: int) -> dict[tuple[int, ...], int]:
+    """The plan's index of each tensor term, by its slot axes: the order of
+    ``deformation_terms`` at uniform theta, where no term is omitted."""
+    return {term.slot_axes: t for t, term in enumerate(deformation_terms(ThetaConfig.uniform(n)))}
+
+
+@functools.cache
+def _plan(n: int, m: int) -> tuple:
+    """The compositions of order m over the 2n tensor terms in dimension n,
+    as a trie keyed by each slot's derivative counts in turn.
+
+    A node of slot j is a tuple of (counts, child) pairs: counts[a] is
+    the number of derivatives along axis a + 1 that slot j takes, and the
+    children of slot n - 1 are leaves.  A leaf is a tuple of compositions,
+    each the tuple of its (term, c_t) pairs with c_t > 0 (terms indexed as
+    in ``_plan_terms``); the compositions of one leaf differentiate every
+    slot alike.  The pairs of a node keep the order in which the
+    lexicographic enumeration first reaches them.  The plan depends on n
+    and m only, so it is built once per process.
+    """
+    axes = list(_plan_terms(n))
+    # one copy of each equal tuple: few distinct counts and (t, c) pairs
+    # recur across many nodes and leaves
+    shared: dict[tuple, tuple] = {}
+    root: dict = {}
+    for comp in _compositions(m, len(axes)):
+        used = tuple([shared.setdefault((t, c), (t, c)) for t, c in enumerate(comp) if c])
+        node = root
+        for j in range(n):
+            counts = [0] * n
+            for t, c in used:
+                counts[axes[t][j] - 1] += c
+            key = tuple(counts)
+            node = node.setdefault(shared.setdefault(key, key), {} if j < n - 1 else [])
+        node.append(used)
+
+    def freeze(node):
+        if isinstance(node, list):
+            return tuple(node)
+        return tuple([(counts, freeze(child)) for counts, child in node.items()])
+
+    return freeze(root)
+
+
+def _live_chains(factors: Sequence, cfg: ThetaConfig, order: int | None, derivs: list[dict]):
+    """Yield, for m = 0..order, the weights and slot chains of order m's
+    live compositions: those whose terms all have theta_k != 0 and whose
+    slot derivatives are all nonzero.  Both kinds of dead composition are
+    dropped a whole subtree at a time, by slot 0's counts and at the
+    first zero slot.  A chain holds each slot's derivative counts;
+    derivs[j] maps slot j's counts to its derivative and is filled in on
+    the way.  Without an order, the orders run to the series bound; past
+    the bound nothing is walked."""
+    n = cfg.n
+    index = _plan_terms(n)
+    terms = deformation_terms(cfg)
+    # per plan term, its weight at this theta; None for an omitted term
+    weight_of: list[ExactComplex | None] = [None] * len(index)
+    for term in terms:
+        weight_of[index[term.slot_axes]] = term.weight
+    # axes no term differentiates in slot 0: a slot-0 node that counts a
+    # derivative along one holds only compositions that use an omitted
+    # term (both terms of theta_k differentiate axis k there, and no other
+    # term does), so no walk reaches the None weight of an omitted term
+    live_axes = {term.slot_axes[0] - 1 for term in terms}
+    idle = [a for a in range(n) if a not in live_axes]
+    # (t, c) -> w_t^c / c!, built on first use: most compositions hit a
+    # zero slot and need no coefficient at all
+    powers: dict[tuple[int, int], ExactComplex] = {}
+    last = n - 1
+
+    def diffed(slot: int, counts: tuple[int, ...]):
+        cache = derivs[slot]
+        got = cache.get(counts)
+        if got is not None:
+            return got
+        # peel one derivative off the first nonzero axis
+        ax = next(i for i, c in enumerate(counts) if c)
+        prev = counts[:ax] + (counts[ax] - 1,) + counts[ax + 1:]
+        val = diffed(slot, prev).diff(ax + 1)
+        cache[counts] = val
+        return val
+
+    def walk(node, j: int, chain: tuple, weights: list, chains: list) -> None:
+        for counts, child in node:
+            if j == 0 and idle and any(counts[a] for a in idle):
+                continue  # the whole subtree uses a term with theta_k = 0
+            if diffed(j, counts).is_zero():
+                continue  # the whole subtree has this zero slot
+            if j < last:
+                walk(child, j + 1, chain + (counts,), weights, chains)
+                continue
+            for used in child:
+                coeff = None
+                for key in used:
+                    wc = powers.get(key)
+                    if wc is None:
+                        t, c = key
+                        wc = powers[key] = weight_of[t]**c * Fraction(1, math.factorial(c))
+                    coeff = wc if coeff is None else coeff * wc
+                weights.append(ONE if coeff is None else coeff)
+                chains.append(chain + (counts,))
+
+    bound = _series_bound(factors)
+    if order is None:
+        if bound is None:
+            raise ValueError("the series does not terminate: give an order")
+        order = bound
+    for m in range(order + 1):
+        weights: list[ExactComplex] = []
+        chains: list[tuple[tuple[int, ...], ...]] = []
+        if bound is None or m <= bound:
+            walk(_plan(n, m), 0, (), weights, chains)
+        yield weights, chains
+
+
+def _multiply_out(weights: list, chains: list, derivs: list[dict], n: int) -> Polynomial:
+    """sum_i weights[i] * prod_j derivs[j][chains[i][j]], as one integer pass."""
+    # each slot's distinct derivatives, by their counts; none when every
+    # product has a zero slot
+    slots = [{chain[j]: derivs[j][chain[j]].terms for chain in chains} for j in range(n)]
+    return Polynomial._trusted(n, _sum_of_products(weights, chains, slots, n))
+
+
 def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     """Yield the increments 0..order of m[exp(operator) applied to the factors]
     as polynomials; without an order, every increment up to the series bound.
@@ -162,79 +297,37 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     polynomial part; an increment is the polynomial part of the product
     (for Gaussian-weighted slots, the part at the summed scale).
 
-    Each order is one integer pass.  Its live compositions (those with no
-    zero slot) are collected first, with each one's weight
-    prod_t w_t^c_t / c_t!; ``polynomials._sum_of_products`` then packs
-    every slot derivative they use once (it has m derivatives, so it
-    belongs to this order only) and multiplies the weighted slot products
-    out as packed integer rows into one accumulator, unpacked once.  Slot
-    derivatives are memoized per factor on the vector of per-axis
-    derivative counts.  Past the series bound (``_series_bound``) every
-    increment is zero and is yielded without enumerating compositions.
+    The compositions of order m come from ``_plan(n, m)``, a trie built
+    once per process and keyed by each slot's derivative counts in turn.
+    The walk differentiates slot j by a node's counts and drops the whole
+    subtree when that derivative is zero.  Slot 0's counts along axis k
+    are the applications of theta_k's two terms, so at theta_k = 0 a
+    slot-0 node that counts one is dropped too.  Every leaf reached is a
+    live composition, with weight prod_t w_t^c_t / c_t!.  Slot derivatives are memoized per
+    factor on their counts.  Each order is then one integer pass:
+    ``polynomials._sum_of_products`` packs every slot derivative the
+    order uses once and multiplies the weighted slot products out as
+    packed integer rows into one accumulator, unpacked once.  Past the
+    series bound (``_series_bound``) every increment is zero and is
+    yielded without a walk.
     """
-    n = cfg.n
-    terms = deformation_terms(cfg)
-    ndiff_cache = [{(0,) * n: f} for f in factors]
-    # (t, c) -> w_t^c / c!, built on first use: most compositions hit a
-    # zero slot and need no coefficient at all
-    powers: dict[tuple[int, int], ExactComplex] = {}
-
-    def diffed(slot: int, counts: tuple[int, ...]):
-        cache = ndiff_cache[slot]
-        got = cache.get(counts)
-        if got is not None:
-            return got
-        # peel one derivative off the first nonzero axis
-        ax = next(i for i, c in enumerate(counts) if c)
-        prev = counts[:ax] + (counts[ax] - 1,) + counts[ax + 1:]
-        val = diffed(slot, prev).diff(ax + 1)
-        cache[counts] = val
-        return val
-
-    bound = _series_bound(factors)
-    if order is None:
-        if bound is None:
-            raise ValueError("the series does not terminate: give an order")
-        order = bound
-    for m in range(order + 1):
-        weights: list[ExactComplex] = []
-        chains: list[list[tuple[int, ...]]] = []  # per live composition, each slot's counts
-        # past the bound every composition has a zero slot: none is enumerated
-        comps = _compositions(m, len(terms)) if bound is None or m <= bound else ()
-        for comp in comps:
-            used = [(t, c) for t, c in enumerate(comp) if c]
-            chain = []
-            for j in range(n):
-                counts = [0] * n
-                for t, c in used:
-                    counts[terms[t].slot_axes[j] - 1] += c
-                counts = tuple(counts)
-                if diffed(j, counts).is_zero():
-                    break
-                chain.append(counts)
-            else:  # no slot vanished
-                coeff = None
-                for key in used:
-                    wc = powers.get(key)
-                    if wc is None:
-                        t, c = key
-                        wc = powers[key] = terms[t].weight**c * Fraction(1, math.factorial(c))
-                    coeff = wc if coeff is None else coeff * wc
-                weights.append(ONE if coeff is None else coeff)
-                chains.append(chain)
-        # each slot's distinct derivatives, by their derivative counts; none
-        # when every product of this order has a zero slot
-        slots = [{chain[j]: ndiff_cache[j][chain[j]].terms for chain in chains} for j in range(n)]
-        yield Polynomial._trusted(n, _sum_of_products(weights, chains, slots, n))
+    derivs = [{(0,) * cfg.n: f} for f in factors]
+    for weights, chains in _live_chains(factors, cfg, order, derivs):
+        yield _multiply_out(weights, chains, derivs, cfg.n)
 
 
 def star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
-    """Exact n-ary star product of the factors."""
+    """Exact n-ary star product of the factors: the live compositions of
+    every order, walked as in ``star_series``, multiplied out in one
+    integer pass."""
     _check_arity(factors, cfg)
-    result = Polynomial.zero(cfg.n)
-    for increment in star_series(factors, cfg):
-        result = result + increment
-    return result
+    derivs = [{(0,) * cfg.n: f} for f in factors]
+    weights: list[ExactComplex] = []
+    chains: list = []
+    for w, c in _live_chains(factors, cfg, None, derivs):
+        weights += w
+        chains += c
+    return _multiply_out(weights, chains, derivs, cfg.n)
 
 
 def conjugate_star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:

@@ -374,6 +374,27 @@ def test_oracle_rejects_a_budget_that_bounds_nothing(budget, monkeypatch, capsys
     assert "--budget must be positive" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--N", "8", "--budget", "-inf"],
+    ["oracle", "--N", "8", "--budget=-inf"],
+    ["oracle", "--N", "8", "--budget", "-INF"],
+    ["oracle", "--N", "8", "--budget", "-nan"],
+    ["star", "--theta", "-inf,1,1"],
+    ["star", "--theta", "-NaN,1,1"],
+    ["star", "--theta=-NaN,1,1"],
+])
+def test_negative_inf_and_nan_are_values_not_flags(argv, capsys):
+    # argparse alone reads a leading -inf or -nan as a flag and ends in its
+    # plain-text error; read as a value, the flag's own check rejects it
+    assert main([*argv, "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "usage"
+    assert ("--budget must be positive" if argv[0] == "oracle" else "malformed theta") \
+        in error["message"]
+
+
 def test_oracle_budget_inf_is_no_limit(capsys):
     assert main(["oracle", "--N", "4", "--budget", "inf", "--format", "json",
                  "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 0

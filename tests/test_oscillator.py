@@ -293,7 +293,7 @@ def test_residual_report_point_validation():
 
 class Unbounded(PolyGauss):
     """A slot value that hides its degree, so the engine applies no series
-    bound and enumerates every composition of every order."""
+    bound and walks the composition plan of every order."""
 
     def degree(self):
         return None
@@ -301,12 +301,11 @@ class Unbounded(PolyGauss):
 
 def test_series_bound_changes_no_increment(monkeypatch):
     # the increments past the smallest degree among the scale-0 factors are
-    # the ones a full enumeration finds, and none of their compositions is
-    # enumerated
-    enumerated = []
-    compositions = starcore._compositions
-    monkeypatch.setattr(starcore, "_compositions",
-                        lambda m, parts: enumerated.append(m) or compositions(m, parts))
+    # the ones a full walk finds, and the walk asks the composition plan for
+    # no order past that degree
+    asked = []
+    plan = starcore._plan
+    monkeypatch.setattr(starcore, "_plan", lambda n, m: asked.append(m) or plan(n, m))
     a, _ = complex_pair(1, 2, 3)
     cases = [(UNIT3, PolyGauss(a, 0), [ground_state(0, 3)] * 2, 4),
              (ThetaConfig(3, (1, Fraction(1, 2), 2)), PolyGauss(radial_sq(3), 0),
@@ -315,12 +314,12 @@ def test_series_bound_changes_no_increment(monkeypatch):
               [ground_state(1, 4)] * 3, 5)]
     for cfg, lead, rest, order in cases:
         bound = min(f.degree() for f in [lead, *rest] if f.scale == 0)
-        enumerated.clear()
+        asked.clear()
         bounded = star_increments([lead, *rest], cfg, order)
-        assert max(enumerated) == bound < order
-        enumerated.clear()
+        assert max(asked) == bound < order
+        asked.clear()
         full = star_increments([Unbounded(f.poly, f.scale) for f in [lead, *rest]], cfg, order)
-        assert max(enumerated) == order
+        assert max(asked) == order
         assert bounded == full
         assert all(inc.is_zero() for inc in bounded[bound + 1:])
     with pytest.raises(ValueError):  # no factor of scale 0, no order

@@ -226,3 +226,42 @@ def test_zero_has_one_storage():
         assert z._q == (0, 0, 0, 0, 1)
         assert not z
         assert hash(z) == hash(ZERO)
+
+
+# -- construction from int and Fraction parts ------------------------------------
+
+def fraction_route(*parts):
+    """The canonical five integers of a scalar, computed the long way: each
+    part made a Fraction, then all put over the lcm of their denominators."""
+    fracs = [Fraction(p) for p in parts] + [Fraction(0)] * (4 - len(parts))
+    den = math.lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs) + (den,)
+
+
+@pytest.mark.parametrize("parts", [
+    (),
+    (7,),
+    (0, 1),
+    (-3, 0, 2, -5),
+    (True, False, True, 0),
+    (Fraction(6, 4),),
+    (Fraction(6, 4), Fraction(-1, 3), Fraction(5, 10), Fraction(7, 12)),
+    (2, Fraction(-1, 6), 0, Fraction(4, 9)),
+    (Fraction(-8, 4), -1, Fraction(0, 5), True),
+    (10**30, Fraction(1, 10**20), -(10**25), Fraction(3, 7)),
+])
+def test_construction_matches_the_fraction_route(parts):
+    z = ExactComplex(*parts)
+    assert z._q == fraction_route(*parts)
+    assert all(type(v) is int for v in z._q)  # no bool and no Fraction is stored
+    assert (z.re, z.im, z.rt2_re, z.rt2_im) == tuple(
+        Fraction(p) for p in parts + (0,) * (4 - len(parts)))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", 1j, None])
+def test_construction_rejects_a_part_that_is_not_int_or_fraction(bad):
+    for position in range(4):
+        parts = [0, 0, 0, 0]
+        parts[position] = bad
+        with pytest.raises(TypeError):
+            ExactComplex(*parts)

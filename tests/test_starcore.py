@@ -11,6 +11,8 @@ from nstar.scalars import ExactComplex, I
 from nstar.starcore import (
     ThetaConfig,
     _compositions,
+    _plan,
+    _plan_terms,
     conjugate_star_n,
     deformation_terms,
     sigma_power,
@@ -409,3 +411,80 @@ def test_star_increments_with_one_state_in_every_trailing_slot(k):
             schoolbook_increments(factors, cfg, order)
         assert incs[0] == lead * psi.poly ** (n - 1)
         assert all(inc.is_zero() for inc in incs[lead.degree() + 1:])
+
+
+# -- the composition plan ----------------------------------------------------------
+
+def plan_leaves(node, depth, chain=()):
+    """(chain of slot counts, composition) for every composition of a plan."""
+    if len(chain) == depth:
+        for used in node:
+            yield chain, used
+        return
+    for counts, child in node:
+        yield from plan_leaves(child, depth, chain + (counts,))
+
+
+@pytest.mark.parametrize("n, m", [(3, 0), (3, 1), (3, 4), (4, 3), (5, 2)])
+def test_plan_holds_every_composition_once_under_its_slot_counts(n, m):
+    terms = deformation_terms(ThetaConfig.uniform(n))
+    assert list(_plan_terms(n)) == [term.slot_axes for term in terms]
+    leaves = list(plan_leaves(_plan(n, m), n))
+    dense = []
+    for chain, used in leaves:
+        comp = [0] * len(terms)
+        for t, c in used:
+            assert c > 0
+            comp[t] = c
+        dense.append(tuple(comp))
+        # each slot's counts are the derivatives its terms route to each axis
+        for j, counts in enumerate(chain):
+            assert counts == tuple(sum(c for t, c in used if terms[t].slot_axes[j] == a)
+                                   for a in range(1, n + 1))
+    assert sorted(dense) == list(_compositions(m, len(terms)))
+    assert len(dense) == math.comb(m + 2 * n - 1, 2 * n - 1)
+
+
+def zero_pattern_thetas(rng, n):
+    """theta with one zero, with all but one zero, and all zero."""
+    def value():
+        return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+    one_zero = [value() for _ in range(n)]
+    one_zero[rng.randrange(n)] = Fraction(0)
+    all_but_one = [Fraction(0)] * n
+    all_but_one[rng.randrange(n)] = value()
+    return [tuple(one_zero), tuple(all_but_one), (0,) * n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_plan_products_with_zero_thetas_match_the_oracle(n):
+    # a leaf that uses a term with theta_k = 0 is skipped; the rest of the
+    # walk is the same at every theta
+    rng = random.Random(f"plan-zeros-{n}")
+    degree = 3 if n < 5 else 2
+    for theta in zero_pattern_thetas(rng, n):
+        cfg = ThetaConfig(n, theta)
+        f = rt2_poly(rng, n, 4, degree)
+        g = rt2_poly(rng, n, 3, degree)
+        distinct = [rt2_poly(rng, n, 3, degree) for _ in range(n)]
+        for factors in ([f] * n, [f, g] + [f] * (n - 2), distinct):
+            product = star_n(factors, cfg)
+            assert product == star_n_stepwise(factors, cfg)
+            incs = list(star_series(factors, cfg))
+            assert product == sum(incs[1:], incs[0])
+        if not any(theta):
+            assert product == math.prod(factors[1:], start=factors[0])
+
+
+def test_plan_is_built_once_per_dimension_and_order():
+    # mixed theta (zeros included) and inputs: the plans built are exactly
+    # the distinct (n, m) walked, so nothing of theta or the factors keys them
+    _plan.cache_clear()
+    rng = random.Random("plan-cache")
+    walked = set()
+    for n, degree in ((3, 2), (3, 3), (4, 2), (3, 3), (5, 1), (4, 2)):
+        for theta in zero_pattern_thetas(rng, n) + [(1,) * n]:
+            factors = [rt2_poly(rng, n, rng.randint(1, 3), degree) for _ in range(n)]
+            star_n(factors, ThetaConfig(n, theta))
+            walked.update((n, m) for m in range(min(f.degree() for f in factors) + 1))
+    assert _plan.cache_info().currsize == len(walked)

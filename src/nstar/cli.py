@@ -114,11 +114,20 @@ def _config_value(flag: Flag, name: str, raw):
     raise UsageError(f"config key {name!r}: expected {expected}, got {raw!r}", code="config")
 
 
-def _parse_list(text: str, what: str, conv=Fraction) -> tuple:
+def _component(part: str, index: int, conv, what: str, text: str):
+    """Component `index` (1-based) of the flag value `text`, converted with
+    `conv`; a usage error names the component and why it is rejected."""
     try:
-        return tuple(conv(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed {what} {text!r}: {exc}")
+        return conv(part.strip())
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except ValueError:
+        reason = "not an integer" if conv is int else "not a number"
+    raise UsageError(f"malformed {what} {text!r}: component {index}: {reason}")
+
+
+def _parse_list(text: str, what: str, conv=Fraction) -> tuple:
+    return tuple(_component(part, i, conv, what, text) for i, part in enumerate(text.split(","), 1))
 
 
 def _theta_config(args) -> ThetaConfig:
@@ -240,12 +249,12 @@ def _hamiltonian_spec(args, n) -> HamiltonianSpec:
             raise UsageError(f"diagonal coefficient rows must have {n} entries")
     pairs = {}
     for spec_text in getattr(args, "pair", ()):
-        try:
-            key_text, val_text = spec_text.split("=")
-            i, j = (int(v) for v in key_text.split(","))
-            pairs[(i, j)] = Fraction(val_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"malformed pair coupling {spec_text!r}: {exc}")
+        key_text, eq, val_text = spec_text.partition("=")
+        key = key_text.split(",")
+        if not eq or len(key) != 2:
+            raise UsageError(f"malformed pair coupling {spec_text!r}: expected i,j=value")
+        i, j = (_component(part, c, int, "pair coupling", spec_text) for c, part in enumerate(key, 1))
+        pairs[(i, j)] = _component(val_text, 3, Fraction, "pair coupling", spec_text)
     return HamiltonianSpec(n, lambda_pair=pairs, diag_lambdas=tuple(rows) if rows else None)
 
 

@@ -17,13 +17,18 @@ Gaussian-weighted value, the polynomial its weight multiplies).  The
 compositions of each order (how many times each tensor term is applied)
 are structure: they depend on n and the order only, so ``_plan`` builds
 them once per process as a trie keyed by each slot's derivative counts
-in turn, with the terms' slot axes taken from ``deformation_terms``.  A
+in turn, over the terms of ``deformation_terms`` at uniform theta
+(``_plan_terms``: their slot axes, and their unit weights +-i/2).  A
 product walks that trie, differentiating slot after slot, and drops a
 whole subtree at the first zero slot derivative, or at slot 0 when its
-compositions use a term with theta_k = 0.  The live compositions left
-are multiplied out in one integer pass: every slot derivative is packed
-once, and the weighted slot products are multiplied as packed integer
-rows through the loop of ``Polynomial.__mul__``.  It has two callers:
+compositions use a term with theta_k = 0.  A product builds no operator
+of its own: a term's weight is theta_k times its unit weight, made when
+the walk first uses the term, and each derivative step the walk takes
+off a slot's counts is worked out once per process (``_peel``).  The
+live compositions left are multiplied out in one integer pass: every
+slot derivative is packed once, and the weighted slot products are
+multiplied as packed integer rows through the loop of
+``Polynomial.__mul__``.  It has two callers:
 
 * ``star_n``                        polynomials; walks every order up to
                                     the smallest factor degree and
@@ -160,10 +165,22 @@ def _compositions(m: int, parts: int):
 
 
 @functools.cache
-def _plan_terms(n: int) -> dict[tuple[int, ...], int]:
-    """The plan's index of each tensor term, by its slot axes: the order of
-    ``deformation_terms`` at uniform theta, where no term is omitted."""
-    return {term.slot_axes: t for t, term in enumerate(deformation_terms(ThetaConfig.uniform(n)))}
+def _plan_terms(n: int) -> tuple[TensorTerm, ...]:
+    """The tensor terms in the plan's order: ``deformation_terms`` at
+    uniform theta, where no term is omitted, so that each weight is the
+    term's unit weight +-i/2 and theta_k's two terms are the ones with
+    slot_axes[0] == k."""
+    return tuple(deformation_terms(ThetaConfig.uniform(n)))
+
+
+@functools.cache
+def _peel(counts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """One derivative step down from a slot's derivative counts: the
+    counts with one derivative off their first nonzero axis, and that
+    axis (1-based).  Counts depend on no input, so each step is worked
+    out once per process."""
+    ax = next(i for i, c in enumerate(counts) if c)
+    return counts[:ax] + (counts[ax] - 1,) + counts[ax + 1:], ax + 1
 
 
 @functools.cache
@@ -180,7 +197,7 @@ def _plan(n: int, m: int) -> tuple:
     lexicographic enumeration first reaches them.  The plan depends on n
     and m only, so it is built once per process.
     """
-    axes = list(_plan_terms(n))
+    axes = [term.slot_axes for term in _plan_terms(n)]
     # one copy of each equal tuple: few distinct counts and (t, c) pairs
     # recur across many nodes and leaves
     shared: dict[tuple, tuple] = {}
@@ -211,21 +228,22 @@ def _live_chains(factors: Sequence, cfg: ThetaConfig, order: int | None, derivs:
     dropped a whole subtree at a time, by slot 0's counts and at the
     first zero slot.  A chain holds each slot's derivative counts;
     derivs[j] maps slot j's counts to its derivative and is filled in on
-    the way.  Without an order, the orders run to the series bound; past
-    the bound nothing is walked."""
+    the way, one ``_peel`` step from counts already there.  Term t's
+    weight is theta_k times its unit weight in ``_plan_terms``, where k is
+    its slot-0 axis, built once per call when a leaf first uses t.
+    Without an order, the orders run to the series bound; past the bound
+    nothing is walked."""
     n = cfg.n
-    index = _plan_terms(n)
-    terms = deformation_terms(cfg)
-    # per plan term, its weight at this theta; None for an omitted term
-    weight_of: list[ExactComplex | None] = [None] * len(index)
-    for term in terms:
-        weight_of[index[term.slot_axes]] = term.weight
-    # axes no term differentiates in slot 0: a slot-0 node that counts a
+    theta = cfg.theta
+    terms = _plan_terms(n)
+    # per plan term, its weight theta_k * (+-i/2), built when a leaf first
+    # uses the term
+    weight_of: list[ExactComplex | None] = [None] * len(terms)
+    # the axes k with theta_k = 0: theta_k's two terms, and no other term,
+    # differentiate axis k in slot 0, so a slot-0 node that counts a
     # derivative along one holds only compositions that use an omitted
-    # term (both terms of theta_k differentiate axis k there, and no other
-    # term does), so no walk reaches the None weight of an omitted term
-    live_axes = {term.slot_axes[0] - 1 for term in terms}
-    idle = [a for a in range(n) if a not in live_axes]
+    # term, and no walk reaches an omitted term's weight
+    idle = [a for a in range(n) if not theta[a]]
     # (t, c) -> w_t^c / c!, built on first use: most compositions hit a
     # zero slot and need no coefficient at all
     powers: dict[tuple[int, int], ExactComplex] = {}
@@ -236,11 +254,8 @@ def _live_chains(factors: Sequence, cfg: ThetaConfig, order: int | None, derivs:
         got = cache.get(counts)
         if got is not None:
             return got
-        # peel one derivative off the first nonzero axis
-        ax = next(i for i, c in enumerate(counts) if c)
-        prev = counts[:ax] + (counts[ax] - 1,) + counts[ax + 1:]
-        val = diffed(slot, prev).diff(ax + 1)
-        cache[counts] = val
+        prev, axis = _peel(counts)
+        val = cache[counts] = diffed(slot, prev).diff(axis)
         return val
 
     def walk(node, j: int, chain: tuple, weights: list, chains: list) -> None:
@@ -258,7 +273,11 @@ def _live_chains(factors: Sequence, cfg: ThetaConfig, order: int | None, derivs:
                     wc = powers.get(key)
                     if wc is None:
                         t, c = key
-                        wc = powers[key] = weight_of[t]**c * Fraction(1, math.factorial(c))
+                        w = weight_of[t]
+                        if w is None:
+                            term = terms[t]
+                            w = weight_of[t] = term.weight * theta[term.slot_axes[0] - 1]
+                        wc = powers[key] = w**c * Fraction(1, math.factorial(c))
                     coeff = wc if coeff is None else coeff * wc
                 weights.append(ONE if coeff is None else coeff)
                 chains.append(chain + (counts,))
@@ -303,13 +322,15 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     subtree when that derivative is zero.  Slot 0's counts along axis k
     are the applications of theta_k's two terms, so at theta_k = 0 a
     slot-0 node that counts one is dropped too.  Every leaf reached is a
-    live composition, with weight prod_t w_t^c_t / c_t!.  Slot derivatives are memoized per
-    factor on their counts.  Each order is then one integer pass:
-    ``polynomials._sum_of_products`` packs every slot derivative the
-    order uses once and multiplies the weighted slot products out as
-    packed integer rows into one accumulator, unpacked once.  Past the
-    series bound (``_series_bound``) every increment is zero and is
-    yielded without a walk.
+    live composition, with weight prod_t w_t^c_t / c_t!, where w_t is
+    theta_k times term t's unit weight +-i/2.  Slot derivatives are
+    memoized per factor on their counts, each one derivative step
+    (``_peel``) from counts already memoized.  Each order is then one
+    integer pass: ``polynomials._sum_of_products`` packs every slot
+    derivative the order uses once and multiplies the weighted slot
+    products out as packed integer rows into one accumulator, unpacked
+    once.  Past the series bound (``_series_bound``) every increment is
+    zero and is yielded without a walk.
     """
     derivs = [{(0,) * cfg.n: f} for f in factors]
     for weights, chains in _live_chains(factors, cfg, order, derivs):

@@ -395,6 +395,34 @@ def test_negative_inf_and_nan_are_values_not_flags(argv, capsys):
         in error["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["star", "--theta=1/0,1,1", "x1", "x2", "x3"],
+     "malformed theta '1/0,1,1': component 1: zero denominator"),
+    (["star", "--theta", "1,one,1", "x1", "x2", "x3"],
+     "malformed theta '1,one,1': component 2: not a number"),
+    (["residual", "--lambda0", "1,1/0,1"],
+     "malformed lambda0 '1,1/0,1': component 2: zero denominator"),
+    (["residual", "--lambda0", "1,1,"],
+     "malformed lambda0 '1,1,': component 3: not a number"),
+    (["residual", "--pair", "1,2,1/0"],
+     "malformed pair coupling '1,2,1/0': expected i,j=value"),
+    (["residual", "--pair", "1,2,3=1"],
+     "malformed pair coupling '1,2,3=1': expected i,j=value"),
+    (["residual", "--pair", "1,b=2"],
+     "malformed pair coupling '1,b=2': component 2: not an integer"),
+    (["residual", "--pair", "1,2=1/0"],
+     "malformed pair coupling '1,2=1/0': component 3: zero denominator"),
+    (["spectrum", "--nbar", "0,1/2,0"],
+     "malformed nbar '0,1/2,0': component 2: not an integer"),
+])
+def test_number_list_flags_name_the_bad_component(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == {"code": "usage", "message": message}
+
+
 def test_oracle_budget_inf_is_no_limit(capsys):
     assert main(["oracle", "--N", "4", "--budget", "inf", "--format", "json",
                  "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 0

@@ -11,6 +11,7 @@ from nstar.scalars import ExactComplex, I
 from nstar.starcore import (
     ThetaConfig,
     _compositions,
+    _live_chains,
     _plan,
     _plan_terms,
     conjugate_star_n,
@@ -428,7 +429,7 @@ def plan_leaves(node, depth, chain=()):
 @pytest.mark.parametrize("n, m", [(3, 0), (3, 1), (3, 4), (4, 3), (5, 2)])
 def test_plan_holds_every_composition_once_under_its_slot_counts(n, m):
     terms = deformation_terms(ThetaConfig.uniform(n))
-    assert list(_plan_terms(n)) == [term.slot_axes for term in terms]
+    assert [term.slot_axes for term in _plan_terms(n)] == [term.slot_axes for term in terms]
     leaves = list(plan_leaves(_plan(n, m), n))
     dense = []
     for chain, used in leaves:
@@ -474,6 +475,22 @@ def test_plan_products_with_zero_thetas_match_the_oracle(n):
             assert product == sum(incs[1:], incs[0])
         if not any(theta):
             assert product == math.prod(factors[1:], start=factors[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_walk_weights_are_the_operator_weights(n):
+    # order 1: one live composition per term with theta_k != 0, whose slot
+    # counts name the term's slot axes and whose weight is the term's
+    rng = random.Random(f"walk-weights-{n}")
+    full = math.prod((x(a, n) for a in range(2, n + 1)), start=x(1, n))
+    for theta in zero_pattern_thetas(rng, n) + [tuple(Fraction(2 * k + 1, 3) - 2 for k in range(n))]:
+        cfg = ThetaConfig(n, theta)
+        derivs = [{(0,) * n: full} for _ in range(n)]
+        weights, chains = list(_live_chains([full] * n, cfg, 1, derivs))[1]
+        walked = {tuple(counts.index(1) + 1 for counts in chain): w
+                  for w, chain in zip(weights, chains)}
+        assert len(walked) == len(chains)
+        assert walked == {term.slot_axes: term.weight for term in deformation_terms(cfg)}
 
 
 def test_plan_is_built_once_per_dimension_and_order():

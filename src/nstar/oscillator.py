@@ -227,8 +227,6 @@ def star_increments(factors: Sequence[PolyGauss], cfg: ThetaConfig,
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    if len(factors) != cfg.n:
-        raise ValueError(f"expected {cfg.n} factors, got {len(factors)}")
     return list(star_series(factors, cfg, order))
 
 

@@ -9,6 +9,15 @@ Zero coefficients are never stored, so two polynomials are equal iff
 their term dicts are equal.  Serialization and printing order terms
 graded-lexicographically (total degree first, then exponents), highest
 first, which keeps every output deterministic.
+
+Products run through one multiply loop, ``_multiply``, on packed terms:
+a term is one int key (its exponent tuple, Kronecker substitution) and
+one int value (its coefficient's numerators over the operand's common
+denominator, as an element of Z[zeta], zeta = e^(i pi/4), evaluated at
+zeta = 2**w).  A pair of terms is one key add and one int multiply; each
+output term is reduced once, modulo zeta^4 + 1, and read back into a
+scalar.  The field width w comes from the operands' L1 norms, so no
+coordinate of any output term outgrows its field.
 """
 
 from __future__ import annotations
@@ -25,8 +34,7 @@ from .scalars import (ExactComplex, ONE, ZERO, _lowest_terms, _make, _numerators
                       scalar_is_negative_leading)
 
 MultiIndex = tuple[int, ...]
-# packed terms: (key, (a, b, c, d)) rows, and the (shifts, mask) of a key
-Rows = list[tuple[int, tuple[int, int, int, int]]]
+# the (shifts, mask) of a packed exponent key
 Layout = tuple[tuple[int, ...], int]
 
 
@@ -310,15 +318,18 @@ def _product(a: Mapping[MultiIndex, ExactComplex], b: Mapping[MultiIndex, ExactC
 
     The keys are packed at the bit width of the product's total degree;
     no exponent of the product needs more, so no key carries between axes.
+    The coefficients are packed at the width ``_width`` gives the product
+    of the operands' norms.
     """
     if not a or not b:
         return {}
-    layout = _layout((max(map(sum, a)) + max(map(sum, b))).bit_length(), n)
-    den_a, rows_a = _pack(a, layout)
-    den_b, rows_b = _pack(b, layout)
-    acc: dict[int, list[int]] = {}
-    _multiply(rows_a, rows_b, acc)
-    return _unpack(acc, den_a * den_b, layout)
+    shifts, _ = layout = _layout((max(map(sum, a)) + max(map(sum, b))).bit_length(), n)
+    den_a, norm_a, rows_a = _split(a, shifts)
+    den_b, norm_b, rows_b = _split(b, shifts)
+    w = _width(norm_a * norm_b)
+    acc: dict[int, int] = {}
+    _multiply(_encode(rows_a, w), _encode(rows_b, w), acc)
+    return _unpack(acc, den_a * den_b, layout, w)
 
 
 @functools.cache
@@ -328,98 +339,161 @@ def _layout(width: int, n: int) -> Layout:
     return tuple([width * i for i in range(n)]), (1 << width) - 1
 
 
-def _pack(terms: Mapping[MultiIndex, ExactComplex], layout: Layout) -> tuple[int, Rows]:
-    """(den, rows): den is the least common denominator of the
-    coefficients, and rows lists the terms as (key, (a, b, c, d)) pairs,
-    the numerators over den.
+def _split(terms: Mapping[MultiIndex, ExactComplex],
+           shifts: Sequence[int]) -> tuple[int, int, list[tuple[int, int, int, int, int]]]:
+    """(den, norm, rows) of a term dict: den is the least common
+    denominator of the coefficients, and rows lists each term as its
+    packed key and the coordinates (e0, e1, e2, e3) of its numerators
+    over den.
 
     A key packs an exponent tuple into one int (Kronecker substitution),
-    in the fields of ``_layout``.  While no exponent outgrows its field,
-    the key of a product of monomials is the sum of their keys.
+    at the bit offsets `shifts` of ``_layout``.  While no exponent
+    outgrows its field, the key of a product of monomials is the sum of
+    their keys.
+
+    The coordinates are in the basis 1, zeta, zeta^2, zeta^3 of Z[zeta],
+    zeta = e^(i pi/4), where i = zeta^2 and sqrt(2) = zeta - zeta^3: the
+    numerators (a, b, c, d) of (a + b*i) + sqrt(2)*(c + d*i) have the
+    coordinates (a, c + d, b, d - c).  norm is the L1 norm of the rows,
+    the sum of the coordinates' absolute values.  The norm of a product
+    is at most the product of the norms, and the norm of a sum at most
+    the sum of the norms, so norms bound every coordinate of every
+    coefficient of a sum of products.
     """
-    shifts = layout[0]
-    den, numerators = _numerators(terms.values())
-    return den, [(sum(map(operator.lshift, e, shifts)), row) for e, row in zip(terms, numerators)]
+    den = math.lcm(*[v._q[4] for v in terms.values()])
+    norm = 0
+    rows = []
+    for exps, v in terms.items():
+        a, b, c, d, e = v._q
+        if e != den:
+            f = den // e
+            a, b, c, d = a * f, b * f, c * f, d * f
+        c, d = c + d, d - c
+        norm += abs(a) + abs(b) + abs(c) + abs(d)
+        rows.append((sum(map(operator.lshift, exps, shifts)), a, c, b, d))
+    return den, norm, rows
 
 
-def _multiply(rows_a, rows_b, acc: dict[int, list[int]]) -> None:
-    """Add the product of two sequences of packed (key, (a, b, c, d)) rows
-    into acc, key -> [a, b, c, d]; the items of such an acc are rows too.
+def _width(bound: int) -> int:
+    """The bits per coordinate of ``_encode`` for coordinates bounded by
+    bound in absolute value: one more than bound has, so a coordinate
+    with its sign fits in a field."""
+    return bound.bit_length() + 1
 
-    Numerators (a, b, c, d) denote (a + b*i) + sqrt(2)*(c + d*i); the
-    product's are over the product of the operands' denominators.
+
+def _encode(rows: Iterable[tuple[int, int, int, int, int]], w: int) -> list[tuple[int, int]]:
+    """(key, value) rows of ``_split``'s (key, e0, e1, e2, e3) rows: the
+    value packs the coordinates into one int, their value at zeta = 2**w.
+    A product of two values is then one int product, and ``_unpack``
+    reads the coordinates back modulo zeta^4 = -1."""
+    return [(key, (((e3 << w) + e2 << w) + e1 << w) + e0) for key, e0, e1, e2, e3 in rows]
+
+
+def _multiply(rows_a: Iterable[tuple[int, int]], rows_b: Sequence[tuple[int, int]],
+              acc: dict[int, int]) -> None:
+    """Add the product of two sequences of packed (key, value) rows into
+    acc, key -> value; the items of such an acc are rows too.
+
+    A value is a coefficient's numerators as ``_encode`` packs them, and
+    the product's are over the product of the operands' denominators: one
+    int multiply and one add per pair of rows.
     """
     get = acc.get
-    for k1, (a1, b1, c1, d1) in rows_a:
-        for k2, (a2, b2, c2, d2) in rows_b:
-            # (u1 + rt2*v1)(u2 + rt2*v2) = (u1*u2 + 2*v1*v2) + rt2*(u1*v2 + v1*u2)
-            re = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
-            im = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
-            r2re = a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2
-            r2im = a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2
-            cur = get(k1 + k2)
-            if cur is None:
-                acc[k1 + k2] = [re, im, r2re, r2im]
-            else:
-                cur[0] += re
-                cur[1] += im
-                cur[2] += r2re
-                cur[3] += r2im
+    for k1, v1 in rows_a:
+        for k2, v2 in rows_b:
+            k = k1 + k2
+            acc[k] = get(k, 0) + v1 * v2
 
 
-def _unpack(acc: Mapping[int, Sequence[int]], den: int,
-            layout: Layout) -> dict[MultiIndex, ExactComplex]:
+@functools.cache
+def _ring(w: int) -> tuple[int, int, int, int]:
+    """(modulus, bias, half, mask) of coordinates packed at w bits: the
+    modulus zeta^4 + 1 at zeta = 2**w, the bias holding half = 2**(w - 1)
+    in each of the four fields, half, and the mask of one field."""
+    mask = (1 << w) - 1
+    half = 1 << w - 1
+    return (1 << 4 * w) + 1, half * (((1 << 4 * w) - 1) // mask), half, mask
+
+
+def _unpack(acc: Mapping[int, int], den: int, layout: Layout,
+            w: int) -> dict[MultiIndex, ExactComplex]:
     """The term dict of an accumulator of keys packed in the fields of
-    ``layout`` and numerators over den: one scalar per nonzero term."""
+    ``layout`` and values packed as by ``_encode`` at w bits per
+    coordinate, over den: one scalar per nonzero term.
+
+    A value is reduced once, modulo zeta^4 + 1.  While every coordinate
+    of the reduced value is below 2**(w - 1) in absolute value, the
+    remainder of the value plus the bias holds each coordinate plus half
+    as a field in [1, 2**w), so it reads off the coordinates (e0, e1, e2,
+    e3); then a = e0, b = e2, c = (e1 - e3) / 2 and d = (e1 + e3) / 2
+    (e1 and e3 have one parity: a sum of products of rows stays in
+    Z[i, sqrt(2)]).
+    """
     shifts, mask = layout
-    return {tuple([(key >> s) & mask for s in shifts]): _make(re, im, r2re, r2im, den)
-            for key, (re, im, r2re, r2im) in acc.items() if re or im or r2re or r2im}
+    modulus, bias, half, field = _ring(w)
+    w2 = 2 * w
+    w3 = 3 * w
+    out = {}
+    for key, v in acc.items():
+        r = (v + bias) % modulus
+        if r == bias:
+            continue
+        # the fields of e1 and e3; their halves cancel in c
+        f1 = r >> w & field
+        f3 = r >> w3
+        out[tuple([(key >> s) & mask for s in shifts])] = _make(
+            (r & field) - half, (r >> w2 & field) - half, (f1 - f3) >> 1, ((f1 + f3) >> 1) - half, den)
+    return out
 
 
 def _sum_of_products(weights: Sequence[ExactComplex], chains: Sequence[Sequence],
                      slots: Sequence[Mapping[object, Mapping[MultiIndex, ExactComplex]]],
-                     n: int) -> dict[MultiIndex, ExactComplex]:
+                     n: int, degree: int) -> dict[MultiIndex, ExactComplex]:
     """Term dict of sum_i weights[i] * prod_j slots[j][chains[i][j]], where
-    slots[j] maps a key to a term dict in n variables.
+    slots[j] maps a key to a term dict in n variables and no product has a
+    total degree above `degree`.
 
-    Every term dict is packed once, at the bit width of the largest
-    possible product degree (the sum over slots of their largest degree).
-    A chain's numerators are over the product of its slots' denominators,
-    so its weight is taken over that product too; then every chain's
-    numerators are over one common denominator, and ``_fold`` multiplies
-    all of them out into one accumulator, unpacked once.
+    Every term dict is packed once: its keys at the bit width of `degree`,
+    its coefficients at the width ``_width`` gives the weights' norm times,
+    per slot, the largest norm among its term dicts.  A chain's numerators
+    are over the product of its slots' denominators, so its weight is
+    taken over that product too; then every chain's numerators are over
+    one common denominator, and ``_fold`` multiplies all of them out into
+    one accumulator, unpacked once.  The weights are split as a term dict
+    in one variable, keyed by chain index.
     """
     if not chains:
         return {}
-    layout = _layout(sum(max(max(map(sum, terms)) for terms in slot.values())
-                         for slot in slots).bit_length(), n)
-    packed = [{key: _pack(terms, layout) for key, terms in slot.items()} for slot in slots]
-    scaled = []
-    for w, chain in zip(weights, chains):
-        a, b, c, d, e = w._q
-        scaled.append(_make(a, b, c, d, e * math.prod([packed[j][key][0]
-                                                       for j, key in enumerate(chain)])))
-    den, rows = _numerators(scaled)
-    return _unpack(_fold(0, list(zip(rows, chains)), packed), den, layout)
+    shifts, _ = layout = _layout(degree.bit_length(), n)
+    split = [{key: _split(terms, shifts) for key, terms in slot.items()} for slot in slots]
+    scaled = {}
+    for i, (wt, chain) in enumerate(zip(weights, chains)):
+        a, b, c, d, e = wt._q
+        scaled[i,] = _make(a, b, c, d, e * math.prod([split[j][key][0]
+                                                       for j, key in enumerate(chain)]))
+    den, norm, rows = _split(scaled, (0,))
+    w = _width(math.prod([max([s[1] for s in slot.values()]) for slot in split], start=norm))
+    packed = [{key: _encode(s[2], w) for key, s in slot.items()} for slot in split]
+    return _unpack(_fold(0, _encode(rows, w), chains, packed), den, layout, w)
 
 
-def _fold(level: int, group: list, packed: list[dict]) -> dict[int, list[int]]:
+def _fold(level: int, group: list, chains: Sequence[Sequence], packed: list[dict]) -> dict[int, int]:
     """The accumulator of sum over group of weight * prod_{j >= level} slot_j.
 
-    group holds (weight numerators, chain) pairs, chain[j] naming slot j's
+    group holds (i, packed weight) rows, chains[i][j] naming slot j's
     packed rows in packed[j].  Chains that share slot `level`'s rows share
     one multiply by them (the distributive law): each distinct entry
     multiplies the fold of its chains over the later slots, and past the
     last slot a fold is the sum of the weights.
     """
     if level == len(packed):
-        return {0: [sum(parts) for parts in zip(*[row for row, _ in group])]}
+        return {0: sum([v for _, v in group])}
     by_slot: dict[object, list] = {}
     for item in group:
-        by_slot.setdefault(item[1][level], []).append(item)
-    acc: dict[int, list[int]] = {}
+        by_slot.setdefault(chains[item[0]][level], []).append(item)
+    acc: dict[int, int] = {}
     for key, sub in by_slot.items():
-        _multiply(_fold(level + 1, sub, packed).items(), packed[level][key][1], acc)
+        _multiply(_fold(level + 1, sub, chains, packed).items(), packed[level][key], acc)
     return acc
 
 

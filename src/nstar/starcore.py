@@ -124,7 +124,7 @@ def deformation_terms(cfg: ThetaConfig) -> list[TensorTerm]:
     return terms
 
 
-def _check_arity(factors: Sequence[Polynomial], cfg: ThetaConfig) -> None:
+def _check_arity(factors: Sequence, cfg: ThetaConfig) -> None:
     if len(factors) != cfg.n:
         raise ValueError(f"expected {cfg.n} factors, got {len(factors)}")
     for f in factors:
@@ -132,15 +132,16 @@ def _check_arity(factors: Sequence[Polynomial], cfg: ThetaConfig) -> None:
             raise ValueError("factor dimension does not match configuration")
 
 
-def _series_bound(factors: Sequence) -> int | None:
-    """The order past which every increment of the series is zero, or None.
+def _series_bound(degrees: Sequence[int | None]) -> int | None:
+    """The order past which every increment of the series is zero, or None,
+    from the factors' degrees (``degree()``).
 
     Increment m differentiates every slot m times, so a factor whose
     derivatives terminate (one with a degree: a polynomial) zeroes every
     increment past its degree.  The bound is the smallest such degree;
     -1 if such a factor is zero, None if no factor has a degree.
     """
-    return min((d for d in (f.degree() for f in factors) if d is not None), default=None)
+    return min((d for d in degrees if d is not None), default=None)
 
 
 def _compositions(m: int, parts: int):
@@ -221,7 +222,7 @@ def _plan(n: int, m: int) -> tuple:
     return freeze(root)
 
 
-def _live_chains(factors: Sequence, cfg: ThetaConfig, order: int | None, derivs: list[dict]):
+def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs: list[dict]):
     """Yield, for m = 0..order, the weights and slot chains of order m's
     live compositions: those whose terms all have theta_k != 0 and whose
     slot derivatives are all nonzero.  Both kinds of dead composition are
@@ -231,8 +232,8 @@ def _live_chains(factors: Sequence, cfg: ThetaConfig, order: int | None, derivs:
     the way, one ``_peel`` step from counts already there.  Term t's
     weight is theta_k times its unit weight in ``_plan_terms``, where k is
     its slot-0 axis, built once per call when a leaf first uses t.
-    Without an order, the orders run to the series bound; past the bound
-    nothing is walked."""
+    Without an order, the orders run to the series bound (``_series_bound``);
+    past the bound nothing is walked."""
     n = cfg.n
     theta = cfg.theta
     terms = _plan_terms(n)
@@ -282,7 +283,6 @@ def _live_chains(factors: Sequence, cfg: ThetaConfig, order: int | None, derivs:
                 weights.append(ONE if coeff is None else coeff)
                 chains.append(chain + (counts,))
 
-    bound = _series_bound(factors)
     if order is None:
         if bound is None:
             raise ValueError("the series does not terminate: give an order")
@@ -295,12 +295,14 @@ def _live_chains(factors: Sequence, cfg: ThetaConfig, order: int | None, derivs:
         yield weights, chains
 
 
-def _multiply_out(weights: list, chains: list, derivs: list[dict], n: int) -> Polynomial:
-    """sum_i weights[i] * prod_j derivs[j][chains[i][j]], as one integer pass."""
+def _multiply_out(weights: list, chains: list, derivs: list[dict], n: int,
+                  degree: int) -> Polynomial:
+    """sum_i weights[i] * prod_j derivs[j][chains[i][j]], as one integer
+    pass; no product has a total degree above `degree`."""
     # each slot's distinct derivatives, by their counts; none when every
     # product has a zero slot
     slots = [{chain[j]: derivs[j][chain[j]].terms for chain in chains} for j in range(n)]
-    return Polynomial._trusted(n, _sum_of_products(weights, chains, slots, n))
+    return Polynomial._trusted(n, _sum_of_products(weights, chains, slots, n, degree))
 
 
 def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
@@ -311,10 +313,11 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     multiplied out across the slots.  The tensor terms commute (they are
     built from partial derivatives), so it is a sum over multisets
     (c_1..c_T) of total size m of prod_t (T_t)^{c_t} / c_t!.  A slot value
-    needs ``diff(axis)``, ``is_zero()``, ``degree()`` (None when its
-    derivatives never vanish) and ``terms``, the term dict of its
-    polynomial part; an increment is the polynomial part of the product
-    (for Gaussian-weighted slots, the part at the summed scale).
+    needs ``n``, ``diff(axis)``, ``is_zero()``, ``degree()`` (None when
+    its derivatives never vanish) and ``terms``, the term dict of its
+    polynomial part, and there must be cfg.n factors of dimension cfg.n
+    (``_check_arity``); an increment is the polynomial part of the
+    product (for Gaussian-weighted slots, the part at the summed scale).
 
     The compositions of order m come from ``_plan(n, m)``, a trie built
     once per process and keyed by each slot's derivative counts in turn.
@@ -331,10 +334,22 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     products out as packed integer rows into one accumulator, unpacked
     once.  Past the series bound (``_series_bound``) every increment is
     zero and is yielded without a walk.
+
+    Each factor's degree is computed once.  It gives the series bound and
+    the packing width: at order m a slot's polynomial part has at most its
+    factor's degree, plus m where the factor has none (a positive-scale
+    ``PolyGauss``, whose ``diff`` raises the degree by at most one).
     """
+    _check_arity(factors, cfg)
+    degrees = [f.degree() for f in factors]
+    # the sum of the polynomial parts' degrees: a factor's degree, or the
+    # degree of its part where it has none
+    top = sum(max(map(sum, f.terms), default=0) if d is None else d
+              for f, d in zip(factors, degrees))
+    growing = degrees.count(None)
     derivs = [{(0,) * cfg.n: f} for f in factors]
-    for weights, chains in _live_chains(factors, cfg, order, derivs):
-        yield _multiply_out(weights, chains, derivs, cfg.n)
+    for m, (weights, chains) in enumerate(_live_chains(cfg, order, _series_bound(degrees), derivs)):
+        yield _multiply_out(weights, chains, derivs, cfg.n, top + m * growing)
 
 
 def star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
@@ -342,13 +357,14 @@ def star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
     every order, walked as in ``star_series``, multiplied out in one
     integer pass."""
     _check_arity(factors, cfg)
+    degrees = [f.degree() for f in factors]
     derivs = [{(0,) * cfg.n: f} for f in factors]
     weights: list[ExactComplex] = []
     chains: list = []
-    for w, c in _live_chains(factors, cfg, None, derivs):
+    for w, c in _live_chains(cfg, None, _series_bound(degrees), derivs):
         weights += w
         chains += c
-    return _multiply_out(weights, chains, derivs, cfg.n)
+    return _multiply_out(weights, chains, derivs, cfg.n, sum(degrees))
 
 
 def conjugate_star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:

@@ -698,7 +698,19 @@ def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
     assert shown == README_OUTPUTS
 
 
+# sha256 of the stdout of the demos that print only exact values; 03 and 05
+# print floats from numpy and libm, which may differ in the last digit
+# between platforms
+DEMO_STDOUT_SHA256 = {
+    "01_star_product_basics.py": "7062011683c518fbeca09ad45fb140d5e6c85c4075ea280bab9a6d5df22a9462",
+    "02_closed_form_identities.py": "bca788474009439ab0113b831f7a5e7360eb6f43061869d2027718d7940f707f",
+    "04_identity_audit.py": "94b17228248beb9f88e28610a238c3b941327d80049247c162314dc6de0c9660",
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     proc = run_child([str(demo)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    if demo.name in DEMO_STDOUT_SHA256:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.name]

@@ -243,6 +243,52 @@ def test_product_kernel_at_bit_width_boundaries(e1, e2):
     assert (p * q).degree() == max(sum(a) + sum(b) for a in p.terms for b in q.terms)
 
 
+def wide_parts():
+    """Rationals with numerators up to 2**200 of either sign, over mixed
+    denominators, and zero."""
+    return st.one_of(st.just(0), st.builds(Fraction, st.integers(-2**200, 2**200),
+                                           st.sampled_from((1, 2, 3, 12, 2**61 - 1, 3**40))))
+
+
+def wide_polys(n):
+    coeffs = st.builds(ExactComplex, wide_parts(), wide_parts(), wide_parts(), wide_parts())
+    exps = st.tuples(*([st.integers(0, 3)] * n))
+    return st.dictionaries(exps, coeffs, max_size=6).map(lambda d: Polynomial(n, d))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(wide_polys(n), wide_polys(n))))
+def test_product_kernel_matches_reference_on_wide_coefficients(pair):
+    assert_kernel_matches_reference(*pair)
+
+
+def test_product_kernel_cancels_modulo_zeta4_plus_1():
+    # i*i + 1 and sqrt(2)*sqrt(2) - 2 are zero in the coefficient field, but
+    # their packed sums are nonzero multiples of zeta^4 + 1 as integers: the
+    # x1*x2 term is zero only after the reduction
+    x1, x2 = x(1, 2), x(2, 2)
+    for p, q in ((x1 * I + x2, x2 * I + x1),
+                 (x1 * SQRT2 + x2 * 2, x2 * SQRT2 - x1),
+                 (x1 * ExactComplex(0, Fraction(1, 3)) + x2 * Fraction(1, 2),
+                  x2 * ExactComplex(0, Fraction(3, 2)) + x1)):
+        assert_kernel_matches_reference(p, q)
+        assert (1, 1) not in (p * q).terms and not (p * q).is_zero()
+
+
+@pytest.mark.parametrize("a, b", [(5, 7), (2**100 - 1, 3), (2**63, 2**63),
+                                  (Fraction(2**40 + 1, 3), Fraction(9, 2))])
+def test_product_kernel_coordinate_at_the_norm_bound(a, b):
+    # one term per operand, one nonzero coordinate each and no negative
+    # numerator: nothing cancels, so the product's coordinate equals the
+    # product of the operands' norms, the largest the packing width admits
+    for p, q in ((Polynomial(2, {(1, 0): a}), Polynomial(2, {(0, 1): b})),
+                 # sqrt(2)*(1 + i) = 2*zeta: the coordinate is 4ab at zeta^2
+                 (Polynomial(2, {(1, 0): ExactComplex(0, 0, a, a)}),
+                  Polynomial(2, {(1, 1): ExactComplex(0, 0, b, b)}))):
+        assert_kernel_matches_reference(p, q)
+    assert (Polynomial(2, {(1, 0): ExactComplex(0, 0, a, a)}) *
+            Polynomial(2, {(0, 0): ExactComplex(0, 0, b, b)})).terms == {(1, 0): ExactComplex(0, 4 * a * b)}
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_power_squares_only_while_bits_remain(k, monkeypatch):
     # a square past the top bit would be the largest product and go unused,

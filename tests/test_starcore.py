@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nstar.audit import CorpusSpec, sample_poly, sample_theta
 from nstar.oscillator import PolyGauss, ground_state, star_increments
-from nstar.polynomials import Polynomial, x
-from nstar.scalars import ExactComplex, I
+from nstar.polynomials import Polynomial, _sum_of_products, x
+from nstar.scalars import SQRT2, ExactComplex, I
 from nstar.starcore import (
     ThetaConfig,
     _compositions,
@@ -113,6 +114,27 @@ def test_star_theta_zero_is_pointwise():
 def test_star_arity_error():
     with pytest.raises(ValueError):
         star_n([x(1, 3), x(2, 3)], UNIT3)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "gaussian"])
+def test_series_checks_factor_count_and_dimension(kind):
+    # a fourth factor at n = 3 must not be dropped, a missing one must not
+    # index past the slots, and a factor of another dimension must not run
+    def slot(k, n):
+        return x(k, n) if kind == "polynomial" else PolyGauss(x(k, n), 1)
+
+    bad = [[slot(1, 3), slot(2, 3), slot(1, 3), slot(2, 3)],
+           [slot(1, 3), slot(2, 3)],
+           [slot(1, 4)] * 3,
+           [slot(1, 3), slot(2, 3), slot(3, 4)]]
+    if kind == "gaussian":
+        bad.append([ground_state(0, 4)] * 3)
+    for factors in bad:
+        with pytest.raises(ValueError):
+            next(star_series(factors, UNIT3, 1))
+        if kind == "gaussian":
+            with pytest.raises(ValueError):
+                star_increments(factors, UNIT3, 1)
 
 
 def test_star_bracket_examples():
@@ -290,21 +312,30 @@ def schoolbook_increments(factors, cfg, order):
                 for _ in range(c):
                     weight = times4(weight, parts(term.weight))
                 weight = tuple(v * Fraction(1, math.factorial(c)) for v in weight)
-            product = {(0,) * n: weight}
+            slots = []
             for j, f in enumerate(factors):
                 for term, c in zip(terms, comp):
                     for _ in range(c):
                         f = f.diff(term.slot_axes[j])
-                step = {}
-                for e1, s1 in product.items():
-                    for e2, coeff in f.terms.items():
-                        key = tuple(u + v for u, v in zip(e1, e2))
-                        step[key] = plus4(step.get(key, ZERO4), times4(s1, parts(coeff)))
-                product = step
-            for key, v in product.items():
-                total[key] = plus4(total.get(key, ZERO4), v)
+                slots.append(f.terms)
+            add_weighted_product(total, weight, slots, n)
         out.append({key: v for key, v in total.items() if any(v)})
     return out
+
+
+def add_weighted_product(total, weight, term_dicts, n):
+    """Add weight * prod(term_dicts), multiplied term by term in Fractions,
+    into total, exponents -> (re, im, rt2_re, rt2_im)."""
+    product = {(0,) * n: weight}
+    for terms in term_dicts:
+        step = {}
+        for e1, s1 in product.items():
+            for e2, coeff in terms.items():
+                key = tuple(u + v for u, v in zip(e1, e2))
+                step[key] = plus4(step.get(key, ZERO4), times4(s1, parts(coeff)))
+        product = step
+    for key, v in product.items():
+        total[key] = plus4(total.get(key, ZERO4), v)
 
 
 def assert_series_matches_reference(factors, cfg, order=None):
@@ -314,6 +345,79 @@ def assert_series_matches_reference(factors, cfg, order=None):
     # every stored coefficient is nonzero and in the canonical scalar form
     assert all(c and ExactComplex(*parts(c))._q == c._q for inc in incs for c in inc.terms.values())
     return incs
+
+
+def schoolbook_sum_of_products(weights, chains, slots, n):
+    total = {}
+    for w, chain in zip(weights, chains):
+        add_weighted_product(total, parts(w), [slots[j][key] for j, key in enumerate(chain)], n)
+    return {key: v for key, v in total.items() if any(v)}
+
+
+def assert_sum_of_products_matches_reference(weights, chains, slots, n):
+    degree = sum(max(max(map(sum, terms)) for terms in slot.values()) for slot in slots)
+    got = _sum_of_products(weights, chains, slots, n, degree)
+    assert {e: parts(c) for e, c in got.items()} == schoolbook_sum_of_products(weights, chains, slots, n)
+    assert all(c and ExactComplex(*parts(c))._q == c._q for c in got.values())
+    return got
+
+
+def wide_scalars():
+    """Scalars with numerators up to 2**200 of either sign, over mixed
+    denominators; some parts zero."""
+    part = st.one_of(st.just(0), st.builds(Fraction, st.integers(-2**200, 2**200),
+                                           st.sampled_from((1, 2, 3, 12, 2**61 - 1, 3**40))))
+    return st.builds(ExactComplex, part, part, part, part)
+
+
+@st.composite
+def sums_of_products(draw):
+    """(weights, chains, slots, n): 1 to 4 slots of 1 to 3 nonzero term
+    dicts each, and 1 to 6 chains over them, repeats allowed."""
+    n = draw(st.integers(1, 3))
+    term_dicts = st.dictionaries(st.tuples(*([st.integers(0, 3)] * n)), wide_scalars(),
+                                 min_size=1, max_size=4).map(lambda d: Polynomial(n, d).terms)
+    slots = [draw(st.dictionaries(st.integers(0, 2), term_dicts.filter(bool), min_size=1, max_size=3))
+             for _ in range(draw(st.integers(1, 4)))]
+    chains = draw(st.lists(st.tuples(*[st.sampled_from(sorted(slot)) for slot in slots]),
+                           min_size=1, max_size=6))
+    weights = draw(st.lists(wide_scalars(), min_size=len(chains), max_size=len(chains)))
+    return weights, chains, slots, n
+
+
+@given(sums_of_products())
+def test_sum_of_products_matches_reference_on_wide_coefficients(case):
+    assert_sum_of_products_matches_reference(*case)
+
+
+def test_sum_of_products_cancels_modulo_zeta4_plus_1():
+    # i * (i*x1) * x2 + 1 * x1 * x2 = 0: the packed sum is zeta^4 + 1 times
+    # the coefficient's scale, nonzero as an integer
+    x1, x2 = x(1, 2), x(2, 2)
+    slots = [{0: (x1 * I).terms, 1: x1.terms}, {0: x2.terms}]
+    for weights in ((I, ExactComplex(1)), (ExactComplex(0, Fraction(1, 3)), Fraction(1, 3))):
+        weights = [ExactComplex.coerce(w) for w in weights]
+        assert assert_sum_of_products_matches_reference(weights, [(0, 0), (1, 0)], slots, 2) == {}
+    # sqrt(2) * (sqrt(2)*x1) - 2 * x1 = 0, and the x2 terms survive
+    slots = [{0: (x1 * SQRT2 + x2).terms, 1: (x1 + x2).terms}]
+    got = assert_sum_of_products_matches_reference([SQRT2, ExactComplex(-2)], [(0,), (1,)], slots, 2)
+    assert list(got) == [(0, 1)]
+
+
+def test_sum_of_products_coordinate_at_the_norm_bound():
+    # no negative numerator and one term per slot: every chain adds to the
+    # same coordinate of the same term, so it equals the weights' norm times
+    # the slots' norms, the largest the packing width admits
+    for weights, scale in (([2, 5], 1), ([Fraction(1, 2), Fraction(1, 3)], 2**70 + 1),
+                           ([2**64 - 1, 2**64 - 1, 1], Fraction(7, 3))):
+        slots = [{0: Polynomial(3, {(1, 0, 0): scale}).terms},
+                 {0: Polynomial(3, {(0, 1, 0): 3}).terms, 1: Polynomial(3, {(0, 0, 1): 1}).terms},
+                 {0: Polynomial(3, {(1, 1, 0): ExactComplex(0, 0, 2, 2)}).terms}]
+        # 2*sqrt(2)*(1 + i) = 4*zeta, and the chains share the x1^2*x2^2 term
+        total = 6 * scale * sum(weights)
+        got = assert_sum_of_products_matches_reference([ExactComplex(w) for w in weights],
+                                                       [(0, 0, 0)] * len(weights), slots, 3)
+        assert got == {(2, 2, 0): ExactComplex(0, 0, total, total)}
 
 
 def rt2_poly(rng, n, nterms, degree):
@@ -486,7 +590,7 @@ def test_walk_weights_are_the_operator_weights(n):
     for theta in zero_pattern_thetas(rng, n) + [tuple(Fraction(2 * k + 1, 3) - 2 for k in range(n))]:
         cfg = ThetaConfig(n, theta)
         derivs = [{(0,) * n: full} for _ in range(n)]
-        weights, chains = list(_live_chains([full] * n, cfg, 1, derivs))[1]
+        weights, chains = list(_live_chains(cfg, 1, n, derivs))[1]
         walked = {tuple(counts.index(1) + 1 for counts in chain): w
                   for w, chain in zip(weights, chains)}
         assert len(walked) == len(chains)

@@ -14,7 +14,8 @@ command line only.
 
 Exit codes: 0 success, 1 a guaranteed audit claim failed, 2 usage error
 (bad flags, malformed expressions, dimension mismatches, out-of-range
-values).
+values, an --output that cannot be written or a config file that cannot
+be read).
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def _load_config() -> dict:
         return {}
     try:
         data = json.loads(path.read_text())
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {CONFIG_PATH}: {exc.strerror or exc}", code="io")
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed config file {CONFIG_PATH}: {exc}", code="config")
     if not isinstance(data, dict):
@@ -148,6 +151,14 @@ def _write_json(path: str, body) -> None:
     Path(path).write_text(json.dumps(body, indent=2) + "\n")
 
 
+def _write(path: str, save) -> None:
+    """save(path); a failed write is a usage error that names the path."""
+    try:
+        save(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}", code="io")
+
+
 def _table_save(body, header: list[str], rows: list[list]):
     """save(path) for a report with a table: CSV for a *.csv path, else JSON."""
     def save(path: str) -> None:
@@ -170,10 +181,7 @@ def _emit(text, body, args, save=None) -> None:
     data = body() if args.format == "json" or (args.output and save is None) else None
     print(json.dumps(data) if args.format == "json" else text())
     if args.output:
-        if save is None:
-            _write_json(args.output, data)
-        else:
-            save(args.output)
+        _write(args.output, save or (lambda path: _write_json(path, data)))
 
 
 def _cmd_product(args) -> int:
@@ -227,7 +235,7 @@ def _cmd_omega(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = run_suite(seed=args.seed, trials=args.trials)
-    Path(args.output).write_text(reports_to_json(reports) + "\n")
+    _write(args.output, lambda path: Path(path).write_text(reports_to_json(reports) + "\n"))
     for rep in reports:
         print(f"{rep.claim}: {rep.verdict}")
     ok = all_guaranteed_hold(reports)

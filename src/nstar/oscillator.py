@@ -6,6 +6,7 @@ star-product eigenvalue equations in the Gaussian-weighted class.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -30,9 +31,16 @@ class QuantumNumber:
     nbar: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v < 0 for v in self.nbar):
-            raise ValueError("occupation numbers must be non-negative")
-        object.__setattr__(self, "nbar", tuple(int(v) for v in self.nbar))
+        nbar = []
+        for i, v in enumerate(self.nbar, 1):
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise ValueError(f"occupation number {i} must be an integer, got {v!r}") from None
+            if v < 0:
+                raise ValueError(f"occupation number {i} must be non-negative, got {v}")
+            nbar.append(v)
+        object.__setattr__(self, "nbar", tuple(nbar))
 
     @property
     def norm(self) -> int:

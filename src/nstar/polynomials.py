@@ -12,12 +12,16 @@ first, which keeps every output deterministic.
 
 Products run through one multiply loop, ``_multiply``, on packed terms:
 a term is one int key (its exponent tuple, Kronecker substitution) and
-one int value (its coefficient's numerators over the operand's common
-denominator, as an element of Z[zeta], zeta = e^(i pi/4), evaluated at
-zeta = 2**w).  A pair of terms is one key add and one int multiply; each
-output term is reduced once, modulo zeta^4 + 1, and read back into a
-scalar.  The field width w comes from the operands' L1 norms, so no
-coordinate of any output term outgrows its field.
+one int value (its coefficient's numerators over a common denominator,
+as an element of Z[zeta], zeta = e^(i pi/4), evaluated at zeta = 2**w).
+``_split`` puts term dicts over their common denominator: each operand
+of a two-operand product on its own, and in a sum of products
+(``_sum_of_products``) all the term dicts of one slot together, so every
+product of one term dict per slot is over the same denominator.  A pair
+of terms is one key add and one int multiply; each output term is
+reduced once, modulo zeta^4 + 1, and read back into a scalar.  The field
+width w comes from the operands' L1 norms, so no coordinate of any
+output term outgrows its field.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
-from .scalars import (ExactComplex, ONE, ZERO, _lowest_terms, _make, _numerators, format_scalar,
+from .scalars import (ExactComplex, ONE, ZERO, _lowest_terms, _make, _power, format_scalar,
                       scalar_is_negative_leading)
 
 MultiIndex = tuple[int, ...]
@@ -169,16 +173,7 @@ class Polynomial:
             raise ValueError("exponent must be a non-negative integer")
         if k == 0:
             return Polynomial.constant(1, self.n)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        out = base  # the lowest set bit: no product with the unit
-        while k := k >> 1:
-            base = base * base
-            if k & 1:
-                out = out * base
-        return out
+        return _power(self, k)
 
     # -- calculus ----------------------------------------------------------
 
@@ -217,8 +212,9 @@ class Polynomial:
         monomial of degree e is a product of the coordinates' numerators
         over D**e; scaled by D**(deg - e), deg the total degree, every
         monomial is an integer over D**deg.  With the coefficients over
-        their common denominator, the value is four integer sums, and one
-        scalar is built.
+        their common denominator (``_split``), the value is four integer
+        sums of Z[zeta] coordinates, read back as ``_unpack`` reads a
+        term, and one scalar is built.
         """
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
@@ -230,15 +226,15 @@ class Polynomial:
         tables = [_powers(v.numerator * (D // v.denominator), top)
                   for v, top in zip(point, map(max, zip(*self.terms)))]
         scales = _powers(D, deg)
-        den, rows = _numerators(self.terms.values())
-        re = im = r2re = r2im = 0
-        for exps, (a, b, c, d) in zip(self.terms, rows):
+        den, [(_, rows)] = _split([self.terms])
+        s0 = s1 = s2 = s3 = 0
+        for exps, e0, e1, e2, e3 in rows:
             mono = math.prod(map(list.__getitem__, tables, exps), start=scales[deg - sum(exps)])
-            re += a * mono
-            im += b * mono
-            r2re += c * mono
-            r2im += d * mono
-        return _make(re, im, r2re, r2im, den * scales[deg])
+            s0 += e0 * mono
+            s1 += e1 * mono
+            s2 += e2 * mono
+            s3 += e3 * mono
+        return _make(s0, s2, (s1 - s3) // 2, (s1 + s3) // 2, den * scales[deg])
 
     def max_coeff_magnitude(self) -> float:
         if not self.terms:
@@ -324,11 +320,11 @@ def _product(a: Mapping[MultiIndex, ExactComplex], b: Mapping[MultiIndex, ExactC
     if not a or not b:
         return {}
     shifts, _ = layout = _layout((max(map(sum, a)) + max(map(sum, b))).bit_length(), n)
-    den_a, norm_a, rows_a = _split(a, shifts)
-    den_b, norm_b, rows_b = _split(b, shifts)
+    den_a, [(norm_a, rows_a)] = _split([a])
+    den_b, [(norm_b, rows_b)] = _split([b])
     w = _width(norm_a * norm_b)
     acc: dict[int, int] = {}
-    _multiply(_encode(rows_a, w), _encode(rows_b, w), acc)
+    _multiply(_encode(rows_a, shifts, w), _encode(rows_b, shifts, w), acc)
     return _unpack(acc, den_a * den_b, layout, w)
 
 
@@ -339,39 +335,41 @@ def _layout(width: int, n: int) -> Layout:
     return tuple([width * i for i in range(n)]), (1 << width) - 1
 
 
-def _split(terms: Mapping[MultiIndex, ExactComplex],
-           shifts: Sequence[int]) -> tuple[int, int, list[tuple[int, int, int, int, int]]]:
-    """(den, norm, rows) of a term dict: den is the least common
-    denominator of the coefficients, and rows lists each term as its
-    packed key and the coordinates (e0, e1, e2, e3) of its numerators
-    over den.
-
-    A key packs an exponent tuple into one int (Kronecker substitution),
-    at the bit offsets `shifts` of ``_layout``.  While no exponent
-    outgrows its field, the key of a product of monomials is the sum of
-    their keys.
+def _split(term_dicts: Collection[Mapping[MultiIndex, ExactComplex]]
+           ) -> tuple[int, list[tuple[int, list[tuple[MultiIndex, int, int, int, int]]]]]:
+    """(den, [(norm, rows), ...]) of term dicts put over one denominator:
+    den is the least common denominator of all their coefficients, and
+    per term dict, rows lists each term as its exponent tuple and the
+    coordinates (e0, e1, e2, e3) of its numerators over den.  This is the
+    one place a term dict is put over a common denominator: ``_product``
+    splits each operand on its own, ``_sum_of_products`` the weights and
+    each slot's term dicts together, and ``Polynomial.eval_exact`` its
+    terms.
 
     The coordinates are in the basis 1, zeta, zeta^2, zeta^3 of Z[zeta],
     zeta = e^(i pi/4), where i = zeta^2 and sqrt(2) = zeta - zeta^3: the
     numerators (a, b, c, d) of (a + b*i) + sqrt(2)*(c + d*i) have the
-    coordinates (a, c + d, b, d - c).  norm is the L1 norm of the rows,
-    the sum of the coordinates' absolute values.  The norm of a product
-    is at most the product of the norms, and the norm of a sum at most
-    the sum of the norms, so norms bound every coordinate of every
-    coefficient of a sum of products.
+    coordinates (a, c + d, b, d - c).  norm is the L1 norm of a term
+    dict's rows, the sum of the coordinates' absolute values.  The norm
+    of a product is at most the product of the norms, and the norm of a
+    sum at most the sum of the norms, so norms bound every coordinate of
+    every coefficient of a sum of products.
     """
-    den = math.lcm(*[v._q[4] for v in terms.values()])
-    norm = 0
-    rows = []
-    for exps, v in terms.items():
-        a, b, c, d, e = v._q
-        if e != den:
-            f = den // e
-            a, b, c, d = a * f, b * f, c * f, d * f
-        c, d = c + d, d - c
-        norm += abs(a) + abs(b) + abs(c) + abs(d)
-        rows.append((sum(map(operator.lshift, exps, shifts)), a, c, b, d))
-    return den, norm, rows
+    den = math.lcm(*[v._q[4] for terms in term_dicts for v in terms.values()])
+    out = []
+    for terms in term_dicts:
+        norm = 0
+        rows = []
+        for exps, v in terms.items():
+            a, b, c, d, e = v._q
+            if e != den:
+                f = den // e
+                a, b, c, d = a * f, b * f, c * f, d * f
+            c, d = c + d, d - c
+            norm += abs(a) + abs(b) + abs(c) + abs(d)
+            rows.append((exps, a, c, b, d))
+        out.append((norm, rows))
+    return den, out
 
 
 def _width(bound: int) -> int:
@@ -381,12 +379,20 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _encode(rows: Iterable[tuple[int, int, int, int, int]], w: int) -> list[tuple[int, int]]:
-    """(key, value) rows of ``_split``'s (key, e0, e1, e2, e3) rows: the
-    value packs the coordinates into one int, their value at zeta = 2**w.
-    A product of two values is then one int product, and ``_unpack``
-    reads the coordinates back modulo zeta^4 = -1."""
-    return [(key, (((e3 << w) + e2 << w) + e1 << w) + e0) for key, e0, e1, e2, e3 in rows]
+def _encode(rows: Iterable[tuple[MultiIndex, int, int, int, int]], shifts: Sequence[int],
+            w: int) -> list[tuple[int, int]]:
+    """(key, value) rows of ``_split``'s (exponents, e0, e1, e2, e3) rows.
+
+    The key packs the exponent tuple into one int (Kronecker
+    substitution), at the bit offsets `shifts` of ``_layout``; while no
+    exponent outgrows its field, the key of a product of monomials is the
+    sum of their keys.  The value packs the coordinates into one int,
+    their value at zeta = 2**w.  A product of two values is then one int
+    product, and ``_unpack`` reads the coordinates back modulo
+    zeta^4 = -1.
+    """
+    return [(sum(map(operator.lshift, exps, shifts)), (((e3 << w) + e2 << w) + e1 << w) + e0)
+            for exps, e0, e1, e2, e3 in rows]
 
 
 def _multiply(rows_a: Iterable[tuple[int, int]], rows_b: Sequence[tuple[int, int]],
@@ -453,28 +459,26 @@ def _sum_of_products(weights: Sequence[ExactComplex], chains: Sequence[Sequence]
     slots[j] maps a key to a term dict in n variables and no product has a
     total degree above `degree`.
 
-    Every term dict is packed once: its keys at the bit width of `degree`,
-    its coefficients at the width ``_width`` gives the weights' norm times,
-    per slot, the largest norm among its term dicts.  A chain's numerators
-    are over the product of its slots' denominators, so its weight is
-    taken over that product too; then every chain's numerators are over
-    one common denominator, and ``_fold`` multiplies all of them out into
-    one accumulator, unpacked once.  The weights are split as a term dict
-    in one variable, keyed by chain index.
+    Every term dict is packed once, the term dicts of slot j together
+    over one denominator D_j, the least common denominator of all their
+    coefficients.  Every chain's numerators are then over the weights'
+    denominator times prod_j D_j, and ``_fold`` multiplies all of them
+    out into one accumulator, unpacked once.  The keys are packed at
+    the bit width of `degree`, the coefficients at the width ``_width``
+    gives the weights' norm times, per slot, the largest norm among its
+    term dicts.  The weights are split as a term dict in one variable,
+    keyed by chain index.
     """
     if not chains:
         return {}
     shifts, _ = layout = _layout(degree.bit_length(), n)
-    split = [{key: _split(terms, shifts) for key, terms in slot.items()} for slot in slots]
-    scaled = {}
-    for i, (wt, chain) in enumerate(zip(weights, chains)):
-        a, b, c, d, e = wt._q
-        scaled[i,] = _make(a, b, c, d, e * math.prod([split[j][key][0]
-                                                       for j, key in enumerate(chain)]))
-    den, norm, rows = _split(scaled, (0,))
-    w = _width(math.prod([max([s[1] for s in slot.values()]) for slot in split], start=norm))
-    packed = [{key: _encode(s[2], w) for key, s in slot.items()} for slot in split]
-    return _unpack(_fold(0, _encode(rows, w), chains, packed), den, layout, w)
+    den, [(norm, rows)] = _split([{(i,): wt for i, wt in enumerate(weights)}])
+    split = [_split(slot.values()) for slot in slots]
+    den = math.prod([d for d, _ in split], start=den)
+    w = _width(math.prod([max([part[0] for part in parts]) for _, parts in split], start=norm))
+    packed = [{key: _encode(part[1], shifts, w) for key, part in zip(slot, parts)}
+              for slot, (_, parts) in zip(slots, split)]
+    return _unpack(_fold(0, _encode(rows, (0,), w), chains, packed), den, layout, w)
 
 
 def _fold(level: int, group: list, chains: Sequence[Sequence], packed: list[dict]) -> dict[int, int]:

@@ -147,16 +147,7 @@ class ExactComplex:
             raise ValueError("exponent must be a non-negative integer")
         if k == 0:
             return ONE
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        out = base  # the lowest set bit: no product with the unit
-        while k := k >> 1:
-            base = base * base
-            if k & 1:
-                out = out * base
-        return out
+        return _power(self, k)
 
     def conjugate(self) -> "ExactComplex":
         a, b, c, d, den = self._q
@@ -194,19 +185,18 @@ def _make(a: int, b: int, c: int, d: int, den: int) -> ExactComplex:
     return z
 
 
-def _numerators(values) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """(den, rows): den is the least common denominator of the scalars
-    `values`, and each row holds one scalar's numerators (a, b, c, d) over
-    den, as ``_make`` takes them."""
-    qs = [v._q for v in values]
-    den = math.lcm(*[q[4] for q in qs])
-    rows = []
-    for a, b, c, d, e in qs:
-        if e != den:
-            f = den // e
-            a, b, c, d = a * f, b * f, c * f, d * f
-        rows.append((a, b, c, d))
-    return den, rows
+def _power(base, k: int):
+    """base**k for an int k >= 1, by repeated squaring with the operands'
+    own ``*``; the ``__pow__`` of ``ExactComplex`` and of ``Polynomial``."""
+    while not k & 1:
+        base = base * base
+        k >>= 1
+    out = base  # the lowest set bit: no product with the unit
+    while k := k >> 1:
+        base = base * base
+        if k & 1:
+            out = out * base
+    return out
 
 
 def _lowest_terms(v: ExactComplex) -> tuple[int, int, int, int, int, int, int, int]:

@@ -258,6 +258,24 @@ def test_verify_deterministic_and_exit_zero(tmp_path):
     assert {r["claim"] for r in reports} >= {"associativity", "jacobi-six-term"}
 
 
+def test_unwritable_output_or_config_exits_2_naming_the_path(tmp_path, monkeypatch, capsys):
+    # exit 1 means a guaranteed claim failed; a failed write or read is a usage error
+    monkeypatch.chdir(tmp_path)
+    for argv in (["verify", "--trials", "1", "--output", "missing/r.json"],
+                 ["spectrum", "--k", "2", "--nbar", "1,1,0", "--output", "missing/t.csv"]):
+        assert main(argv) == 2, argv
+        body = json.loads(capsys.readouterr().err)["error"]
+        assert body == {"code": "io", "message": f"cannot write {argv[-1]}: No such file or directory"}
+    (tmp_path / "nstar.json").write_text("{}")
+
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    assert main(["omega", "0,1,0", "0,0,1"]) == 2
+    body = json.loads(capsys.readouterr().err)["error"]
+    assert body == {"code": "io", "message": "cannot read config file nstar.json: Permission denied"}
+
+
 def test_residual_csv(tmp_path):
     out = tmp_path / "resid.csv"
     proc = run_cli(["residual", "--k", "0", "--order", "2", "--points", "4",

@@ -105,6 +105,10 @@ def test_energy_index_validation():
 def test_quantum_number_validation():
     with pytest.raises(ValueError):
         QuantumNumber((-1, 0, 0))
+    # int() would truncate 1.5 to 1 and report the energy of another state
+    for nbar, component in (((1.5, 0, 0), 1), ((0, Fraction(1, 2), 0), 2), ((0, 0, 2.0), 3)):
+        with pytest.raises(ValueError, match=f"occupation number {component} must be an integer"):
+            QuantumNumber(nbar)
     assert QuantumNumber((2, 3, 0)).norm == 5
 
 

@@ -420,6 +420,22 @@ def test_sum_of_products_coordinate_at_the_norm_bound():
         assert got == {(2, 2, 0): ExactComplex(0, 0, total, total)}
 
 
+def test_sum_of_products_puts_each_slot_over_one_denominator():
+    # slot 0 holds x1/6 + x2/4 (reduced over 12) and its x1-derivative 1/6
+    # (reduced over 6); both are packed over 12, and the chains mix them
+    f = Polynomial(2, {(1, 0): Fraction(1, 6), (0, 1): Fraction(1, 4)})
+    g = Polynomial(2, {(0, 1): Fraction(1, 3), (0, 0): ExactComplex(0, 0, Fraction(1, 5))})
+    slots = [{0: f.terms, 1: f.diff(1).terms}, {0: g.terms, 1: g.diff(2).terms, 2: x(1, 2).terms}]
+    weights = [ExactComplex(Fraction(1, 2), 0, Fraction(-1, 3)), ExactComplex(0, Fraction(2, 7)),
+               ExactComplex(1), ExactComplex(0, 0, 0, Fraction(3, 4)), ExactComplex(Fraction(5, 9))]
+    chains = [(0, 0), (1, 0), (0, 1), (1, 2), (1, 1)]
+    got = assert_sum_of_products_matches_reference(weights, chains, slots, 2)
+    assert sorted(got) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    # only the chains through 1/6 and a constant of slot 1 reach the constant term
+    assert got[0, 0] == (ExactComplex(0, Fraction(2, 7)) * ExactComplex(0, 0, Fraction(1, 5))
+                         + ExactComplex(Fraction(5, 9)) * Fraction(1, 3)) * Fraction(1, 6)
+
+
 def rt2_poly(rng, n, nterms, degree):
     """A seeded polynomial with fractional and sqrt(2) parts, one term of
     the full degree."""

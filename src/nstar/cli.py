@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
+import os
 import random
 import re
 import sys
@@ -159,6 +161,16 @@ def _write(path: str, save) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}", code="io")
 
 
+def _check_output_dir(path: str) -> None:
+    """The usage error _write would raise, before any work, when path's
+    directory is missing, not a directory or not writable."""
+    parent = Path(path).parent
+    problem = (errno.ENOENT if not parent.exists() else errno.ENOTDIR if not parent.is_dir()
+               else errno.EACCES if not os.access(parent, os.W_OK) else None)
+    if problem is not None:
+        raise UsageError(f"cannot write {path}: {os.strerror(problem)}", code="io")
+
+
 def _table_save(body, header: list[str], rows: list[list]):
     """save(path) for a report with a table: CSV for a *.csv path, else JSON."""
     def save(path: str) -> None:
@@ -173,15 +185,16 @@ def _table_save(body, header: list[str], rows: list[list]):
 
 
 def _emit(text, body, args, save=None) -> None:
-    """Print text(), or body() as JSON under --format json; write --output
-    with save(path) when given, else body() as indented JSON.
+    """Write --output, if given, with save(path) or else as body() in
+    indented JSON; then print text(), or body() as JSON under --format json.
+    A failed write prints nothing.
 
     text and body are callables, so only the forms printed or written are
     rendered: formatting a large product takes as long as computing it."""
     data = body() if args.format == "json" or (args.output and save is None) else None
-    print(json.dumps(data) if args.format == "json" else text())
     if args.output:
         _write(args.output, save or (lambda path: _write_json(path, data)))
+    print(json.dumps(data) if args.format == "json" else text())
 
 
 def _cmd_product(args) -> int:
@@ -234,6 +247,7 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_output_dir(args.output)  # before the audit, not after it
     reports = run_suite(seed=args.seed, trials=args.trials)
     _write(args.output, lambda path: Path(path).write_text(reports_to_json(reports) + "\n"))
     for rep in reports:

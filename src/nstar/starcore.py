@@ -213,13 +213,14 @@ def _plan(n: int, m: int) -> tuple:
             key = tuple(counts)
             node = node.setdefault(shared.setdefault(key, key), {} if j < n - 1 else [])
         node.append(used)
+    return _freeze(root)
 
-    def freeze(node):
-        if isinstance(node, list):
-            return tuple(node)
-        return tuple([(counts, freeze(child)) for counts, child in node.items()])
 
-    return freeze(root)
+def _freeze(node) -> tuple:
+    """A trie of dicts and leaf lists as nested tuples."""
+    if isinstance(node, list):
+        return tuple(node)
+    return tuple([(counts, _freeze(child)) for counts, child in node.items()])
 
 
 def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs: list[dict]):
@@ -287,12 +288,17 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
         if bound is None:
             raise ValueError("the series does not terminate: give an order")
         order = bound
-    for m in range(order + 1):
-        weights: list[ExactComplex] = []
-        chains: list[tuple[tuple[int, ...], ...]] = []
-        if bound is None or m <= bound:
-            walk(_plan(n, m), 0, (), weights, chains)
-        yield weights, chains
+    try:
+        for m in range(order + 1):
+            weights: list[ExactComplex] = []
+            chains: list[tuple[tuple[int, ...], ...]] = []
+            if bound is None or m <= bound:
+                walk(_plan(n, m), 0, (), weights, chains)
+            yield weights, chains
+    finally:
+        # both closures reach themselves through their cells; without this
+        # each call's derivative memo lives on until the cyclic collector runs
+        diffed = walk = None
 
 
 def _multiply_out(weights: list, chains: list, derivs: list[dict], n: int,

@@ -329,32 +329,91 @@ def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:
     for w in factors:
         if w.n != n:
             raise ValueError("factor dimension mismatch")
+    if not all(w.terms for w in factors):
+        return WaveSum._canonical(n, ())
     coeffs = [np.array([c for c, _ in w.terms], dtype=complex) for w in factors]
     slots = [np.array([f for _, f in w.terms], dtype=float).reshape(-1, n) for w in factors]
-    coeff = _weighted_products(coeffs, slots, cfg).ravel()
-    freq = sum(_along(j, f, n) for j, f in enumerate(slots)).reshape(-1, n)
-    return _merge(n, coeff, freq)
+    return _merge(n, _weighted_products(coeffs, slots, cfg).ravel(), slots)
 
 
-def _merge(n: int, coeff: np.ndarray, freq: np.ndarray) -> WaveSum:
-    """The WaveSum of the rows (coeff[i], freq[i]), merged with arrays into
-    exactly the terms merge_terms builds from them: the same keys, the
-    first frequency of each key, the coefficients summed in row order, and
-    the same errors for a key or a sum that is not finite."""
+def _distinct(rows: np.ndarray) -> tuple:
+    """(the distinct rows in lexicographic order, each row's index among them).
+
+    Each column is ranked by an unstable argsort, all columns in one call,
+    and a row's ranks are combined in mixed radix into one integer code
+    whose numeric order is the rows' lexicographic order; a partial code
+    that could overflow is first replaced by its rank.  One more argsort
+    ranks the codes.  (np.lexsort's stable sorts of float columns cost
+    more from a few hundred rows on.)"""
+    ranks, counts = _ranks(rows.T)
+    code, span = ranks[0], counts[0]
+    for rank, count in zip(ranks[1:], counts[1:]):
+        if span * count > np.iinfo(np.intp).max:
+            (code,), (span,) = _ranks(code[None])
+        code = code * count + rank
+        span *= count
+    (inverse,), (size,) = _ranks(code[None])
+    first = np.empty(size, dtype=np.intp)
+    first[inverse] = np.arange(len(rows))  # a row of each code
+    return rows[first], inverse
+
+
+def _ranks(table: np.ndarray) -> tuple:
+    """(each entry's rank among the distinct values of its row of the
+    table, the number of distinct values per row); equal values share a
+    rank."""
+    width = table.shape[1]
+    flat = (np.argsort(table, axis=1) + np.arange(0, table.size, width)[:, None]).ravel()
+    ordered = table.ravel()[flat].reshape(table.shape)
+    dense = np.ones(table.shape, dtype=np.intp)
+    dense[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    dense = np.cumsum(dense, axis=1)
+    ranks = np.empty(table.size, dtype=np.intp)
+    ranks[flat] = dense.ravel() - 1
+    return ranks.reshape(table.shape), dense[:, -1].tolist()
+
+
+def _merge(n: int, coeff: np.ndarray, slots: Sequence[np.ndarray]) -> WaveSum:
+    """The WaveSum of the tuple rows (coeff[i], sum of the slot frequencies
+    of tuple i), merged with arrays into exactly the terms merge_terms
+    builds from them: the same keys, the first frequency of each key, the
+    coefficients summed in row order, and the same errors for a key or a
+    sum that is not finite.
+
+    On lattice inputs most tuples share a frequency, so no step sorts one
+    row per tuple.  The partial sums ((0 + f_0) + f_1) + ... over slots
+    0..n-2 are deduplicated stage by stage, each tuple carrying an index
+    into the distinct ones (slot 0's are distinct already: a WaveSum holds
+    one frequency per key).  Equal partials are bitwise equal, as no
+    partial is -0.0, so a tuple's frequency is its distinct partial plus
+    its last-slot frequency.  Only those (partial, last slot) rows get
+    keys; the first tuple of a row, and of a key, is a minimum over
+    tuple indices."""
+    part, prefix = 0 + slots[0], np.arange(len(slots[0]))
+    for f in slots[1:-1]:
+        part, inverse = _distinct((part[:, None] + f).reshape(-1, n))
+        prefix = inverse.reshape(-1, len(f))[prefix].ravel()
+    m = len(slots[-1])
+    freq = (part[:, None] + slots[-1]).reshape(-1, n)
+    # each row's first tuple in row order
+    first_prefix = np.full(len(part), len(prefix))
+    np.minimum.at(first_prefix, prefix, np.arange(len(prefix)))
+    first_row = (first_prefix[:, None] * m + np.arange(m)).ravel()
     with np.errstate(over="ignore"):
         keys = np.rint(freq / MERGE_TOL)
     bad = ~np.isfinite(keys).all(axis=1)
     if bad.any():
-        raise _freq_range_error(freq[np.argmax(bad)].tolist())
-    order = np.lexsort(keys.T[::-1])  # stable: rows of one key keep their order
-    keys, coeff = keys[order], coeff[order]
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    group = np.cumsum(starts) - 1
-    sums = coeff[starts]
+        raise _freq_range_error(freq[np.where(bad, first_row, len(coeff)).argmin()].tolist())
+    distinct_keys, key_of_row = _distinct(keys)
+    first = np.full(len(distinct_keys), len(coeff))
+    np.minimum.at(first, key_of_row, first_row)
+    group = key_of_row.reshape(-1, m)[prefix].ravel()
+    rest = np.ones(len(coeff), dtype=bool)
+    rest[first] = False
+    sums = coeff[first]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(sums, group[~starts], coeff[~starts])
-    freq = freq[order[starts]]  # the first frequency of each key
+        np.add.at(sums, group[rest], coeff[rest])
+    freq = freq[prefix[first // m] * m + first % m]  # the first frequency of each key
     bad = ~np.isfinite(sums)
     if bad.any():
         first = np.argmax(bad)

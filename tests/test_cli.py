@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import nstar
+from nstar import cli
 from nstar.cli import main
 from nstar.polynomials import Polynomial, x
 from nstar.starcore import ThetaConfig, star_n
@@ -261,11 +262,22 @@ def test_verify_deterministic_and_exit_zero(tmp_path):
 def test_unwritable_output_or_config_exits_2_naming_the_path(tmp_path, monkeypatch, capsys):
     # exit 1 means a guaranteed claim failed; a failed write or read is a usage error
     monkeypatch.chdir(tmp_path)
+
+    def no_audit(**kwargs):
+        raise AssertionError("verify ran the audit before checking its --output")
+    monkeypatch.setattr(cli, "run_suite", no_audit)
     for argv in (["verify", "--trials", "1", "--output", "missing/r.json"],
-                 ["spectrum", "--k", "2", "--nbar", "1,1,0", "--output", "missing/t.csv"]):
+                 ["spectrum", "--k", "2", "--nbar", "1,1,0", "--output", "missing/t.csv"],
+                 ["spectrum", "--nbar", "1,0,0", "--format", "json", "--output", "missing/t.json"]):
         assert main(argv) == 2, argv
-        body = json.loads(capsys.readouterr().err)["error"]
+        out, err = capsys.readouterr()
+        assert out == "", argv  # nothing printed before the failed write
+        body = json.loads(err)["error"]
         assert body == {"code": "io", "message": f"cannot write {argv[-1]}: No such file or directory"}
+    (tmp_path / "plain").write_text("")
+    assert main(["verify", "--output", "plain/r.json"]) == 2
+    body = json.loads(capsys.readouterr().err)["error"]
+    assert body == {"code": "io", "message": "cannot write plain/r.json: Not a directory"}
     (tmp_path / "nstar.json").write_text("{}")
 
     def unreadable(path, *args, **kwargs):

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -625,3 +626,24 @@ def test_plan_is_built_once_per_dimension_and_order():
             star_n(factors, ThetaConfig(n, theta))
             walked.update((n, m) for m in range(min(f.degree() for f in factors) + 1))
     assert _plan.cache_info().currsize == len(walked)
+
+
+def test_products_leave_no_reference_cycles():
+    # a cycle would keep each call's derivative memo alive until the cyclic
+    # collector runs
+    cfg = ThetaConfig(3, (1, Fraction(1, 2), Fraction(-3, 2)))
+    f = x(1, 3) * x(2, 3) ** 2 + x(3, 3) - Fraction(1, 3)
+    psi = ground_state(1, 3)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        star_n((f, f * x(1, 3), f), cfg)
+        assert gc.collect() == 0
+        list(star_series((f, f, f * I), cfg))
+        assert gc.collect() == 0
+        star_increments([PolyGauss(f, 0), psi, psi], cfg, 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from nstar import waves
 from nstar.starcore import ThetaConfig
@@ -421,11 +422,37 @@ def _merge_coeff(rng):
     return complex(rng.choice(parts), rng.choice(parts))
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_star_waves_merge_matches_wavesum_by_repr(n, monkeypatch):
-    rows = []
-    merge = waves._merge
-    monkeypatch.setattr(waves, "_merge", lambda *a: rows.append(a) or merge(*a))
+def _dict_merge(factors, cfg):
+    """Reference: every tuple's row, its weighted coefficient and its
+    frequency summed slot by slot as ((0 + f_0) + f_1) + ..., through
+    WaveSum's dict merge."""
+    n = cfg.n
+    coeffs = [np.array([c for c, _ in w.terms], dtype=complex) for w in factors]
+    slots = [np.array([f for _, f in w.terms], dtype=float).reshape(-1, n) for w in factors]
+    coeff = waves._weighted_products(coeffs, slots, cfg).ravel()
+    freq = 0
+    for j, f in enumerate(slots):
+        freq = freq + f.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j) + (n,))
+    return WaveSum(n, zip(coeff.tolist(), freq.reshape(-1, n).tolist()))
+
+
+def _assert_merge_matches_dict_merge(factors, cfg):
+    """star_waves gives the dict merge's terms by repr, or its error text."""
+    try:
+        ref = _dict_merge(factors, cfg)
+    except OverflowError as exc:
+        with pytest.raises(type(exc)) as got:
+            star_waves(factors, cfg)
+        assert str(got.value) == str(exc)
+        return None
+    got = star_waves(factors, cfg)
+    assert repr(got.terms) == repr(ref.terms)
+    assert got.n == cfg.n
+    return got
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_star_waves_merge_matches_wavesum_by_repr(n):
     rng = random.Random(60 + n)
     zero, e1 = (0.0,) * n, (1.0,) + (0.0,) * (n - 1)
     # the two tuples that reach e1 cancel exactly, so the key is dropped
@@ -438,11 +465,67 @@ def test_star_waves_merge_matches_wavesum_by_repr(n, monkeypatch):
         cases.append((cfg, [WaveSum(n, [(_merge_coeff(rng), [_merge_value(rng, big) for _ in range(n)])
                                         for _ in range(rng.randint(1, 6))]) for _ in range(n)]))
     for cfg, factors in cases:
-        got = star_waves(factors, cfg)
-        _, coeff, freq = rows.pop()
-        ref = WaveSum(n, zip(coeff.tolist(), freq.tolist()))
-        assert repr(got.terms) == repr(ref.terms)
-        assert got.n == n
+        assert _assert_merge_matches_dict_merge(factors, cfg) is not None
+
+
+def test_star_waves_merge_cascade_cases():
+    flat = theta3(0, 0, 0)
+    one = WaveSum.constant(1, 3)
+    # distinct tuples whose partial sums after slot 1 are exactly equal
+    pair = [WaveSum(3, [(1, (1, 0, 0)), (2j, (0, 1, 0))]), WaveSum(3, [(3, (0, 1, 0)), (4, (1, 0, 0))])]
+    got = _assert_merge_matches_dict_merge(pair + [WaveSum(3, [(1, (0, 0, 1)), (-1, (0, 0, 0))])], flat)
+    assert {f: c for c, f in got.terms}[(1.0, 1.0, 1.0)] == 8j + 3
+    # exactly distinct partials that share a key: the tuple first in row
+    # order, not the smallest partial, names the key's frequency
+    nudged = 1 + 3e-13
+    factors = [WaveSum(3, [(1, (0, 0, 0)), (1, (1, 0, 0))]),
+               WaveSum(3, [(1, (nudged, 0, 0)), (1, (0, 0, 0))]), one]
+    got = _assert_merge_matches_dict_merge(factors, flat)
+    assert got.terms == ((1 + 0j, (0.0, 0.0, 0.0)), (2 + 0j, (nudged, 0.0, 0.0)),
+                         (1 + 0j, (1 + nudged, 0.0, 0.0)))
+    # three tuples overflow the key; the first in row order has the later
+    # sorted partial: (1e296, 0, 0) after (0, 0, 1e296)
+    factors = [WaveSum(3, [(1, (0, 0, 0)), (1, (0, 0, 1e296))]),
+               WaveSum(3, [(1, (0, 0, 0)), (1, (1e296, 0, 0))]), WaveSum.single(1, (1e296, 0, 1e296))]
+    with pytest.raises(OverflowError, match=r"wave frequency \[2e\+296, 0\.0, 1e\+296\]"):
+        star_waves(factors, flat)
+    _assert_merge_matches_dict_merge(factors, flat)
+    # each tuple's coefficient is finite; two share a key and overflow it
+    factors = [WaveSum(3, [(1e308, (1, 0, 0)), (1e308, (0, 1, 0))]),
+               WaveSum(3, [(1, (0, 1, 0)), (1, (1, 0, 0))]), one]
+    with pytest.raises(KernelOverflowError, match="merged wave coefficient"):
+        star_waves(factors, flat)
+    _assert_merge_matches_dict_merge(factors, flat)
+    # an empty factor
+    assert _assert_merge_matches_dict_merge([pair[0], WaveSum(3), pair[1]], flat) == WaveSum(3)
+
+
+_merge_components = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda v, d: v + d, st.sampled_from([-1.0, 0.0, 1.0]),
+              st.sampled_from([0.0, 3e-13, -4e-13, 2e-12])),
+    st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from([1.0, -1.0]), st.floats(250, 296)))
+_merge_coeffs = st.builds(complex, *[st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308])] * 2)
+
+
+@st.composite
+def _merge_cases(draw):
+    n = draw(st.integers(3, 5))
+    theta = draw(st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-2, 2)] * n)))
+    try:  # a factor's own merge may overflow its coefficients
+        factors = [WaveSum(n, draw(st.lists(st.tuples(_merge_coeffs, st.tuples(*[_merge_components] * n)),
+                                            max_size=4)))
+                   for _ in range(n)]
+    except OverflowError:
+        reject()
+    return factors, ThetaConfig(n, tuple(map(Fraction, theta)))
+
+
+@settings(deadline=None)
+@given(_merge_cases())
+def test_star_waves_merge_matches_dict_merge_hypothesis(case):
+    factors, cfg = case
+    _assert_merge_matches_dict_merge(factors, cfg)
 
 
 def test_star_waves_merge_key_overflow_names_the_frequency():
@@ -482,3 +565,16 @@ def test_sample_on_grid_of_empty_sum_is_zero():
     for n in (3, 4):
         out = WaveSum(n).sample_on_grid(GridSpec(n, 4, 1.0))
         assert out.shape == (4,) * n and out.dtype == complex and not out.any()
+
+
+def test_distinct_rows_in_lexicographic_order():
+    rng = np.random.default_rng(5)
+    # 8000 values per column: the five-column code outgrows int64 and is re-ranked
+    wide = np.stack([rng.permutation(8000) - 4000.0 for _ in range(5)], axis=1)
+    narrow = rng.integers(-2, 3, (300, 3)).astype(float)
+    for rows in (np.concatenate([wide, wide[::-1]]), narrow, np.array([[0.0, -0.0], [-0.0, 0.0]])):
+        distinct, inverse = waves._distinct(rows)
+        ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, ref)
+        assert np.array_equal(inverse, ref_inverse.ravel())
+    assert waves._distinct(np.array([[0.0, -0.0], [-0.0, 0.0]]))[0].shape == (1, 2)

@@ -379,7 +379,13 @@ def _cmd_oracle(args) -> int:
 
 _THETA = {"n": Flag(int, 3, help="space dimension (default 3)"),
           "theta": Flag(help="comma-separated rational deformation parameters")}
-_FORM = {"format": Flag(default="text", choices=("text", "json")), "output": Flag()}
+_FORMAT = Flag(default="text", choices=("text", "json"),
+               help="print text or one line of JSON (default text)")
+_FORM = {"format": _FORMAT, "output": Flag(help="also write the result to this file as JSON")}
+# --output of the commands whose report has a table
+_TABLE_FORM = {"format": _FORMAT,
+               "output": Flag(help="also write the report to this file: CSV for a *.csv path, "
+                                   "else JSON")}
 _LAMBDAS = {"lambda0": Flag(help="comma-separated diagonal quadratic coefficients"),
             "lambda2": Flag(help="comma-separated diagonal quartic coefficients")}
 _EXPRS = {"exprs": {"nargs": "+"}}
@@ -398,20 +404,35 @@ COMMANDS: dict[str, Command] = {
     "omega": Command("antisymmetric frequency combination (n=3)", _cmd_omega,
                      {"q": {}, "r": {}}, _FORM),
     "verify": Command("run the full identity audit suite", _cmd_verify, {},
-                      {"seed": Flag(int, 0), "trials": Flag(int, 100),
-                       "output": Flag(default="nstar_audit.json")}),
+                      {"seed": Flag(int, 0, help="seed of the sampled trials (default 0)"),
+                       "trials": Flag(int, 100, help="sampled trials per claim (default 100)"),
+                       "output": Flag(default="nstar_audit.json",
+                                      help="file for the JSON audit report "
+                                           "(default nstar_audit.json)")}),
     "spectrum": Command("closed-form oscillator eigenvalues", _cmd_spectrum, {},
-                        {**_THETA, "k": Flag(int, 1), "nbar": Flag(), **_LAMBDAS, **_FORM}),
+                        {**_THETA,
+                         "k": Flag(int, 1, help="axis k of the printed energy E_k, 1..n "
+                                                "(default 1); the table has every k"),
+                         "nbar": Flag(help="comma-separated occupation numbers (default all 0)"),
+                         **_LAMBDAS, **_TABLE_FORM}),
     "residual": Command("residual table for the eigenvalue equations", _cmd_residual, {},
-                        {**_THETA, "k": Flag(int, 0), "order": Flag(int, 4),
-                         "points": Flag(int, 20), "seed": Flag(int, 0), **_LAMBDAS,
+                        {**_THETA,
+                         "k": Flag(int, 0, help="Hermite index of the ground state (default 0)"),
+                         "order": Flag(int, 4, help="highest truncation order of the star "
+                                                    "series (default 4)"),
+                         "points": Flag(int, 20, help="number of sample points (default 20)"),
+                         "seed": Flag(int, 0, help="seed of the sample points (default 0)"),
+                         **_LAMBDAS,
                          "pair": Flag(default=(), repeat=True,
                                       help="pair coupling as i,j=value (repeatable)"),
-                         **_FORM}),
+                         **_TABLE_FORM}),
     "oracle": Command("cross-check wave star product on a lattice", _cmd_oracle, _EXPRS,
                       {**_THETA, "N": Flag(int, 8, help="points per axis"),
                        "L": Flag(float, 2 * np.pi, help="period"),
-                       "budget": Flag(float, 1e8, help="kernel work budget"), **_FORM}),
+                       "budget": Flag(float, 1e8, help="kernel work budget"),
+                       "format": _FORMAT,
+                       "output": Flag(help="also write the lattice samples to this file: "
+                                           "a JSON header line, then complex128 values")}),
 }
 
 

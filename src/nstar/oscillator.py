@@ -194,17 +194,19 @@ class PolyGauss:
         a positive scale, where the value is no polynomial."""
         return None if self.scale else self.poly.degree()
 
-    def eval(self, point: Sequence) -> complex:
-        """Value at a point.  The polynomial part is evaluated exactly, with
-        each coordinate taken as Fraction(v), which is exact for int,
-        Fraction and float."""
-        pt = [Fraction(v) for v in point]
-        value = self.poly.eval_exact(pt).to_complex()
-        # |x|^2 = norm2 / D^2 in integers; int / int rounds correctly, so the
-        # exponent is the float nearest the exact one
-        D = math.lcm(*[v.denominator for v in pt])
-        norm2 = sum((v.numerator * (D // v.denominator)) ** 2 for v in pt)
-        return value * math.exp(-(self.scale * norm2) / (2 * D * D))
+    def eval(self, points: Sequence[Sequence]) -> list[complex]:
+        """Values at points, one per point.  The polynomial part is evaluated
+        exactly; a coordinate that is not an int or a Fraction is taken as
+        Fraction(v), which is exact for a float."""
+        pts = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p] for p in points]
+        values = []
+        for pt, value in zip(pts, self.poly.eval_exact(pts)):
+            # |x|^2 = norm2 / D^2 in integers; int / int rounds correctly, so
+            # the exponent is the float nearest the exact one
+            D = math.lcm(*[v.denominator for v in pt])
+            norm2 = sum((v.numerator * (D // v.denominator)) ** 2 for v in pt)
+            values.append(value.to_complex() * math.exp(-(self.scale * norm2) / (2 * D * D)))
+        return values
 
 
 def ground_state(k: int, n: int) -> PolyGauss:
@@ -298,7 +300,7 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
                 rows.append(rows[-1])
                 continue
             running = running + increment
-            rows.append([PolyGauss(running, scale).eval(p) for p in points])
+            rows.append(PolyGauss(running, scale).eval(points))
         return rows
 
     ann_vals = cumulative_values(PolyGauss(a_poly, 0))

@@ -205,36 +205,44 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_exact(self, point: Sequence[int | Fraction]) -> ExactComplex:
-        """Exact value at a point with rational (int or Fraction) coordinates.
+    def eval_exact(self, points: Sequence[Sequence[int | Fraction]]) -> list[ExactComplex]:
+        """Exact values at points with rational (int or Fraction) coordinates,
+        one per point.
 
-        The coordinates are put over one common denominator D, so a
+        The terms go over their common denominator once (``_split``).  Per
+        point, the coordinates are put over one common denominator D, so a
         monomial of degree e is a product of the coordinates' numerators
         over D**e; scaled by D**(deg - e), deg the total degree, every
-        monomial is an integer over D**deg.  With the coefficients over
-        their common denominator (``_split``), the value is four integer
-        sums of Z[zeta] coordinates, read back as ``_unpack`` reads a
-        term, and one scalar is built.
+        monomial is an integer over D**deg.  The value is then four integer
+        sums of Z[zeta] coordinates, read back as ``_unpack`` reads a term,
+        and one scalar is built.
         """
-        if len(point) != self.n:
-            raise ValueError("point dimension mismatch")
+        n = self.n
+        for point in points:
+            if len(point) != n:
+                raise ValueError("point dimension mismatch")
         if not self.terms:
-            return ZERO
-        D = math.lcm(*[v.denominator for v in point])
+            return [ZERO] * len(points)
         deg = self.degree()
-        # per axis, the powers of its numerator up to the axis's top exponent
-        tables = [_powers(v.numerator * (D // v.denominator), top)
-                  for v, top in zip(point, map(max, zip(*self.terms)))]
-        scales = _powers(D, deg)
+        tops = list(map(max, zip(*self.terms)))
         den, [(_, rows)] = _split([self.terms])
-        s0 = s1 = s2 = s3 = 0
-        for exps, e0, e1, e2, e3 in rows:
-            mono = math.prod(map(list.__getitem__, tables, exps), start=scales[deg - sum(exps)])
-            s0 += e0 * mono
-            s1 += e1 * mono
-            s2 += e2 * mono
-            s3 += e3 * mono
-        return _make(s0, s2, (s1 - s3) // 2, (s1 + s3) // 2, den * scales[deg])
+        rows = [(exps, deg - sum(exps), e0, e1, e2, e3) for exps, e0, e1, e2, e3 in rows]
+        values = []
+        for point in points:
+            D = math.lcm(*[v.denominator for v in point])
+            # per axis, the powers of its numerator up to the axis's top exponent
+            tables = [_powers(v.numerator * (D // v.denominator), top)
+                      for v, top in zip(point, tops)]
+            scales = _powers(D, deg)
+            s0 = s1 = s2 = s3 = 0
+            for exps, rest, e0, e1, e2, e3 in rows:
+                mono = math.prod(map(list.__getitem__, tables, exps), start=scales[rest])
+                s0 += e0 * mono
+                s1 += e1 * mono
+                s2 += e2 * mono
+                s3 += e3 * mono
+            values.append(_make(s0, s2, (s1 - s3) // 2, (s1 + s3) // 2, den * scales[deg]))
+        return values
 
     def max_coeff_magnitude(self) -> float:
         if not self.terms:

@@ -311,6 +311,15 @@ def _multiply_out(weights: list, chains: list, derivs: list[dict], n: int,
     return Polynomial._trusted(n, _sum_of_products(weights, chains, slots, n, degree))
 
 
+def _derivative_memos(factors: Sequence, n: int) -> list[dict]:
+    """Per slot, the memo of its factor's derivatives by counts, holding
+    the factor itself at zero counts.  Slots that hold the same factor
+    object share one memo, so a factor repeated across slots is
+    differentiated once per derivative; the memos live for one call."""
+    by_factor: dict[int, dict] = {}
+    return [by_factor.setdefault(id(f), {(0,) * n: f}) for f in factors]
+
+
 def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     """Yield the increments 0..order of m[exp(operator) applied to the factors]
     as polynomials; without an order, every increment up to the series bound.
@@ -333,13 +342,14 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     slot-0 node that counts one is dropped too.  Every leaf reached is a
     live composition, with weight prod_t w_t^c_t / c_t!, where w_t is
     theta_k times term t's unit weight +-i/2.  Slot derivatives are
-    memoized per factor on their counts, each one derivative step
-    (``_peel``) from counts already memoized.  Each order is then one
-    integer pass: ``polynomials._sum_of_products`` packs every slot
-    derivative the order uses once and multiplies the weighted slot
-    products out as packed integer rows into one accumulator, unpacked
-    once.  Past the series bound (``_series_bound``) every increment is
-    zero and is yielded without a walk.
+    memoized per factor object on their counts (``_derivative_memos``),
+    each one derivative step (``_peel``) from counts already memoized.
+    Each order is then one integer pass: ``polynomials._sum_of_products``
+    packs every slot derivative the order uses once and multiplies the
+    weighted slot products out as packed integer rows into one
+    accumulator, unpacked once.  Past the series bound
+    (``_series_bound``) every increment is zero and is yielded without a
+    walk.
 
     Each factor's degree is computed once.  It gives the series bound and
     the packing width: at order m a slot's polynomial part has at most its
@@ -353,7 +363,7 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     top = sum(max(map(sum, f.terms), default=0) if d is None else d
               for f, d in zip(factors, degrees))
     growing = degrees.count(None)
-    derivs = [{(0,) * cfg.n: f} for f in factors]
+    derivs = _derivative_memos(factors, cfg.n)
     for m, (weights, chains) in enumerate(_live_chains(cfg, order, _series_bound(degrees), derivs)):
         yield _multiply_out(weights, chains, derivs, cfg.n, top + m * growing)
 
@@ -364,7 +374,7 @@ def star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
     integer pass."""
     _check_arity(factors, cfg)
     degrees = [f.degree() for f in factors]
-    derivs = [{(0,) * cfg.n: f} for f in factors]
+    derivs = _derivative_memos(factors, cfg.n)
     weights: list[ExactComplex] = []
     chains: list = []
     for w, c in _live_chains(cfg, None, _series_bound(degrees), derivs):

@@ -264,8 +264,9 @@ def test_criterion_7_residual_report():
     hand_ham = PolyGauss(H * psi.poly * psi.poly, 2)
     hand_one = PolyGauss(psi.poly * psi.poly, 2)
     for pi, p in enumerate(points):
-        assert report["ground_residuals"][0][pi] == abs(hand_ann.eval(p))
-        assert report["eigen_residuals"][0][pi] == abs(hand_ham.eval(p) - E * hand_one.eval(p))
+        assert report["ground_residuals"][0][pi] == abs(hand_ann.eval([p])[0])
+        assert report["eigen_residuals"][0][pi] == abs(hand_ham.eval([p])[0]
+                                                       - E * hand_one.eval([p])[0])
     _report("7", "residual-vs-order table produced for orders 0..6 at 20 points; "
                  "order-0 row equals the pointwise product exactly; no convergence "
                  "claim asserted")

@@ -306,6 +306,73 @@ def test_residual_integer_energy(capsys):
     assert main(argv + ["--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["energy"] == "2"
 
+
+# `residual` configurations and the sha256 of their output bytes: stdout
+# as text and under --format json, then the --output CSV and JSON files.
+# Measured before the residual tables were evaluated a partial sum at a
+# time over all points; the values pass through libm's exp, so another
+# platform's libm may change a last digit.
+RESIDUAL_SHA256 = {
+    (): (
+        "494b9bd0c95f35f85823959fbb80437ddcb8ee70fd8e250dac89edaf36c80d79",
+        "4e51811d582a706b0560bde945c80f8db2c7eb9e4c947ea82fd1ed8b610380e7",
+        "4273316b4b11a4724b5225231ececcb36df10e9e967433549d2915d77d633abd",
+        "46789f9e20f5e69a95a22308e6d41539fae92a75dda095586e41d7b5a708abed",
+    ),
+    ("--n", "3", "--order", "6"): (
+        "eb0af1d0eb82bb2421ccf5ef4a37ac940a0f163732d03859b6e93e5224ad300c",
+        "6ad29a0cc6d3b2169d2d87d83838cd01e216fdd28aec9f7d118f3428454ce225",
+        "3b7d1352174f0c502e64f063c7eafb8fe335c27994525529c59a563ad69982ca",
+        "1022d8d15b53dbe98afc00adf9a517795cd3b10d9ca0f88e333a764690e844c7",
+    ),
+    ("--n", "4", "--theta", "1,2,1,1", "--lambda0", "1,1,1,1", "--lambda2", "1/4,1/8,1/2,1/4",
+     "--order", "4"): (
+        "15519908ddf56b79434b6fd84370802b1c1ec8067b2477180dabaee093073074",
+        "05d238bec423a89755961394e440b6d0039ff7632523248eb00348693d72cf9e",
+        "6bebc0bf34f6fd67e0d6f5d8b5607b3e9f1e35d67be31d430b0b993e406036fa",
+        "ebc12f9dca372f47639ff80b96d11f19272ac8b70a99b45646766169ceeaefaa",
+    ),
+    ("--k", "1"): (
+        "d1a403472b79a6dbef15c54682ad0320d749f4c1812a8c64caed4ce15342386f",
+        "f228d99ef5d458541c0603195485925b63565d21e94a09cebe2f560124cb3df0",
+        "eeceb3a8c5312a15ee91ad2f83e614b48ee04aff6c00d6d399275a9f489fae84",
+        "953d54e35be63fc53ff6653993e8b3254f0fe4d87f065da8965dbc4ef130cb6b",
+    ),
+    ("--k", "2"): (
+        "cf8c34c234999317b91c1bc6f33523545265a77f6807aafcc8c6704104df6775",
+        "2919440587416ae9f87a3166135203b4b748ced8714962cbd736562d5425f601",
+        "f7fc3b967fbc3f96066ad73f8db67b9b725b6c669ba79f218cdaed87cabbc4dc",
+        "996afe44250eef23742cc28900af437da68ea0efa79037d9a6d851b56a41d306",
+    ),
+    ("--pair", "1,2=1/3"): (
+        "cd8bc41e557773ba0496ec4b70745fe470fe91109afe109e23aa8f5b7e74f21d",
+        "e35a2541989a1dcde54e222a681ea8ba3f7a3255450fbee5b6ce12eea8e75f4f",
+        "915ff93910a7d123ed09ad02bf6a804406612e78c407603dedebd269ade58437",
+        "5103747cc304078433a0dc367008472f6f6ac9fd37fe156fdbd4df5385320601",
+    ),
+    ("--order", "0"): (
+        "abca50094f19e524d86ead5a41d0b6ece55ac6b143feadf80a91b7ca96af1274",
+        "8191b5251a91d02c4ca6a57bea0840711dcfb31e9b3261aab64c5ed2c9f0c5ce",
+        "cbceb25d2138889a3bc5378f4931feaca7c3a308aeb8463f5d4bc173c4d22e92",
+        "bcf823cabe64233e056a0fc72be4887fa28a560f99e4449d883aac2d87188bdc",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(RESIDUAL_SHA256), ids=lambda a: " ".join(a) or "defaults")
+def test_residual_output_bytes_pinned(argv, tmp_path, capsys):
+    digests = []
+    for extra in ([], ["--format", "json"]):
+        assert main(["residual", *argv, *extra]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    for suffix in ("csv", "json"):
+        out = tmp_path / f"residual.{suffix}"
+        assert main(["residual", *argv, "--output", str(out)]) == 0
+        capsys.readouterr()
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert tuple(digests) == RESIDUAL_SHA256[argv]
+
+
 def test_oracle_command(capsys):
     code = main(["oracle", "--theta", "2,0,0", "--N", "8",
                  "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"])
@@ -699,6 +766,17 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert main(argv) == 0
     assert main(["kernel", "1,0,0", "0,1,0", "0,0,1"]) == 0
     assert built == []
+    capsys.readouterr()
+
+
+def test_every_flag_has_help(capsys):
+    missing = [f"{name} --{flag_name}" for name, command in cli.COMMANDS.items()
+               for flag_name, flag in command.flags.items() if not (flag.help or "").strip()]
+    assert missing == []
+    for name in cli.COMMANDS:  # argparse formats each help string only here
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
     capsys.readouterr()
 
 

@@ -170,7 +170,7 @@ def test_polygauss_derivative_matches_the_product_formula():
 def test_polygauss_eval_matches_direct():
     pg = PolyGauss(x(1, 3) ** 2, 1)
     pt = (Fraction(1, 2), Fraction(0), Fraction(1))
-    got = pg.eval(pt)
+    got = pg.eval([pt])[0]
     want = 0.25 * math.exp(-float(Fraction(5, 8)))
     assert abs(got - want) < 1e-15
     # the weight is exp of the float nearest the exact exponent, bit for bit
@@ -180,7 +180,8 @@ def test_polygauss_eval_matches_direct():
         for _ in range(200):
             pt = [Fraction(rng.randint(-400, 400), rng.choice((1, 3, 100, 7))) for _ in range(3)]
             exponent = Fraction(scale) * sum(v * v for v in pt) / 2
-            assert pg.eval(pt) == pg.poly.eval_exact(pt).to_complex() * math.exp(-float(exponent))
+            assert pg.eval([pt])[0] == (pg.poly.eval_exact([pt])[0].to_complex()
+                                        * math.exp(-float(exponent)))
 
 
 def test_polygauss_eval_float_point_is_exact():
@@ -189,7 +190,7 @@ def test_polygauss_eval_float_point_is_exact():
     a, _ = complex_pair(1, 2, 3)
     pg = PolyGauss(a * ground_state(2, 3).poly * Fraction(1, 3), 1)
     for pt in [(0.1, -1.3, 0.7), (1.0, 0.25, -2.5), (0.3, 0.0, 1e-3)]:
-        assert pg.eval(pt) == pg.eval(tuple(Fraction(v) for v in pt))
+        assert pg.eval([pt])[0] == pg.eval([tuple(Fraction(v) for v in pt)])[0]
 
 
 def test_star_polygauss_order0_is_pointwise():
@@ -284,7 +285,7 @@ def test_residual_report_rows():
     psi = ground_state(0, 3)
     hand = PolyGauss(a12 * psi.poly * psi.poly, 2)
     for pi, p in enumerate(pts):
-        assert rep["ground_residuals"][0][pi] == abs(hand.eval(p))
+        assert rep["ground_residuals"][0][pi] == abs(hand.eval([p])[0])
 
 
 def test_residual_report_point_validation():
@@ -330,6 +331,28 @@ def test_series_bound_changes_no_increment(monkeypatch):
         list(star_series([ground_state(0, 3)] * 3, UNIT3))
 
 
+def test_repeated_factor_is_differentiated_once(monkeypatch):
+    # residual_report passes one state object in n - 1 slots; its
+    # derivatives are computed once for all of them, against once per slot
+    # for equal but distinct copies, and the increments are the same
+    calls = []
+    diff = PolyGauss.diff
+    monkeypatch.setattr(PolyGauss, "diff", lambda self, axis: calls.append(axis) or diff(self, axis))
+    for n, theta in ((3, (1, Fraction(1, 2), 2)), (4, (1, 2, 1, Fraction(3, 2)))):
+        cfg = ThetaConfig(n, theta)
+        lead = PolyGauss(build_hamiltonian(HamiltonianSpec(n, diag_lambdas=((1,) * n, (2,) * n))), 0)
+        for k in (0, 1):
+            psi = ground_state(k, n)
+            calls.clear()
+            shared = star_increments([lead] + [psi] * (n - 1), cfg, 4)
+            shared_calls = len(calls)
+            calls.clear()
+            copies = [PolyGauss(Polynomial(n, psi.poly.terms), psi.scale) for _ in range(n - 1)]
+            distinct = star_increments([lead] + copies, cfg, 4)
+            assert 0 < shared_calls < len(calls), (n, k)
+            assert shared == distinct
+
+
 def test_ground_state_equations_exact_closed_forms():
     # n = 3, theta = 1, k = 0, H = |x|^2.  The annihilation product is the
     # pointwise one: its first increment cancels (the trailing factors are
@@ -365,7 +388,7 @@ def reevaluated_tables(spec, cfg, k, order, points):
         running, rows = Polynomial.zero(n), []
         for inc in star_increments([PolyGauss(lead, 0)] + [psi] * (n - 1), cfg, order):
             running = running + inc
-            rows.append([PolyGauss(running, n - 1).eval(p) for p in points])
+            rows.append([PolyGauss(running, n - 1).eval([p])[0] for p in points])
         return rows
 
     ann = values(a)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nstar import polynomials
+from nstar.oscillator import PolyGauss
 from nstar.polynomials import Polynomial, x
 from nstar.scalars import SQRT2, ExactComplex, I
 
@@ -61,7 +63,7 @@ def test_diff_is_linear_and_leibniz(p, q):
 
 def test_eval_exact():
     p = x(1, 3) ** 2 + x(2, 3) * I
-    val = p.eval_exact((Fraction(1, 2), 3, 0))
+    val = p.eval_exact([(Fraction(1, 2), 3, 0)])[0]
     assert val == ExactComplex(Fraction(1, 4), 3)
 
 
@@ -79,6 +81,9 @@ def fraction_eval(p, point):
 
 
 def test_eval_exact_matches_fraction_reference():
+    # single points, then one call over every point (mixed denominators,
+    # ints, exact floats) or none; PolyGauss.eval weights each value by exp
+    # of the float nearest the exact exponent scale*|x|^2/2
     rng = random.Random(23)
 
     def part():
@@ -97,11 +102,32 @@ def test_eval_exact_matches_fraction_reference():
             polys.append(Polynomial(n, {tuple(rng.randint(0, 3) for _ in range(n)):
                                         ExactComplex(part(), part(), part(), part())
                                         for _ in range(rng.randint(1, 6))}))
+        bad = points[:2] + [(1,) * (n + 1)]
         for p in polys:
             for pt in points:
-                assert p.eval_exact(pt) == fraction_eval(p, pt), (p, pt)
-    assert Polynomial.zero(2).eval_exact((Fraction(1, 3), 5)) == ExactComplex(0)
-    assert Polynomial.constant(7, 2).eval_exact((Fraction(1, 3), 5)) == ExactComplex(7)
+                assert p.eval_exact([pt])[0] == fraction_eval(p, pt), (p, pt)
+            want = [fraction_eval(p, pt) for pt in points]
+            assert p.eval_exact(points) == want, p
+            assert p.eval_exact(points[::-1]) == want[::-1], p
+            assert p.eval_exact([]) == []
+            with pytest.raises(ValueError):
+                p.eval_exact(bad)
+            for scale in (0, 1, 3):
+                weights = [math.exp(-float(scale * sum(Fraction(v) ** 2 for v in pt) / 2))
+                           for pt in points]
+                pg = PolyGauss(p, scale)
+                assert pg.eval(points) == [v.to_complex() * w for v, w in zip(want, weights)]
+                assert pg.eval([]) == []
+                with pytest.raises(ValueError):
+                    pg.eval(bad)
+    assert Polynomial.zero(2).eval_exact([(Fraction(1, 3), 5)])[0] == ExactComplex(0)
+    assert Polynomial.constant(7, 2).eval_exact([(Fraction(1, 3), 5)])[0] == ExactComplex(7)
+    # float coordinates are taken exactly: the values at the equal Fraction
+    # points, bit for bit
+    floats = [(0.1, -1.3, 0.7), (1.0, 0.25, -2.5), (0.3, 0.0, 1e-3), (3, -0.5, 2)]
+    for scale in (0, 1, 3):
+        pg = PolyGauss(x(1, 3) * x(2, 3) ** 2 * SQRT2 - x(3, 3) * I + Fraction(1, 3), scale)
+        assert pg.eval(floats) == pg.eval([tuple(map(Fraction, pt)) for pt in floats])
 
 
 def test_times_coordinate_is_the_product_with_x():

@@ -46,7 +46,7 @@ from .closedforms import (
     SlotSpec,
 )
 from .polynomials import Polynomial, x
-from .scalars import ONE, ZERO, ExactComplex
+from .scalars import ONE, ZERO, _make
 from .starcore import ThetaConfig, conjugate_star_n, sigma_power, star_n, star_n_stepwise
 from .waves import freq_cross
 
@@ -117,8 +117,11 @@ def sample_theta(rng: random.Random, n: int,
 
 
 def sample_poly(rng: random.Random, n: int, corpus: CorpusSpec) -> Polynomial:
+    """A polynomial of the corpus: each term draws a degree, its exponents
+    and an integer coefficient; terms on one monomial add up, and terms
+    that cancel are dropped."""
     nterms = rng.choice(NUM_TERMS_CHOICES)
-    terms: dict[tuple[int, ...], ExactComplex] = {}
+    parts: dict[tuple[int, ...], list[int]] = {}  # monomial -> [re, im]
     for _ in range(nterms):
         degree = rng.randint(0, corpus.max_degree)
         exps = [0] * n
@@ -128,10 +131,11 @@ def sample_poly(rng: random.Random, n: int, corpus: CorpusSpec) -> Polynomial:
         im = 0 if corpus.real_coefficients else rng.randint(-COEFF_BOUND, COEFF_BOUND)
         if re == 0 and im == 0:
             re = 1
-        key = tuple(exps)
-        coeff = ExactComplex(re, im)
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return Polynomial(n, terms)
+        part = parts.setdefault(tuple(exps), [0, 0])
+        part[0] += re
+        part[1] += im
+    return Polynomial._trusted(n, {key: _make(re, im, 0, 0, 1)
+                                   for key, (re, im) in parts.items() if re or im})
 
 
 def _sample_int_vector(rng: random.Random, n: int, bound: int) -> tuple[int, ...]:

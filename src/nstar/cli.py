@@ -171,8 +171,9 @@ def _check_output_dir(path: str) -> None:
         raise UsageError(f"cannot write {path}: {os.strerror(problem)}", code="io")
 
 
-def _table_save(body, header: list[str], rows: list[list]):
-    """save(path) for a report with a table: CSV for a *.csv path, else JSON."""
+def _table_save(body, header: list[str], rows):
+    """save(path) for a report with a table: CSV for a *.csv path, else JSON.
+    rows() builds the table's rows, so only a CSV write builds them."""
     def save(path: str) -> None:
         if not path.endswith(".csv"):
             _write_json(path, body)
@@ -180,7 +181,7 @@ def _table_save(body, header: list[str], rows: list[list]):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows(rows())
     return save
 
 
@@ -294,7 +295,9 @@ def _cmd_spectrum(args) -> int:
              "energy": str(energy(kk, nbar, cfg, spec))}
             for kk in range(1, cfg.n + 1)]
     body = {"k": k, "nbar": list(nbar.nbar), "energy": str(value), "table": rows}
-    csv_rows = [[row["k"], " ".join(map(str, row["nbar"])), row["energy"]] for row in rows]
+    def csv_rows() -> list[list]:
+        return [[row["k"], " ".join(map(str, row["nbar"])), row["energy"]] for row in rows]
+
     _emit(lambda: f"E = {value}", lambda: body, args,
           save=_table_save(body, ["k", "nbar", "energy"], csv_rows))
     return 0
@@ -318,10 +321,12 @@ def _cmd_residual(args) -> int:
                   for row in report["rows"]]
         return "\n".join(lines)
 
-    csv_rows = [[m, pi, repr(gv), repr(ev)]
+    def csv_rows() -> list[list]:
+        return [[m, pi, repr(gv), repr(ev)]
                 for m, (grow, erow) in enumerate(zip(report["ground_residuals"],
                                                      report["eigen_residuals"]))
                 for pi, (gv, ev) in enumerate(zip(grow, erow))]
+
     header = ["order", "point_index", "ground_residual", "eigen_residual"]
     _emit(text, lambda: report, args, save=_table_save(report, header, csv_rows))
     return 0

@@ -10,6 +10,8 @@ rather than assumed (see ``audit``).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -42,7 +44,8 @@ def star_coord_first(k: int, f: Polynomial, g: Polynomial, cfg: ThetaConfig) -> 
     s1, s2 = sigma_power(k, 1, 3), sigma_power(k, 2, 3)
     corr = f.diff(s1) * g.diff(s2) - f.diff(s2) * g.diff(s1)
     half_i_th = ExactComplex(0, Fraction(cfg.theta[k - 1], 2))
-    return x(k, 3) * f * g + corr * half_i_th
+    # x_k f g: f shifted by x_k, times g
+    return f.times_coordinate(k) * g + corr * half_i_th
 
 
 def star_coord_middle(k: int, g: Polynomial, f: Polynomial, cfg: ThetaConfig) -> Polynomial:
@@ -52,7 +55,8 @@ def star_coord_middle(k: int, g: Polynomial, f: Polynomial, cfg: ThetaConfig) ->
     s1, s2 = sigma_power(k, 1, 3), sigma_power(k, 2, 3)
     t1 = g.diff(s1) * f.diff(s2) * ExactComplex(0, Fraction(cfg.theta[s1 - 1], 2))
     t2 = g.diff(s2) * f.diff(s1) * ExactComplex(0, Fraction(cfg.theta[s2 - 1], 2))
-    return x(k, 3) * f * g - t1 + t2
+    # x_k f g: f shifted by x_k, times g
+    return f.times_coordinate(k) * g - t1 + t2
 
 
 def star_coord_last(k: int, f: Polynomial, g: Polynomial, cfg: ThetaConfig) -> Polynomial:
@@ -61,7 +65,8 @@ def star_coord_last(k: int, f: Polynomial, g: Polynomial, cfg: ThetaConfig) -> P
     s1, s2 = sigma_power(k, 1, 3), sigma_power(k, 2, 3)
     t1 = f.diff(s1) * g.diff(s2) * ExactComplex(0, Fraction(cfg.theta[s1 - 1], 2))
     t2 = f.diff(s2) * g.diff(s1) * ExactComplex(0, Fraction(cfg.theta[s2 - 1], 2))
-    return x(k, 3) * f * g + t1 - t2
+    # x_k f g: f shifted by x_k, times g
+    return f.times_coordinate(k) * g + t1 - t2
 
 
 def star_two_coords(k: int, variant: str, f: Polynomial, cfg: ThetaConfig) -> Polynomial:
@@ -80,17 +85,20 @@ def star_two_coords(k: int, variant: str, f: Polynomial, cfg: ThetaConfig) -> Po
         raise ValueError(f"unknown variant {variant!r}")
     s1, s2 = sigma_power(k, 1, 3), sigma_power(k, 2, 3)
     half_i_th = ExactComplex(0, Fraction(cfg.theta[k - 1], 2))
+    # x_k x_{s(k)} f and x_k x_{s2(k)} f: f shifted by x_{s(k)} or x_{s2(k)}, then by x_k
     if variant == "sigma-next-middle":
-        return x(k, 3) * x(s1, 3) * f + f.diff(s2) * half_i_th
+        return f.times_coordinate(s1).times_coordinate(k) + f.diff(s2) * half_i_th
     if variant == "sigma-next-last":
-        return x(k, 3) * x(s1, 3) * f - f.diff(s2) * half_i_th
+        return f.times_coordinate(s1).times_coordinate(k) - f.diff(s2) * half_i_th
     if variant == "sigma2-next-middle":
-        return x(k, 3) * x(s2, 3) * f - f.diff(s1) * half_i_th
-    return x(k, 3) * x(s2, 3) * f + f.diff(s1) * half_i_th
+        return f.times_coordinate(s2).times_coordinate(k) - f.diff(s1) * half_i_th
+    return f.times_coordinate(s2).times_coordinate(k) + f.diff(s1) * half_i_th
 
 
+@functools.cache
 def complex_pair(k: int, l: int, n: int = 3) -> tuple[Polynomial, Polynomial]:
-    """The complex coordinate (x_k + i x_l)/sqrt(2) and its conjugate.
+    """The complex coordinate (x_k + i x_l)/sqrt(2) and its conjugate,
+    built once per (k, l, n): the pair is immutable, so callers share it.
 
     The 1/sqrt(2) is exact: coefficients live in Q(i, sqrt(2)).
     """
@@ -99,6 +107,12 @@ def complex_pair(k: int, l: int, n: int = 3) -> tuple[Polynomial, Polynomial]:
     a = (x(k, n) + x(l, n) * I) * HALF_SQRT2
     abar = (x(k, n) - x(l, n) * I) * HALF_SQRT2
     return a, abar
+
+
+def _times_complex(f: Polynomial, i: int, j: int, conj: bool) -> Polynomial:
+    """a f, a = (x_i + i x_j)/sqrt(2) (abar f, abar = (x_i - i x_j)/sqrt(2),
+    when conj is set): x_i f and x_j f are shifts of f."""
+    return (f.times_coordinate(i) + f.times_coordinate(j) * (-I if conj else I)) * HALF_SQRT2
 
 
 def _bracket_pair(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
@@ -126,41 +140,40 @@ def star_complex_form(variant: str, i: int, j: int, f: Polynomial, g: Polynomial
         raise ValueError("complex coordinate requires two distinct axes")
     if variant not in COMPLEX_FORM_VARIANTS + ("g-f-abar-alt",):
         raise ValueError(f"unknown variant {variant!r}")
-    a, abar = complex_pair(i, j, 3)
     quarter = Fraction(1, 4)
     th = lambda m: cfg.theta[m - 1]
     si1, si2 = sigma_power(i, 1, 3), sigma_power(i, 2, 3)
     sj1, sj2 = sigma_power(j, 1, 3), sigma_power(j, 2, 3)
 
     if variant == "a-f-g":
-        return (a * f * g
+        return (_times_complex(f, i, j, False) * g  # a f g
                 + _bracket_pair(f, g, i) * ExactComplex(0, th(i) * quarter)
                 - _bracket_pair(f, g, j) * ExactComplex(th(j) * quarter))
     if variant == "abar-f-g":
-        return (abar * f * g
+        return (_times_complex(f, i, j, True) * g  # abar f g
                 + _bracket_pair(f, g, i) * ExactComplex(0, th(i) * quarter)
                 + _bracket_pair(f, g, j) * ExactComplex(th(j) * quarter))
     if variant == "g-f-a":
-        return (a * f * g
+        return (_times_complex(f, i, j, False) * g  # a f g
                 + g.diff(si1) * f.diff(si2) * ExactComplex(0, th(si1) * quarter)
                 - g.diff(si2) * f.diff(si1) * ExactComplex(0, th(si2) * quarter)
                 - g.diff(sj1) * f.diff(sj2) * ExactComplex(th(sj1) * quarter)
                 + g.diff(sj2) * f.diff(sj1) * ExactComplex(th(sj2) * quarter))
     if variant in ("g-f-abar", "g-f-abar-alt"):
         first = g.diff(si1) if variant == "g-f-abar-alt" else f.diff(si1)
-        return (abar * f * g
+        return (_times_complex(f, i, j, True) * g  # abar f g
                 + first * f.diff(si2) * ExactComplex(0, th(si1) * quarter)
                 - g.diff(si2) * f.diff(si1) * ExactComplex(0, th(si2) * quarter)
                 + g.diff(sj1) * f.diff(sj2) * ExactComplex(th(sj1) * quarter)
                 - g.diff(sj2) * f.diff(sj1) * ExactComplex(th(sj2) * quarter))
     if variant == "f-a-g":
-        return (a * f * g
+        return (_times_complex(f, i, j, False) * g  # a f g
                 - f.diff(si1) * g.diff(si2) * ExactComplex(0, th(si1) * quarter)
                 + f.diff(si2) * g.diff(si1) * ExactComplex(0, th(si2) * quarter)
                 + f.diff(sj1) * g.diff(sj2) * ExactComplex(th(sj1) * quarter)
                 - f.diff(sj2) * g.diff(sj1) * ExactComplex(th(sj2) * quarter))
     # f-abar-g
-    return (abar * f * g
+    return (_times_complex(f, i, j, True) * g  # abar f g
             - f.diff(si1) * g.diff(si2) * ExactComplex(0, th(si1) * quarter)
             + f.diff(si2) * g.diff(si1) * ExactComplex(0, th(si2) * quarter)
             - f.diff(sj1) * g.diff(sj2) * ExactComplex(th(sj1) * quarter)
@@ -203,11 +216,10 @@ def star_coord_slot(spec: SlotSpec, fs: Sequence[Polynomial], gs: Sequence[Polyn
     if len(fs) != spec.m - 1 or len(gs) != n - spec.m:
         raise ValueError(f"expected {spec.m - 1} leading and {n - spec.m} trailing factors")
     m, p = spec.m, spec.p
-    factors = list(fs) + [x(p, n)] + list(gs)
-
-    base = factors[0]
-    for f in factors[1:]:
-        base = base * f
+    others = [*fs, *gs]  # the factors of the slots other than m, in slot order
+    slots = [slot for slot in range(1, n + 1) if slot != m]
+    # x_p in slot m: the product of the other factors, shifted by x_p
+    base = functools.reduce(operator.mul, others).times_coordinate(p)
 
     k_fwd = _wrap_index(p - m + 1, n)
     k_rev = _wrap_index(p + m - n - 1, n)
@@ -218,16 +230,8 @@ def star_coord_slot(spec: SlotSpec, fs: Sequence[Polynomial], gs: Sequence[Polyn
     def rev_axis(slot: int) -> int:
         return k_rev if slot == 1 else sigma_power(k_rev, n - slot + 1, n)
 
-    fwd = Polynomial.constant(1, n)
-    for slot in range(1, n + 1):
-        if slot == m:
-            continue
-        fwd = fwd * factors[slot - 1].diff(fwd_axis(slot))
-    rev = Polynomial.constant(1, n)
-    for slot in range(1, n + 1):
-        if slot == m:
-            continue
-        rev = rev * factors[slot - 1].diff(rev_axis(slot))
+    fwd = functools.reduce(operator.mul, [f.diff(fwd_axis(s)) for s, f in zip(slots, others)])
+    rev = functools.reduce(operator.mul, [f.diff(rev_axis(s)) for s, f in zip(slots, others)])
 
     return (base
             + fwd * ExactComplex(0, Fraction(cfg.theta[k_fwd - 1], 2))

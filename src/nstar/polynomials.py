@@ -218,9 +218,13 @@ class Polynomial:
         and one scalar is built.
         """
         n = self.n
-        for point in points:
+        for index, point in enumerate(points):
             if len(point) != n:
-                raise ValueError("point dimension mismatch")
+                raise ValueError(f"point {index}: dimension mismatch")
+            for axis, v in enumerate(point, 1):
+                if not isinstance(v, (int, Fraction)):
+                    raise ValueError(f"point {index}: coordinate x{axis} = {v!r} "
+                                     f"is not an int or Fraction")
         if not self.terms:
             return [ZERO] * len(points)
         deg = self.degree()
@@ -540,6 +544,8 @@ def _term_str(exps: MultiIndex, coeff: ExactComplex) -> str:
     return f"({s})*{mono}"
 
 
+@functools.cache
 def x(k: int, n: int) -> Polynomial:
-    """Shorthand for the coordinate polynomial x_k in dimension n."""
+    """Shorthand for the coordinate polynomial x_k in dimension n, built
+    once per (k, n): polynomials are immutable, so callers share it."""
     return Polynomial.coordinate(k, n)

@@ -200,3 +200,51 @@ def test_trials_validation():
         audit_claim("associativity", seed=1, trials=0)
     with pytest.raises(ValueError):
         run_suite(seed=1, trials=0)
+
+
+def _reference_sample_poly(rng, n, corpus):
+    """The sampler as first written: one ExactComplex per drawn term,
+    repeated monomials added as scalars, canonicalized by Polynomial()."""
+    from nstar.scalars import ExactComplex
+    nterms = rng.choice(audit.NUM_TERMS_CHOICES)
+    terms = {}
+    for _ in range(nterms):
+        degree = rng.randint(0, corpus.max_degree)
+        exps = [0] * n
+        for _ in range(degree):
+            exps[rng.randrange(n)] += 1
+        re = rng.randint(-audit.COEFF_BOUND, audit.COEFF_BOUND)
+        im = 0 if corpus.real_coefficients else rng.randint(-audit.COEFF_BOUND, audit.COEFF_BOUND)
+        if re == 0 and im == 0:
+            re = 1
+        key = tuple(exps)
+        coeff = ExactComplex(re, im)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return Polynomial(n, terms)
+
+
+def test_sample_poly_matches_reference_draw_for_draw():
+    import random
+
+    degrees = {cdef.corpus.max_degree for cdef in audit.CLAIMS.values() if cdef.corpus}
+    degrees |= {0, 1}  # low degrees repeat monomials, and some repeats cancel
+    merged = cancelled = 0
+    for seed in (0, 1, 42, 2024):
+        for real in (False, True):
+            for n in (3, 4):
+                for max_degree in sorted(degrees):
+                    corpus = audit.CorpusSpec(dims=(n,), max_degree=max_degree,
+                                              real_coefficients=real)
+                    new, ref = random.Random(seed), random.Random(seed)
+                    for _ in range(40):
+                        got = audit.sample_poly(new, n, corpus)
+                        want = _reference_sample_poly(ref, n, corpus)
+                        assert new.getstate() == ref.getstate()
+                        assert got == want
+                        assert list(got.terms) == list(want.terms)  # insertion order kept
+                        assert all(got.terms.values())
+                        # a part beyond the bound, or no term left, needs a repeat
+                        merged += any(abs(c.re) > audit.COEFF_BOUND or abs(c.im) > audit.COEFF_BOUND
+                                      for c in want.terms.values())
+                        cancelled += want.is_zero()
+    assert merged and cancelled

@@ -373,6 +373,26 @@ def test_residual_output_bytes_pinned(argv, tmp_path, capsys):
     assert tuple(digests) == RESIDUAL_SHA256[argv]
 
 
+@pytest.mark.parametrize("command", [["residual", "--order", "2", "--points", "3"], ["spectrum"]])
+def test_table_rows_built_only_for_csv_output(command, tmp_path, capsys, monkeypatch):
+    # the CSV rows of a table report are built for a *.csv --output only
+    built = []
+    table_save = cli._table_save
+
+    def counting_save(body, header, rows):
+        return table_save(body, header, lambda: built.append(1) or rows())
+
+    monkeypatch.setattr(cli, "_table_save", counting_save)
+    for extra in ([], ["--format", "json"], ["--output", str(tmp_path / "report.json")]):
+        assert main([*command, *extra]) == 0
+    assert built == []
+    out = tmp_path / "report.csv"
+    assert main([*command, "--output", str(out)]) == 0
+    assert built == [1]
+    assert len(out.read_text().splitlines()) > 1
+    capsys.readouterr()
+
+
 def test_oracle_command(capsys):
     code = main(["oracle", "--theta", "2,0,0", "--N", "8",
                  "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"])

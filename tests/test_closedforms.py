@@ -201,3 +201,173 @@ def test_nary_slot_matches_engine_n4():
 def test_nary_slot_arity_mismatch():
     with pytest.raises(ValueError):
         star_coord_slot(SlotSpec(3, 2, 1), (), (x(1, 3), x(2, 3)), GEN3)
+
+
+# -- the shifted route against the printed formulas --------------------------
+#
+# The closed forms multiply by a coordinate with Polynomial.times_coordinate.
+# Each test below writes the same printed formula with explicit products
+# (x(k, 3) * f * g, a * f * g, slot products seeded with the constant 1) and
+# requires equal polynomials.
+
+def _random_poly(rng, n):
+    """0-3 terms of degree <= 3 with fractional and sqrt(2) parts."""
+    def part():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    return Polynomial(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                          ExactComplex(part(), part(), part(), part())
+                          for _ in range(rng.randint(0, 3))})
+
+
+def _route_inputs(n, seed, count=6):
+    """Seeded (theta config, f, g) triples: zero, constants and random
+    polynomials with fractional and sqrt(2) coefficients."""
+    rng = random.Random(seed)
+    polys = [Polynomial.zero(n), Polynomial.constant(ExactComplex(Fraction(-3, 2), 1, 0, 2), n)]
+    polys += [_random_poly(rng, n) for _ in range(count)]
+    out = []
+    for f in polys:
+        g = rng.choice(polys)
+        theta = tuple(rng.choice((0, 1, -1, 2)) * Fraction(1, rng.choice((1, 2, 3)))
+                      for _ in range(n))
+        out.append((ThetaConfig(n, theta), f, g))
+    return out
+
+
+def _sigmas(k):
+    return sigma_power(k, 1, 3), sigma_power(k, 2, 3)
+
+
+def test_coord_forms_match_printed_products():
+    for cfg, f, g in _route_inputs(3, 41):
+        for k in (1, 2, 3):
+            s1, s2 = _sigmas(k)
+            i_half = lambda m: ExactComplex(0, Fraction(cfg.theta[m - 1], 2))
+            xk = Polynomial.coordinate(k, 3)
+            first = (xk * f * g
+                     + (f.diff(s1) * g.diff(s2) - f.diff(s2) * g.diff(s1)) * i_half(k))
+            middle = (xk * f * g - g.diff(s1) * f.diff(s2) * i_half(s1)
+                      + g.diff(s2) * f.diff(s1) * i_half(s2))
+            last = (xk * f * g + f.diff(s1) * g.diff(s2) * i_half(s1)
+                    - f.diff(s2) * g.diff(s1) * i_half(s2))
+            assert star_coord_first(k, f, g, cfg) == first
+            assert star_coord_middle(k, g, f, cfg) == middle
+            assert star_coord_last(k, f, g, cfg) == last
+
+
+def test_two_coord_forms_match_printed_products():
+    for cfg, f, _ in _route_inputs(3, 43):
+        for k in (1, 2, 3):
+            s1, s2 = _sigmas(k)
+            i_half = ExactComplex(0, Fraction(cfg.theta[k - 1], 2))
+            xk, xs1, xs2 = (Polynomial.coordinate(m, 3) for m in (k, s1, s2))
+            printed = {
+                "sigma-next-middle": xk * xs1 * f + f.diff(s2) * i_half,
+                "sigma-next-last": xk * xs1 * f - f.diff(s2) * i_half,
+                "sigma2-next-middle": xk * xs2 * f - f.diff(s1) * i_half,
+                "sigma2-next-last": xk * xs2 * f + f.diff(s1) * i_half,
+            }
+            for variant, want in printed.items():
+                assert star_two_coords(k, variant, f, cfg) == want, (variant, k)
+
+
+def test_complex_forms_match_printed_products():
+    for cfg, f, g in _route_inputs(3, 47, count=4):
+        for i, j in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
+            a = (Polynomial.coordinate(i, 3) + Polynomial.coordinate(j, 3) * I) * HALF_SQRT2
+            abar = (Polynomial.coordinate(i, 3) - Polynomial.coordinate(j, 3) * I) * HALF_SQRT2
+            si1, si2 = _sigmas(i)
+            sj1, sj2 = _sigmas(j)
+            iq = lambda m: ExactComplex(0, cfg.theta[m - 1] / 4)
+            rq = lambda m: ExactComplex(cfg.theta[m - 1] / 4)
+            d = Polynomial.diff
+            def bracket(m):
+                t1, t2 = _sigmas(m)
+                return d(f, t1) * d(g, t2) - d(f, t2) * d(g, t1)
+            g_f_abar_tail = (- d(g, si2) * d(f, si1) * iq(si2)
+                             + d(g, sj1) * d(f, sj2) * rq(sj1) - d(g, sj2) * d(f, sj1) * rq(sj2))
+            printed = {
+                "a-f-g": a * f * g + bracket(i) * iq(i) - bracket(j) * rq(j),
+                "abar-f-g": abar * f * g + bracket(i) * iq(i) + bracket(j) * rq(j),
+                "g-f-a": (a * f * g + d(g, si1) * d(f, si2) * iq(si1)
+                          - d(g, si2) * d(f, si1) * iq(si2)
+                          - d(g, sj1) * d(f, sj2) * rq(sj1) + d(g, sj2) * d(f, sj1) * rq(sj2)),
+                "g-f-abar": abar * f * g + d(f, si1) * d(f, si2) * iq(si1) + g_f_abar_tail,
+                "g-f-abar-alt": abar * f * g + d(g, si1) * d(f, si2) * iq(si1) + g_f_abar_tail,
+                "f-a-g": (a * f * g - d(f, si1) * d(g, si2) * iq(si1)
+                          + d(f, si2) * d(g, si1) * iq(si2)
+                          + d(f, sj1) * d(g, sj2) * rq(sj1) - d(f, sj2) * d(g, sj1) * rq(sj2)),
+                "f-abar-g": (abar * f * g - d(f, si1) * d(g, si2) * iq(si1)
+                             + d(f, si2) * d(g, si1) * iq(si2)
+                             - d(f, sj1) * d(g, sj2) * rq(sj1) + d(f, sj2) * d(g, sj1) * rq(sj2)),
+            }
+            for variant, want in printed.items():
+                assert star_complex_form(variant, i, j, f, g, cfg) == want, (variant, i, j)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_nary_slot_matches_printed_products(n):
+    for cfg, f, g in _route_inputs(n, 53 + n, count=3):
+        others = [f, g] + [_random_poly(random.Random(n), n)] * (n - 3)
+        for m in range(1, n + 1):
+            for p in range(1, n + 1):
+                factors = others[:m - 1] + [Polynomial.coordinate(p, n)] + others[m - 1:]
+                k_fwd, k_rev = (p - m) % n + 1, (p + m - n - 2) % n + 1
+                fwd = rev = Polynomial.constant(1, n)
+                for slot in range(1, n + 1):
+                    if slot != m:
+                        fwd = fwd * factors[slot - 1].diff(sigma_power(k_fwd, slot - 1, n))
+                        rev = rev * factors[slot - 1].diff(
+                            k_rev if slot == 1 else sigma_power(k_rev, n - slot + 1, n))
+                base = Polynomial.constant(1, n)
+                for factor in factors:
+                    base = base * factor
+                want = (base + fwd * ExactComplex(0, Fraction(cfg.theta[k_fwd - 1], 2))
+                        - rev * ExactComplex(0, Fraction(cfg.theta[k_rev - 1], 2)))
+                got = star_coord_slot(SlotSpec(n, m, p), others[:m - 1], others[m - 1:], cfg)
+                assert got == want, (m, p)
+
+
+# -- the cached building blocks ------------------------------------------------
+
+def _snapshot(polys):
+    return [(p.n, dict(p.terms)) for p in polys]
+
+
+def test_cached_coordinates_and_pairs_are_shared_and_unchanged():
+    from nstar.audit import run_suite
+
+    assert x(2, 3) is x(2, 3)
+    assert x(2, 3) == Polynomial.coordinate(2, 3)
+    assert complex_pair(1, 3, 3) is complex_pair(1, 3, 3)
+    a, abar = complex_pair(1, 3, 3)
+    assert a == (x(1, 3) + x(3, 3) * I) * HALF_SQRT2
+    assert abar == (x(1, 3) - x(3, 3) * I) * HALF_SQRT2
+
+    cached = ([x(k, n) for n in (3, 4) for k in range(1, n + 1)]
+              + [p for i in (1, 2, 3) for j in (1, 2, 3) if i != j for p in complex_pair(i, j, 3)])
+    fresh = ([Polynomial.coordinate(k, n) for n in (3, 4) for k in range(1, n + 1)]
+             + [(Polynomial.coordinate(i, 3) + sign * Polynomial.coordinate(j, 3) * I) * HALF_SQRT2
+                for i in (1, 2, 3) for j in (1, 2, 3) if i != j for sign in (1, -1)])
+    assert cached == fresh
+    before = _snapshot(cached)
+    run_suite(seed=3, trials=5)
+    assert _snapshot(cached) == before
+    for cfg, f, g in _route_inputs(3, 59, count=2):
+        star_coord_first(1, f, g, cfg)
+        star_two_coords(2, "sigma2-next-last", f, cfg)
+        star_complex_form("g-f-abar", 3, 1, f, g, cfg)
+        star_coord_slot(SlotSpec(3, 2, 3), (f,), (g,), cfg)
+    assert _snapshot(cached) == before
+
+    # one cached object in two slots against equal but distinct copies
+    cfg = GEN3
+    shared = star_n([x(1, 3), x(2, 3) * x(3, 3) + 1, x(1, 3)], cfg)
+    assert _snapshot(cached) == before
+    copies = star_n([Polynomial.coordinate(1, 3), x(2, 3) * x(3, 3) + 1,
+                     Polynomial.coordinate(1, 3)], cfg)
+    assert shared == copies
+    a, _ = complex_pair(1, 2, 3)
+    assert star_n([a, x(3, 3), a], cfg) == star_n([a * 1, x(3, 3), a * 1], cfg)
+    assert _snapshot(cached) == before
+    assert cached == fresh

@@ -130,6 +130,24 @@ def test_eval_exact_matches_fraction_reference():
         assert pg.eval(floats) == pg.eval([tuple(map(Fraction, pt)) for pt in floats])
 
 
+def test_eval_exact_rejects_non_rational_coordinates():
+    # a float or a string coordinate is a ValueError naming the point and
+    # the axis, as a wrong dimension is; PolyGauss.eval converts floats first
+    p = x(1, 3) * x(2, 3) + 1
+    good = (Fraction(1, 2), 1, 2)
+    for bad, index, axis in (((0.5, 1, 2), 0, 1), (("1", 1, 2), 0, 1),
+                             ((1, 2, 0.25), 1, 3), ((1, "2", 3), 1, 2)):
+        points = [bad] if index == 0 else [good, bad]
+        with pytest.raises(ValueError, match=rf"point {index}: coordinate x{axis} = "):
+            p.eval_exact(points)
+    with pytest.raises(ValueError, match=r"point 1: dimension mismatch"):
+        p.eval_exact([good, (1, 2)])
+    # the zero polynomial checks its points too
+    with pytest.raises(ValueError, match=r"point 0: coordinate x2"):
+        Polynomial.zero(3).eval_exact([(1, 0.5, 2)])
+    assert PolyGauss(p, 1).eval([(0.5, 1, 2)]) == PolyGauss(p, 1).eval([(Fraction(1, 2), 1, 2)])
+
+
 def test_times_coordinate_is_the_product_with_x():
     rng = random.Random("times-coordinate")
     for n in (1, 3, 4):

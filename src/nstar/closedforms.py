@@ -110,8 +110,8 @@ def complex_pair(k: int, l: int, n: int = 3) -> tuple[Polynomial, Polynomial]:
 
 
 def _times_complex(f: Polynomial, i: int, j: int, conj: bool) -> Polynomial:
-    """a f, a = (x_i + i x_j)/sqrt(2) (abar f, abar = (x_i - i x_j)/sqrt(2),
-    when conj is set): x_i f and x_j f are shifts of f."""
+    """a f for a = (x_i + i x_j)/sqrt(2), or abar f for abar = (x_i - i x_j)/sqrt(2)
+    when conj is set, from the shifts x_i f and x_j f."""
     return (f.times_coordinate(i) + f.times_coordinate(j) * (-I if conj else I)) * HALF_SQRT2
 
 

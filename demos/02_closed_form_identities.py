@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 
 from nstar import (
-    SlotSpec,
     ThetaConfig,
     complex_pair,
     star_complex_form,
@@ -49,7 +48,7 @@ print("\n-- the n-ary slot formula ------------------------------------------")
 cfg4 = ThetaConfig(4, (Fraction(1), Fraction(1), Fraction(1), Fraction(1)))
 corpus4 = CorpusSpec(dims=(4,))
 polys = [sample_poly(rng, 4, corpus4) for _ in range(3)]
-closed4 = star_coord_slot(SlotSpec(4, 2, 3), polys[:1], polys[1:], cfg4)
+closed4 = star_coord_slot(3, polys[:1], polys[1:], cfg4)
 direct4 = star_n([polys[0], x(3, 4), polys[1], polys[2]], cfg4)
 assert closed4 == direct4
 print("n = 4, coordinate x3 in slot 2: closed form matches the engine.")

@@ -16,7 +16,6 @@ from .starcore import (
     star_series,
 )
 from .closedforms import (
-    SlotSpec,
     complex_pair,
     star_complex_form,
     star_coord_first,

@@ -43,7 +43,6 @@ from .closedforms import (
     star_coord_middle,
     star_coord_slot,
     star_two_coords,
-    SlotSpec,
 )
 from .polynomials import Polynomial, x
 from .scalars import ONE, ZERO, _make
@@ -134,7 +133,8 @@ def sample_poly(rng: random.Random, n: int, corpus: CorpusSpec) -> Polynomial:
         part = parts.setdefault(tuple(exps), [0, 0])
         part[0] += re
         part[1] += im
-    return Polynomial._trusted(n, {key: _make(re, im, 0, 0, 1)
+    # re + im*i as a scalar's zeta-coordinates: i = zeta^2
+    return Polynomial._trusted(n, {key: _make(re, 0, im, 0, 1)
                                    for key, (re, im) in parts.items() if re or im})
 
 
@@ -302,7 +302,7 @@ def _cf_nary_slot_sides(inputs: ClaimInputs, star):
     n, m, p = inputs.n, inputs.meta["m"], inputs.meta["p"]
     fs = inputs.polys[:m - 1]
     gs = inputs.polys[m - 1:]
-    closed = star_coord_slot(SlotSpec(n, m, p), fs, gs, cfg)
+    closed = star_coord_slot(p, fs, gs, cfg)
     slots = list(fs) + [x(p, n)] + list(gs)
     return closed, star(tuple(slots), cfg)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -115,10 +114,11 @@ def _times_complex(f: Polynomial, i: int, j: int, conj: bool) -> Polynomial:
     return (f.times_coordinate(i) + f.times_coordinate(j) * (-I if conj else I)) * HALF_SQRT2
 
 
-def _bracket_pair(f: Polynomial, g: Polynomial, i: int) -> Polynomial:
-    """d_{s(i)}f d_{s2(i)}g - d_{s2(i)}f d_{s(i)}g."""
+def _bracket_pair(df: dict[int, Polynomial], dg: dict[int, Polynomial], i: int) -> Polynomial:
+    """d_{s(i)}f d_{s2(i)}g - d_{s2(i)}f d_{s(i)}g, from the derivatives
+    df[m] = d_m f and dg[m] = d_m g."""
     s1, s2 = sigma_power(i, 1, 3), sigma_power(i, 2, 3)
-    return f.diff(s1) * g.diff(s2) - f.diff(s2) * g.diff(s1)
+    return df[s1] * dg[s2] - df[s2] * dg[s1]
 
 
 def star_complex_form(variant: str, i: int, j: int, f: Polynomial, g: Polynomial,
@@ -140,69 +140,57 @@ def star_complex_form(variant: str, i: int, j: int, f: Polynomial, g: Polynomial
         raise ValueError("complex coordinate requires two distinct axes")
     if variant not in COMPLEX_FORM_VARIANTS + ("g-f-abar-alt",):
         raise ValueError(f"unknown variant {variant!r}")
-    quarter = Fraction(1, 4)
-    th = lambda m: cfg.theta[m - 1]
     si1, si2 = sigma_power(i, 1, 3), sigma_power(i, 2, 3)
     sj1, sj2 = sigma_power(j, 1, 3), sigma_power(j, 2, 3)
+    # each derivative d_m f, d_m g and each weight th_m/4, i th_m/4 made once
+    df = {m: f.diff(m) for m in (1, 2, 3)}
+    dg = {m: g.diff(m) for m in (1, 2, 3)}
+    q = {m: ExactComplex(th / 4) for m, th in enumerate(cfg.theta, 1)}
+    iq = {m: w * I for m, w in q.items()}
 
     if variant == "a-f-g":
         return (_times_complex(f, i, j, False) * g  # a f g
-                + _bracket_pair(f, g, i) * ExactComplex(0, th(i) * quarter)
-                - _bracket_pair(f, g, j) * ExactComplex(th(j) * quarter))
+                + _bracket_pair(df, dg, i) * iq[i]
+                - _bracket_pair(df, dg, j) * q[j])
     if variant == "abar-f-g":
         return (_times_complex(f, i, j, True) * g  # abar f g
-                + _bracket_pair(f, g, i) * ExactComplex(0, th(i) * quarter)
-                + _bracket_pair(f, g, j) * ExactComplex(th(j) * quarter))
+                + _bracket_pair(df, dg, i) * iq[i]
+                + _bracket_pair(df, dg, j) * q[j])
     if variant == "g-f-a":
         return (_times_complex(f, i, j, False) * g  # a f g
-                + g.diff(si1) * f.diff(si2) * ExactComplex(0, th(si1) * quarter)
-                - g.diff(si2) * f.diff(si1) * ExactComplex(0, th(si2) * quarter)
-                - g.diff(sj1) * f.diff(sj2) * ExactComplex(th(sj1) * quarter)
-                + g.diff(sj2) * f.diff(sj1) * ExactComplex(th(sj2) * quarter))
+                + dg[si1] * df[si2] * iq[si1]
+                - dg[si2] * df[si1] * iq[si2]
+                - dg[sj1] * df[sj2] * q[sj1]
+                + dg[sj2] * df[sj1] * q[sj2])
     if variant in ("g-f-abar", "g-f-abar-alt"):
-        first = g.diff(si1) if variant == "g-f-abar-alt" else f.diff(si1)
+        first = dg[si1] if variant == "g-f-abar-alt" else df[si1]
         return (_times_complex(f, i, j, True) * g  # abar f g
-                + first * f.diff(si2) * ExactComplex(0, th(si1) * quarter)
-                - g.diff(si2) * f.diff(si1) * ExactComplex(0, th(si2) * quarter)
-                + g.diff(sj1) * f.diff(sj2) * ExactComplex(th(sj1) * quarter)
-                - g.diff(sj2) * f.diff(sj1) * ExactComplex(th(sj2) * quarter))
+                + first * df[si2] * iq[si1]
+                - dg[si2] * df[si1] * iq[si2]
+                + dg[sj1] * df[sj2] * q[sj1]
+                - dg[sj2] * df[sj1] * q[sj2])
     if variant == "f-a-g":
         return (_times_complex(f, i, j, False) * g  # a f g
-                - f.diff(si1) * g.diff(si2) * ExactComplex(0, th(si1) * quarter)
-                + f.diff(si2) * g.diff(si1) * ExactComplex(0, th(si2) * quarter)
-                + f.diff(sj1) * g.diff(sj2) * ExactComplex(th(sj1) * quarter)
-                - f.diff(sj2) * g.diff(sj1) * ExactComplex(th(sj2) * quarter))
+                - df[si1] * dg[si2] * iq[si1]
+                + df[si2] * dg[si1] * iq[si2]
+                + df[sj1] * dg[sj2] * q[sj1]
+                - df[sj2] * dg[sj1] * q[sj2])
     # f-abar-g
     return (_times_complex(f, i, j, True) * g  # abar f g
-            - f.diff(si1) * g.diff(si2) * ExactComplex(0, th(si1) * quarter)
-            + f.diff(si2) * g.diff(si1) * ExactComplex(0, th(si2) * quarter)
-            - f.diff(sj1) * g.diff(sj2) * ExactComplex(th(sj1) * quarter)
-            + f.diff(sj2) * g.diff(sj1) * ExactComplex(th(sj2) * quarter))
-
-
-@dataclass(frozen=True)
-class SlotSpec:
-    """Placement of a coordinate factor inside an n-ary product: the
-    coordinate x_p sits in slot m of n."""
-
-    n: int
-    m: int
-    p: int
-
-    def __post_init__(self):
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"slot {self.m} out of range 1..{self.n}")
-        if not 1 <= self.p <= self.n:
-            raise ValueError(f"axis {self.p} out of range 1..{self.n}")
+            - df[si1] * dg[si2] * iq[si1]
+            + df[si2] * dg[si1] * iq[si2]
+            - df[sj1] * dg[sj2] * q[sj1]
+            + df[sj2] * dg[sj1] * q[sj2])
 
 
 def _wrap_index(k: int, n: int) -> int:
     return (k - 1) % n + 1
 
 
-def star_coord_slot(spec: SlotSpec, fs: Sequence[Polynomial], gs: Sequence[Polynomial],
+def star_coord_slot(p: int, fs: Sequence[Polynomial], gs: Sequence[Polynomial],
                     cfg: ThetaConfig) -> Polynomial:
-    """n-ary closed form with the coordinate x_p in slot m.
+    """n-ary closed form with the coordinate x_p in slot m = len(fs) + 1:
+    the factors fs before it and gs after it.
 
     Only two tensor terms of the derivation operator survive at first
     order: the forward term whose slot-m axis hits p (index p-m+1, wrapped
@@ -211,11 +199,11 @@ def star_coord_slot(spec: SlotSpec, fs: Sequence[Polynomial], gs: Sequence[Polyn
     axes of those two indices.
     """
     n = cfg.n
-    if spec.n != n:
-        raise ValueError("slot spec dimension does not match configuration")
-    if len(fs) != spec.m - 1 or len(gs) != n - spec.m:
-        raise ValueError(f"expected {spec.m - 1} leading and {n - spec.m} trailing factors")
-    m, p = spec.m, spec.p
+    if not 1 <= p <= n:
+        raise ValueError(f"axis {p} out of range 1..{n}")
+    if len(fs) + len(gs) != n - 1:
+        raise ValueError(f"expected {n - 1} factors besides the coordinate, got {len(fs) + len(gs)}")
+    m = len(fs) + 1
     others = [*fs, *gs]  # the factors of the slots other than m, in slot order
     slots = [slot for slot in range(1, n + 1) if slot != m]
     # x_p in slot m: the product of the other factors, shifted by x_p

@@ -312,10 +312,13 @@ def parse_expression(text: str, n: int) -> Node:
 
 def to_text(node: Node) -> str:
     """Parseable canonical text; parse(to_text(t)) == t for parser output."""
-    return _print(node, parent="expr")
+    return _print(node)
 
 
-def _print(node: Node, parent: str) -> str:
+def _print(node: Node) -> str:
+    """The text of node; a parent wraps a child in parentheses where its
+    grouping needs them (a Sum in a Sum, Prod or Pow, a Prod in a Prod or
+    Pow, a Pow in a Pow)."""
     if isinstance(node, Lit):
         return f"{node.im}i" if node.im else str(node.re)
     if isinstance(node, Coord):
@@ -326,33 +329,29 @@ def _print(node: Node, parent: str) -> str:
     if isinstance(node, Wave):
         return "wave(" + ",".join(map(repr, node.freqs)) + ")"
     if isinstance(node, Pow):
-        base = _print(node.base, parent="atom")
+        base = _print(node.base)
         if isinstance(node.base, (Sum, Prod, Pow)):
             base = f"({base})"
         return f"{base}^{node.exp}"
     if isinstance(node, Prod):
         parts = []
         for f in node.factors:
-            body = _print(f, parent="factor")
+            body = _print(f)
             if isinstance(f, (Sum, Prod)):  # nested products keep their grouping
                 body = f"({body})"
             parts.append(body)
-        text = "*".join(parts)
-        return text
+        return "*".join(parts)
     if isinstance(node, Sum):
         parts = []
         for idx, (sign, term) in enumerate(zip(node.signs, node.terms)):
-            body = _print(term, parent="term")
+            body = _print(term)
             if isinstance(term, Sum):
                 body = f"({body})"
             if idx == 0:
                 parts.append(f"-{body}" if sign < 0 else body)
             else:
                 parts.append(f" - {body}" if sign < 0 else f" + {body}")
-        text = "".join(parts)
-        if parent in ("factor", "atom"):
-            return f"({text})"
-        return text
+        return "".join(parts)
     raise TypeError(f"unknown node {node!r}")
 
 

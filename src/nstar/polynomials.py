@@ -12,16 +12,17 @@ first, which keeps every output deterministic.
 
 Products run through one multiply loop, ``_multiply``, on packed terms:
 a term is one int key (its exponent tuple, Kronecker substitution) and
-one int value (its coefficient's numerators over a common denominator,
-as an element of Z[zeta], zeta = e^(i pi/4), evaluated at zeta = 2**w).
+one int value (its coefficient's coordinates in the basis 1, zeta,
+zeta^2, zeta^3 as ``scalars`` stores them, zeta = e^(i pi/4), put over a
+common denominator and evaluated at zeta = 2**w).
 ``_split`` puts term dicts over their common denominator: each operand
 of a two-operand product on its own, and in a sum of products
 (``_sum_of_products``) all the term dicts of one slot together, so every
 product of one term dict per slot is over the same denominator.  A pair
 of terms is one key add and one int multiply; each output term is
-reduced once, modulo zeta^4 + 1, and read back into a scalar.  The field
-width w comes from the operands' L1 norms, so no coordinate of any
-output term outgrows its field.
+reduced once, modulo zeta^4 + 1, and its four fields are the
+coordinates of its scalar.  The field width w comes from the operands'
+L1 norms, so no coordinate of any output term outgrows its field.
 """
 
 from __future__ import annotations
@@ -58,16 +59,12 @@ class Polynomial:
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != n or any(e < 0 for e in exps):
+                # a bool is an int too, but no exponent
+                if len(exps) != n or any(type(e) is not int or e < 0 for e in exps):
                     raise ValueError(f"bad multi-index {exps} for dimension {n}")
                 coeff = ExactComplex.coerce(coeff)
                 if coeff:
-                    prev = clean.get(exps)
-                    total = coeff if prev is None else prev + coeff
-                    if total:
-                        clean[exps] = total
-                    elif exps in clean:
-                        del clean[exps]
+                    clean[exps] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
@@ -213,9 +210,8 @@ class Polynomial:
         point, the coordinates are put over one common denominator D, so a
         monomial of degree e is a product of the coordinates' numerators
         over D**e; scaled by D**(deg - e), deg the total degree, every
-        monomial is an integer over D**deg.  The value is then four integer
-        sums of Z[zeta] coordinates, read back as ``_unpack`` reads a term,
-        and one scalar is built.
+        monomial is an integer over D**deg.  The value's four coordinates
+        are then integer sums, and one scalar is built from them.
         """
         n = self.n
         for index, point in enumerate(points):
@@ -245,7 +241,7 @@ class Polynomial:
                 s1 += e1 * mono
                 s2 += e2 * mono
                 s3 += e3 * mono
-            values.append(_make(s0, s2, (s1 - s3) // 2, (s1 + s3) // 2, den * scales[deg]))
+            values.append(_make(s0, s1, s2, s3, den * scales[deg]))
         return values
 
     def max_coeff_magnitude(self) -> float:
@@ -351,21 +347,18 @@ def _split(term_dicts: Collection[Mapping[MultiIndex, ExactComplex]]
            ) -> tuple[int, list[tuple[int, list[tuple[MultiIndex, int, int, int, int]]]]]:
     """(den, [(norm, rows), ...]) of term dicts put over one denominator:
     den is the least common denominator of all their coefficients, and
-    per term dict, rows lists each term as its exponent tuple and the
-    coordinates (e0, e1, e2, e3) of its numerators over den.  This is the
-    one place a term dict is put over a common denominator: ``_product``
-    splits each operand on its own, ``_sum_of_products`` the weights and
-    each slot's term dicts together, and ``Polynomial.eval_exact`` its
-    terms.
+    per term dict, rows lists each term as its exponent tuple and its
+    coefficient's coordinates (e0, e1, e2, e3), the first four of its
+    ``_q``, scaled to den.  This is the one place a term dict is put over
+    a common denominator: ``_product`` splits each operand on its own,
+    ``_sum_of_products`` the weights and each slot's term dicts together,
+    and ``Polynomial.eval_exact`` its terms.
 
-    The coordinates are in the basis 1, zeta, zeta^2, zeta^3 of Z[zeta],
-    zeta = e^(i pi/4), where i = zeta^2 and sqrt(2) = zeta - zeta^3: the
-    numerators (a, b, c, d) of (a + b*i) + sqrt(2)*(c + d*i) have the
-    coordinates (a, c + d, b, d - c).  norm is the L1 norm of a term
-    dict's rows, the sum of the coordinates' absolute values.  The norm
-    of a product is at most the product of the norms, and the norm of a
-    sum at most the sum of the norms, so norms bound every coordinate of
-    every coefficient of a sum of products.
+    norm is the L1 norm of a term dict's rows, the sum of the
+    coordinates' absolute values.  The norm of a product is at most the
+    product of the norms, and the norm of a sum at most the sum of the
+    norms, so norms bound every coordinate of every coefficient of a sum
+    of products.
     """
     den = math.lcm(*[v._q[4] for terms in term_dicts for v in terms.values()])
     out = []
@@ -373,13 +366,12 @@ def _split(term_dicts: Collection[Mapping[MultiIndex, ExactComplex]]
         norm = 0
         rows = []
         for exps, v in terms.items():
-            a, b, c, d, e = v._q
+            e0, e1, e2, e3, e = v._q
             if e != den:
                 f = den // e
-                a, b, c, d = a * f, b * f, c * f, d * f
-            c, d = c + d, d - c
-            norm += abs(a) + abs(b) + abs(c) + abs(d)
-            rows.append((exps, a, c, b, d))
+                e0, e1, e2, e3 = e0 * f, e1 * f, e2 * f, e3 * f
+            norm += abs(e0) + abs(e1) + abs(e2) + abs(e3)
+            rows.append((exps, e0, e1, e2, e3))
         out.append((norm, rows))
     return den, out
 
@@ -412,7 +404,7 @@ def _multiply(rows_a: Iterable[tuple[int, int]], rows_b: Sequence[tuple[int, int
     """Add the product of two sequences of packed (key, value) rows into
     acc, key -> value; the items of such an acc are rows too.
 
-    A value is a coefficient's numerators as ``_encode`` packs them, and
+    A value is a coefficient's coordinates as ``_encode`` packs them, and
     the product's are over the product of the operands' denominators: one
     int multiply and one add per pair of rows.
     """
@@ -443,9 +435,7 @@ def _unpack(acc: Mapping[int, int], den: int, layout: Layout,
     of the reduced value is below 2**(w - 1) in absolute value, the
     remainder of the value plus the bias holds each coordinate plus half
     as a field in [1, 2**w), so it reads off the coordinates (e0, e1, e2,
-    e3); then a = e0, b = e2, c = (e1 - e3) / 2 and d = (e1 + e3) / 2
-    (e1 and e3 have one parity: a sum of products of rows stays in
-    Z[i, sqrt(2)]).
+    e3) of the term's scalar over den.
     """
     shifts, mask = layout
     modulus, bias, half, field = _ring(w)
@@ -456,11 +446,9 @@ def _unpack(acc: Mapping[int, int], den: int, layout: Layout,
         r = (v + bias) % modulus
         if r == bias:
             continue
-        # the fields of e1 and e3; their halves cancel in c
-        f1 = r >> w & field
-        f3 = r >> w3
         out[tuple([(key >> s) & mask for s in shifts])] = _make(
-            (r & field) - half, (r >> w2 & field) - half, (f1 - f3) >> 1, ((f1 + f3) >> 1) - half, den)
+            (r & field) - half, (r >> w & field) - half, (r >> w2 & field) - half, (r >> w3) - half,
+            den)
     return out
 
 

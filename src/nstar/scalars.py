@@ -5,19 +5,27 @@ A scalar denotes
 
     (re + im*i) + sqrt(2)*(rt2_re + rt2_im*i)
 
-with four rational parts.  This is the field Q(i, sqrt(2)).  Plain
-rational-complex values keep the rt2 parts at zero; the sqrt(2) parts
-only appear once the complex coordinates (x_k + i*x_l)/sqrt(2) enter a
-computation.  Every operation is exact, so identity checks are
-unambiguous equality tests.
+with four rational parts.  This is the field Q(i, sqrt(2)) = Q(zeta),
+zeta = e^(i pi/4).  Plain rational-complex values keep the rt2 parts at
+zero; the sqrt(2) parts only appear once the complex coordinates
+(x_k + i*x_l)/sqrt(2) enter a computation.  Every operation is exact, so
+identity checks are unambiguous equality tests.
 
-The four parts are stored as integer numerators over one common
-denominator, in the tuple ``_q = (a, b, c, d, den)`` with den > 0 and
-gcd(a, b, c, d, den) = 1: re = a/den, im = b/den, rt2_re = c/den and
-rt2_im = d/den.  That form is canonical, so equality compares the five
-integers, and arithmetic works on integers with one gcd per result
-instead of one per rational part.  The properties ``re``, ``im``,
-``rt2_re`` and ``rt2_im`` return the parts as ``Fraction``s.
+A scalar is stored as its coordinates in the basis 1, zeta, zeta^2,
+zeta^3, as integer numerators over one common denominator: the tuple
+``_q = (e0, e1, e2, e3, den)`` with den > 0 and gcd(e0, e1, e2, e3, den)
+= 1 denotes (e0 + e1*zeta + e2*zeta^2 + e3*zeta^3)/den.  That form is
+canonical, so equality compares the five integers, and arithmetic works
+on integers with one gcd per result.  A product is the product of
+polynomials in zeta modulo zeta^4 + 1, the reduction the packed product
+kernel of ``polynomials`` also does, so the kernel reads and writes
+``_q`` as it is.
+
+As i = zeta^2 and sqrt(2) = zeta - zeta^3, re = e0/den, im = e2/den,
+rt2_re = (e1 - e3)/(2*den) and rt2_im = (e1 + e3)/(2*den).  This module
+is the one place those parts are read off the coordinates; the
+properties ``re``, ``im``, ``rt2_re`` and ``rt2_im`` return them as
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -43,9 +51,15 @@ class ExactComplex:
         # an int or a Fraction is its numerator over its reduced denominator;
         # over the lcm of those denominators the five ints are coprime
         den = math.lcm(re.denominator, im.denominator, rt2_re.denominator, rt2_im.denominator)
-        _set_q(self, (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator),
-                      rt2_re.numerator * (den // rt2_re.denominator),
-                      rt2_im.numerator * (den // rt2_im.denominator), den))
+        a = re.numerator * (den // re.denominator)
+        b = im.numerator * (den // im.denominator)
+        c = rt2_re.numerator * (den // rt2_re.denominator)
+        d = rt2_im.numerator * (den // rt2_im.denominator)
+        e1, e3 = c + d, d - c
+        # the coordinates (a, c + d, b, d - c) share at most a factor 2 with den
+        if not (a | e1 | b | e3 | den) & 1:
+            a, e1, b, e3, den = a // 2, e1 // 2, b // 2, e3 // 2, den // 2
+        _set_q(self, (a, e1, b, e3, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
@@ -56,15 +70,17 @@ class ExactComplex:
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._q[1], self._q[4])
-
-    @property
-    def rt2_re(self) -> Fraction:
         return Fraction(self._q[2], self._q[4])
 
     @property
+    def rt2_re(self) -> Fraction:
+        e0, e1, e2, e3, den = self._q
+        return Fraction(e1 - e3, 2 * den)
+
+    @property
     def rt2_im(self) -> Fraction:
-        return Fraction(self._q[3], self._q[4])
+        e0, e1, e2, e3, den = self._q
+        return Fraction(e1 + e3, 2 * den)
 
     @staticmethod
     def coerce(v) -> "ExactComplex":
@@ -75,11 +91,11 @@ class ExactComplex:
         raise TypeError(f"cannot coerce {type(v).__name__} to ExactComplex")
 
     def __bool__(self) -> bool:
-        a, b, c, d, _ = self._q
-        return bool(a or b or c or d)
+        e0, e1, e2, e3, _ = self._q
+        return bool(e0 or e1 or e2 or e3)
 
     def is_rational_complex(self) -> bool:
-        return not (self._q[2] or self._q[3])
+        return not (self._q[1] or self._q[3])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -96,20 +112,20 @@ class ExactComplex:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented  # let the other operand's reflected method try
             other = ExactComplex(other)
-        a1, b1, c1, d1, e1 = self._q
-        a2, b2, c2, d2, e2 = other._q
-        if e1 == e2:
-            return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
-        g = math.gcd(e1, e2)
-        s1, s2 = e2 // g, e1 // g
-        return _make(a1 * s1 + a2 * s2, b1 * s1 + b2 * s2,
-                     c1 * s1 + c2 * s2, d1 * s1 + d2 * s2, e1 * s1)
+        x0, x1, x2, x3, dx = self._q
+        y0, y1, y2, y3, dy = other._q
+        if dx == dy:
+            return _make(x0 + y0, x1 + y1, x2 + y2, x3 + y3, dx)
+        g = math.gcd(dx, dy)
+        s1, s2 = dy // g, dx // g
+        return _make(x0 * s1 + y0 * s2, x1 * s1 + y1 * s2,
+                     x2 * s1 + y2 * s2, x3 * s1 + y3 * s2, dx * s1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactComplex":
-        a, b, c, d, den = self._q
-        return _make(-a, -b, -c, -d, den)
+        e0, e1, e2, e3, den = self._q
+        return _make(-e0, -e1, -e2, -e3, den)
 
     def __sub__(self, other) -> "ExactComplex":
         if not isinstance(other, (ExactComplex, int, Fraction)):
@@ -122,23 +138,23 @@ class ExactComplex:
         return ExactComplex.coerce(other) + (-self)
 
     def __mul__(self, other) -> "ExactComplex":
-        a1, b1, c1, d1, e1 = self._q
+        x0, x1, x2, x3, dx = self._q
         if isinstance(other, ExactComplex):
-            a2, b2, c2, d2, e2 = other._q
+            y0, y1, y2, y3, dy = other._q
         elif isinstance(other, int):
-            return _make(a1 * other, b1 * other, c1 * other, d1 * other, e1)
+            return _make(x0 * other, x1 * other, x2 * other, x3 * other, dx)
         elif isinstance(other, Fraction):
-            a2, b2, c2, d2, e2 = ExactComplex(other)._q
+            y0, y1, y2, y3, dy = ExactComplex(other)._q
         else:
             return NotImplemented
-        # (u1 + rt2*v1)(u2 + rt2*v2) = (u1*u2 + 2*v1*v2) + rt2*(u1*v2 + v1*u2)
-        if not (c1 or d1 or c2 or d2):  # plain complex rationals: the common case
-            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0, e1 * e2)
-        return _make(a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
-                     a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
-                     a1 * c2 - b1 * d2 + c1 * a2 - d1 * b2,
-                     a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
-                     e1 * e2)
+        # the product of polynomials in zeta, modulo zeta^4 + 1
+        if not (x1 or x3 or y1 or y3):  # plain complex rationals (i = zeta^2): the common case
+            return _make(x0 * y0 - x2 * y2, 0, x0 * y2 + x2 * y0, 0, dx * dy)
+        return _make(x0 * y0 - x1 * y3 - x2 * y2 - x3 * y1,
+                     x0 * y1 + x1 * y0 - x2 * y3 - x3 * y2,
+                     x0 * y2 + x1 * y1 + x2 * y0 - x3 * y3,
+                     x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0,
+                     dx * dy)
 
     __rmul__ = __mul__
 
@@ -150,12 +166,14 @@ class ExactComplex:
         return _power(self, k)
 
     def conjugate(self) -> "ExactComplex":
-        a, b, c, d, den = self._q
-        return _make(a, -b, c, -d, den)
+        # the conjugate of zeta is zeta^-1 = -zeta^3
+        e0, e1, e2, e3, den = self._q
+        return _make(e0, -e3, -e2, -e1, den)
 
     def to_complex(self) -> complex:
-        a, b, c, d, den = self._q
-        return complex(a / den + _SQRT2 * (c / den), b / den + _SQRT2 * (d / den))
+        e0, e1, e2, e3, den = self._q
+        return complex(e0 / den + _SQRT2 * ((e1 - e3) / (2 * den)),
+                       e2 / den + _SQRT2 * ((e1 + e3) / (2 * den)))
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
@@ -171,17 +189,17 @@ _set_q = ExactComplex._q.__set__
 _new = object.__new__
 
 
-def _make(a: int, b: int, c: int, d: int, den: int) -> ExactComplex:
-    """The scalar (a + b*i + sqrt(2)*(c + d*i)) / den, for den > 0."""
-    g = math.gcd(a, b, c, d, den)
+def _make(e0: int, e1: int, e2: int, e3: int, den: int) -> ExactComplex:
+    """The scalar (e0 + e1*zeta + e2*zeta^2 + e3*zeta^3) / den, for den > 0."""
+    g = math.gcd(e0, e1, e2, e3, den)
     if g != 1:
-        a //= g
-        b //= g
-        c //= g
-        d //= g
+        e0 //= g
+        e1 //= g
+        e2 //= g
+        e3 //= g
         den //= g
     z = _new(ExactComplex)
-    _set_q(z, (a, b, c, d, den))
+    _set_q(z, (e0, e1, e2, e3, den))
     return z
 
 
@@ -203,9 +221,10 @@ def _lowest_terms(v: ExactComplex) -> tuple[int, int, int, int, int, int, int, i
     """The numerator and denominator of re, im, rt2_re and rt2_im, each
     in lowest terms as its ``Fraction`` has it, without building the
     ``Fraction``s."""
-    a, b, c, d, den = v._q
-    ga, gb, gc, gd = math.gcd(a, den), math.gcd(b, den), math.gcd(c, den), math.gcd(d, den)
-    return a // ga, den // ga, b // gb, den // gb, c // gc, den // gc, d // gd, den // gd
+    e0, e1, e2, e3, den = v._q
+    c, d, den2 = e1 - e3, e1 + e3, 2 * den
+    ga, gb, gc, gd = math.gcd(e0, den), math.gcd(e2, den), math.gcd(c, den2), math.gcd(d, den2)
+    return e0 // ga, den // ga, e2 // gb, den // gb, c // gc, den2 // gc, d // gd, den2 // gd
 
 
 ZERO = ExactComplex(0)
@@ -239,10 +258,11 @@ def format_scalar(c: ExactComplex) -> str:
     """Canonical human-readable form of a scalar."""
     if not c:
         return "0"
-    base = _complex_part_str(c.re, c.im) if (c.re or c.im) else ""
-    if not (c.rt2_re or c.rt2_im):
+    re, im, rt2_re, rt2_im = c.re, c.im, c.rt2_re, c.rt2_im
+    base = _complex_part_str(re, im) if (re or im) else ""
+    if not (rt2_re or rt2_im):
         return base
-    sub = _complex_part_str(c.rt2_re, c.rt2_im)
+    sub = _complex_part_str(rt2_re, rt2_im)
     rt = {"1": "rt2", "-1": "-rt2"}.get(sub)
     if rt is None:
         rt = f"{sub}*rt2" if sub.isdigit() else f"({sub})*rt2"
@@ -254,7 +274,8 @@ def format_scalar(c: ExactComplex) -> str:
 def scalar_is_negative_leading(c: ExactComplex) -> bool:
     """True when the first nonzero component is negative (used for sign
     extraction when printing polynomial terms)."""
-    for part in c._q[:4]:  # the parts' signs, as the denominator is positive
+    e0, e1, e2, e3, _ = c._q
+    for part in (e0, e2, e1 - e3, e1 + e3):  # the parts' signs, as den > 0
         if part:
             return part < 0
     return False

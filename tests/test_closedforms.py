@@ -5,7 +5,6 @@ import pytest
 
 from nstar.audit import CorpusSpec, sample_poly, sample_theta
 from nstar.closedforms import (
-    SlotSpec,
     complex_pair,
     star_complex_form,
     star_coord_first,
@@ -159,10 +158,13 @@ def test_complex_forms_differ_from_engine_generically():
 
 
 def test_slot_spec_validation():
+    f = x(1, 3)
     with pytest.raises(ValueError):
-        SlotSpec(3, 4, 1)
+        star_coord_slot(1, (f, f, f), (), GEN3)  # slot 4 of 3
     with pytest.raises(ValueError):
-        SlotSpec(3, 1, 0)
+        star_coord_slot(0, (), (f, f), GEN3)
+    with pytest.raises(ValueError):
+        star_coord_slot(4, (), (f, f), GEN3)
 
 
 def test_nary_slot_matches_first_slot_form():
@@ -174,14 +176,14 @@ def test_nary_slot_matches_first_slot_form():
         f = sample_poly(rng, 3, corpus)
         g = sample_poly(rng, 3, corpus)
         k = rng.randint(1, 3)
-        assert star_coord_slot(SlotSpec(3, 1, k), (), (f, g), cfg) == \
+        assert star_coord_slot(k, (), (f, g), cfg) == \
             star_coord_first(k, f, g, cfg)
 
 
 def test_nary_slot_constants():
     cfg = GEN3
     consts = (Polynomial.constant(2, 3), Polynomial.constant(3, 3))
-    assert star_coord_slot(SlotSpec(3, 2, 1), consts[:1], consts[1:], cfg) == \
+    assert star_coord_slot(1, consts[:1], consts[1:], cfg) == \
         x(1, 3) * 6
 
 
@@ -194,13 +196,13 @@ def test_nary_slot_matches_engine_n4():
         p = rng.randint(1, 4)
         polys = [sample_poly(rng, 4, corpus) for _ in range(3)]
         fs, gs = tuple(polys[:m - 1]), tuple(polys[m - 1:])
-        closed = star_coord_slot(SlotSpec(4, m, p), fs, gs, cfg)
+        closed = star_coord_slot(p, fs, gs, cfg)
         assert closed == star_n(list(fs) + [x(p, 4)] + list(gs), cfg)
 
 
 def test_nary_slot_arity_mismatch():
     with pytest.raises(ValueError):
-        star_coord_slot(SlotSpec(3, 2, 1), (), (x(1, 3), x(2, 3)), GEN3)
+        star_coord_slot(1, (), (x(1, 3), x(2, 3), x(3, 3)), GEN3)
 
 
 # -- the shifted route against the printed formulas --------------------------
@@ -324,7 +326,7 @@ def test_nary_slot_matches_printed_products(n):
                     base = base * factor
                 want = (base + fwd * ExactComplex(0, Fraction(cfg.theta[k_fwd - 1], 2))
                         - rev * ExactComplex(0, Fraction(cfg.theta[k_rev - 1], 2)))
-                got = star_coord_slot(SlotSpec(n, m, p), others[:m - 1], others[m - 1:], cfg)
+                got = star_coord_slot(p, others[:m - 1], others[m - 1:], cfg)
                 assert got == want, (m, p)
 
 
@@ -357,7 +359,7 @@ def test_cached_coordinates_and_pairs_are_shared_and_unchanged():
         star_coord_first(1, f, g, cfg)
         star_two_coords(2, "sigma2-next-last", f, cfg)
         star_complex_form("g-f-abar", 3, 1, f, g, cfg)
-        star_coord_slot(SlotSpec(3, 2, 3), (f,), (g,), cfg)
+        star_coord_slot(3, (f,), (g,), cfg)
     assert _snapshot(cached) == before
 
     # one cached object in two slots against equal but distinct copies

@@ -281,6 +281,16 @@ def test_round_trip_examples():
         assert parse_expression(to_text(tree), 3) == tree
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("(x1+x2)^2", "(x1 + x2)^2"),
+    ("x1*(x2+1)", "x1*(x2 + 1)"),
+    ("2*(-x1)", "2*(-x1)"),
+    ("-(x1+1)*x2", "-(x1 + 1)*x2"),
+])
+def test_grouped_sums_print_one_pair_of_parentheses(text, printed):
+    assert to_text(parse_expression(text, 3)) == printed
+
+
 def random_tree(rng: random.Random, n: int, depth: int):
     choice = rng.random()
     if depth <= 0 or choice < 0.35:

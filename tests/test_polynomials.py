@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,19 @@ def test_zero_coefficients_are_purged():
     q = x(1, 3) - x(1, 3)
     assert q.is_zero()
     assert q == Polynomial.zero(3)
+
+
+@pytest.mark.parametrize("exps", [(2.5, 0, 0), (1.0, 0, 0), (True, 0, 0), (0, -1, 0), (1, 0)])
+def test_exponents_must_be_non_negative_ints(exps):
+    with pytest.raises(ValueError, match="bad multi-index"):
+        Polynomial(3, {exps: 1})
+
+
+@pytest.mark.parametrize("bad", [1.5, True, -1])
+def test_json_exponents_must_be_non_negative_ints(bad):
+    record = {"exponents": [1, bad], "re_num": 1, "re_den": 1, "im_num": 0, "im_den": 1}
+    with pytest.raises(ValueError, match="bad multi-index"):
+        Polynomial.from_json(json.dumps({"n": 2, "terms": [record]}))
 
 
 def test_coordinate_and_degree():

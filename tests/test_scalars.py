@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nstar.scalars import (
-    ExactComplex, I, ONE, SQRT2, ZERO, HALF_SQRT2, format_scalar, scalar_is_negative_leading)
+    ExactComplex, I, ONE, SQRT2, ZERO, HALF_SQRT2, _lowest_terms, _make, format_scalar,
+    scalar_is_negative_leading)
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 scalars = st.builds(ExactComplex, small_fracs, small_fracs, small_fracs, small_fracs)
@@ -228,14 +230,53 @@ def test_zero_has_one_storage():
         assert hash(z) == hash(ZERO)
 
 
+# -- the stored coordinates against Fraction parts ----------------------------
+#
+# A scalar stores its coordinates in the basis 1, zeta, zeta^2, zeta^3
+# (zeta = e^(i pi/4)).  Elements with odd zeta-coordinates, such as
+# zeta = (1 + i)/sqrt(2) itself, have rt2 parts over an even denominator;
+# the draws below make many of them.
+
+ZETA_PARTS = [
+    (0, 0, Fraction(1, 2), Fraction(1, 2)),  # zeta
+    (0, 0, Fraction(-1, 2), Fraction(1, 2)),  # zeta^3
+    (0, 1, 0, 0),  # zeta^2 = i
+    (Fraction(1, 3), 0, Fraction(1, 6), Fraction(-1, 6)),  # (1 - zeta^3)/3
+    (0, Fraction(-2, 5), Fraction(3, 10), Fraction(1, 2)),
+]
+
+
+def test_coordinates_match_the_fraction_parts():
+    rng = random.Random("zeta-coordinates")
+
+    def draw():
+        return Ref(*(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))) for _ in range(4)))
+
+    refs = [Ref(*map(Fraction, parts)) for parts in ZETA_PARTS] + [draw() for _ in range(400)]
+    assert _make(0, 1, 0, 0, 1) == scalar(refs[0]) == HALF_SQRT2 * (1 + I)
+    assert _make(0, 0, 0, 1, 1) == scalar(refs[1])
+    assert sum(1 for r in refs if scalar(r)._q[1] % 2 or scalar(r)._q[3] % 2) > 100
+    for x, y in zip(refs, refs[1:] + refs[:1]):
+        a, b = scalar(x), scalar(y)
+        for z, r in ((a, x), (a + b, x + y), (a - b, x - y), (a * b, x * y),
+                     (a.conjugate(), x.conjugate())):
+            assert (z.re, z.im, z.rt2_re, z.rt2_im) == r.parts()
+            got, want = z.to_complex(), r.to_complex()
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+            assert _lowest_terms(z) == tuple(v for p in r.parts() for v in (p.numerator, p.denominator))
+
+
 # -- construction from int and Fraction parts ------------------------------------
 
 def fraction_route(*parts):
     """The canonical five integers of a scalar, computed the long way: each
-    part made a Fraction, then all put over the lcm of their denominators."""
-    fracs = [Fraction(p) for p in parts] + [Fraction(0)] * (4 - len(parts))
-    den = math.lcm(*(f.denominator for f in fracs))
-    return tuple(f.numerator * (den // f.denominator) for f in fracs) + (den,)
+    part made a Fraction, its coordinates in the basis 1, zeta, zeta^2,
+    zeta^3 (zeta = e^(i pi/4), i = zeta^2, sqrt(2) = zeta - zeta^3) formed
+    from those, then all put over the lcm of their denominators."""
+    re, im, rt2_re, rt2_im = [Fraction(p) for p in parts] + [Fraction(0)] * (4 - len(parts))
+    coords = (re, rt2_re + rt2_im, im, rt2_im - rt2_re)
+    den = math.lcm(*(f.denominator for f in coords))
+    return tuple(f.numerator * (den // f.denominator) for f in coords) + (den,)
 
 
 @pytest.mark.parametrize("parts", [

@@ -289,8 +289,6 @@ def _cmd_spectrum(args) -> int:
     cfg = _theta_config(args)
     spec = _hamiltonian_spec(args, cfg.n)
     nbar = QuantumNumber(_parse_list(args.nbar, "nbar", int) if args.nbar else (0,) * cfg.n)
-    if len(nbar.nbar) != cfg.n:
-        raise UsageError(f"nbar must have {cfg.n} components")
     k = args.k
     if not 1 <= k <= cfg.n:
         raise UsageError(f"k must be in 1..{cfg.n}")

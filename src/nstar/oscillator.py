@@ -127,6 +127,8 @@ def energy(k: int, nbar: QuantumNumber, cfg: ThetaConfig, spec: HamiltonianSpec)
         raise ValueError(f"index {k} out of range 1..{n}")
     if spec.n != n:
         raise ValueError("spec dimension mismatch")
+    if len(nbar.nbar) != n:
+        raise ValueError(f"nbar must have {n} components")
     N = nbar.norm
     total = Fraction(n, 2)
     rows = spec.diag_lambdas or ()
@@ -167,6 +169,8 @@ class PolyGauss:
     scale: int = 1
 
     def __post_init__(self):
+        if type(self.scale) is not int:  # bool too: True would act as scale 1
+            raise ValueError(f"scale must be an int, got {self.scale!r}")
         if self.scale < 0:
             raise ValueError("scale must be non-negative")
 
@@ -235,8 +239,6 @@ def star_increments(factors: Sequence[PolyGauss], cfg: ThetaConfig,
     multiplied out; the full product truncated at order M is the sum of
     increments 0..M (at the combined Gaussian scale).
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
     return list(star_series(factors, cfg, order))
 
 

@@ -18,17 +18,22 @@ compositions of each order (how many times each tensor term is applied)
 are structure: they depend on n and the order only, so ``_plan`` builds
 them once per process as a trie keyed by each slot's derivative counts
 in turn, over the terms of ``deformation_terms`` at uniform theta
-(``_plan_terms``: their slot axes, and their unit weights +-i/2).  A
-product walks that trie, differentiating slot after slot, and drops a
-whole subtree at the first zero slot derivative, or at slot 0 when its
-compositions use a term with theta_k = 0.  A product builds no operator
-of its own: a term's weight is theta_k times its unit weight, made when
-the walk first uses the term, and each derivative step the walk takes
-off a slot's counts is worked out once per process (``_peel``).  The
-live compositions left are multiplied out in one integer pass: every
-slot derivative is packed once, and the weighted slot products are
-multiplied as packed integer rows through the loop of
-``Polynomial.__mul__``.  It has two callers:
+(``_plan_terms``: their slot axes, and their unit weights +-i/2).
+theta_k's two terms are the only ones that differentiate axis k in slot
+0, so a composition's weight is theta^e, where e is slot 0's derivative
+counts, times a unit weight that depends on n and the order only.  The
+compositions that reach one leaf share their slot products, so the leaf
+holds their summed unit weight, and chains whose unit weights cancel
+are left out.  A product walks that trie, differentiating slot after
+slot, and drops a whole subtree at the first zero slot derivative, or
+at slot 0 when it counts a derivative along an axis with theta_k = 0.
+A product builds no operator of its own: theta enters once per
+product, as theta^e on each distinct slot-0 derivative, and each
+derivative step the walk takes off a slot's counts is worked out once
+per process (``_peel``).  The live chains left are multiplied out in
+one integer pass: every slot derivative is packed once, and the
+weighted slot products are multiplied as packed integer rows through
+the loop of ``Polynomial.__mul__``.  It has two callers:
 
 * ``star_n``                        polynomials; walks every order up to
                                     the smallest factor degree and
@@ -55,7 +60,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import Polynomial, _sum_of_products
-from .scalars import ONE, ExactComplex
+from .scalars import ONE, ZERO, ExactComplex
 
 RationalLike = int | Fraction
 
@@ -144,27 +149,6 @@ def _series_bound(degrees: Sequence[int | None]) -> int | None:
     return min((d for d in degrees if d is not None), default=None)
 
 
-def _compositions(m: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to m, in
-    lexicographic order.
-
-    Stars and bars: m stars and parts - 1 bars fill m + parts - 1 places,
-    and a part is the number of stars between two neighbouring bars.
-    ``combinations`` yields the bar places in lexicographic order, which
-    is the lexicographic order of the parts.
-    """
-    if parts == 0:
-        if m == 0:
-            yield ()
-        return
-    places = m + parts - 1
-    for bars in itertools.combinations(range(places), parts - 1):
-        # tuple() of a list, not of a generator: a tuple of known length
-        # reuses the freed ones, where a guessed length would leave them
-        # unreused on the interpreter's free list
-        yield tuple([right - left - 1 for left, right in zip((-1,) + bars, bars + (places,))])
-
-
 @functools.cache
 def _plan_terms(n: int) -> tuple[TensorTerm, ...]:
     """The tensor terms in the plan's order: ``deformation_terms`` at
@@ -191,64 +175,61 @@ def _plan(n: int, m: int) -> tuple:
 
     A node of slot j is a tuple of (counts, child) pairs: counts[a] is
     the number of derivatives along axis a + 1 that slot j takes, and the
-    children of slot n - 1 are leaves.  A leaf is a tuple of compositions,
-    each the tuple of its (term, c_t) pairs with c_t > 0 (terms indexed as
-    in ``_plan_terms``); the compositions of one leaf differentiate every
-    slot alike.  The pairs of a node keep the order in which the
-    lexicographic enumeration first reaches them.  The plan depends on n
-    and m only, so it is built once per process.
+    children of slot n - 1 are leaves.  The compositions that reach one
+    leaf differentiate every slot alike, so they share their slot
+    products, and the leaf holds their summed unit weight: U = sum of
+    prod_t u_t^c_t / c_t!, with u_t the unit weight +-i/2 of term t in
+    ``_plan_terms``.  A chain whose U sums to 0 is left out.  The pairs
+    of a node keep the order in which the lexicographic enumeration of
+    the compositions (c_1..c_T) first reaches them.  The plan depends on
+    n and m only, so it is built once per process.
     """
-    axes = [term.slot_axes for term in _plan_terms(n)]
-    # one copy of each equal tuple: few distinct counts and (t, c) pairs
-    # recur across many nodes and leaves
+    terms = _plan_terms(n)
+    # one copy of each equal counts tuple: few distinct counts recur across
+    # many nodes
     shared: dict[tuple, tuple] = {}
     root: dict = {}
-    for comp in _compositions(m, len(axes)):
-        used = tuple([shared.setdefault((t, c), (t, c)) for t, c in enumerate(comp) if c])
+    # u_t^c / c!, built once per (t, c)
+    factor = functools.cache(lambda t, c: terms[t].weight ** c * Fraction(1, math.factorial(c)))
+    # the multisets of m terms as ascending term indices: reversed, they
+    # come in the lexicographic order of the compositions, which fixes the
+    # order of the nodes and so the term order of every product
+    for used in reversed(list(itertools.combinations_with_replacement(range(len(terms)), m))):
+        weight = math.prod([factor(t, len(list(run))) for t, run in itertools.groupby(used)], start=ONE)
         node = root
         for j in range(n):
-            counts = [0] * n
-            for t, c in used:
-                counts[axes[t][j] - 1] += c
-            key = tuple(counts)
-            node = node.setdefault(shared.setdefault(key, key), {} if j < n - 1 else [])
-        node.append(used)
+            axes = [terms[t].slot_axes[j] for t in used]
+            key = tuple([axes.count(a) for a in range(1, n + 1)])
+            parent, node = node, node.setdefault(shared.setdefault(key, key), {} if j < n - 1 else ZERO)
+        parent[key] = node + weight
     return _freeze(root)
 
 
-def _freeze(node) -> tuple:
-    """A trie of dicts and leaf lists as nested tuples."""
-    if isinstance(node, list):
-        return tuple(node)
-    return tuple([(counts, _freeze(child)) for counts, child in node.items()])
+def _freeze(node):
+    """A trie of dicts as nested tuples, without its zero leaves and the
+    nodes they leave empty."""
+    if not isinstance(node, dict):
+        return node
+    frozen = [(counts, _freeze(child)) for counts, child in node.items()]
+    return tuple([pair for pair in frozen if pair[1]])
 
 
 def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs: list[dict]):
-    """Yield, for m = 0..order, the weights and slot chains of order m's
-    live compositions: those whose terms all have theta_k != 0 and whose
-    slot derivatives are all nonzero.  Both kinds of dead composition are
-    dropped a whole subtree at a time, by slot 0's counts and at the
-    first zero slot.  A chain holds each slot's derivative counts;
-    derivs[j] maps slot j's counts to its derivative and is filled in on
-    the way, one ``_peel`` step from counts already there.  Term t's
-    weight is theta_k times its unit weight in ``_plan_terms``, where k is
-    its slot-0 axis, built once per call when a leaf first uses t.
-    Without an order, the orders run to the series bound (``_series_bound``);
-    past the bound nothing is walked."""
+    """Yield, for m = 0..order, the unit weights and slot chains of order
+    m's live compositions: those whose terms all have theta_k != 0 and
+    whose slot derivatives are all nonzero.  Both kinds of dead
+    composition are dropped a whole subtree at a time, by slot 0's counts
+    and at the first zero slot.  A chain holds each slot's derivative
+    counts, and its unit weight is its plan leaf (``_plan``), taken as it
+    is: theta enters in ``_multiply_out``.  derivs[j] maps slot j's counts
+    to its derivative and is filled in on the way, one ``_peel`` step from
+    counts already there.  Without an order, the orders run to the series
+    bound (``_series_bound``); past the bound nothing is walked."""
     n = cfg.n
-    theta = cfg.theta
-    terms = _plan_terms(n)
-    # per plan term, its weight theta_k * (+-i/2), built when a leaf first
-    # uses the term
-    weight_of: list[ExactComplex | None] = [None] * len(terms)
     # the axes k with theta_k = 0: theta_k's two terms, and no other term,
     # differentiate axis k in slot 0, so a slot-0 node that counts a
-    # derivative along one holds only compositions that use an omitted
-    # term, and no walk reaches an omitted term's weight
-    idle = [a for a in range(n) if not theta[a]]
-    # (t, c) -> w_t^c / c!, built on first use: most compositions hit a
-    # zero slot and need no coefficient at all
-    powers: dict[tuple[int, int], ExactComplex] = {}
+    # derivative along one holds only compositions that use an omitted term
+    idle = [a for a in range(n) if not cfg.theta[a]]
     last = n - 1
 
     def diffed(slot: int, counts: tuple[int, ...]):
@@ -268,26 +249,16 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
                 continue  # the whole subtree has this zero slot
             if j < last:
                 walk(child, j + 1, chain + (counts,), weights, chains)
-                continue
-            for used in child:
-                coeff = None
-                for key in used:
-                    wc = powers.get(key)
-                    if wc is None:
-                        t, c = key
-                        w = weight_of[t]
-                        if w is None:
-                            term = terms[t]
-                            w = weight_of[t] = term.weight * theta[term.slot_axes[0] - 1]
-                        wc = powers[key] = w**c * Fraction(1, math.factorial(c))
-                    coeff = wc if coeff is None else coeff * wc
-                weights.append(ONE if coeff is None else coeff)
+            else:
+                weights.append(child)
                 chains.append(chain + (counts,))
 
     if order is None:
         if bound is None:
             raise ValueError("the series does not terminate: give an order")
         order = bound
+    elif order < 0:
+        raise ValueError("order must be non-negative")
     try:
         for m in range(order + 1):
             weights: list[ExactComplex] = []
@@ -301,13 +272,30 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
         diffed = walk = None
 
 
-def _multiply_out(weights: list, chains: list, derivs: list[dict], n: int,
+def _multiply_out(weights: list, chains: list, derivs: list[dict], cfg: ThetaConfig,
                   degree: int) -> Polynomial:
-    """sum_i weights[i] * prod_j derivs[j][chains[i][j]], as one integer
-    pass; no product has a total degree above `degree`."""
+    """sum_i weights[i] * theta^e_i * prod_j derivs[j][chains[i][j]], as one
+    integer pass, where e_i is chain i's slot-0 counts and weights[i] its
+    unit weight; no product has a total degree above `degree`.
+
+    theta_k's two terms are the only ones that differentiate axis k in
+    slot 0, so theta^e is the theta part of every composition's weight.
+    It scales each distinct slot-0 derivative once, from theta powers
+    built once per call; slot 0 at zero counts is left alone."""
+    n = cfg.n
     # each slot's distinct derivatives, by their counts; none when every
     # product has a zero slot
     slots = [{chain[j]: derivs[j][chain[j]].terms for chain in chains} for j in range(n)]
+    powers: dict[tuple[int, int], ExactComplex] = {}  # (k, c) -> theta_k^c
+    for e, terms in slots[0].items():
+        if any(e):
+            scale = ONE
+            for k, c in enumerate(e):
+                if c:
+                    if (k, c) not in powers:
+                        powers[k, c] = ExactComplex(cfg.theta[k]) ** c
+                    scale = scale * powers[k, c]
+            slots[0][e] = {mono: v * scale for mono, v in terms.items()}
     return Polynomial._trusted(n, _sum_of_products(weights, chains, slots, n, degree))
 
 
@@ -322,7 +310,8 @@ def _derivative_memos(factors: Sequence, n: int) -> list[dict]:
 
 def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     """Yield the increments 0..order of m[exp(operator) applied to the factors]
-    as polynomials; without an order, every increment up to the series bound.
+    as polynomials; without an order, every increment up to the series
+    bound.  A negative order raises ValueError.
 
     Increment m is (1/m!) times the m-fold operator application,
     multiplied out across the slots.  The tensor terms commute (they are
@@ -340,10 +329,14 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     subtree when that derivative is zero.  Slot 0's counts along axis k
     are the applications of theta_k's two terms, so at theta_k = 0 a
     slot-0 node that counts one is dropped too.  Every leaf reached is a
-    live composition, with weight prod_t w_t^c_t / c_t!, where w_t is
-    theta_k times term t's unit weight +-i/2.  Slot derivatives are
-    memoized per factor object on their counts (``_derivative_memos``),
-    each one derivative step (``_peel``) from counts already memoized.
+    live chain; it holds the summed unit weight of its compositions, the
+    sum of prod_t u_t^c_t / c_t! with u_t term t's unit weight +-i/2.  A
+    composition's weight prod_t w_t^c_t / c_t!, w_t = theta_k * u_t, is
+    theta^e times its unit weight, with e slot 0's counts, so each
+    distinct slot-0 derivative is scaled by theta^e once
+    (``_multiply_out``).  Slot derivatives are memoized per factor object
+    on their counts (``_derivative_memos``), each one derivative step
+    (``_peel``) from counts already memoized.
     Each order is then one integer pass: ``polynomials._sum_of_products``
     packs every slot derivative the order uses once and multiplies the
     weighted slot products out as packed integer rows into one
@@ -365,7 +358,7 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     growing = degrees.count(None)
     derivs = _derivative_memos(factors, cfg.n)
     for m, (weights, chains) in enumerate(_live_chains(cfg, order, _series_bound(degrees), derivs)):
-        yield _multiply_out(weights, chains, derivs, cfg.n, top + m * growing)
+        yield _multiply_out(weights, chains, derivs, cfg, top + m * growing)
 
 
 def star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
@@ -380,7 +373,7 @@ def star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:
     for w, c in _live_chains(cfg, None, _series_bound(degrees), derivs):
         weights += w
         chains += c
-    return _multiply_out(weights, chains, derivs, cfg.n, sum(degrees))
+    return _multiply_out(weights, chains, derivs, cfg, sum(degrees))
 
 
 def conjugate_star_n(factors: Sequence[Polynomial], cfg: ThetaConfig) -> Polynomial:

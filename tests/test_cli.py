@@ -222,6 +222,14 @@ def test_spectrum_value(capsys):
     assert capsys.readouterr().out.strip() == "E = 3/2"
 
 
+@pytest.mark.parametrize("nbar", ["1,2", "1,2,0,0"])
+def test_spectrum_rejects_nbar_of_another_dimension(nbar, capsys):
+    assert main(["spectrum", "--nbar", nbar]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"error": {"code": "usage", "message": "nbar must have 3 components"}}\n'
+
+
 def test_spectrum_table_csv(tmp_path, capsys):
     out = tmp_path / "spectrum.csv"
     code = main(["spectrum", "--k", "2", "--nbar", "1,1,0", "--theta", "1,1,1",

@@ -102,6 +102,18 @@ def test_energy_index_validation():
         energy(4, QuantumNumber((0, 0, 0)), UNIT3, HamiltonianSpec(3))
 
 
+@pytest.mark.parametrize("nbar", [(), (1, 2), (1, 2, 0, 0)])
+def test_energy_rejects_nbar_of_another_dimension(nbar):
+    with pytest.raises(ValueError, match="^nbar must have 3 components$"):
+        energy(1, QuantumNumber(nbar), UNIT3, HamiltonianSpec(3))
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, Fraction(1), True, False, "1", None])
+def test_polygauss_scale_must_be_an_int(scale):
+    with pytest.raises(ValueError, match="scale must be an int"):
+        PolyGauss(x(1, 3), scale)
+
+
 def test_quantum_number_validation():
     with pytest.raises(ValueError):
         QuantumNumber((-1, 0, 0))
@@ -286,6 +298,15 @@ def test_residual_report_rows():
     hand = PolyGauss(a12 * psi.poly * psi.poly, 2)
     for pi, p in enumerate(pts):
         assert rep["ground_residuals"][0][pi] == abs(hand.eval([p])[0])
+
+
+def test_series_orders_must_be_non_negative():
+    psi = ground_state(0, 3)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        star_increments([psi] * 3, UNIT3, -1)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        list(star_series([x(1, 3)] * 3, UNIT3, -1))
+    assert list(star_series([x(1, 3)] * 3, UNIT3, 0)) == [x(1, 3) ** 3]
 
 
 def test_residual_report_point_validation():

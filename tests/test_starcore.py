@@ -12,7 +12,6 @@ from nstar.polynomials import Polynomial, _sum_of_products, x
 from nstar.scalars import SQRT2, ExactComplex, I
 from nstar.starcore import (
     ThetaConfig,
-    _compositions,
     _live_chains,
     _plan,
     _plan_terms,
@@ -252,12 +251,6 @@ def compositions_reference(m, parts):
     for first in range(m + 1):
         for rest in compositions_reference(m - first, parts - 1):
             yield (first,) + rest
-
-
-def test_compositions_match_recursive_definition():
-    for m in range(5):
-        for parts in range(9):
-            assert list(_compositions(m, parts)) == list(compositions_reference(m, parts))
 
 
 def test_series_terminates_at_min_degree():
@@ -538,33 +531,42 @@ def test_star_increments_with_one_state_in_every_trailing_slot(k):
 # -- the composition plan ----------------------------------------------------------
 
 def plan_leaves(node, depth, chain=()):
-    """(chain of slot counts, composition) for every composition of a plan."""
+    """(chain of slot counts, leaf weight) for every leaf of a plan."""
     if len(chain) == depth:
-        for used in node:
-            yield chain, used
+        yield chain, node
         return
     for counts, child in node:
         yield from plan_leaves(child, depth, chain + (counts,))
 
 
-@pytest.mark.parametrize("n, m", [(3, 0), (3, 1), (3, 4), (4, 3), (5, 2)])
+# (n, m) -> (distinct chains of slot counts, chains whose unit weight is not 0)
+PLAN_SIZES = {(3, 0): (1, 1), (3, 1): (6, 6), (3, 3): (55, 54), (3, 4): (120, 120),
+              (3, 5): (231, 222), (4, 3): (104, 104), (5, 2): (55, 55)}
+
+
+@pytest.mark.parametrize("n, m", list(PLAN_SIZES))
 def test_plan_holds_every_composition_once_under_its_slot_counts(n, m):
+    # a leaf is the unit weight prod_t u_t^c_t / c_t! summed over the
+    # compositions with its slot counts; chains whose sum is 0 are absent
     terms = deformation_terms(ThetaConfig.uniform(n))
     assert [term.slot_axes for term in _plan_terms(n)] == [term.slot_axes for term in terms]
-    leaves = list(plan_leaves(_plan(n, m), n))
-    dense = []
-    for chain, used in leaves:
-        comp = [0] * len(terms)
-        for t, c in used:
-            assert c > 0
-            comp[t] = c
-        dense.append(tuple(comp))
+    expected = {}
+    for comp in compositions_reference(m, len(terms)):
         # each slot's counts are the derivatives its terms route to each axis
-        for j, counts in enumerate(chain):
-            assert counts == tuple(sum(c for t, c in used if terms[t].slot_axes[j] == a)
-                                   for a in range(1, n + 1))
-    assert sorted(dense) == list(_compositions(m, len(terms)))
-    assert len(dense) == math.comb(m + 2 * n - 1, 2 * n - 1)
+        chain = tuple(tuple(sum(c for term, c in zip(terms, comp) if term.slot_axes[j] == a)
+                            for a in range(1, n + 1)) for j in range(n))
+        weight = (Fraction(1),) + ZERO4[1:]
+        for term, c in zip(terms, comp):
+            for _ in range(c):
+                weight = times4(weight, parts(term.weight))
+            weight = tuple(v * Fraction(1, math.factorial(c)) for v in weight)
+        expected[chain] = plus4(expected.get(chain, ZERO4), weight)
+    leaves = list(plan_leaves(_plan(n, m), n))
+    assert all(isinstance(w, ExactComplex) for _, w in leaves)
+    assert len(dict(leaves)) == len(leaves)
+    assert {chain: parts(w) for chain, w in leaves} == \
+        {chain: w for chain, w in expected.items() if w != ZERO4}
+    assert (len(expected), len(leaves)) == PLAN_SIZES[n, m]
 
 
 def zero_pattern_thetas(rng, n):
@@ -601,14 +603,15 @@ def test_plan_products_with_zero_thetas_match_the_oracle(n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_walk_weights_are_the_operator_weights(n):
     # order 1: one live composition per term with theta_k != 0, whose slot
-    # counts name the term's slot axes and whose weight is the term's
+    # counts name the term's slot axes and whose plan weight times theta_k,
+    # k its slot-0 axis, is the term's weight
     rng = random.Random(f"walk-weights-{n}")
     full = math.prod((x(a, n) for a in range(2, n + 1)), start=x(1, n))
     for theta in zero_pattern_thetas(rng, n) + [tuple(Fraction(2 * k + 1, 3) - 2 for k in range(n))]:
         cfg = ThetaConfig(n, theta)
         derivs = [{(0,) * n: full} for _ in range(n)]
         weights, chains = list(_live_chains(cfg, 1, n, derivs))[1]
-        walked = {tuple(counts.index(1) + 1 for counts in chain): w
+        walked = {tuple(counts.index(1) + 1 for counts in chain): w * cfg.theta[chain[0].index(1)]
                   for w, chain in zip(weights, chains)}
         assert len(walked) == len(chains)
         assert walked == {term.slot_axes: term.weight for term in deformation_terms(cfg)}

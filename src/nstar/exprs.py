@@ -12,7 +12,9 @@ Grammar (whitespace insignificant):
 Rationals are written p or p/q; a trailing 'i' (no space) makes the
 literal imaginary.  Reals (floats allowed) are accepted only inside
 wave(...).  The leading unary minus is a convenience so printed
-polynomials stay parseable.
+polynomials stay parseable.  Digits, in numbers and in x<k>, are the
+ASCII digits 0-9 only; any other character that starts no token is an
+"unexpected character".  Parentheses nest at most MAX_DEPTH (50) deep.
 
 Parsed trees round-trip through the printer: parse(print(tree)) == tree.
 Polynomial expressions lower to exact Polynomial values; wave atoms
@@ -21,15 +23,19 @@ lower to WaveSum; mixing the two classes in one expression is rejected.
 
 from __future__ import annotations
 
+import cmath
 import re
+import string
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .closedforms import complex_pair
 from .polynomials import Polynomial
 from .scalars import ExactComplex
-from .waves import WaveSum, merge_terms
+from .waves import WaveSum, _coeff_overflow_error, _nonzero_terms, merge_terms
 
 
 class ExprError(ValueError):
@@ -91,14 +97,27 @@ class Pow(Node):
 
 # -- tokenizer ---------------------------------------------------------------
 
+# One match per token: the whitespace before it, then the token, or any other
+# single character, which tokenize reports as unexpected.  Digits are ASCII
+# only, so a number from another script is an unexpected character.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<imag>\d+(?:/\d+)?i\b)
-  | (?P<float>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-  | (?P<number>\d+(?:/\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*^(),])
+    (\s*)
+    ( [-+*^(),]
+    | [0-9]+ (?: /[0-9]+ (?:i\b)?                 # p/q or p/qi
+               | i\b                              # pi
+               | \.[0-9]* (?:[eE][+-]?[0-9]+)?    # float
+               | [eE][+-]?[0-9]+ )?               # float
+    | \.[0-9]+ (?:[eE][+-]?[0-9]+)?               # float
+    | [A-Za-z_][A-Za-z_0-9]*
+    | \S )
 """, re.VERBOSE)
+
+# A token's kind is that of its first character; a "number" ending in 'i'
+# is "imag", and one with '.', 'e' or 'E' is "float".
+_KIND_OF_FIRST = {**dict.fromkeys("-+*^(),", "op"),
+                  **dict.fromkeys("0123456789.", "number"),
+                  **dict.fromkeys(string.ascii_letters + "_", "name")}
+_FLOAT_MARKS = frozenset(".eE")
 
 
 class Token(NamedTuple):
@@ -108,195 +127,217 @@ class Token(NamedTuple):
     col: int
 
 
+_new_token = partial(tuple.__new__, Token)
+
+
 def tokenize(text: str) -> list[Token]:
+    """text's tokens, each with its 1-based line and column (a tab is one
+    column), then an "eof" token."""
     tokens: list[Token] = []
-    line, line_start = 1, 0  # the offset pos is in column pos - line_start + 1
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:  # text[pos] starts no token
-            break
-        kind = m.lastgroup
-        pos = m.end()
-        if kind != "ws":
-            tokens.append(Token(kind, m.group(), line, start - line_start + 1))
-        elif newlines := text.count("\n", start, pos):
-            line += newlines
-            line_start = text.rfind("\n", start, pos) + 1
-    if pos != len(text):
-        raise ExprError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    append = tokens.append
+    offset = 0
+    for space, tok in _TOKEN_RE.findall(text):
+        offset += len(space)
+        kind = _KIND_OF_FIRST.get(tok[0])
+        if kind == "number":
+            if tok[-1] == "i":
+                kind = "imag"
+            elif not _FLOAT_MARKS.isdisjoint(tok):
+                kind = "float"
+        elif kind is None:
+            raise ExprError(f"unexpected character {tok!r}", *_line_col(_line_starts(text), offset))
+        append(_new_token((kind, tok, 1, offset + 1)))
+        offset += len(tok)
+    append(_new_token(("eof", "", 1, len(text) + 1)))
+    if "\n" in text:  # so far every column is the offset + 1, on line 1
+        starts = _line_starts(text)
+        tokens = [_new_token((kind, tok, *_line_col(starts, col - 1)))
+                  for kind, tok, _, col in tokens]
     return tokens
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset of the first character of each line of text."""
+    return [0, *(m.end() for m in re.finditer("\n", text))]
+
+
+def _line_col(line_starts: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
 
 
 # -- parser ------------------------------------------------------------------
 
+# The deepest nesting of parentheses an expression may have.  Parsing
+# recurses three frames per level, and lowering, printing and comparing
+# trees recurse per node, with up to a Sum, a Prod and a Pow per level (a
+# tree comparison takes about ten frames per level); 50 levels keep every
+# stage far below Python's default recursion limit of 1000.
+MAX_DEPTH = 50
+
 _ZERO = Fraction(0)
+_SIGNS = {"+": 1, "-": -1}
 
 
 class _Parser:
+    """Recursive descent over tokenize's list.  An op token is known by its
+    text alone, and only '(' recurses."""
+
     def __init__(self, text: str, n: int):
         self.tokens = tokenize(text)
         self.n = n
         self.idx = 0
+        self.depth = 0  # parentheses open around the current token
+        self.rationals: dict[str, Fraction] = {}  # each distinct text is read once
 
-    def peek(self) -> Token:
-        return self.tokens[self.idx]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
+    def error(self, message: str, tok: Token):
         raise ExprError(message, tok.line, tok.col)
 
-    def expect_op(self, op: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
+    def expect(self, op: str) -> None:
+        tok = self.tokens[self.idx]
+        if tok.text != op:
             self.error(f"expected {op!r}", tok)
-        return self.advance()
+        self.idx += 1
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
+        tok = self.tokens[self.idx]
         if tok.kind != "eof":
             self.error(f"unexpected trailing input {tok.text!r}", tok)
         return node
 
     def expr(self) -> Node:
-        signs = []
-        terms = []
-        tok = self.peek()
-        start = (tok.line, tok.col)
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            signs.append(-1)
+        """'-'? term (('+'|'-') term)*"""
+        tokens = self.tokens
+        tok = tokens[self.idx]
+        if tok.text == "-":
+            self.idx += 1
+            signs = [-1]
         else:
-            signs.append(1)
-        terms.append(self.term())
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                signs.append(1 if tok.text == "+" else -1)
-                terms.append(self.term())
-            else:
-                break
+            signs = [1]
+        terms = [self.term()]
+        while sign := _SIGNS.get(tokens[self.idx].text):
+            self.idx += 1
+            signs.append(sign)
+            terms.append(self.term())
         if len(terms) == 1 and signs[0] == 1:
             return terms[0]
-        return Sum(tuple(signs), tuple(terms), pos=start)
+        return Sum(tuple(signs), tuple(terms), pos=(tok.line, tok.col))
 
     def term(self) -> Node:
-        tok = self.peek()
-        start = (tok.line, tok.col)
-        factors = [self.factor()]
+        """factor ('*' factor)*, where factor := atom ('^' uint)?"""
+        tokens = self.tokens
+        first = tokens[self.idx]
+        factors = []
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                factors.append(self.factor())
-            else:
+            node = self.atom()
+            if tokens[self.idx].text == "^":
+                etok = tokens[self.idx + 1]
+                if etok.kind != "number" or "/" in etok.text:
+                    self.error("expected a non-negative integer exponent", etok)
+                self.idx += 2
+                node = Pow(node, int(etok.text), pos=node.pos)
+            factors.append(node)
+            if tokens[self.idx].text != "*":
                 break
+            self.idx += 1
         if len(factors) == 1:
             return factors[0]
-        return Prod(tuple(factors), pos=start)
-
-    def factor(self) -> Node:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            etok = self.peek()
-            if etok.kind != "number" or "/" in etok.text:
-                self.error("expected a non-negative integer exponent", etok)
-            self.advance()
-            return Pow(base, int(etok.text), pos=base.pos)
-        return base
-
-    def uint(self, what: str) -> int:
-        tok = self.peek()
-        if tok.kind != "number" or "/" in tok.text:
-            self.error(f"expected {what}", tok)
-        self.advance()
-        return int(tok.text)
+        return Prod(tuple(factors), pos=(first.line, first.col))
 
     def atom(self) -> Node:
-        tok = self.peek()
-        start = (tok.line, tok.col)
-        if tok.kind == "imag":
-            self.advance()
-            return Lit(_ZERO, self.rational(tok, tok.text[:-1]), pos=start)
-        if tok.kind == "number":
-            self.advance()
-            return Lit(self.rational(tok, tok.text), _ZERO, pos=start)
-        if tok.kind == "float":
-            self.error("float literals are only allowed inside wave(...)", tok)
-        if tok.kind == "name":
-            name = tok.text
-            if re.fullmatch(r"x\d+", name):
-                self.advance()
-                k = int(name[1:])
-                if not 1 <= k <= self.n:
-                    self.error(f"coordinate index {k} out of range 1..{self.n}", tok)
-                return Coord(k, pos=start)
-            if name in ("a", "abar"):
-                self.advance()
-                self.expect_op("(")
-                i = self.uint("a coordinate index")
-                self.expect_op(",")
-                j = self.uint("a coordinate index")
-                closing = self.expect_op(")")
-                if not (1 <= i <= self.n and 1 <= j <= self.n):
-                    self.error(f"coordinate index out of range 1..{self.n}", tok)
-                if i == j:
-                    self.error("complex coordinate requires distinct indices", tok)
-                return ComplexCoord(i, j, name == "abar", pos=start)
-            if name == "wave":
-                self.advance()
-                self.expect_op("(")
-                freqs = [self.real("frequency component")]
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.advance()
-                    freqs.append(self.real("frequency component"))
-                self.expect_op(")")
-                if len(freqs) != self.n:
-                    self.error(f"wave arity {len(freqs)} does not match dimension {self.n}", tok)
-                return Wave(tuple(freqs), pos=start)
-            self.error(f"unknown symbol {name!r}", tok)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        tok = self.tokens[self.idx]
+        self.idx += 1
+        kind, text, line, col = tok
+        if kind == "number":
+            return Lit(self.rational(tok, text), _ZERO, pos=(line, col))
+        if kind == "imag":
+            return Lit(_ZERO, self.rational(tok, text[:-1]), pos=(line, col))
+        if kind == "name":
+            return self.named(tok)
+        if text == "(":
+            if self.depth == MAX_DEPTH:
+                self.error(f"more than {MAX_DEPTH} nested parentheses", tok)
+            self.depth += 1
             inner = self.expr()
-            self.expect_op(")")
+            self.depth -= 1
+            self.expect(")")
             return inner
-        self.error(f"expected an atom, found {tok.text!r}" if tok.kind != "eof"
+        if kind == "float":
+            self.error("float literals are only allowed inside wave(...)", tok)
+        self.error(f"expected an atom, found {text!r}" if kind != "eof"
                    else "unexpected end of input", tok)
+
+    def named(self, tok: Token) -> Node:
+        """The atom that starts with the name token tok, already read."""
+        name, pos = tok.text, (tok.line, tok.col)
+        if name == "wave":
+            self.expect("(")
+            freqs = [self.real("frequency component")]
+            while self.tokens[self.idx].text == ",":
+                self.idx += 1
+                freqs.append(self.real("frequency component"))
+            self.expect(")")
+            if len(freqs) != self.n:
+                self.error(f"wave arity {len(freqs)} does not match dimension {self.n}", tok)
+            return Wave(tuple(freqs), pos=pos)
+        if name[0] == "x" and name[1:].isdigit():  # names are ASCII
+            k = int(name[1:])
+            if not 1 <= k <= self.n:
+                self.error(f"coordinate index {k} out of range 1..{self.n}", tok)
+            return Coord(k, pos=pos)
+        if name in ("a", "abar"):
+            self.expect("(")
+            i = self.uint("a coordinate index")
+            self.expect(",")
+            j = self.uint("a coordinate index")
+            self.expect(")")
+            if not (1 <= i <= self.n and 1 <= j <= self.n):
+                self.error(f"coordinate index out of range 1..{self.n}", tok)
+            if i == j:
+                self.error("complex coordinate requires distinct indices", tok)
+            return ComplexCoord(i, j, name == "abar", pos=pos)
+        self.error(f"unknown symbol {name!r}", tok)
+
+    def uint(self, what: str) -> int:
+        tok = self.tokens[self.idx]
+        if tok.kind != "number" or "/" in tok.text:
+            self.error(f"expected {what}", tok)
+        self.idx += 1
+        return int(tok.text)
 
     def rational(self, tok: Token, text: str) -> Fraction:
         """The rational p or p/q in text, read from tok."""
-        num, _, den = text.partition("/")
-        if not den:
-            return Fraction(int(num))
-        if not int(den):
-            self.error(f"zero denominator in {text!r}", tok)
-        return Fraction(int(num), int(den))
+        value = self.rationals.get(text)
+        if value is None:
+            num, _, den = text.partition("/")
+            if not den:
+                value = Fraction(int(num))
+            else:
+                if not int(den):
+                    self.error(f"zero denominator in {text!r}", tok)
+                value = Fraction(int(num), int(den))
+            self.rationals[text] = value
+        return value
 
     def real(self, what: str) -> float:
+        tok = self.tokens[self.idx]
         sign = 1.0
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        if tok.text == "-":
+            self.idx += 1
             sign = -1.0
-            tok = self.peek()
-        if tok.kind not in ("float", "number"):
+            tok = self.tokens[self.idx]
+        kind, text = tok.kind, tok.text
+        if kind == "float":
+            self.idx += 1
+            return sign * float(text)
+        if kind != "number":
             self.error(f"expected {what}", tok)
-        self.advance()
-        if tok.kind == "float":
-            return sign * float(tok.text)
+        self.idx += 1
         # an integer needs no Fraction: float(int) rounds as float(Fraction) does
         try:
-            return sign * float(self.rational(tok, tok.text) if "/" in tok.text else int(tok.text))
+            return sign * float(self.rational(tok, text) if "/" in text else int(text))
         except OverflowError:
             self.error(f"{what} out of float range", tok)
 
@@ -408,19 +449,23 @@ def lower_wave(node: Node, n: int) -> WaveSum:
     WaveSum built at every node: each node's list is merged (merge_terms),
     except a Sum's, which is merged where it is used (by a product, a
     power, a minus sign or an enclosing Sum, or at the top by WaveSum).
+    A subtree without waves folds to the one coefficient its merged
+    frequency-0 term would have, by the same float operations in the same
+    order.
     """
-    return WaveSum(n, _wave_terms(node, n))
+    return WaveSum(n, _listed(_wave_terms(node, n), n))
 
 
 def _wave_terms(node: Node, n: int):
-    """node's terms: merged, except a Sum's, which are its terms' merged
-    terms, negated by sign, one after another."""
+    """node's terms: a complex for a subtree without waves (its merged
+    frequency-0 coefficient, 0 for no term); for a Sum with waves, a list of
+    its terms' merged terms, negated by sign, one after another; for any
+    other node, its merged terms as a tuple."""
     if isinstance(node, Lit):
         try:
-            coeff = complex(0, float(node.im)) if node.im else complex(float(node.re), 0)
+            return complex(0, float(node.im)) if node.im else complex(float(node.re), 0)
         except OverflowError:
             raise ExprError("literal out of float range in a wave expression", *node.pos) from None
-        return [(coeff, (0.0,) * n)] if coeff else []
     if isinstance(node, (Coord, ComplexCoord)):
         raise ExprError("coordinate atoms cannot appear in a wave expression", *node.pos)
     if isinstance(node, Wave):
@@ -429,31 +474,64 @@ def _wave_terms(node: Node, n: int):
         return merge_terms(n, [(1.0 + 0j, node.freqs)])
     if isinstance(node, Sum):
         terms = []
+        has_waves = False
         for sign, term in zip(node.signs, node.terms):
-            part = _merged_terms(term, n)
-            terms.extend(part if sign > 0 else [(c * -1.0, f) for c, f in part])
-        return terms
+            part = _merged(_wave_terms(term, n), n)
+            if type(part) is complex:
+                if part:
+                    terms.append(part if sign > 0 else part * -1.0)
+            else:
+                has_waves = True
+                terms.extend(part if sign > 0 else [(c * -1.0, f) for c, f in part])
+        if has_waves:
+            return [(c, (0.0,) * n) if type(c) is complex else c for c in terms]
+        if not terms:
+            return 0j
+        total = terms[0]
+        for c in terms[1:]:
+            total += c
+        return _constant(total, n)
     if isinstance(node, Prod):
-        total = [(1.0 + 0j, (0.0,) * n)]
+        total = 1.0 + 0j
         for f in node.factors:
-            total = _pointwise(total, _merged_terms(f, n), n)
+            total = _times(total, _merged(_wave_terms(f, n), n), n)
         return total
     if isinstance(node, Pow):
-        base = _merged_terms(node.base, n)
-        total = [(1.0 + 0j, (0.0,) * n)]
+        base = _merged(_wave_terms(node.base, n), n)
+        total = 1.0 + 0j
         for _ in range(node.exp):
-            total = _pointwise(total, base, n)
+            total = _times(total, base, n)
         return total
     raise TypeError(f"unknown node {node!r}")
 
 
-def _merged_terms(node: Node, n: int):
-    terms = _wave_terms(node, n)
-    return merge_terms(n, terms) if isinstance(node, Sum) else terms
+def _merged(terms, n: int):
+    """_wave_terms' value for a node, merged where it is a Sum's list."""
+    return merge_terms(n, terms) if type(terms) is list else terms
 
 
-def _pointwise(a, b, n: int) -> tuple:
-    """The merged terms of the product of two merged term lists, as
-    WaveSum.__mul__ forms them."""
+def _listed(terms, n: int):
+    """_wave_terms' value as a sequence of (coeff, freq) terms."""
+    if type(terms) is not complex:
+        return terms
+    return [(terms, (0.0,) * n)] if terms else []
+
+
+def _constant(coeff: complex, n: int) -> complex:
+    """coeff as a merged frequency-0 coefficient: 0 stands for no term,
+    and a non-finite one raises as merge_terms does."""
+    if coeff and not cmath.isfinite(coeff):
+        raise _coeff_overflow_error(coeff, (0.0,) * n)
+    return coeff
+
+
+def _times(a, b, n: int):
+    """The merged product of two merged values of _wave_terms, as
+    WaveSum.__mul__ forms it."""
+    if type(a) is complex:
+        if type(b) is complex:
+            return _constant(a * b, n)
+        # 0.0 + v keeps the merge key of v, so b's terms stay distinct and sorted
+        return _nonzero_terms([(a * c, tuple([0.0 + v for v in f])) for c, f in b])
     return merge_terms(n, [(c1 * c2, tuple([u + v for u, v in zip(f1, f2)]))
-                           for c1, f1 in a for c2, f2 in b])
+                           for c1, f1 in _listed(a, n) for c2, f2 in _listed(b, n)])

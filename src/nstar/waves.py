@@ -170,25 +170,40 @@ def merge_terms(n: int, terms: Iterable[tuple[complex, Sequence[float]]]) -> tup
     coefficients, added in input order.  Keys come out sorted and exact
     zeros are dropped.  A frequency whose key is not finite raises
     OverflowError, and a non-finite coefficient KernelOverflowError, both
-    naming the frequency.
+    naming the frequency.  A list or tuple of one term skips the dict and
+    the sort.
     """
+    if type(terms) in (list, tuple) and len(terms) == 1:
+        (coeff, freq), = terms
+        freq, _ = _merge_key(n, freq)  # the key only for its range check
+        return _nonzero_terms(((complex(coeff), freq),))
     merged: dict[tuple[int, ...], list] = {}
     for coeff, freq in terms:
-        freq = tuple(map(float, freq))
-        if len(freq) != n:
-            raise ValueError("frequency dimension mismatch")
-        try:
-            key = tuple([round(v / MERGE_TOL) for v in freq])
-        except OverflowError:
-            raise _freq_range_error(freq) from None
+        freq, key = _merge_key(n, freq)
         slot = merged.get(key)
         if slot is None:
             merged[key] = [complex(coeff), freq]
         else:
             slot[0] += complex(coeff)
+    return _nonzero_terms([merged[key] for key in sorted(merged)])
+
+
+def _merge_key(n: int, freq: Sequence[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """freq as floats, and its merge key."""
+    freq = tuple(map(float, freq))
+    if len(freq) != n:
+        raise ValueError("frequency dimension mismatch")
+    try:
+        return freq, tuple([round(v / MERGE_TOL) for v in freq])
+    except OverflowError:
+        raise _freq_range_error(freq) from None
+
+
+def _nonzero_terms(terms) -> tuple:
+    """The (coeff, freq) terms whose coefficient is not 0; a non-finite one
+    raises."""
     out = []
-    for key in sorted(merged):
-        coeff, freq = merged[key]
+    for coeff, freq in terms:
         if coeff != 0:
             if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
                 raise _coeff_overflow_error(coeff, freq)

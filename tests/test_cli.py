@@ -15,6 +15,7 @@ import pytest
 import nstar
 from nstar import cli
 from nstar.cli import main
+from nstar.exprs import MAX_DEPTH
 from nstar.polynomials import Polynomial, x
 from nstar.starcore import ThetaConfig, star_n
 from nstar.waves import WaveSum
@@ -175,6 +176,38 @@ def test_bracket_and_conj(capsys):
     assert capsys.readouterr().out.strip() == "i"
     assert main(["conj", "--theta", "1,1,1", "x1", "x2", "x3"]) == 0
     assert capsys.readouterr().out.strip() == "x1*x2*x3 - (1/2)i"
+
+
+def test_bracket_arity_message_pinned(capsys):
+    assert main(["bracket", "--n", "4", "x1", "x2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('{"error": {"code": "usage", "message": "bracket takes the two outer '
+                            'factors plus 2 middle factors (4 expressions), got 2"}}\n')
+
+
+DEEP = 10_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "--n", "3", "(" * DEEP + "x1" + ")" * DEEP, "x2", "x3"],
+    ["oracle", "--n", "3", "wave(1,0,0)", "(" * DEEP + "wave(0,1,0)" + ")" * DEEP, "wave(0,0,1)"],
+], ids=["star", "oracle"])
+def test_deep_nesting_is_a_parse_error(argv, tmp_path):
+    proc = run_cli(argv, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == json.dumps({"error": {
+        "code": "parse-error", "message": f"more than {MAX_DEPTH} nested parentheses",
+        "line": 1, "col": MAX_DEPTH + 1}}) + "\n"
+
+
+def test_non_ascii_digit_is_a_parse_error(capsys):
+    assert main(["star", "--n", "3", "\u0663*x1", "x2", "x3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('{"error": {"code": "parse-error", "message": '
+                            '"unexpected character \'\\u0663\'", "line": 1, "col": 1}}\n')
 
 
 # Out-of-range values: each is a usage error, not a traceback.

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nstar.closedforms import complex_pair
 from nstar.exprs import (
+    MAX_DEPTH,
     ComplexCoord,
     Coord,
     ExprError,
@@ -246,6 +248,13 @@ def _assert_lowers_as_node_by_node(text, n=3):
     "(wave(1,0,0) + 1)^0 + (wave(1,0,-1) - 1/2i)^3*(wave(0,1,0) - wave(0,1,0)*1i)",
     "wave(1,0,0)",
     "2/3i",
+    # -(1i) is -0.0 - 1j, so a sum of negated imaginary constants keeps a -0.0
+    # real part only when it starts from its first term
+    "-1i - 2/3i",
+    # constant terms keep their place among a sum's waves at frequency 0:
+    # (0.2 + 0.3) + 0.1 is 0.6, (0.1 + 0.2) + 0.3 is 0.6000000000000001
+    "1/5 + 3/10 + 1/10*wave(0,0,0)",
+    "1/5 + wave(-0,0,0)",
 ])
 def test_lower_wave_matches_node_by_node_lowering(text):
     _assert_lowers_as_node_by_node(text)
@@ -343,3 +352,120 @@ def test_lowered_complex_coordinate_matches_closed_form():
     a, abar = complex_pair(2, 3, 3)
     assert lower_poly(parse_expression("a(2,3)", 3), 3) == a
     assert lower_poly(parse_expression("abar(2,3)", 3), 3) == abar
+
+
+def test_nesting_deeper_than_the_limit_is_a_positioned_error():
+    for depth in (MAX_DEPTH + 1, 10_000):
+        text = "(" * depth + "x1" + ")" * depth
+        with pytest.raises(ExprError) as err:
+            parse_expression(text, 3)
+        assert (err.value.line, err.value.col) == (1, MAX_DEPTH + 1)  # the first '(' too many
+        assert err.value.message == f"more than {MAX_DEPTH} nested parentheses"
+    tree = parse_expression("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, 3)
+    assert tree == Coord(1)
+
+
+def _deepest_text(atom):
+    """MAX_DEPTH nested parentheses with a Sum, a Prod and a Pow at every
+    level: ((atom + 1)^1*atom + 1)^1*atom ..."""
+    text = atom
+    for _ in range(MAX_DEPTH):
+        text = f"({text} + 1)^1*{atom}"
+    return text
+
+
+def test_deepest_allowed_nesting_lowers_and_round_trips():
+    poly = parse_expression(_deepest_text("x1"), 3)
+    assert parse_expression(to_text(poly), 3) == poly
+    # Horner's rule: the polynomial is x1 + x1^2 + ... + x1^(MAX_DEPTH + 1)
+    assert lower_poly(poly, 3) == sum((x(1, 3) ** k for k in range(2, MAX_DEPTH + 2)), x(1, 3))
+    wave = parse_expression(_deepest_text("wave(1,0,0)"), 3)
+    assert parse_expression(to_text(wave), 3) == wave
+    assert contains_wave(wave)
+    assert lower_wave(wave, 3) == WaveSum(3, [(1.0, (float(k), 0.0, 0.0))
+                                              for k in range(1, MAX_DEPTH + 2)])
+    _assert_lowers_as_node_by_node(_deepest_text("wave(1,0,0)"))
+    with pytest.raises(ExprError):
+        parse_expression("(" + _deepest_text("x1") + ")", 3)
+
+
+@pytest.mark.parametrize("text, col", [
+    ("٣*x1", 1),            # ARABIC-INDIC DIGIT THREE
+    ("x1^٢", 4),            # ARABIC-INDIC DIGIT TWO as an exponent
+    ("x١", 2),              # in a coordinate index
+    ("x1*1８", 5),           # FULLWIDTH DIGIT EIGHT after an ASCII digit
+    ("wave(१,0,0)", 6),     # DEVANAGARI DIGIT ONE as a frequency
+])
+def test_only_ascii_digits_are_numbers(text, col):
+    with pytest.raises(ExprError) as err:
+        parse_expression(text, 3)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert err.value.message == f"unexpected character {text[col - 1]!r}"
+
+
+def _traffic_text(rng, freqs):
+    """A sum of (a/8 +- b/8i)*wave(f) terms, as the oracle benchmark writes
+    them, with 0/8i, -0 components and repeated frequencies that cancel."""
+    parts = []
+    for f in freqs:
+        a, b = (0 if rng.random() < 0.15 else rng.randint(-8, 8) for _ in "ab")
+        comps = ",".join(rng.choice(["-0", "0"]) if v == 0 else str(v) for v in f)
+        im = f"+ {b}/8i" if b >= 0 else f"- {-b}/8i"
+        parts.append(f"({a}/8 {im})*wave({comps})")
+        if rng.random() < 0.2:  # the same term again, subtracted: an exact cancellation
+            parts.append(f"-({a}/8 {im})*wave({comps})")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def test_lower_wave_matches_node_by_node_lowering_on_benchmark_shaped_sums():
+    rng = random.Random("traffic")
+    unit4 = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    shapes = [(3, list(itertools.product((-1, 0, 1), repeat=3))),
+              (4, [(0,) * 4] + unit4 + [tuple(-v for v in u) for u in unit4])]
+    for n, freqs in shapes:
+        texts = [_traffic_text(rng, freqs) for _ in range(20)]
+        for marker in ("0/8i", "(0/8 ", "wave(-0,", ",-0)", "- ("):
+            assert any(marker in text for text in texts), marker
+        for text in texts:
+            _assert_lowers_as_node_by_node(text, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["x1", "3", "2i", "1.5", "wave", "(", ")", "-", "*", "^",
+                                 " ", "\t", "\n", "\n\t ", "  "]), max_size=40))
+def test_token_positions_match_a_naive_count(pieces):
+    text = "".join(pieces)
+    tokens = tokenize(text)
+    for tok in tokens:
+        offset = _naive_offset(text, tok.line, tok.col)
+        assert text.startswith(tok.text, offset)
+        before = text[:offset]
+        assert tok.line == before.count("\n") + 1
+        assert tok.col == len(before) - (before.rfind("\n") + 1) + 1
+    assert tokens[-1].kind == "eof" and _naive_offset(text, tokens[-1].line, tokens[-1].col) == len(text)
+    assert "".join(tok.text for tok in tokens) == "".join(text.split())
+
+
+def _naive_offset(text, line, col):
+    """The offset of (line, col) in text, counting lines one by one."""
+    offset = 0
+    for _ in range(line - 1):
+        offset = text.index("\n", offset) + 1
+    return offset + col - 1
+
+
+@pytest.mark.parametrize("text", [
+    "(10^308 + 10^308)*wave(1,0,0)",      # a constant sum
+    "10^200*10^200*wave(1,0,0)",          # a constant product
+    "(10^160)^2*wave(1,0,0)",             # a constant power
+    "wave(1,0,0) + 10^308 + 10^308",      # constant terms of a sum with waves
+    "10^308*wave(1,0,0)*10",              # a constant after a wave
+])
+def test_overflowing_constants_raise_as_node_by_node_lowering(text):
+    tree = parse_expression(text, 3)
+    with pytest.raises(OverflowError) as got:
+        lower_wave(tree, 3)
+    with pytest.raises(OverflowError) as ref:
+        _lower_wave_node_by_node(tree, 3)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)

@@ -144,8 +144,6 @@ def _theta_config(args) -> ThetaConfig:
         theta = (Fraction(1),) * args.n
     else:
         theta = _parse_list(args.theta, "theta")
-    if len(theta) != args.n:
-        raise UsageError(f"theta must have {args.n} components, got {len(theta)}")
     return ThetaConfig(args.n, theta)
 
 
@@ -226,12 +224,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_kernel(args) -> int:
     cfg = _theta_config(args)
-    if len(args.freqs) != cfg.n:
-        raise UsageError(f"kernel takes {cfg.n} frequency vectors, got {len(args.freqs)}")
     vectors = [_parse_list(v, "frequency vector", float) for v in args.freqs]
-    for v in vectors:
-        if len(v) != cfg.n:
-            raise UsageError(f"frequency vector must have {cfg.n} components, got {len(v)}")
     expo, weight = kernel_weights(vectors, cfg)
     mult = complex(weight)
     text = f"exponent = {expo.real!r} + {expo.imag!r}i\nmultiplier = {mult.real!r} + {mult.imag!r}i"
@@ -244,8 +237,6 @@ def _cmd_kernel(args) -> int:
 def _cmd_omega(args) -> int:
     q = _parse_list(args.q, "frequency vector", float)
     r = _parse_list(args.r, "frequency vector", float)
-    if len(q) != 3 or len(r) != 3:
-        raise UsageError("omega is defined for dimension 3 vectors")
     w = freq_cross(q, r)
     _emit(lambda: f"omega = {list(w)}", lambda: {"omega": list(w)}, args)
     return 0
@@ -271,9 +262,6 @@ def _hamiltonian_spec(args, n) -> HamiltonianSpec:
         if args.lambda0 is None:
             raise UsageError("--lambda2 requires --lambda0")
         rows.append(_parse_list(args.lambda2, "lambda2"))
-    for row in rows:
-        if len(row) != n:
-            raise UsageError(f"diagonal coefficient rows must have {n} entries")
     pairs = {}
     for spec_text in getattr(args, "pair", ()):
         key_text, eq, val_text = spec_text.partition("=")
@@ -290,8 +278,6 @@ def _cmd_spectrum(args) -> int:
     spec = _hamiltonian_spec(args, cfg.n)
     nbar = QuantumNumber(_parse_list(args.nbar, "nbar", int) if args.nbar else (0,) * cfg.n)
     k = args.k
-    if not 1 <= k <= cfg.n:
-        raise UsageError(f"k must be in 1..{cfg.n}")
     value = energy(k, nbar, cfg, spec)
     rows = [{"k": kk, "nbar": list(nbar.nbar),
              "energy": str(energy(kk, nbar, cfg, spec))}

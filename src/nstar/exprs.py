@@ -14,7 +14,10 @@ literal imaginary.  Reals (floats allowed) are accepted only inside
 wave(...).  The leading unary minus is a convenience so printed
 polynomials stay parseable.  Digits, in numbers and in x<k>, are the
 ASCII digits 0-9 only; any other character that starts no token is an
-"unexpected character".  Parentheses nest at most MAX_DEPTH (50) deep.
+"unexpected character".  An integer with more digits than Python
+converts from text (``sys.get_int_max_str_digits()``, 4300 by default)
+is an error at its token, as is a wave component past the float range.
+Parentheses nest at most MAX_DEPTH (50) deep.
 
 Parsed trees round-trip through the printer: parse(print(tree)) == tree.
 Polynomial expressions lower to exact Polynomial values; wave atoms
@@ -24,8 +27,10 @@ lower to WaveSum; mixing the two classes in one expression is rejected.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 import string
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -233,11 +238,8 @@ class _Parser:
         while True:
             node = self.atom()
             if tokens[self.idx].text == "^":
-                etok = tokens[self.idx + 1]
-                if etok.kind != "number" or "/" in etok.text:
-                    self.error("expected a non-negative integer exponent", etok)
-                self.idx += 2
-                node = Pow(node, int(etok.text), pos=node.pos)
+                self.idx += 1
+                node = Pow(node, self.uint("a non-negative integer exponent"), pos=node.pos)
             factors.append(node)
             if tokens[self.idx].text != "*":
                 break
@@ -283,7 +285,7 @@ class _Parser:
                 self.error(f"wave arity {len(freqs)} does not match dimension {self.n}", tok)
             return Wave(tuple(freqs), pos=pos)
         if name[0] == "x" and name[1:].isdigit():  # names are ASCII
-            k = int(name[1:])
+            k = self.integer(tok, name[1:])
             if not 1 <= k <= self.n:
                 self.error(f"coordinate index {k} out of range 1..{self.n}", tok)
             return Coord(k, pos=pos)
@@ -305,20 +307,27 @@ class _Parser:
         if tok.kind != "number" or "/" in tok.text:
             self.error(f"expected {what}", tok)
         self.idx += 1
-        return int(tok.text)
+        return self.integer(tok, tok.text)
+
+    def integer(self, tok: Token, digits: str) -> int:
+        """The int of the ASCII digits `digits`, read from tok.  This is
+        the one place the parser converts digits, so a number longer than
+        Python converts (``sys.get_int_max_str_digits``) is an error at
+        its token."""
+        try:
+            return int(digits)
+        except ValueError:
+            self.error(f"integer with more than {sys.get_int_max_str_digits()} digits", tok)
 
     def rational(self, tok: Token, text: str) -> Fraction:
         """The rational p or p/q in text, read from tok."""
         value = self.rationals.get(text)
         if value is None:
             num, _, den = text.partition("/")
-            if not den:
-                value = Fraction(int(num))
-            else:
-                if not int(den):
-                    self.error(f"zero denominator in {text!r}", tok)
-                value = Fraction(int(num), int(den))
-            self.rationals[text] = value
+            p, q = self.integer(tok, num), self.integer(tok, den) if den else 1
+            if not q:
+                self.error(f"zero denominator in {text!r}", tok)
+            value = self.rationals[text] = Fraction(p, q)
         return value
 
     def real(self, what: str) -> float:
@@ -329,17 +338,18 @@ class _Parser:
             sign = -1.0
             tok = self.tokens[self.idx]
         kind, text = tok.kind, tok.text
-        if kind == "float":
-            self.idx += 1
-            return sign * float(text)
-        if kind != "number":
+        if kind not in ("number", "float"):
             self.error(f"expected {what}", tok)
         self.idx += 1
         # an integer needs no Fraction: float(int) rounds as float(Fraction) does
         try:
-            return sign * float(self.rational(tok, text) if "/" in text else int(text))
-        except OverflowError:
+            value = float(text if kind == "float" else
+                          self.rational(tok, text) if "/" in text else self.integer(tok, text))
+        except OverflowError:  # an int or Fraction past the float range
+            value = math.inf
+        if value == math.inf:  # a float literal past the range rounds to inf
             self.error(f"{what} out of float range", tok)
+        return sign * value
 
 
 def parse_expression(text: str, n: int) -> Node:

@@ -85,7 +85,8 @@ class HamiltonianSpec:
             diag = tuple(tuple(Fraction(v) for v in row) for row in self.diag_lambdas)
             for row in diag:
                 if len(row) != self.n:
-                    raise ValueError("each diagonal coefficient row must have length n")
+                    raise ValueError(f"diagonal coefficient rows must have {self.n} entries, "
+                                     f"got {len(row)}")
         object.__setattr__(self, "lambda_pair", pair)
         object.__setattr__(self, "lambda_quad", quad)
         object.__setattr__(self, "diag_lambdas", diag)
@@ -124,7 +125,7 @@ def energy(k: int, nbar: QuantumNumber, cfg: ThetaConfig, spec: HamiltonianSpec)
     """
     n = cfg.n
     if not 1 <= k <= n:
-        raise ValueError(f"index {k} out of range 1..{n}")
+        raise ValueError(f"k must be in 1..{n}, got {k}")
     if spec.n != n:
         raise ValueError("spec dimension mismatch")
     if len(nbar.nbar) != n:
@@ -270,13 +271,10 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
     This is a report, not an assertion: the table records how the
     residuals behave as the truncation order grows.  Every lead factor is
     a polynomial, so each series stops at the lead's degree and the rows
-    past it repeat.
+    past it repeat.  A negative order (``star_series``) and a spec of
+    another dimension than cfg (``energy``) raise ValueError.
     """
     n = cfg.n
-    if spec.n != n:
-        raise ValueError("spec dimension mismatch")
-    if order < 0:
-        raise ValueError("order must be non-negative")
     points = [tuple(p) for p in sample_points]
     if not points:
         raise ValueError("at least one sample point is required")
@@ -288,8 +286,8 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
 
     psi = ground_state(k, n)
     a_poly, _ = complex_pair(*COMPLEX_AXES, n)
+    E = energy(1, QuantumNumber((k,) + (0,) * (n - 1)), cfg, spec)  # checks spec.n
     H = build_hamiltonian(spec)
-    E = energy(1, QuantumNumber((k,) + (0,) * (n - 1)), cfg, spec)
     Ec = float(E)
 
     def cumulative_values(lead: PolyGauss) -> list[list[complex]]:

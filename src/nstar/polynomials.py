@@ -8,7 +8,11 @@ coefficients:
 Zero coefficients are never stored, so two polynomials are equal iff
 their term dicts are equal.  Serialization and printing order terms
 graded-lexicographically (total degree first, then exponents), highest
-first, which keeps every output deterministic.
+first, which keeps every output deterministic.  Both read a coefficient
+once, as the eight integers of ``scalars._lowest_terms`` (each part's
+numerator and denominator in lowest terms): the JSON term records take
+them as they are, and the text takes a term's sign, magnitude and
+bracketing from them.
 
 Products run through one multiply loop, ``_multiply``, on packed terms:
 a term is one int key (its exponent tuple, Kronecker substitution) and
@@ -35,8 +39,7 @@ import operator
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .scalars import (ExactComplex, ONE, ZERO, _lowest_terms, _make, _power, format_scalar,
-                      scalar_is_negative_leading)
+from .scalars import ExactComplex, ONE, ZERO, _lowest_terms, _make, _parts_text, _power
 
 MultiIndex = tuple[int, ...]
 # the (shifts, mask) of a packed exponent key
@@ -252,18 +255,28 @@ class Polynomial:
     # -- printing / serialization ------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        """The terms, highest first, each read off its coefficient's
+        ``_lowest_terms``: the sign of the first nonzero numerator joins it
+        to the text before it, and the magnitude goes before the monomial
+        bare when it is an integer or an integer times i, else bracketed."""
+        pieces = []
+        for exps, coeff in self.sorted_terms():
+            a, b, c, d, e, f, g, h = _lowest_terms(coeff)
+            neg = (a or c or e or g) < 0
+            if neg:
+                a, c, e, g = -a, -c, -e, -g
+            body = _parts_text(a, b, c, d, e, f, g, h)
+            mono = "*".join(f"x{k}^{p}" if p > 1 else f"x{k}" for k, p in enumerate(exps, 1) if p)
+            if mono:
+                if e or g or (a and c) or b != 1 or d != 1:
+                    body = f"({body})*{mono}"
+                else:
+                    body = mono if (a, c) == (1, 0) else f"{body}*{mono}"
+            pieces.append(f" - {body}" if neg else f" + {body}")
+        if not pieces:
             return "0"
-        pieces: list[str] = []
-        for idx, (exps, coeff) in enumerate(self.sorted_terms()):
-            neg = scalar_is_negative_leading(coeff)
-            mag = -coeff if neg else coeff
-            body = _term_str(exps, mag)
-            if idx == 0:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f" - {body}" if neg else f" + {body}")
-        return "".join(pieces)
+        text = "".join(pieces)  # " + " or " - " before every term; the first keeps only a "-"
+        return "-" + text[3:] if text[1] == "-" else text[3:]
 
     def __repr__(self) -> str:
         return f"<Polynomial n={self.n} {self}>"
@@ -504,32 +517,6 @@ def _fold(level: int, group: list, chains: Sequence[Sequence], packed: list[dict
 def _powers(base: int, top: int) -> list[int]:
     """[base**0, base**1, ..., base**top]."""
     return list(itertools.accumulate(itertools.repeat(base, top), operator.mul, initial=1))
-
-
-def _monomial_str(exps: MultiIndex) -> str:
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts)
-
-
-def _term_str(exps: MultiIndex, coeff: ExactComplex) -> str:
-    mono = _monomial_str(exps)
-    if not mono:
-        s = format_scalar(coeff)
-        # standalone fraction-valued imaginary coefficient prints as (p/q)i
-        return s
-    if coeff == ONE:
-        return mono
-    s = format_scalar(coeff)
-    if coeff.is_rational_complex() and not coeff.im and coeff.re.denominator == 1:
-        return f"{s}*{mono}"
-    if coeff.is_rational_complex() and not coeff.re and coeff.im.denominator == 1:
-        return f"{s}*{mono}"  # e.g. 2i*x1, i*x1
-    return f"({s})*{mono}"
 
 
 @functools.cache

@@ -25,7 +25,10 @@ As i = zeta^2 and sqrt(2) = zeta - zeta^3, re = e0/den, im = e2/den,
 rt2_re = (e1 - e3)/(2*den) and rt2_im = (e1 + e3)/(2*den).  This module
 is the one place those parts are read off the coordinates; the
 properties ``re``, ``im``, ``rt2_re`` and ``rt2_im`` return them as
-``Fraction``s.
+``Fraction``s.  Printing builds no ``Fraction``: text and JSON both read
+the parts' numerators and denominators in lowest terms, eight integers,
+from ``_lowest_terms`` (the text in ``format_scalar`` and
+``Polynomial.__str__``, the JSON in ``Polynomial.to_json_terms``).
 """
 
 from __future__ import annotations
@@ -93,9 +96,6 @@ class ExactComplex:
     def __bool__(self) -> bool:
         e0, e1, e2, e3, _ = self._q
         return bool(e0 or e1 or e2 or e3)
-
-    def is_rational_complex(self) -> bool:
-        return not (self._q[1] or self._q[3])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -182,7 +182,9 @@ class ExactComplex:
         return format_scalar(self)
 
     def __repr__(self) -> str:
-        return f"ExactComplex({self.re!r}, {self.im!r}, {self.rt2_re!r}, {self.rt2_im!r})"
+        a, b, c, d, e, f, g, h = _lowest_terms(self)  # the Fractions' reprs, not the Fractions
+        return (f"ExactComplex(Fraction({a}, {b}), Fraction({c}, {d}), Fraction({e}, {f}), "
+                f"Fraction({g}, {h}))")
 
 
 _set_q = ExactComplex._q.__set__
@@ -234,48 +236,34 @@ SQRT2 = ExactComplex(0, 0, 1)
 HALF_SQRT2 = ExactComplex(0, 0, Fraction(1, 2))  # 1/sqrt(2)
 
 
-def _complex_part_str(re: Fraction, im: Fraction) -> str:
-    """Render re + im*i as a compact string, e.g. '3', '1/2', '2i', '1 + 2i'."""
-    if re and im:
-        sign = " - " if im < 0 else " + "
-        return f"{re}{sign}{_imag_str(abs(im))}"
-    if im:
-        return _imag_str(im)
-    return str(re)
-
-
-def _imag_str(im: Fraction) -> str:
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    if im.denominator == 1:
-        return f"{im}i"
-    return f"({im})i"
-
-
 def format_scalar(c: ExactComplex) -> str:
-    """Canonical human-readable form of a scalar."""
-    if not c:
-        return "0"
-    re, im, rt2_re, rt2_im = c.re, c.im, c.rt2_re, c.rt2_im
-    base = _complex_part_str(re, im) if (re or im) else ""
-    if not (rt2_re or rt2_im):
-        return base
-    sub = _complex_part_str(rt2_re, rt2_im)
-    rt = {"1": "rt2", "-1": "-rt2"}.get(sub)
-    if rt is None:
-        rt = f"{sub}*rt2" if sub.isdigit() else f"({sub})*rt2"
+    """Canonical human-readable form of a scalar, e.g. '3', '(1/2)i',
+    '1 - 2i', '(-3)*rt2' or '25/3 - (5/2)i + (1/4)*rt2'."""
+    return _parts_text(*_lowest_terms(c))
+
+
+def _parts_text(a: int, b: int, c: int, d: int, e: int, f: int, g: int, h: int) -> str:
+    """The text of a/b + (c/d)i + (e/f + (g/h)i)*rt2, each fraction in
+    lowest terms as ``_lowest_terms`` gives it."""
+    base = _complex_text(a, b, c, d) if a or c else ""
+    if not (e or g):
+        return base or "0"
+    if g or f != 1 or e < -1:  # more than an integer: bracketed
+        rt = f"({_complex_text(e, f, g, h)})*rt2"
+    else:
+        rt = {1: "rt2", -1: "-rt2"}.get(e, f"{e}*rt2")
     if not base:
         return rt
     return f"{base} - rt2" if rt == "-rt2" else f"{base} + {rt}"
 
 
-def scalar_is_negative_leading(c: ExactComplex) -> bool:
-    """True when the first nonzero component is negative (used for sign
-    extraction when printing polynomial terms)."""
-    e0, e1, e2, e3, _ = c._q
-    for part in (e0, e2, e1 - e3, e1 + e3):  # the parts' signs, as den > 0
-        if part:
-            return part < 0
-    return False
+def _complex_text(a: int, b: int, c: int, d: int) -> str:
+    """The text of a/b + (c/d)i, e.g. '3', '1/2', '-i', '(-1/2)i', '1 - 2i'."""
+    re = str(a) if b == 1 else f"{a}/{b}"
+    if not c:
+        return re
+    if a:  # the imaginary part's sign joins it to the real part
+        return f"{re} {'-' if c < 0 else '+'} {_complex_text(0, 1, abs(c), d)}"
+    if d != 1:
+        return f"({c}/{d})i"
+    return {1: "i", -1: "-i"}.get(c, f"{c}i")

@@ -55,7 +55,8 @@ def freq_cross(q: Sequence[float], r: Sequence[float]) -> tuple:
     ordinary cross product q x r.  Exact when the inputs are ints.
     """
     if len(q) != 3 or len(r) != 3:
-        raise ValueError("defined for dimension 3 only")
+        raise ValueError(f"defined for dimension 3 vectors only, got {len(q)} and {len(r)} "
+                         f"components")
     out = []
     for j in range(1, 4):
         s1, s2 = sigma_power(j, 1, 3) - 1, sigma_power(j, 2, 3) - 1
@@ -79,8 +80,10 @@ def kernel_exponent(freqs: Sequence, cfg: ThetaConfig) -> complex | np.ndarray:
     if len(freqs) != n:
         raise ValueError(f"expected {n} frequency vectors, got {len(freqs)}")
     slots = [np.asarray(s, dtype=float) for s in freqs]
-    if any(s.shape[-1:] != (n,) for s in slots):
-        raise ValueError("frequency vector dimension mismatch")
+    for s in slots:
+        if s.shape[-1:] != (n,):
+            raise ValueError(f"frequency vector must have {n} components, got "
+                             f"{s.shape[-1] if s.ndim else 'a scalar'}")
     shape = np.broadcast_shapes(*(s.shape[:-1] for s in slots))
     total = np.zeros(shape)
     for k in range(1, n + 1):

@@ -191,15 +191,54 @@ DEEP = 10_000
 
 @pytest.mark.parametrize("argv", [
     ["star", "--n", "3", "(" * DEEP + "x1" + ")" * DEEP, "x2", "x3"],
+    ["bracket", "--n", "3", "(" * DEEP + "x1" + ")" * DEEP, "x2", "x3"],
+    ["conj", "--n", "3", "(" * DEEP + "x1" + ")" * DEEP, "x2", "x3"],
     ["oracle", "--n", "3", "wave(1,0,0)", "(" * DEEP + "wave(0,1,0)" + ")" * DEEP, "wave(0,0,1)"],
-], ids=["star", "oracle"])
+], ids=["star", "bracket", "conj", "oracle"])
 def test_deep_nesting_is_a_parse_error(argv, tmp_path):
+    # each command runs as a child process: a malformed request must end as
+    # one JSON diagnostic with exit code 2, never as a traceback
     proc = run_cli(argv, cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == json.dumps({"error": {
         "code": "parse-error", "message": f"more than {MAX_DEPTH} nested parentheses",
         "line": 1, "col": MAX_DEPTH + 1}}) + "\n"
+
+
+# One digit past the longest integer Python converts from text (0: no limit).
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+BIG = "1" + "0" * INT_DIGITS
+TOO_LONG = f"integer with more than {INT_DIGITS} digits"
+needs_limit = pytest.mark.skipif(not INT_DIGITS, reason="this Python converts integers of any length")
+WAVES = ["wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]
+
+
+@pytest.mark.parametrize("argv, message, col", [
+    pytest.param(["star", f"{BIG}*x1", "x2", "x3"], TOO_LONG, 1, marks=needs_limit, id="literal"),
+    pytest.param(["star", f"3/{BIG}i", "x2", "x3"], TOO_LONG, 1, marks=needs_limit,
+                 id="denominator"),
+    pytest.param(["star", f"x1^{BIG}", "x2", "x3"], TOO_LONG, 4, marks=needs_limit, id="exponent"),
+    pytest.param(["star", f"x{BIG}", "x2", "x3"], TOO_LONG, 1, marks=needs_limit, id="coordinate"),
+    pytest.param(["star", f"a(1,{BIG})", "x2", "x3"], TOO_LONG, 5, marks=needs_limit,
+                 id="complex-coordinate"),
+    pytest.param(["oracle", f"wave({BIG},0,0)", *WAVES[1:]], TOO_LONG, 6, marks=needs_limit,
+                 id="wave-integer"),
+    pytest.param(["oracle", WAVES[0], f"wave(0,-1/{BIG},0)", WAVES[2]], TOO_LONG, 9,
+                 marks=needs_limit, id="wave-fraction"),
+    pytest.param(["oracle", "wave(1e400,0,0)", *WAVES[1:]],
+                 "frequency component out of float range", 6, id="wave-float"),
+    pytest.param(["oracle", WAVES[0], "wave(0,-1.5e999,0)", WAVES[2]],
+                 "frequency component out of float range", 9, id="wave-negative-float"),
+])
+def test_unreadable_numbers_are_positioned_parse_errors(argv, message, col, capsys):
+    # every integer token goes through one reader, and a wave component that
+    # rounds to inf is caught at its token, not at the merge
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": {
+        "code": "parse-error", "message": message, "line": 1, "col": col}}) + "\n"
 
 
 def test_non_ascii_digit_is_a_parse_error(capsys):
@@ -247,6 +286,29 @@ def test_usage_error_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(argv) == 2, argv
         body = json.loads(capsys.readouterr().err)
         assert body["error"]["code"] == "usage", argv
+
+
+# Checks the library makes, which the CLI does not repeat: exit 2, code
+# usage, and the library's message.
+@pytest.mark.parametrize("argv, message", [
+    (["star", "--theta", "1,1", "x1", "x2", "x3"], "expected 3 deformation parameters, got 2"),
+    (["kernel", "1,0,0", "0,1,0"], "expected 3 frequency vectors, got 2"),
+    (["kernel", "1,0,0", "0,1", "0,0,1"], "frequency vector must have 3 components, got 2"),
+    (["omega", "1,2", "1,2,3"], "defined for dimension 3 vectors only, got 2 and 3 components"),
+    (["spectrum", "--lambda0", "1,1"], "diagonal coefficient rows must have 3 entries, got 2"),
+    (["residual", "--lambda0", "1,1,1", "--lambda2", "1,1,1,1"],
+     "diagonal coefficient rows must have 3 entries, got 4"),
+    (["spectrum", "--k", "4"], "k must be in 1..3, got 4"),
+    (["spectrum", "--k", "0"], "k must be in 1..3, got 0"),
+    (["residual", "--order", "-1"], "order must be non-negative"),
+], ids=["theta", "kernel-count", "kernel-length", "omega", "spectrum-row", "residual-row",
+        "spectrum-k-high", "spectrum-k-low", "residual-order"])
+def test_library_checks_are_usage_errors_pinned(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # no config file
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": {"code": "usage", "message": message}}) + "\n"
 
 
 def test_spectrum_value(capsys):
@@ -854,10 +916,11 @@ def test_every_flag_has_help(capsys):
     missing = [f"{name} --{flag_name}" for name, command in cli.COMMANDS.items()
                for flag_name, flag in command.flags.items() if not (flag.help or "").strip()]
     assert missing == []
-    for name in cli.COMMANDS:  # argparse formats each help string only here
+    # argparse formats each help string and choice only here
+    for argv in [["--help"]] + [[name, "--help"] for name in cli.COMMANDS]:
         with pytest.raises(SystemExit) as exc:
-            main([name, "--help"])
-        assert exc.value.code == 0
+            main(argv)
+        assert exc.value.code == 0, argv
     capsys.readouterr()
 
 

@@ -309,6 +309,18 @@ def test_series_orders_must_be_non_negative():
     assert list(star_series([x(1, 3)] * 3, UNIT3, 0)) == [x(1, 3) ** 3]
 
 
+def test_residual_report_checks_order_and_dimension_through_the_series_and_energy():
+    points = [(0, 0, 0)]
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        residual_report(HamiltonianSpec(3), UNIT3, 0, -1, points)
+    with pytest.raises(ValueError, match="^spec dimension mismatch$"):
+        residual_report(HamiltonianSpec(4), UNIT3, 0, 1, points)
+    with pytest.raises(ValueError, match=r"^k must be in 1\.\.3, got 4$"):
+        energy(4, QuantumNumber((0, 0, 0)), UNIT3, HamiltonianSpec(3))
+    with pytest.raises(ValueError, match="^diagonal coefficient rows must have 3 entries, got 2$"):
+        HamiltonianSpec(3, diag_lambdas=((1, 1, 1), (1, 1)))
+
+
 def test_residual_report_point_validation():
     spec = HamiltonianSpec(3)
     with pytest.raises(ValueError):

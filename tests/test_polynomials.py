@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -188,6 +189,101 @@ def test_str_canonical():
     assert str(x(1, 3) * Fraction(1, 2)) == "(1/2)*x1"
 
 
+F = Fraction
+# (re, im, rt2_re, rt2_im) -> the scalar's text, the text of the constant
+# polynomial, and the text of the scalar times x1.  Printed before text and
+# JSON both read a coefficient's lowest-terms integers; the same table
+# holds every printed form of test_scalars.RT2_FORMS.
+PRINTED_COEFFICIENTS = [
+    ((0, 0, 1, 0), 'rt2', 'rt2', '(rt2)*x1'),
+    ((0, 0, -1, 0), '-rt2', '-rt2', '-(rt2)*x1'),
+    ((0, 0, 2, 0), '2*rt2', '2*rt2', '(2*rt2)*x1'),
+    ((0, 0, -3, 0), '(-3)*rt2', '-3*rt2', '-(3*rt2)*x1'),
+    ((0, 0, F(1, 2), 0), '(1/2)*rt2', '(1/2)*rt2', '((1/2)*rt2)*x1'),
+    ((0, 0, 0, 1), '(i)*rt2', '(i)*rt2', '((i)*rt2)*x1'),
+    ((0, 0, 0, -1), '(-i)*rt2', '-(i)*rt2', '-((i)*rt2)*x1'),
+    ((0, 0, 0, 2), '(2i)*rt2', '(2i)*rt2', '((2i)*rt2)*x1'),
+    ((0, 0, 0, F(-5, 6)), '((-5/6)i)*rt2', '-((5/6)i)*rt2', '-(((5/6)i)*rt2)*x1'),
+    ((0, 0, 1, 1), '(1 + i)*rt2', '(1 + i)*rt2', '((1 + i)*rt2)*x1'),
+    ((0, 0, -1, F(1, 6)), '(-1 + (1/6)i)*rt2', '-(1 - (1/6)i)*rt2', '-((1 - (1/6)i)*rt2)*x1'),
+    ((1, 0, 1, 0), '1 + rt2', '1 + rt2', '(1 + rt2)*x1'),
+    ((1, 0, -1, 0), '1 - rt2', '1 - rt2', '(1 - rt2)*x1'),
+    ((0, 1, 2, 0), 'i + 2*rt2', 'i + 2*rt2', '(i + 2*rt2)*x1'),
+    ((F(25, 3), F(-5, 2), F(1, 4), 0), '25/3 - (5/2)i + (1/4)*rt2', '25/3 - (5/2)i + (1/4)*rt2', '(25/3 - (5/2)i + (1/4)*rt2)*x1'),
+    ((F(-1, 2), 0, 0, -1), '-1/2 + (-i)*rt2', '-1/2 + (i)*rt2', '-(1/2 + (i)*rt2)*x1'),
+    ((0,), '0', '0', '0'),
+    ((1,), '1', '1', 'x1'),
+    ((-1,), '-1', '-1', '-x1'),
+    ((3,), '3', '3', '3*x1'),
+    ((-3,), '-3', '-3', '-3*x1'),
+    ((F(1, 2),), '1/2', '1/2', '(1/2)*x1'),
+    ((F(-1, 2),), '-1/2', '-1/2', '-(1/2)*x1'),
+    ((F(25, 3),), '25/3', '25/3', '(25/3)*x1'),
+    ((0, 1), 'i', 'i', 'i*x1'),
+    ((0, -1), '-i', '-i', '-i*x1'),
+    ((0, 2), '2i', '2i', '2i*x1'),
+    ((0, -2), '-2i', '-2i', '-2i*x1'),
+    ((0, F(1, 2)), '(1/2)i', '(1/2)i', '((1/2)i)*x1'),
+    ((0, F(-1, 2)), '(-1/2)i', '-(1/2)i', '-((1/2)i)*x1'),
+    ((1, 1), '1 + i', '1 + i', '(1 + i)*x1'),
+    ((-1, -1), '-1 - i', '-1 + i', '-(1 + i)*x1'),
+    ((1, -2), '1 - 2i', '1 - 2i', '(1 - 2i)*x1'),
+    ((-1, 2), '-1 + 2i', '-1 - 2i', '-(1 - 2i)*x1'),
+    ((F(-1, 2), F(1, 3)), '-1/2 + (1/3)i', '-1/2 - (1/3)i', '-(1/2 - (1/3)i)*x1'),
+    ((2, F(3, 4)), '2 + (3/4)i', '2 + (3/4)i', '(2 + (3/4)i)*x1'),
+    ((F(1, 2), -1), '1/2 - i', '1/2 - i', '(1/2 - i)*x1'),
+    ((0, 1, 1, 0), 'i + rt2', 'i + rt2', '(i + rt2)*x1'),
+    ((0, -1, 0, 1), '-i + (i)*rt2', '-i + (-i)*rt2', '-(i + (-i)*rt2)*x1'),
+    ((-1, 0, 1, 0), '-1 + rt2', '-1 - rt2', '-(1 - rt2)*x1'),
+    ((0, 0, -1, -1), '(-1 - i)*rt2', '-(1 + i)*rt2', '-((1 + i)*rt2)*x1'),
+    ((0, 0, -2, 0), '(-2)*rt2', '-2*rt2', '-(2*rt2)*x1'),
+    ((-1, 0, -1, 0), '-1 - rt2', '-1 + rt2', '-(1 + rt2)*x1'),
+    ((2, 0, -2, 0), '2 + (-2)*rt2', '2 + (-2)*rt2', '(2 + (-2)*rt2)*x1'),
+    ((0, 0, F(-1, 2), F(1, 2)), '(-1/2 + (1/2)i)*rt2', '-(1/2 - (1/2)i)*rt2', '-((1/2 - (1/2)i)*rt2)*x1'),
+    ((0, F(1, 2), 0, F(1, 2)), '(1/2)i + ((1/2)i)*rt2', '(1/2)i + ((1/2)i)*rt2', '((1/2)i + ((1/2)i)*rt2)*x1'),
+]
+
+
+def test_printed_coefficients_pinned():
+    for parts, scalar, constant, linear in PRINTED_COEFFICIENTS:
+        c = ExactComplex(*parts)
+        assert (str(c), str(Polynomial.constant(c, 1)), str(x(1, 1) * c)) == \
+            (scalar, constant, linear), parts
+
+
+def printed_corpus() -> list[Polynomial]:
+    """3,000 seeded polynomials in 1 to 4 variables.  A coefficient part is
+    zero, a unit, an integer or a fraction, of either sign; most
+    coefficients have sqrt(2) parts."""
+    rng = random.Random("printed-text")
+
+    def part():
+        if rng.random() < 0.4:
+            return 0
+        return Fraction(rng.choice((1, -1, 2, -3, 7, -12)), rng.choice((1, 1, 2, 3, 4, 6)))
+
+    polys = []
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        rt2 = rng.random() < 0.7
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            exps = tuple(rng.randint(0, 3) for _ in range(n))
+            terms[exps] = ExactComplex(part(), part(), part() if rt2 else 0, part() if rt2 else 0)
+        polys.append(Polynomial(n, terms))
+    return polys
+
+
+# sha256 of the corpus' texts joined by newlines, as printed before text and
+# JSON both read a coefficient's lowest-terms integers
+PRINTED_CORPUS_SHA256 = "31bc04367cd29b53111ce95ab9f1e402e21dc6c52f1e5bb6b3a02278c50cfeb6"
+
+
+def test_printed_corpus_pinned():
+    text = "\n".join(map(str, printed_corpus()))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRINTED_CORPUS_SHA256
+
+
 @given(small_polys())
 def test_json_round_trip(p):
     q = Polynomial.from_json(p.to_json())
@@ -277,7 +373,7 @@ def test_product_kernel_cancellation_and_zero_operand():
     prod = (x1 + x2 * SQRT2 + 1) * (x1 - x2 * SQRT2 + 1)
     assert_kernel_matches_reference(x1 + x2 * SQRT2 + 1, x1 - x2 * SQRT2 + 1)
     assert prod.terms[(0, 2)] == ExactComplex(-2)
-    assert all(c.is_rational_complex() for c in prod.terms.values())
+    assert not any(c.rt2_re or c.rt2_im for c in prod.terms.values())
     # fractional coefficients whose products cancel between term pairs
     p = x1 * Fraction(1, 3) + x2 * Fraction(1, 2)
     q = x1 * Fraction(3, 2) - x2 * Fraction(9, 4)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from nstar.polynomials import Polynomial, x
 from nstar.scalars import (
-    ExactComplex, I, ONE, SQRT2, ZERO, HALF_SQRT2, _lowest_terms, _make, format_scalar,
-    scalar_is_negative_leading)
+    ExactComplex, I, ONE, SQRT2, ZERO, HALF_SQRT2, _lowest_terms, _make, format_scalar)
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 scalars = st.builds(ExactComplex, small_fracs, small_fracs, small_fracs, small_fracs)
@@ -107,8 +107,8 @@ def test_format():
 
 # -- reference model ---------------------------------------------------------
 # The scalar is checked against a model that shares no code with it: four
-# Fraction parts (re, im, rt2_re, rt2_im) and the formulas of the field,
-# written out here.  The engine and both oracles use ExactComplex, so a
+# Fraction parts (re, im, rt2_re, rt2_im), the formulas of the field and
+# the rules of the printed form, written out here.  The engine and both oracles use ExactComplex, so a
 # fault in it would pass every cross-check between them; this cannot.
 
 @dataclass(frozen=True)
@@ -158,8 +158,53 @@ class Ref:
     def negative_leading(self):
         return next((p < 0 for p in self.parts() if p), False)
 
+    def text(self):
+        """The printed form of the scalar."""
+        base = ref_complex_text(self.re, self.im) if (self.re or self.im) else ""
+        if not (self.rt2_re or self.rt2_im):
+            return base or "0"
+        sub = ref_complex_text(self.rt2_re, self.rt2_im)
+        if sub in ("1", "-1"):
+            rt = sub[:-1] + "rt2"
+        else:
+            rt = f"{sub}*rt2" if sub.isdigit() else f"({sub})*rt2"
+        if not base:
+            return rt
+        return f"{base} - rt2" if rt == "-rt2" else f"{base} + {rt}"
+
+    def term_text(self, mono=""):
+        """The printed form of the polynomial whose one term is the scalar
+        times the monomial mono: the sign of the first nonzero part, then
+        the magnitude, bracketed before mono unless it is an integer or an
+        integer times i."""
+        if not self:
+            return "0"
+        neg = self.negative_leading()
+        mag = -self if neg else self
+        body = mag.text()
+        if mono:
+            plain = (not (mag.rt2_re or mag.rt2_im) and not (mag.re and mag.im)
+                     and mag.re.denominator == mag.im.denominator == 1)
+            if not plain:
+                body = f"({body})*{mono}"
+            else:
+                body = mono if body == "1" else f"{body}*{mono}"
+        return f"-{body}" if neg else body
+
     def repr(self):
         return "ExactComplex(" + ", ".join(repr(p) for p in self.parts()) + ")"
+
+
+def ref_complex_text(re: Fraction, im: Fraction) -> str:
+    """The printed form of re + im*i, not both zero."""
+    def imag(v):
+        if abs(v) == 1:
+            return "i" if v > 0 else "-i"
+        return f"{v}i" if v.denominator == 1 else f"({v})i"
+
+    if re and im:
+        return f"{re} {'-' if im < 0 else '+'} {imag(abs(im))}"
+    return imag(im) if im else str(re)
 
 
 # Few denominators, so that sums with equal denominators are common.
@@ -182,13 +227,13 @@ def assert_matches(z: ExactComplex, r: Ref):
     assert den > 0
     assert math.gcd(*num, den) == 1
     assert bool(z) == bool(r)
-    assert z.is_rational_complex() == (not (r.rt2_re or r.rt2_im))
     assert z == scalar(r)
     assert hash(z) == hash(scalar(r))
     assert z.to_complex() == r.to_complex()
     assert repr(z) == r.repr()
-    assert format_scalar(z) == format_scalar(r)
-    assert scalar_is_negative_leading(z) == r.negative_leading()
+    assert format_scalar(z) == str(z) == r.text()
+    assert str(Polynomial.constant(z, 1)) == r.term_text()
+    assert str(x(1, 1) * z) == r.term_text("x1")
 
 
 @given(refs, refs)

@@ -33,7 +33,8 @@ def theta3(a, b, c):
 def test_freq_cross_examples():
     assert freq_cross((0, 1, 0), (0, 0, 1)) == (1, 0, 0)
     assert freq_cross((2, 3, 4), (2, 3, 4)) == (0, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^defined for dimension 3 vectors only, got 2 and 2 "
+                                         r"components$"):
         freq_cross((1, 0), (0, 1))
 
 
@@ -69,6 +70,18 @@ def test_kernel_worked_example():
     e = kernel_exponent([(1, 0, 0), (0, 1, 0), (0, 0, 1)], cfg)
     assert abs(e - 1.0) <= 1e-12
     assert e.imag == 0.0
+
+
+def test_kernel_rejects_slots_of_another_length():
+    cfg = theta3(1, 1, 1)
+    with pytest.raises(ValueError, match=r"^expected 3 frequency vectors, got 2$"):
+        kernel_exponent([(1, 0, 0), (0, 1, 0)], cfg)
+    with pytest.raises(ValueError, match=r"^frequency vector must have 3 components, got 2$"):
+        kernel_exponent([(1, 0, 0), (0, 1), (0, 0, 1)], cfg)
+    with pytest.raises(ValueError, match=r"^frequency vector must have 3 components, got 4$"):
+        kernel_exponent([np.zeros((5, 3)), np.zeros((5, 4)), (0, 0, 1)], cfg)
+    with pytest.raises(ValueError, match=r"^frequency vector must have 3 components, got a scalar$"):
+        kernel_exponent([(1, 0, 0), 2.0, (0, 0, 1)], cfg)
 
 
 def test_kernel_zero_theta():

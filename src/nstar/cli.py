@@ -25,6 +25,7 @@ import csv
 import errno
 import functools
 import json
+import math
 import os
 import random
 import re
@@ -52,10 +53,6 @@ from .waves import (
 CONFIG_PATH = "nstar.json"
 # How far a wave frequency, in units of 2*pi/L, may sit from an integer.
 LATTICE_FIT_TOL = 1e-9
-# Draws of one `residual` sample point, coordinates in [-2, 2], before the
-# command gives up on |x| <= 4: about 1 in 60 draws meets it at n = 20,
-# about 1 in 500 at n = 24, and almost none at n = 32.
-MAX_POINT_DRAWS = 1000
 
 
 class UsageError(Exception):
@@ -296,18 +293,11 @@ def _cmd_residual(args) -> int:
     spec = _hamiltonian_spec(args, cfg.n)
     k, order, npoints = args.k, args.order, args.points
     rng = random.Random(args.seed)
-    points = []
-    for _ in range(npoints):
-        # redraw a point outside the report's bound |x| <= 4; at n <= 4,
-        # where |x|^2 <= 4n, none is
-        for _ in range(MAX_POINT_DRAWS):
-            nums = [rng.randint(-200, 200) for _ in range(cfg.n)]  # x = nums / 100
-            if sum(v * v for v in nums) <= 160_000:
-                break
-        else:
-            raise UsageError(f"no sample point with |x| <= 4 in {MAX_POINT_DRAWS} draws "
-                             f"at n = {cfg.n}")
-        points.append(tuple(Fraction(v, 100) for v in nums))
+    # x = num / 100, num in [-B, B]: n B^2 <= 160000 keeps every point within
+    # the report's bound |x| <= 4, and B = 200 (x in [-2, 2]^n) for n <= 4
+    B = min(200, math.isqrt(160_000 // cfg.n))
+    points = [tuple(Fraction(rng.randint(-B, B), 100) for _ in range(cfg.n))
+              for _ in range(npoints)]
     report = residual_report(spec, cfg, k, order, points)
 
     def text() -> str:

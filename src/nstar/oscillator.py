@@ -5,15 +5,13 @@ star-product eigenvalue equations in the Gaussian-weighted class.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .closedforms import complex_pair
-from .polynomials import Polynomial, x
-from .scalars import ExactComplex
+from .polynomials import Polynomial, SamplePoints
 from .starcore import ThetaConfig, star_series
 
 RationalLike = int | Fraction
@@ -92,27 +90,24 @@ class HamiltonianSpec:
         object.__setattr__(self, "diag_lambdas", diag)
 
 
+def _monomial(n: int, axes: Sequence[int]) -> tuple[int, ...]:
+    """Exponent tuple of the product of x_a over axes (1-based, repeats
+    allowed) in n variables."""
+    return tuple(map(axes.count, range(1, n + 1)))
+
+
 def build_hamiltonian(spec: HamiltonianSpec) -> Polynomial:
-    """Exact Hamiltonian polynomial for the given couplings."""
+    """Exact Hamiltonian polynomial for the given couplings.  Its monomials
+    are distinct, so their coefficients go into the term dict as they are."""
     n = spec.n
     if spec.diag_lambdas is not None:
-        H = Polynomial.zero(n)
-        for r, row in enumerate(spec.diag_lambdas):
-            power = 2 * (r + 1)
-            for i, lam in enumerate(row):
-                if lam:
-                    H = H + x(i + 1, n) ** power * ExactComplex(lam)
-        return H
-    H = Polynomial.zero(n)
-    for j in range(1, n + 1):
-        H = H + x(j, n) * x(j, n)
-    for (i, j), lam in sorted(spec.lambda_pair.items()):
-        if lam:
-            H = H + x(i, n) * x(j, n) * ExactComplex(lam)
-    for (i, j, k, l), lam in sorted(spec.lambda_quad.items()):
-        if lam:
-            H = H + x(i, n) * x(j, n) * x(k, n) * x(l, n) * ExactComplex(lam)
-    return H
+        return Polynomial(n, {_monomial(n, [i] * 2 * (r + 1)): lam
+                              for r, row in enumerate(spec.diag_lambdas)
+                              for i, lam in enumerate(row, 1)})
+    terms = {_monomial(n, (j, j)): 1 for j in range(1, n + 1)}
+    for axes, lam in sorted(spec.lambda_pair.items()) + sorted(spec.lambda_quad.items()):
+        terms[_monomial(n, axes)] = lam
+    return Polynomial(n, terms)
 
 
 def energy(k: int, nbar: QuantumNumber, cfg: ThetaConfig, spec: HamiltonianSpec) -> Fraction:
@@ -180,11 +175,15 @@ class PolyGauss:
         return self.poly.n
 
     def diff(self, axis: int) -> "PolyGauss":
-        # d_a (p w^s) = (d_a p - s x_a p) w^s
+        # d_a (p w^s) = (d_a p - s x_a p) w^s, -s x_a p as one exponent shift and int multiplies
         reduced = self.poly.diff(axis)
-        if self.scale:
-            reduced = reduced + self.poly.times_coordinate(axis) * -self.scale
-        return PolyGauss(reduced, self.scale)
+        s = self.scale
+        if s:
+            j = axis - 1
+            reduced = reduced + Polynomial._trusted(
+                self.n, {exps[:j] + (exps[j] + 1,) + exps[j + 1:]: c * -s
+                         for exps, c in self.poly.terms.items()})
+        return PolyGauss(reduced, s)
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -199,36 +198,31 @@ class PolyGauss:
         a positive scale, where the value is no polynomial."""
         return None if self.scale else self.poly.degree()
 
-    def eval(self, points: Sequence[Sequence]) -> list[complex]:
-        """Values at points, one per point.  The polynomial part is evaluated
-        exactly; a coordinate that is not an int or a Fraction is taken as
-        Fraction(v), which is exact for a float."""
-        pts = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p] for p in points]
-        values = []
-        for pt, value in zip(pts, self.poly.eval_exact(pts)):
-            # |x|^2 = norm2 / D^2 in integers; int / int rounds correctly, so
-            # the exponent is the float nearest the exact one
-            D = math.lcm(*[v.denominator for v in pt])
-            norm2 = sum((v.numerator * (D // v.denominator)) ** 2 for v in pt)
-            values.append(value.to_complex() * math.exp(-(self.scale * norm2) / (2 * D * D)))
-        return values
+    def eval(self, points: SamplePoints | Sequence[Sequence]) -> list[complex]:
+        """Values at points, one per point: the polynomial part evaluated
+        exactly times the Gaussian weight.  Raw points are prepared on entry;
+        a caller evaluating at the same points again passes them prepared."""
+        if not isinstance(points, SamplePoints):
+            points = prepare_points(points, self.n)
+        return [value.to_complex() * weight
+                for value, weight in zip(self.poly.eval_exact(points), points.gaussian(self.scale))]
+
+
+def prepare_points(points: Iterable[Sequence], n: int) -> SamplePoints:
+    """Points prepared for ``PolyGauss.eval``: a coordinate that is not an
+    int or a Fraction is taken as Fraction(v), which is exact for a float."""
+    return SamplePoints([[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in p]
+                         for p in points], n)
 
 
 def ground_state(k: int, n: int) -> PolyGauss:
     """Gaussian-weighted radial Hermite state: H_k(|x|^2/2) * exp(-|x|^2/2)."""
     if k < 0:
         raise ValueError("index must be non-negative")
-    radial = Polynomial.zero(n)
-    for i in range(1, n + 1):
-        radial = radial + x(i, n) * x(i, n)
-    u = radial * Fraction(1, 2)
-    coeffs = hermite_coeffs(k)
+    u = Polynomial(n, {_monomial(n, (i, i)): Fraction(1, 2) for i in range(1, n + 1)})  # |x|^2/2
     poly = Polynomial.zero(n)
-    upow = Polynomial.constant(1, n)
-    for c in coeffs:
-        if c:
-            poly = poly + upow * c
-        upow = upow * u
+    for c in reversed(hermite_coeffs(k)):  # Horner's rule in u
+        poly = poly * u + c
     return PolyGauss(poly, 1)
 
 
@@ -278,11 +272,9 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
     points = [tuple(p) for p in sample_points]
     if not points:
         raise ValueError("at least one sample point is required")
-    for p in points:
-        if len(p) != n:
-            raise ValueError("sample point dimension mismatch")
-        if sum(float(v) ** 2 for v in p) > 16.0 + 1e-9:
-            raise ValueError("sample points must satisfy |x| <= 4")
+    prepared = prepare_points(points, n)  # checks each point's dimension
+    if any(sum(float(v) ** 2 for v in p) > 16.0 + 1e-9 for p in points):
+        raise ValueError("sample points must satisfy |x| <= 4")
 
     psi = ground_state(k, n)
     a_poly, _ = complex_pair(*COMPLEX_AXES, n)
@@ -300,7 +292,7 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
                 rows.append(rows[-1])
                 continue
             running = running + increment
-            rows.append(PolyGauss(running, scale).eval(points))
+            rows.append(PolyGauss(running, scale).eval(prepared))
         return rows
 
     ann_vals = cumulative_values(PolyGauss(a_poly, 0))

@@ -32,7 +32,6 @@ L1 norms, so no coordinate of any output term outgrows its field.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -205,38 +204,29 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_exact(self, points: Sequence[Sequence[int | Fraction]]) -> list[ExactComplex]:
+    def eval_exact(self, points: SamplePoints | Sequence[Sequence]) -> list[ExactComplex]:
         """Exact values at points with rational (int or Fraction) coordinates,
-        one per point.
+        one per point.  Raw points are prepared on entry; a caller evaluating
+        at the same points again passes them prepared (``SamplePoints``).
 
         The terms go over their common denominator once (``_split``).  Per
-        point, the coordinates are put over one common denominator D, so a
-        monomial of degree e is a product of the coordinates' numerators
-        over D**e; scaled by D**(deg - e), deg the total degree, every
-        monomial is an integer over D**deg.  The value's four coordinates
-        are then integer sums, and one scalar is built from them.
+        point, with D its coordinates' common denominator, a monomial of
+        degree e is a product of the numerators over D**e; scaled by
+        D**(deg - e), deg the total degree, every monomial is an integer
+        over D**deg.  The value's four coordinates are then integer sums,
+        and one scalar is built from them.
         """
-        n = self.n
-        for index, point in enumerate(points):
-            if len(point) != n:
-                raise ValueError(f"point {index}: dimension mismatch")
-            for axis, v in enumerate(point, 1):
-                if not isinstance(v, (int, Fraction)):
-                    raise ValueError(f"point {index}: coordinate x{axis} = {v!r} "
-                                     f"is not an int or Fraction")
+        if not isinstance(points, SamplePoints):
+            points = SamplePoints(points, self.n)
+        elif points.n != self.n:
+            raise ValueError("dimension mismatch")
         if not self.terms:
             return [ZERO] * len(points)
         deg = self.degree()
-        tops = list(map(max, zip(*self.terms)))
         den, [(_, rows)] = _split([self.terms])
         rows = [(exps, deg - sum(exps), e0, e1, e2, e3) for exps, e0, e1, e2, e3 in rows]
         values = []
-        for point in points:
-            D = math.lcm(*[v.denominator for v in point])
-            # per axis, the powers of its numerator up to the axis's top exponent
-            tables = [_powers(v.numerator * (D // v.denominator), top)
-                      for v, top in zip(point, tops)]
-            scales = _powers(D, deg)
+        for tables, scales in points.powers(deg):
             s0 = s1 = s2 = s3 = 0
             for exps, rest, e0, e1, e2, e3 in rows:
                 mono = math.prod(map(list.__getitem__, tables, exps), start=scales[rest])
@@ -320,6 +310,61 @@ class Polynomial:
     def from_json(text: str) -> "Polynomial":
         data = json.loads(text)
         return Polynomial.from_json_terms(data["n"], data["terms"])
+
+
+class SamplePoints:
+    """Points with rational (int or Fraction) coordinates in n variables,
+    prepared once for any number of evaluations: per point, the common
+    denominator D of its coordinates, their integer numerators over D,
+    power tables of those numerators and of D, grown to the largest total
+    degree asked for, and per scale s the Gaussian weight exp(-s |x|^2 / 2).
+    """
+
+    __slots__ = ("n", "_tables", "_degree", "_weights")
+
+    def __init__(self, points: Iterable[Sequence[int | Fraction]], n: int):
+        self.n = n
+        # per point, (per axis [1, numerator], [1, D]): entry 1 of a table is its base
+        self._tables: list[tuple[list[list[int]], list[int]]] = []
+        for index, point in enumerate(points):
+            if len(point) != n:
+                raise ValueError(f"point {index}: dimension mismatch")
+            for axis, v in enumerate(point, 1):
+                if not isinstance(v, (int, Fraction)):
+                    raise ValueError(f"point {index}: coordinate x{axis} = {v!r} "
+                                     f"is not an int or Fraction")
+            D = math.lcm(*[v.denominator for v in point])
+            self._tables.append(([[1, v.numerator * (D // v.denominator)] for v in point], [1, D]))
+        self._degree = 1
+        self._weights: dict[int, list[float]] = {}
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def powers(self, degree: int) -> list[tuple[list[list[int]], list[int]]]:
+        """Per point, (per axis the powers of its numerator, the powers of
+        D), each grown in place to hold at least the powers 0..degree."""
+        if degree > self._degree:
+            steps = range(degree - self._degree)
+            for tables, scales in self._tables:
+                for table in [*tables, scales]:
+                    power, base = table[-1], table[1]
+                    for _ in steps:
+                        power *= base
+                        table.append(power)
+            self._degree = degree
+        return self._tables
+
+    def gaussian(self, scale: int) -> list[float]:
+        """Per point, exp(-scale * |x|^2 / 2).  |x|^2 = norm2 / D^2 in
+        integers, and int / int rounds correctly, so the exponent is the
+        float nearest the exact one."""
+        weights = self._weights.get(scale)
+        if weights is None:
+            weights = self._weights[scale] = [
+                math.exp(-(scale * sum([t[1] * t[1] for t in tables])) / (2 * scales[1] ** 2))
+                for tables, scales in self._tables]
+        return weights
 
 
 # the slots' setters, past the immutability guard of __setattr__
@@ -512,11 +557,6 @@ def _fold(level: int, group: list, chains: Sequence[Sequence], packed: list[dict
     for key, sub in by_slot.items():
         _multiply(_fold(level + 1, sub, chains, packed).items(), packed[level][key], acc)
     return acc
-
-
-def _powers(base: int, top: int) -> list[int]:
-    """[base**0, base**1, ..., base**top]."""
-    return list(itertools.accumulate(itertools.repeat(base, top), operator.mul, initial=1))
 
 
 @functools.cache

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import shlex
@@ -410,24 +411,21 @@ def test_residual_integer_energy(capsys):
     assert json.loads(capsys.readouterr().out)["energy"] == "2"
 
 
-@pytest.mark.parametrize("n, seed", [(5, 98), (6, 1)])
+@pytest.mark.parametrize("n, seed", [(5, 98), (6, 1), (40, 0)])
 def test_residual_draws_its_points_within_its_bound(n, seed, capsys):
-    # at n >= 5 a draw of n coordinates in [-2, 2] can leave |x| <= 4; these
-    # seeds draw such a point, which the command replaces with a fresh draw
+    # each coordinate is drawn as randint(-B, B) / 100 with
+    # B = min(200, isqrt(160000 // n)): the cube lies inside |x| <= 4 at
+    # every n, so no draw is rejected (from [-2, 2]^n these seeds drew
+    # points outside the bound at n = 5 and 6, and at n = 40 almost every
+    # draw is outside it)
     assert main(["residual", "--n", str(n), "--seed", str(seed), "--order", "1",
                  "--format", "json"]) == 0
     points = json.loads(capsys.readouterr().out)["points"]
     assert len(points) == 20
+    assert all(len(point) == n for point in points)
     assert all(sum(Fraction(repr(v)) ** 2 for v in point) <= 16 for point in points)
-
-
-def test_residual_gives_up_on_its_bound_at_large_n(capsys):
-    # at n = 40 no draw in [-2, 2]^n meets |x| <= 4 in practice: a usage
-    # error at once, not an endless redraw
-    assert main(["residual", "--n", "40", "--order", "0"]) == 2
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error == {"code": "usage",
-                     "message": f"no sample point with |x| <= 4 in {cli.MAX_POINT_DRAWS} draws at n = 40"}
+    bound = Fraction(min(200, math.isqrt(160_000 // n)), 100)
+    assert max(abs(Fraction(repr(v))) for point in points for v in point) <= bound
 
 
 # `residual` configurations and the sha256 of their output bytes: stdout

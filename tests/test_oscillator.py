@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import nstar.starcore as starcore
 from nstar.audit import CorpusSpec, sample_poly, sample_theta
@@ -19,7 +21,8 @@ from nstar.oscillator import (
     star_increments,
     star_polygauss_truncated,
 )
-from nstar.polynomials import Polynomial, x
+from nstar.polynomials import Polynomial, SamplePoints, x
+from nstar.scalars import ExactComplex
 from nstar.starcore import ThetaConfig, star_n, star_series
 
 
@@ -64,6 +67,43 @@ def test_build_hamiltonian_diagonal():
 def test_build_hamiltonian_quad_coupling():
     H = build_hamiltonian(HamiltonianSpec(4, lambda_quad={(1, 2, 3, 4): Fraction(3)}))
     assert H == radial_sq(4) + x(1, 4) * x(2, 4) * x(3, 4) * x(4, 4) * 3
+
+
+def arithmetic_hamiltonian(spec):
+    """Reference: H summed monomial by monomial with polynomial products."""
+    n = spec.n
+    H = Polynomial.zero(n)
+    if spec.diag_lambdas is not None:
+        for r, row in enumerate(spec.diag_lambdas):
+            for i, lam in enumerate(row, 1):
+                H = H + x(i, n) ** (2 * r + 2) * lam
+        return H
+    for j in range(1, n + 1):
+        H = H + x(j, n) * x(j, n)
+    for axes, lam in [*spec.lambda_pair.items(), *spec.lambda_quad.items()]:
+        H = H + math.prod([x(i, n) for i in axes], start=Polynomial.constant(lam, n))
+    return H
+
+
+def test_hamiltonian_and_ground_state_equal_the_arithmetic_construction():
+    rng = random.Random(12)
+
+    def lam():
+        return rng.choice((0, 1, Fraction(1, 2), Fraction(-3, 4), 2))
+
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        quads = list(itertools.combinations(range(1, n + 1), 4))
+        specs = [HamiltonianSpec(n),
+                 HamiltonianSpec(n, lambda_pair={p: lam() for p in rng.sample(pairs, len(pairs) // 2)},
+                                 lambda_quad={q: lam() for q in quads}),
+                 HamiltonianSpec(n, diag_lambdas=[[lam() for _ in range(n)] for _ in range(3)])]
+        for spec in specs:
+            assert build_hamiltonian(spec) == arithmetic_hamiltonian(spec), spec
+        u = radial_sq(n) * Fraction(1, 2)
+        for k in range(5):
+            want = sum((u ** i * c for i, c in enumerate(hermite_coeffs(k))), Polynomial.zero(n))
+            assert ground_state(k, n) == PolyGauss(want, 1), (n, k)
 
 
 def test_build_hamiltonian_insertion_order_invariant():
@@ -177,6 +217,24 @@ def test_polygauss_derivative_matches_the_product_formula():
                     got = PolyGauss(p, scale).diff(axis)
                     assert got.scale == scale
                     assert got.poly == p.diff(axis) - x(axis, n) * p * scale
+
+
+def gauss_polys():
+    parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeffs = st.builds(ExactComplex, parts, parts, parts, parts)
+    return st.integers(3, 4).flatmap(lambda n: st.dictionaries(
+        st.tuples(*([st.integers(0, 3)] * n)), coeffs, max_size=6).map(
+        lambda d: Polynomial(n, d)))
+
+
+@given(gauss_polys(), st.integers(0, 3), st.data())
+def test_polygauss_diff_is_the_product_rule(p, scale, data):
+    # d_a (p w^s) = (d_a p - s x_a p) w^s, with the reference's -s x_a p
+    # taken through the full scalar product
+    axis = data.draw(st.integers(1, p.n))
+    got = PolyGauss(p, scale).diff(axis)
+    assert got.scale == scale
+    assert got.poly == p.diff(axis) + p.times_coordinate(axis) * -scale
 
 
 def test_polygauss_eval_matches_direct():
@@ -362,6 +420,24 @@ def test_series_bound_changes_no_increment(monkeypatch):
         assert all(inc.is_zero() for inc in bounded[bound + 1:])
     with pytest.raises(ValueError):  # no factor of scale 0, no order
         list(star_series([ground_state(0, 3)] * 3, UNIT3))
+
+
+def test_residual_report_prepares_its_points_once(monkeypatch):
+    # every running sum of the three series is evaluated at one prepared
+    # set of points, built once per report
+    built, evaluated = [], []
+    init, evaluate = SamplePoints.__init__, PolyGauss.eval
+    monkeypatch.setattr(SamplePoints, "__init__",
+                        lambda self, points, n: built.append(n) or init(self, points, n))
+    monkeypatch.setattr(PolyGauss, "eval",
+                        lambda self, points: evaluated.append(points) or evaluate(self, points))
+    cfg = ThetaConfig(4, (1, 2, 1, Fraction(1, 2)))
+    spec = HamiltonianSpec(4, diag_lambdas=((1, 1, 2, 1), (Fraction(1, 4),) * 4))
+    points = [(1, Fraction(-1, 2), 0.25, 0), (0, 0, 0, 0), (Fraction(3, 2), 1, -1, 2)]
+    residual_report(spec, cfg, 0, 4, points)
+    assert built == [4]
+    assert len(evaluated) >= 3 and all(p is evaluated[0] for p in evaluated)
+    assert isinstance(evaluated[0], SamplePoints) and len(evaluated[0]) == len(points)
 
 
 def test_repeated_factor_is_differentiated_once(monkeypatch):

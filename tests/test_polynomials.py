@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nstar import polynomials
-from nstar.oscillator import PolyGauss
-from nstar.polynomials import Polynomial, x
+from nstar.oscillator import PolyGauss, prepare_points
+from nstar.polynomials import Polynomial, SamplePoints, x
 from nstar.scalars import SQRT2, ExactComplex, I
 
 
@@ -155,12 +155,57 @@ def test_eval_exact_rejects_non_rational_coordinates():
         points = [bad] if index == 0 else [good, bad]
         with pytest.raises(ValueError, match=rf"point {index}: coordinate x{axis} = "):
             p.eval_exact(points)
-    with pytest.raises(ValueError, match=r"point 1: dimension mismatch"):
-        p.eval_exact([good, (1, 2)])
+        with pytest.raises(ValueError, match=rf"point {index}: coordinate x{axis} = "):
+            SamplePoints(points, 3)
+    for bad_call in (lambda: p.eval_exact([good, (1, 2)]), lambda: SamplePoints([good, (1, 2)], 3),
+                     lambda: PolyGauss(p, 1).eval([good, (1, 2)])):
+        with pytest.raises(ValueError, match=r"^point 1: dimension mismatch$"):
+            bad_call()
     # the zero polynomial checks its points too
     with pytest.raises(ValueError, match=r"point 0: coordinate x2"):
         Polynomial.zero(3).eval_exact([(1, 0.5, 2)])
     assert PolyGauss(p, 1).eval([(0.5, 1, 2)]) == PolyGauss(p, 1).eval([(Fraction(1, 2), 1, 2)])
+    # prepared points of another dimension
+    with pytest.raises(ValueError, match=r"^dimension mismatch$"):
+        p.eval_exact(SamplePoints([(1, 2)], 2))
+
+
+def test_prepared_points_match_fraction_reference_and_raw_points():
+    # one prepared set serves many polynomials and scales, its power tables
+    # grown to the largest degree asked for so far: every value equals the
+    # per-point Fraction reference and the raw-point call, bit for bit,
+    # whether the degrees asked for rise, fall or both
+    rng = random.Random(31)
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) if rng.random() < 0.6 else 0
+
+    for n in (3, 4, 5):
+        raw = [tuple(Fraction(rng.randint(-50, 50), rng.choice((1, 3, 4, 10, 49)))
+                     for _ in range(n)),
+               tuple(rng.randint(-4, 4) for _ in range(n)),
+               tuple(rng.choice((0.1, -1.3, 2.5, 1e-3, 0.0)) for _ in range(n)),
+               (0,) * n,
+               tuple(rng.choice((1, Fraction(-1, 3), 0.25)) for _ in range(n))]
+        exact = [tuple(Fraction(v) if isinstance(v, float) else v for v in pt) for pt in raw]
+        polys = [Polynomial.zero(n), Polynomial.constant(ExactComplex(Fraction(-2, 3), 0, 1), n)]
+        for top in (1, 2, 3, 5):
+            polys.append(Polynomial(n, {tuple(rng.randint(0, top) for _ in range(n)):
+                                        ExactComplex(part(), part(), part(), part())
+                                        for _ in range(rng.randint(1, 6))}))
+        polys.sort(key=Polynomial.degree)
+        for order in (polys, polys[::-1], polys + polys[::-1]):
+            prepared, gauss = SamplePoints(exact, n), prepare_points(raw, n)
+            assert len(prepared) == len(gauss) == len(raw)
+            for p in order:
+                want = [fraction_eval(p, pt) for pt in exact]
+                assert p.eval_exact(prepared) == want == p.eval_exact(exact), p
+                for scale in (0, 1, 2, 3):
+                    pg = PolyGauss(p, scale)
+                    assert pg.eval(gauss) == pg.eval(raw) == pg.eval(exact), (p, scale)
+        empty = SamplePoints([], n)
+        for p in polys:
+            assert p.eval_exact(empty) == [] and PolyGauss(p, 2).eval(empty) == []
 
 
 def test_times_coordinate_is_the_product_with_x():

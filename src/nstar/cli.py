@@ -39,6 +39,7 @@ import numpy as np
 from .audit import all_guaranteed_hold, reports_to_json, run_suite
 from .exprs import ExprError, contains_wave, lower_poly, lower_wave, parse_expression
 from .oscillator import HamiltonianSpec, QuantumNumber, energy, residual_report
+from .polynomials import SamplePoints
 from .starcore import ThetaConfig, conjugate_star_n, star_bracket, star_n
 from .waves import (
     GridSpec,
@@ -296,8 +297,8 @@ def _cmd_residual(args) -> int:
     # x = num / 100, num in [-B, B]: n B^2 <= 160000 keeps every point within
     # the report's bound |x| <= 4, and B = 200 (x in [-2, 2]^n) for n <= 4
     B = min(200, math.isqrt(160_000 // cfg.n))
-    points = [tuple(Fraction(rng.randint(-B, B), 100) for _ in range(cfg.n))
-              for _ in range(npoints)]
+    points = SamplePoints([[rng.randint(-B, B) for _ in range(cfg.n)] for _ in range(npoints)],
+                          cfg.n, 100)
     report = residual_report(spec, cfg, k, order, points)
 
     def text() -> str:

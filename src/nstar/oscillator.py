@@ -12,6 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .closedforms import complex_pair
 from .polynomials import Polynomial, SamplePoints
+from .scalars import _to_complex
 from .starcore import ThetaConfig, star_series
 
 RationalLike = int | Fraction
@@ -175,14 +176,21 @@ class PolyGauss:
         return self.poly.n
 
     def diff(self, axis: int) -> "PolyGauss":
-        # d_a (p w^s) = (d_a p - s x_a p) w^s, -s x_a p as one exponent shift and int multiplies
+        # d_a (p w^s) = (d_a p - s x_a p) w^s, -s x_a p an exponent shift and int
+        # multiplies merged into the terms of d_a p in the same pass
         reduced = self.poly.diff(axis)
         s = self.scale
         if s:
             j = axis - 1
-            reduced = reduced + Polynomial._trusted(
-                self.n, {exps[:j] + (exps[j] + 1,) + exps[j + 1:]: c * -s
-                         for exps, c in self.poly.terms.items()})
+            terms = dict(reduced.terms)
+            for exps, c in self.poly.terms.items():
+                key = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+                total = terms[key] + c * -s if key in terms else c * -s
+                if total:
+                    terms[key] = total
+                else:
+                    del terms[key]
+            reduced = Polynomial._trusted(self.n, terms)
         return PolyGauss(reduced, s)
 
     def is_zero(self) -> bool:
@@ -199,13 +207,14 @@ class PolyGauss:
         return None if self.scale else self.poly.degree()
 
     def eval(self, points: SamplePoints | Sequence[Sequence]) -> list[complex]:
-        """Values at points, one per point: the polynomial part evaluated
-        exactly times the Gaussian weight.  Raw points are prepared on entry;
-        a caller evaluating at the same points again passes them prepared."""
+        """Values at points, one per point: the polynomial part's exact value,
+        read as floats straight off its integer sums with no scalar built,
+        times the Gaussian weight.  Raw points are prepared on entry; a
+        caller evaluating at the same points again passes them prepared."""
         if not isinstance(points, SamplePoints):
             points = prepare_points(points, self.n)
-        return [value.to_complex() * weight
-                for value, weight in zip(self.poly.eval_exact(points), points.gaussian(self.scale))]
+        return [_to_complex(*sums) * weight
+                for sums, weight in zip(self.poly._eval_sums(points), points.gaussian(self.scale))]
 
 
 def prepare_points(points: Iterable[Sequence], n: int) -> SamplePoints:
@@ -255,7 +264,7 @@ def star_polygauss_truncated(factors: Sequence[PolyGauss], cfg: ThetaConfig,
 
 
 def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
-                    sample_points: Sequence[Sequence]) -> dict:
+                    sample_points: SamplePoints | Sequence[Sequence]) -> dict:
     """Residual magnitudes, per truncation order and sample point, of
 
     (a) the ground-state annihilation equation: the star product of a
@@ -267,13 +276,18 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
     a polynomial, so each series stops at the lead's degree and the rows
     past it repeat.  A negative order (``star_series``) and a spec of
     another dimension than cfg (``energy``) raise ValueError.
+
+    The points come raw or prepared (``SamplePoints``); each must satisfy
+    |x|^2 <= 16 + 10^-9, checked exactly on its numerators over D, and is
+    reported as the floats num / D.
     """
     n = cfg.n
-    points = [tuple(p) for p in sample_points]
-    if not points:
+    prepared = (sample_points if isinstance(sample_points, SamplePoints)
+                else prepare_points(sample_points, n))  # checks each point's dimension
+    if not len(prepared):
         raise ValueError("at least one sample point is required")
-    prepared = prepare_points(points, n)  # checks each point's dimension
-    if any(sum(float(v) ** 2 for v in p) > 16.0 + 1e-9 for p in points):
+    coords = prepared.coordinates()
+    if any(10 ** 9 * sum([v * v for v in nums]) > (16 * 10 ** 9 + 1) * D * D for nums, D in coords):
         raise ValueError("sample points must satisfy |x| <= 4")
 
     psi = ground_state(k, n)
@@ -318,10 +332,10 @@ def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,
         "n": n,
         "k": k,
         "order": order,
-        "num_points": len(points),
+        "num_points": len(coords),
         "complex_axes": list(COMPLEX_AXES),
         "energy": str(E),
-        "points": [[float(v) for v in p] for p in points],
+        "points": [[v / D for v in nums] for nums, D in coords],
         "ground_residuals": ground_table,
         "eigen_residuals": eigen_table,
         "rows": rows,

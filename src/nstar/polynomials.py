@@ -38,7 +38,7 @@ import operator
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .scalars import ExactComplex, ONE, ZERO, _lowest_terms, _make, _parts_text, _power
+from .scalars import ExactComplex, ONE, _lowest_terms, _make, _parts_text, _power
 
 MultiIndex = tuple[int, ...]
 # the (shifts, mask) of a packed exponent key
@@ -207,35 +207,41 @@ class Polynomial:
     def eval_exact(self, points: SamplePoints | Sequence[Sequence]) -> list[ExactComplex]:
         """Exact values at points with rational (int or Fraction) coordinates,
         one per point.  Raw points are prepared on entry; a caller evaluating
-        at the same points again passes them prepared (``SamplePoints``).
+        at the same points again passes them prepared (``SamplePoints``)."""
+        if not isinstance(points, SamplePoints):
+            points = SamplePoints(points, self.n)
+        return [_make(*sums) for sums in self._eval_sums(points)]
+
+    def _eval_sums(self, points: SamplePoints) -> list[tuple[int, int, int, int, int]]:
+        """Per point, the value's four coordinates as integer sums over one
+        denominator, not in lowest terms: the evaluation loop of
+        ``eval_exact`` and of ``PolyGauss.eval``.
 
         The terms go over their common denominator once (``_split``).  Per
         point, with D its coordinates' common denominator, a monomial of
         degree e is a product of the numerators over D**e; scaled by
         D**(deg - e), deg the total degree, every monomial is an integer
-        over D**deg.  The value's four coordinates are then integer sums,
-        and one scalar is built from them.
+        over D**deg.  The loop runs over the terms, each worked out at all
+        points at once: one list product per nonzero exponent and one list
+        sum per nonzero coordinate.
         """
-        if not isinstance(points, SamplePoints):
-            points = SamplePoints(points, self.n)
-        elif points.n != self.n:
+        if points.n != self.n:
             raise ValueError("dimension mismatch")
         if not self.terms:
-            return [ZERO] * len(points)
+            return [(0, 0, 0, 0, 1)] * len(points)
         deg = self.degree()
         den, [(_, rows)] = _split([self.terms])
-        rows = [(exps, deg - sum(exps), e0, e1, e2, e3) for exps, e0, e1, e2, e3 in rows]
-        values = []
-        for tables, scales in points.powers(deg):
-            s0 = s1 = s2 = s3 = 0
-            for exps, rest, e0, e1, e2, e3 in rows:
-                mono = math.prod(map(list.__getitem__, tables, exps), start=scales[rest])
-                s0 += e0 * mono
-                s1 += e1 * mono
-                s2 += e2 * mono
-                s3 += e3 * mono
-            values.append(_make(s0, s1, s2, s3, den * scales[deg]))
-        return values
+        *axes, scales = points.powers(deg)
+        sums = [[0] * len(points) for _ in range(4)]
+        for exps, *coords in rows:
+            mono = scales[deg - sum(exps)]
+            for table, e in zip(axes, exps):
+                if e:
+                    mono = list(map(operator.mul, mono, table[e]))
+            for c, e in enumerate(coords):
+                if e:
+                    sums[c] = list(map(operator.add, sums[c], map(e.__mul__, mono)))
+        return list(zip(*sums, map(den.__mul__, scales[deg])))
 
     def max_coeff_magnitude(self) -> float:
         if not self.terms:
@@ -313,19 +319,20 @@ class Polynomial:
 
 
 class SamplePoints:
-    """Points with rational (int or Fraction) coordinates in n variables,
-    prepared once for any number of evaluations: per point, the common
-    denominator D of its coordinates, their integer numerators over D,
-    power tables of those numerators and of D, grown to the largest total
-    degree asked for, and per scale s the Gaussian weight exp(-s |x|^2 / 2).
+    """Points with rational (int or Fraction) coordinates over den in n
+    variables (ints over den need no Fraction), prepared once for any
+    number of evaluations: per point, the common denominator D of its
+    values and their integer numerators over D, coprime; per axis and for
+    D, tables of their powers over all the points, grown to the largest
+    total degree asked for; and per scale s the Gaussian weight
+    exp(-s |x|^2 / 2) at each point.
     """
 
-    __slots__ = ("n", "_tables", "_degree", "_weights")
+    __slots__ = ("n", "_points", "_tables", "_weights")
 
-    def __init__(self, points: Iterable[Sequence[int | Fraction]], n: int):
+    def __init__(self, points: Iterable[Sequence[int | Fraction]], n: int, den: int = 1):
         self.n = n
-        # per point, (per axis [1, numerator], [1, D]): entry 1 of a table is its base
-        self._tables: list[tuple[list[list[int]], list[int]]] = []
+        self._points: list[tuple[list[int], int]] = []  # per point, its numerators and D
         for index, point in enumerate(points):
             if len(point) != n:
                 raise ValueError(f"point {index}: dimension mismatch")
@@ -334,26 +341,29 @@ class SamplePoints:
                     raise ValueError(f"point {index}: coordinate x{axis} = {v!r} "
                                      f"is not an int or Fraction")
             D = math.lcm(*[v.denominator for v in point])
-            self._tables.append(([[1, v.numerator * (D // v.denominator)] for v in point], [1, D]))
-        self._degree = 1
+            nums = [v.numerator * (D // v.denominator) for v in point]
+            g = math.gcd(den, *nums)  # 1 at den = 1: the numerators over D are coprime
+            self._points.append(([v // g for v in nums], D * den // g))
+        # per axis, then for D: entry e lists the bases' e-th powers over the points
+        bases = [[nums[a] for nums, _ in self._points] for a in range(n)]
+        self._tables = [[[1] * len(self._points), base]
+                        for base in bases + [[D for _, D in self._points]]]
         self._weights: dict[int, list[float]] = {}
 
     def __len__(self) -> int:
-        return len(self._tables)
+        return len(self._points)
 
-    def powers(self, degree: int) -> list[tuple[list[list[int]], list[int]]]:
-        """Per point, (per axis the powers of its numerator, the powers of
-        D), each grown in place to hold at least the powers 0..degree."""
-        if degree > self._degree:
-            steps = range(degree - self._degree)
-            for tables, scales in self._tables:
-                for table in [*tables, scales]:
-                    power, base = table[-1], table[1]
-                    for _ in steps:
-                        power *= base
-                        table.append(power)
-            self._degree = degree
+    def powers(self, degree: int) -> list[list[list[int]]]:
+        """Per axis, then for D, the powers of the bases over the points,
+        grown in place to hold at least the powers 0..degree."""
+        for table in self._tables:
+            while len(table) <= degree:
+                table.append(list(map(operator.mul, table[-1], table[1])))
         return self._tables
+
+    def coordinates(self) -> list[tuple[list[int], int]]:
+        """Per point, the integer numerators of its coordinates over D, and D."""
+        return self._points
 
     def gaussian(self, scale: int) -> list[float]:
         """Per point, exp(-scale * |x|^2 / 2).  |x|^2 = norm2 / D^2 in
@@ -362,8 +372,8 @@ class SamplePoints:
         weights = self._weights.get(scale)
         if weights is None:
             weights = self._weights[scale] = [
-                math.exp(-(scale * sum([t[1] * t[1] for t in tables])) / (2 * scales[1] ** 2))
-                for tables, scales in self._tables]
+                math.exp(-(scale * sum([v * v for v in nums])) / (2 * D ** 2))
+                for nums, D in self._points]
         return weights
 
 
@@ -545,17 +555,18 @@ def _fold(level: int, group: list, chains: Sequence[Sequence], packed: list[dict
     group holds (i, packed weight) rows, chains[i][j] naming slot j's
     packed rows in packed[j].  Chains that share slot `level`'s rows share
     one multiply by them (the distributive law): each distinct entry
-    multiplies the fold of its chains over the later slots, and past the
-    last slot a fold is the sum of the weights.
+    multiplies the fold of its chains over the later slots, or at the last
+    slot their summed weight.
     """
-    if level == len(packed):
-        return {0: sum([v for _, v in group])}
     by_slot: dict[object, list] = {}
     for item in group:
         by_slot.setdefault(chains[item[0]][level], []).append(item)
     acc: dict[int, int] = {}
     for key, sub in by_slot.items():
-        _multiply(_fold(level + 1, sub, chains, packed).items(), packed[level][key], acc)
+        if level + 1 < len(packed):
+            _multiply(_fold(level + 1, sub, chains, packed).items(), packed[level][key], acc)
+        else:
+            _multiply([(0, sum([v for _, v in sub]))], packed[level][key], acc)
     return acc
 
 

@@ -142,7 +142,11 @@ class ExactComplex:
         if isinstance(other, ExactComplex):
             y0, y1, y2, y3, dy = other._q
         elif isinstance(other, int):
-            return _make(x0 * other, x1 * other, x2 * other, x3 * other, dx)
+            g = math.gcd(other, dx)  # the coordinates are coprime to dx: the whole reduction
+            other, dx = other // g, dx // g
+            z = _new(ExactComplex)
+            _set_q(z, (x0 * other, x1 * other, x2 * other, x3 * other, dx))
+            return z
         elif isinstance(other, Fraction):
             y0, y1, y2, y3, dy = ExactComplex(other)._q
         else:
@@ -171,9 +175,7 @@ class ExactComplex:
         return _make(e0, -e3, -e2, -e1, den)
 
     def to_complex(self) -> complex:
-        e0, e1, e2, e3, den = self._q
-        return complex(e0 / den + _SQRT2 * ((e1 - e3) / (2 * den)),
-                       e2 / den + _SQRT2 * ((e1 + e3) / (2 * den)))
+        return _to_complex(*self._q)
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
@@ -203,6 +205,13 @@ def _make(e0: int, e1: int, e2: int, e3: int, den: int) -> ExactComplex:
     z = _new(ExactComplex)
     _set_q(z, (e0, e1, e2, e3, den))
     return z
+
+
+def _to_complex(e0: int, e1: int, e2: int, e3: int, den: int) -> complex:
+    """The complex value of (e0 + e1*zeta + e2*zeta^2 + e3*zeta^3) / den, den > 0: each
+    part is one correctly rounded int / int division, so lowest terms change no bit."""
+    return complex(e0 / den + _SQRT2 * ((e1 - e3) / (2 * den)),
+                   e2 / den + _SQRT2 * ((e1 + e3) / (2 * den)))
 
 
 def _power(base, k: int):

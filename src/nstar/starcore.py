@@ -238,7 +238,8 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
         if got is not None:
             return got
         prev, axis = _peel(counts)
-        val = cache[counts] = diffed(slot, prev).diff(axis)
+        below = diffed(slot, prev)  # a zero derivative stays zero
+        val = cache[counts] = below if below.is_zero() else below.diff(axis)
         return val
 
     def walk(node, j: int, chain: tuple, weights: list, chains: list) -> None:

@@ -424,8 +424,11 @@ def test_residual_draws_its_points_within_its_bound(n, seed, capsys):
     assert len(points) == 20
     assert all(len(point) == n for point in points)
     assert all(sum(Fraction(repr(v)) ** 2 for v in point) <= 16 for point in points)
-    bound = Fraction(min(200, math.isqrt(160_000 // n)), 100)
-    assert max(abs(Fraction(repr(v))) for point in points for v in point) <= bound
+    B = min(200, math.isqrt(160_000 // n))
+    assert max(abs(Fraction(repr(v))) for point in points for v in point) <= Fraction(B, 100)
+    # each printed coordinate is its drawn integer over 100, one division
+    rng = random.Random(seed)
+    assert points == [[rng.randint(-B, B) / 100 for _ in range(n)] for _ in range(20)]
 
 
 # `residual` configurations and the sha256 of their output bytes: stdout

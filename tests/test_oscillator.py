@@ -17,6 +17,7 @@ from nstar.oscillator import (
     energy,
     ground_state,
     hermite_coeffs,
+    prepare_points,
     residual_report,
     star_increments,
     star_polygauss_truncated,
@@ -235,6 +236,86 @@ def test_polygauss_diff_is_the_product_rule(p, scale, data):
     got = PolyGauss(p, scale).diff(axis)
     assert got.scale == scale
     assert got.poly == p.diff(axis) + p.times_coordinate(axis) * -scale
+
+
+def test_polygauss_diff_drops_cancelled_terms():
+    # d_1 (x1^2 + 2) = 2 x1 cancels against -x1 * 2: no zero term is stored
+    got = PolyGauss(x(1, 3) ** 2 + 2, 1).diff(1)
+    assert got.poly.terms == (x(1, 3) ** 3 * -1).terms
+    got = PolyGauss(x(1, 3) * 4 + x(2, 3), 2).diff(2)
+    assert got.poly == 1 - x(2, 3) ** 2 * 2 - x(1, 3) * x(2, 3) * 8
+
+
+def hex_pair(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+big_parts = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+                      st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**70)))
+coordinates = st.one_of(st.integers(-4, 4),
+                        st.fractions(min_value=-2, max_value=2, max_denominator=10**20),
+                        st.floats(min_value=-2, max_value=2, allow_subnormal=False))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                    st.builds(ExactComplex, big_parts, big_parts, big_parts, big_parts),
+                    max_size=5).map(lambda d: Polynomial(n, d)),
+    st.lists(st.tuples(*[coordinates] * n), max_size=4))), st.integers(0, 3))
+def test_polygauss_eval_reads_the_floats_of_the_exact_values(poly_points, scale):
+    # the floats come straight from the exact sums, bit for bit the floats
+    # of the exact values times the weights; the sums need not be in lowest
+    # terms, because each part is one correctly rounded int / int division
+    p, raw = poly_points
+    points = prepare_points(raw, p.n)
+    want = [v.to_complex() * w for v, w in zip(p.eval_exact(points), points.gaussian(scale))]
+    got = PolyGauss(p, scale).eval(points)
+    assert list(map(hex_pair, got)) == list(map(hex_pair, want))
+    assert list(map(hex_pair, PolyGauss(p, scale).eval(raw))) == list(map(hex_pair, want))
+
+
+def test_residual_report_bound_is_exact_for_raw_and_prepared_points():
+    # |x|^2 <= 16 + 10^-9, checked on the exact numerators: 1/31623^2 is
+    # just below 10^-9 and 1/31622^2 just above it
+    spec, cfg = HamiltonianSpec(3), UNIT3
+    inside = [[(4, 0, 0)], [(Fraction(12, 5), Fraction(-16, 5), 0)], [(-4, Fraction(1, 31623), 0)],
+              [(4.0, 0.0, 0.0)]]
+    outside = [[(0, 0, Fraction(4 * 10**9 + 1, 10**9))], [(-4, Fraction(1, 31622), 0)],
+               [(0, 0, 0), (3, 3, 0)]]
+    for points in inside:
+        for given_points in (points, prepare_points(points, 3)):
+            report = residual_report(spec, cfg, 0, 0, given_points)
+            assert report["points"] == [[float(v) for v in p] for p in points]
+    for points in outside:
+        for given_points in (points, prepare_points(points, 3)):
+            with pytest.raises(ValueError, match=r"^sample points must satisfy \|x\| <= 4$"):
+                residual_report(spec, cfg, 0, 0, given_points)
+    on = SamplePoints([[400, 0, 0], [-240, 320, 0]], 3, 100)
+    assert residual_report(spec, cfg, 0, 0, on)["points"] == [[4.0, 0.0, 0.0], [-2.4, 3.2, 0.0]]
+    with pytest.raises(ValueError, match="must satisfy"):
+        residual_report(spec, cfg, 0, 0, SamplePoints([[400, 1, 0]], 3, 100))
+    with pytest.raises(ValueError, match="^at least one sample point is required$"):
+        residual_report(spec, cfg, 0, 0, SamplePoints([], 3, 100))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        residual_report(spec, cfg, 0, 0, SamplePoints([[0, 0, 0, 0]], 4, 100))
+
+
+def test_points_over_a_denominator_match_the_fractions():
+    # coordinates over a denominator give the tables, weights and values of
+    # the equal Fractions: each point is put in lowest terms
+    rng = random.Random("points-over")
+    for den in (1, 100, 12, 2**61):
+        nums = [[rng.randint(-3 * den, 3 * den) for _ in range(3)] for _ in range(8)]
+        nums += [[0, 0, 0], [den, -den, 2 * den], [den // 2, 0, den], [Fraction(den, 3), 7, -1]]
+        over, fractions = SamplePoints(nums, 3, den), SamplePoints([
+            [Fraction(v) / den for v in p] for p in nums], 3)
+        assert over.coordinates() == fractions.coordinates()
+        assert all(math.gcd(*nums, D) == 1 for nums, D in over.coordinates())
+        assert over.gaussian(2) == fractions.gaussian(2)
+        p = (x(1, 3) - Fraction(1, 3)) ** 3 * x(2, 3) + ExactComplex(0, 1, Fraction(1, 2))
+        assert p.eval_exact(over) == p.eval_exact(fractions)
+    with pytest.raises(ValueError, match="^point 1: dimension mismatch$"):
+        SamplePoints([[1, 2, 3], [1, 2]], 3, 100)
 
 
 def test_polygauss_eval_matches_direct():

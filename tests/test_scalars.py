@@ -351,3 +351,16 @@ def test_construction_rejects_a_part_that_is_not_int_or_fraction(bad):
         parts[position] = bad
         with pytest.raises(TypeError):
             ExactComplex(*parts)
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, -7, 2, 6, -12, 35, 3 * 2**70, True])
+def test_product_with_an_int_is_canonical_and_matches_the_fraction_route(k):
+    # the int branch reduces by gcd(k, den) alone: the stored coordinates
+    # are already coprime to den
+    for parts in ZETA_PARTS + [(Fraction(1, 6), Fraction(-5, 12), Fraction(7, 4), Fraction(1, 3)),
+                               (Fraction(5, 6), 0, 0, Fraction(-1, 9)), (7,)]:
+        z = ExactComplex(*parts)
+        for got in (z * k, k * z):
+            assert got._q == fraction_route(*(Fraction(p) * k for p in parts))
+            assert all(type(v) is int for v in got._q)
+            assert got._q[4] > 0 and math.gcd(*got._q) == 1

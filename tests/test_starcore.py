@@ -650,3 +650,61 @@ def test_products_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+# -- slot laws of the product (checked here, not in the pinned audit) ----------
+
+def law_cases(n):
+    """Seeded factors of degree <= 3 (sqrt(2) parts included) and a generic
+    theta with distinct nonzero components, for the slot laws at n."""
+    rng = random.Random(f"slot-laws-{n}")
+    coords = [x(k, n) for k in range(1, n + 1)]
+    for _ in range(3):
+        # a square of a linear form in every axis keeps increments 1 and 2 nonzero
+        factors = [rt2_poly(rng, n, rng.randint(2, 4), rng.randint(2, 3 if n < 5 else 2))
+                   + sum((c * rng.randint(1, 3) for c in coords), Polynomial.zero(n)) ** 2
+                   for _ in range(n)]
+        theta = tuple(Fraction(rng.choice((-1, 1)) * (k + 1), rng.randint(1, 4)) for k in range(n))
+        yield factors, ThetaConfig(n, theta)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reflecting_the_slots_negates_theta(n):
+    # reversing slots 2..n turns each forward term into the reverse term of
+    # the same k: star(f1, fn, ..., f2) = star(f1, ..., fn) at -theta, and
+    # increment m, homogeneous of degree m in theta, changes by (-1)^m
+    for factors, cfg in law_cases(n):
+        reflected = [factors[0], *factors[:0:-1]]
+        assert star_n(reflected, cfg) == conjugate_star_n(factors, cfg)
+        straight = list(star_series(factors, cfg))
+        assert len(straight) > 2 and not (straight[1].is_zero() or straight[2].is_zero())
+        reflected_increments = list(star_series(reflected, cfg))
+        assert len(reflected_increments) == len(straight)
+        for m, (got, want) in enumerate(zip(reflected_increments, straight)):
+            assert got == (want if m % 2 == 0 else -want), m
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cyclic_shift_of_the_slots_fixes_every_increment_at_uniform_theta(n):
+    cfg = ThetaConfig.uniform(n, Fraction(3, 2))
+    for factors, _ in law_cases(n):
+        increments = list(star_series(factors, cfg))
+        for shift in range(1, n):
+            shifted = factors[shift:] + factors[:shift]
+            assert list(star_series(shifted, cfg)) == increments, shift
+
+
+def test_first_order_term_at_n3_is_the_theta_weighted_jacobian():
+    # increment 1 at n = 3 is (i/2) det(theta o grad f, grad g, grad h), the
+    # determinant written out here; at uniform theta, the Nambu bracket
+    half_i = ExactComplex(0, Fraction(1, 2))
+    for factors, generic in law_cases(3):
+        for cfg in (generic, ThetaConfig.uniform(3)):
+            f, g, h = factors
+            a = [f.diff(k) * cfg.theta[k - 1] for k in (1, 2, 3)]
+            b = [g.diff(k) for k in (1, 2, 3)]
+            c = [h.diff(k) for k in (1, 2, 3)]
+            det = (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                   + a[2] * (b[0] * c[1] - b[1] * c[0]))
+            assert not det.is_zero()
+            assert list(star_series(factors, cfg, 1))[1] == det * half_i

@@ -253,7 +253,15 @@ def star_polygauss_truncated(factors: Sequence[PolyGauss], cfg: ThetaConfig,
     Unless a factor has scale 0 the exponential series does not
     terminate, so the sum runs to the requested order.  Returns the
     truncated result together with the largest coefficient magnitude of
-    the final increment, a cheap convergence indicator.
+    the final increment.
+
+    That magnitude says nothing about convergence.  With Gaussians in
+    every slot the series diverges: at n = 3 and uniform theta, the
+    product of three copies of exp(-s|x|^2/2) has increment 2k equal to
+    (2k+1)!! * (theta^2 s^3 / 4)^k at the origin, so its terms grow
+    without bound at every theta != 0.  And with one object in slots
+    2..n every odd increment is zero (``star_series``), so at an odd
+    order the magnitude is 0.0 whatever the series does.
     """
     increments = star_increments(factors, cfg, order)
     total_scale = sum(f.scale for f in factors)

@@ -33,7 +33,18 @@ derivative step the walk takes off a slot's counts is worked out once
 per process (``_peel``).  The live chains left are multiplied out in
 one integer pass: every slot derivative is packed once, and the
 weighted slot products are multiplied as packed integer rows through
-the loop of ``Polynomial.__mul__``.  It has two callers:
+the loop of ``Polynomial.__mul__``.
+
+Reversing slots 2..n turns each forward term into the reverse term of
+the same k, so star_theta(f1, fn, ..., f2) = star_-theta(f1, ..., fn),
+and increment m, homogeneous of degree m in theta, changes by (-1)^m.
+When slots 2..n read the same backwards the product is its own
+reflection, so every odd increment is zero (the n-ary form of the parity
+of Moyal's product).  The engine sees this by object identity, from the
+one derivative memo per factor object, and walks no odd order of a
+mirrored product.
+
+The engine has two callers:
 
 * ``star_n``                        polynomials; walks every order up to
                                     the smallest factor degree and
@@ -224,13 +235,18 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
     is: theta enters in ``_multiply_out``.  derivs[j] maps slot j's counts
     to its derivative and is filled in on the way, one ``_peel`` step from
     counts already there.  Without an order, the orders run to the series
-    bound (``_series_bound``); past the bound nothing is walked."""
+    bound (``_series_bound``); past the bound nothing is walked.
+
+    When slots 1..n-1 hold the same factor objects read backwards (their
+    memos are one object), the product is its own reflection, and an odd
+    order yields no chains without asking for its plan."""
     n = cfg.n
     # the axes k with theta_k = 0: theta_k's two terms, and no other term,
     # differentiate axis k in slot 0, so a slot-0 node that counts a
     # derivative along one holds only compositions that use an omitted term
     idle = [a for a in range(n) if not cfg.theta[a]]
     last = n - 1
+    mirrored = all(derivs[j] is derivs[n - j] for j in range(1, (n + 1) // 2))
 
     def diffed(slot: int, counts: tuple[int, ...]):
         cache = derivs[slot]
@@ -264,7 +280,7 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
         for m in range(order + 1):
             weights: list[ExactComplex] = []
             chains: list[tuple[tuple[int, ...], ...]] = []
-            if bound is None or m <= bound:
+            if (bound is None or m <= bound) and not (mirrored and m % 2):
                 walk(_plan(n, m), 0, (), weights, chains)
             yield weights, chains
     finally:
@@ -343,7 +359,10 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     weighted slot products out as packed integer rows into one
     accumulator, unpacked once.  Past the series bound
     (``_series_bound``) every increment is zero and is yielded without a
-    walk.
+    walk.  So is every odd increment when slots 1..n-1 hold the same
+    factor objects read backwards: the product is then its own
+    reflection star_-theta, and increment m changes by (-1)^m under theta
+    -> -theta.  Equal but distinct factor objects take the full walk.
 
     Each factor's degree is computed once.  It gives the series bound and
     the packing width: at order m a slot's polynomial part has at most its

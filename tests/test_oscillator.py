@@ -479,7 +479,8 @@ class Unbounded(PolyGauss):
 def test_series_bound_changes_no_increment(monkeypatch):
     # the increments past the smallest degree among the scale-0 factors are
     # the ones a full walk finds, and the walk asks the composition plan for
-    # no order past that degree
+    # no order past that degree; with one state object in every slot from 2
+    # on (the first and third cases) it asks for no odd order either
     asked = []
     plan = starcore._plan
     monkeypatch.setattr(starcore, "_plan", lambda n, m: asked.append(m) or plan(n, m))
@@ -489,14 +490,15 @@ def test_series_bound_changes_no_increment(monkeypatch):
               [ground_state(1, 3), PolyGauss(x(2, 3) - 1, 0)], 4),
              (ThetaConfig(4, (1, 2, 1, 1)), PolyGauss(x(3, 4) ** 2 * x(1, 4), 0),
               [ground_state(1, 4)] * 3, 5)]
-    for cfg, lead, rest, order in cases:
+    for (cfg, lead, rest, order), step in zip(cases, (2, 1, 2)):
         bound = min(f.degree() for f in [lead, *rest] if f.scale == 0)
+        assert bound < order
         asked.clear()
         bounded = star_increments([lead, *rest], cfg, order)
-        assert max(asked) == bound < order
+        assert asked == list(range(0, bound + 1, step))
         asked.clear()
         full = star_increments([Unbounded(f.poly, f.scale) for f in [lead, *rest]], cfg, order)
-        assert max(asked) == order
+        assert asked == list(range(order + 1))
         assert bounded == full
         assert all(inc.is_zero() for inc in bounded[bound + 1:])
     with pytest.raises(ValueError):  # no factor of scale 0, no order

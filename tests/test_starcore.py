@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import nstar.starcore as starcore
 from nstar.audit import CorpusSpec, sample_poly, sample_theta
 from nstar.oscillator import PolyGauss, ground_state, star_increments
 from nstar.polynomials import Polynomial, _sum_of_products, x
@@ -463,11 +464,13 @@ def test_series_sums_slot_products_like_the_schoolbook_reference(n):
 def test_series_cancels_across_compositions_to_an_exact_zero():
     # with one factor in every slot, each forward term's product equals its
     # reverse term's, at the opposite weight: increment 1 cancels exactly
-    # although every composition of order 1 is live
+    # although every composition of order 1 is live.  The slots hold equal
+    # but distinct copies, so the engine walks order 1 (one object in every
+    # slot would skip it)
     rng = random.Random("cancel")
     for n in (3, 4):
         p = rt2_poly(rng, n, 4, 3) + sum((x(k, n) for k in range(1, n + 1)), Polynomial.zero(n))
-        incs = assert_series_matches_reference([p] * n, ThetaConfig.uniform(n))
+        incs = assert_series_matches_reference([copy_of(p) for _ in range(n)], ThetaConfig.uniform(n))
         assert incs[1].is_zero() and not incs[0].is_zero()
 
 
@@ -674,6 +677,8 @@ def test_reflecting_the_slots_negates_theta(n):
     # the same k: star(f1, fn, ..., f2) = star(f1, ..., fn) at -theta, and
     # increment m, homogeneous of degree m in theta, changes by (-1)^m
     for factors, cfg in law_cases(n):
+        # no two slots hold one object, so both sides take the full walk
+        assert len({id(f) for f in factors}) == n
         reflected = [factors[0], *factors[:0:-1]]
         assert star_n(reflected, cfg) == conjugate_star_n(factors, cfg)
         straight = list(star_series(factors, cfg))
@@ -682,6 +687,57 @@ def test_reflecting_the_slots_negates_theta(n):
         assert len(reflected_increments) == len(straight)
         for m, (got, want) in enumerate(zip(reflected_increments, straight)):
             assert got == (want if m % 2 == 0 else -want), m
+
+
+def copy_of(f):
+    """An equal factor that is another object, so it gets its own memo."""
+    if isinstance(f, PolyGauss):
+        return PolyGauss(copy_of(f.poly), f.scale)
+    return Polynomial(f.n, dict(f.terms))
+
+
+def palindromes(n):
+    """(factors with slots 1..n-1 reading the same backwards by object,
+    theta, order or None) from the law cases: polynomial slots, then, for
+    the first case, Gaussian-weighted slots at scales 0 and 1 behind a
+    polynomial lead."""
+    rng = random.Random(f"palindromes-{n}")
+    for case, (factors, cfg) in enumerate(law_cases(n)):
+        inner = factors[1:1 + n // 2]
+        mirrored = [factors[0], *inner, *inner[:(n - 1) // 2][::-1]]
+        for theta in (cfg.theta, zero_pattern_thetas(rng, n)[0]):
+            yield mirrored, ThetaConfig(n, theta), None
+        for scale in (0, 1) if case == 0 else ():
+            weighted = {id(f): PolyGauss(f, scale) for f in inner}
+            yield ([PolyGauss(mirrored[0], 0)] + [weighted[id(f)] for f in mirrored[1:]],
+                   cfg, 4 if n < 5 else 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mirrored_slots_skip_odd_orders_and_match_the_full_walk(n, monkeypatch):
+    # slot j and slot n - j one object: the product is its own reflection,
+    # so every odd increment is zero and the engine asks for no odd plan;
+    # equal but distinct copies take the full walk to the same increments
+    asked = []
+    plan = _plan
+    monkeypatch.setattr(starcore, "_plan", lambda n, m: asked.append(m) or plan(n, m))
+    for factors, cfg, order in palindromes(n):
+        assert all(factors[j] is factors[n - j] for j in range(1, n))
+        copies = [copy_of(f) for f in factors]
+        # the orders up to the series bound are walked
+        bound = min(d for d in (f.degree() for f in factors) if d is not None)
+        walked = (bound if order is None else min(order, bound)) + 1
+        asked.clear()
+        shortcut = list(star_series(factors, cfg, order))
+        assert asked == list(range(0, walked, 2))
+        asked.clear()
+        full = list(star_series(copies, cfg, order))
+        assert asked == list(range(walked))
+        assert len(shortcut) > 2 and shortcut == full
+        assert all(inc.is_zero() for inc in shortcut[1::2])
+        assert not shortcut[2].is_zero()
+        if order is None:
+            assert star_n(factors, cfg) == star_n(copies, cfg) == sum(full[1:], full[0])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

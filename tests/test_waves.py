@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from nstar import waves
-from nstar.starcore import ThetaConfig
+from nstar.scalars import ExactComplex, I
+from nstar.starcore import ThetaConfig, deformation_terms
 from nstar.waves import (
     MERGE_TOL,
     SAMPLE_BLOCK,
@@ -108,6 +109,30 @@ def test_kernel_n4_purely_imaginary():
     freqs = [tuple(rng.uniform(-2, 2) for _ in range(4)) for _ in range(4)]
     e = kernel_exponent(freqs, cfg)
     assert e.real == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kernel_exponent_is_the_symbol_of_the_operator(n):
+    # on a plane wave exp(i k_j . x) in slot j, d/dx_a acts as i * k_j[a], so
+    # the operator of deformation_terms acts on a tensor product of waves as
+    # multiplication by its symbol sum_t w_t * prod_j (i * k_j[a_tj]); the
+    # symbol is formed here exactly, term by term, and the wave engines'
+    # kernel must equal it
+    rng = random.Random(f"kernel-symbol-{n}")
+    nonzero = 0
+    for _ in range(60):
+        cfg = ThetaConfig(n, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)))
+        freqs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        symbol, scale = ExactComplex(0), 0.0
+        for term in deformation_terms(cfg):
+            value = term.weight
+            for k, axis in zip(freqs, term.slot_axes):
+                value = value * (I * k[axis - 1])
+            symbol = symbol + value
+            scale += abs(value)
+        assert abs(kernel_exponent(freqs, cfg) - symbol.to_complex()) <= 1e-13 * max(1.0, scale)
+        nonzero += bool(symbol)
+    assert nonzero >= 40
 
 
 def test_kernel_arity():

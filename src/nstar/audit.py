@@ -221,9 +221,8 @@ def _bracket(star, f, h, mids, cfg):
 def _skew_sides(inputs: ClaimInputs, star):
     cfg = inputs.cfg()
     f, h, *mids = inputs.polys
-    lhs = _bracket(star, f, h, mids, cfg)
-    rhs = -_bracket(star, h, f, mids, cfg)
-    return lhs, rhs
+    fh, hf = star((f, *mids, h), cfg), star((h, *mids, f), cfg)
+    return fh - hf, -(hf - fh)
 
 
 def _jacobi_six_sides(inputs: ClaimInputs, star):
@@ -240,11 +239,12 @@ def _jacobi_six_sides(inputs: ClaimInputs, star):
 def _jacobi_expansion_sides(inputs: ClaimInputs, star):
     cfg = inputs.cfg()
     l, f, h, g1, g2 = inputs.polys
-    lhs = _bracket(star, l, _bracket(star, f, h, (g1,), cfg), (g2,), cfg)
+    fgh, hgf = star((f, g1, h), cfg), star((h, g1, f), cfg)
+    lhs = _bracket(star, l, fgh - hgf, (g2,), cfg)
     rhs = (star((star((l, g2, f), cfg), g1, h), cfg)
            - star((star((l, g2, h), cfg), g1, f), cfg)
-           - star((star((f, g1, h), cfg), g2, l), cfg)
-           + star((star((h, g1, f), cfg), g2, l), cfg))
+           - star((fgh, g2, l), cfg)
+           + star((hgf, g2, l), cfg))
     return lhs, rhs
 
 

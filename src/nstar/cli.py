@@ -150,7 +150,7 @@ def _parse_exprs(texts, n):
 
 
 def _write_json(path: str, body) -> None:
-    Path(path).write_text(json.dumps(body, indent=2) + "\n")
+    Path(path).write_text(json.dumps(body, indent=2, check_circular=False) + "\n")
 
 
 def _write(path: str, save) -> None:
@@ -195,7 +195,7 @@ def _emit(text, body, args, save=None) -> None:
     data = body() if args.format == "json" or (args.output and save is None) else None
     if args.output:
         _write(args.output, save or (lambda path: _write_json(path, data)))
-    print(json.dumps(data) if args.format == "json" else text())
+    print(json.dumps(data, check_circular=False) if args.format == "json" else text())
 
 
 def _cmd_product(args) -> int:

@@ -247,28 +247,23 @@ def star_increments(factors: Sequence[PolyGauss], cfg: ThetaConfig,
 
 
 def star_polygauss_truncated(factors: Sequence[PolyGauss], cfg: ThetaConfig,
-                             order: int) -> tuple[PolyGauss, float]:
-    """Order-truncated star product in the Gaussian-weighted class.
+                             order: int) -> PolyGauss:
+    """Order-truncated star product in the Gaussian-weighted class: the sum
+    of increments 0..order.
 
     Unless a factor has scale 0 the exponential series does not
-    terminate, so the sum runs to the requested order.  Returns the
-    truncated result together with the largest coefficient magnitude of
-    the final increment.
-
-    That magnitude says nothing about convergence.  With Gaussians in
-    every slot the series diverges: at n = 3 and uniform theta, the
-    product of three copies of exp(-s|x|^2/2) has increment 2k equal to
-    (2k+1)!! * (theta^2 s^3 / 4)^k at the origin, so its terms grow
-    without bound at every theta != 0.  And with one object in slots
-    2..n every odd increment is zero (``star_series``), so at an odd
-    order the magnitude is 0.0 whatever the series does.
+    terminate, so the sum runs to the requested order.  It truncates a
+    divergent series: with Gaussians in every slot, at n = 3 and uniform
+    theta, the product of three copies of exp(-s|x|^2/2) has increment
+    2k equal to (2k+1)!! * (theta^2 s^3 / 4)^k at the origin, so its
+    terms grow without bound at every theta != 0.
     """
     increments = star_increments(factors, cfg, order)
     total_scale = sum(f.scale for f in factors)
     result = increments[0]
     for inc in increments[1:]:
         result = result + inc
-    return PolyGauss(result, total_scale), increments[-1].max_coeff_magnitude()
+    return PolyGauss(result, total_scale)
 
 
 def residual_report(spec: HamiltonianSpec, cfg: ThetaConfig, k: int, order: int,

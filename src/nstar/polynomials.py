@@ -243,11 +243,6 @@ class Polynomial:
                     sums[c] = list(map(operator.add, sums[c], map(e.__mul__, mono)))
         return list(zip(*sums, map(den.__mul__, scales[deg])))
 
-    def max_coeff_magnitude(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(abs(c) for c in self.terms.values())
-
     # -- printing / serialization ------------------------------------------
 
     def __str__(self) -> str:

@@ -270,9 +270,9 @@ class WaveSum:
         """sum_a c_a exp(i s_a . x) at every lattice point.
 
         exp(i s . x) is the product over axes of exp(i s_k x_k), read from
-        one table per axis; each block of terms is one matrix product of
-        its first-axis factors, scaled by the coefficients, with the outer
-        product of its other axes' factors."""
+        one table per distinct frequency value; each block of terms is one
+        matrix product of its first-axis factors, scaled by the
+        coefficients, with the outer product of its other axes' factors."""
         if spec.n != self.n:
             raise ValueError("dimension mismatch")
         n, N = self.n, spec.points_per_axis
@@ -280,7 +280,9 @@ class WaveSum:
         if self.terms:
             coeff = np.array([c for c, _ in self.terms], dtype=complex)
             freq = np.array([f for _, f in self.terms], dtype=float)
-            tables = np.exp(1j * (freq[:, :, None] * spec.axis_points()))  # term, axis, point
+            values, inverse = np.unique(freq, return_inverse=True)
+            tables = np.exp(1j * (values[:, None] * spec.axis_points()))[
+                inverse.reshape(freq.shape)]  # term, axis, point
             for lo in range(0, len(coeff), SAMPLE_BLOCK):
                 block = tables[lo:lo + SAMPLE_BLOCK]
                 rest = block[:, n - 1]
@@ -466,8 +468,9 @@ def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaCo
 
     occupied = []  # per factor: the (m, n) lattice indices of its occupied frequencies
     for F in specs:
-        cutoff = OCCUPANCY_CUTOFF * max(1.0, float(np.abs(F).max()))
-        occupied.append(np.argwhere(np.abs(F) > cutoff))
+        modulus = np.abs(F)
+        cutoff = OCCUPANCY_CUTOFF * max(1.0, float(modulus.max()))
+        occupied.append(np.argwhere(modulus > cutoff))
 
     max_occ = max((len(o) for o in occupied), default=0)
     cost = float(N**n) * float(max_occ) ** (n - 1)
@@ -478,10 +481,14 @@ def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaCo
     ints = spec.int_freqs()
     coeffs = [F[tuple(idx.T)] for F, idx in zip(specs, occupied)]
     coeff = _weighted_products(coeffs, [spec.base_freq * ints[idx] for idx in occupied], cfg)
-    target = sum(_along(j, idx, n) for j, idx in enumerate(occupied))
-    out_spec = np.zeros(shape, dtype=complex)
-    np.add.at(out_spec, tuple(np.moveaxis(target % N, -1, 0)), coeff)
-    return np.fft.ifftn(out_spec) * N**n
+    # each tuple's output frequency as one flat index in C order: per axis,
+    # the slots' indices summed mod N
+    flat = 0
+    for k in range(n):
+        flat = flat * N + sum(_along(j, idx[:, k], n) for j, idx in enumerate(occupied)) % N
+    out_spec = np.zeros(N**n, dtype=complex)
+    np.add.at(out_spec, flat.ravel(), coeff.ravel())
+    return np.fft.ifftn(out_spec.reshape(shape)) * N**n
 
 
 def save_lattice(path: str, arr: np.ndarray, spec: GridSpec) -> None:

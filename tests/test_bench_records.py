@@ -1,5 +1,6 @@
-"""README's performance table against the committed benchmark records it
-cites: each row's "`wall_s` now" is recomputed from its file."""
+"""The committed benchmark records under bench/: README's performance table
+against the records it cites, each row's "`wall_s` now" recomputed from its
+file, and bench/INDEX.md against the files there."""
 
 import json
 import re
@@ -21,7 +22,7 @@ def performance_rows():
             break
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         workload = re.match(r"`(\w+)`", cells[0]).group(1)
-        source = re.fullmatch(r"`(BENCH_\w+\.json)`", cells[-1]).group(1)
+        source = re.fullmatch(r"`(bench/BENCH_\w+\.json)`", cells[-1]).group(1)
         rows.append((workload, cells[1], source))
     return rows
 
@@ -37,3 +38,15 @@ def test_readme_performance_table_matches_its_records():
         assert len(runs) >= 10, (workload, source)
         median = Decimal(statistics.median(runs))
         assert median.quantize(Decimal(printed)) == Decimal(printed), (workload, source, median)
+
+
+def test_bench_index_lists_every_record_with_its_label():
+    rows = {}
+    for line in (REPO / "bench" / "INDEX.md").read_text().splitlines():
+        match = re.match(r"\| `(BENCH_\w+\.json)` \| (\w+) \|", line)
+        if match:
+            rows[match.group(1)] = match.group(2)
+    records = sorted(path.name for path in (REPO / "bench").glob("BENCH_*.json"))
+    assert sorted(rows) == records
+    for name, label in rows.items():
+        assert json.loads((REPO / "bench" / name).read_text())["label"] == label, name

@@ -187,6 +187,18 @@ def test_bracket_arity_message_pinned(capsys):
                             'factors plus 2 middle factors (4 expressions), got 2"}}\n')
 
 
+def test_oracle_arity_message_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # no config file
+    lattice = tmp_path / "lattice.bin"
+    assert main(["oracle", "--n", "4", "--output", str(lattice),
+                 "wave(1,0,0,0)", "wave(0,1,0,0)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('{"error": {"code": "usage", "message": "oracle takes exactly 4 wave '
+                            'expressions, got 2"}}\n')
+    assert not lattice.exists()
+
+
 DEEP = 10_000
 
 

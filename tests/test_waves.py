@@ -605,6 +605,86 @@ def test_sample_on_grid_of_empty_sum_is_zero():
         assert out.shape == (4,) * n and out.dtype == complex and not out.any()
 
 
+# -- the flat spectrum and the distinct-value exp tables, bit for bit ----------
+
+def grid_oracle_tuple_accumulation(factors, spec, cfg):
+    """Reference: the lattice oracle accumulating its weighted tuples into an
+    N^n spectrum with one n-tuple np.add.at over their (M, ..., M, n)
+    output indices."""
+    n, N = spec.n, spec.points_per_axis
+    specs = [np.fft.fftn(np.asarray(a, dtype=complex)) / N**n for a in factors]
+    occupied = []
+    for F in specs:
+        cutoff = waves.OCCUPANCY_CUTOFF * max(1.0, float(np.abs(F).max()))
+        occupied.append(np.argwhere(np.abs(F) > cutoff))
+    ints = spec.int_freqs()
+    coeffs = [F[tuple(idx.T)] for F, idx in zip(specs, occupied)]
+    coeff = waves._weighted_products(coeffs, [spec.base_freq * ints[idx] for idx in occupied],
+                                     cfg)
+    target = sum(waves._along(j, idx, n) for j, idx in enumerate(occupied))
+    out_spec = np.zeros((N,) * n, dtype=complex)
+    np.add.at(out_spec, tuple(np.moveaxis(target % N, -1, 0)), coeff)
+    return np.fft.ifftn(out_spec) * N**n
+
+
+def sample_per_term_tables(w, spec):
+    """Reference: WaveSum.sample_on_grid with one exp table per (term, axis)."""
+    n, N = w.n, spec.points_per_axis
+    out = np.zeros((N, N ** (n - 1)), dtype=complex)
+    coeff = np.array([c for c, _ in w.terms], dtype=complex)
+    freq = np.array([f for _, f in w.terms], dtype=float)
+    tables = np.exp(1j * (freq[:, :, None] * spec.axis_points()))
+    for lo in range(0, len(coeff), SAMPLE_BLOCK):
+        block = tables[lo:lo + SAMPLE_BLOCK]
+        rest = block[:, n - 1]
+        for k in range(n - 2, 0, -1):
+            rest = (block[:, k, :, None] * rest[:, None, :]).reshape(len(block), -1)
+        out += (coeff[lo:lo + SAMPLE_BLOCK, None] * block[:, 0]).T @ rest
+    return out.reshape((N,) * n)
+
+
+@pytest.mark.parametrize("n, N, reach", [(3, 4, 1), (3, 8, 2), (4, 4, 1)])
+def test_grid_oracle_flat_spectrum_equals_tuple_accumulation_bytes(n, N, reach):
+    # N = 4 holds frequencies -2..1 per axis, so tuples with components in
+    # -1..1 sum past the band and wrap; at N = 8, components in -2..2 do too
+    rng = random.Random(80 + 10 * n + N)
+    grid = GridSpec(n, N, 2 * math.pi)
+    for _ in range(3):
+        cfg = _random_theta(rng, n)
+        samples = [_random_wave(rng, n, rng.randint(2, 6), reach).sample_on_grid(grid)
+                   for _ in range(n)]
+        ref = grid_oracle_tuple_accumulation(samples, grid, cfg)
+        assert grid_oracle_star(samples, grid, cfg).tobytes() == ref.tobytes()
+        # a factor with a single occupied frequency
+        single = WaveSum.single(1.5 - 0.5j, (-1.0,) + (0.0,) * (n - 1)).sample_on_grid(grid)
+        samples[1] = single
+        ref = grid_oracle_tuple_accumulation(samples, grid, cfg)
+        assert grid_oracle_star(samples, grid, cfg).tobytes() == ref.tobytes()
+    if n == 3 and N == 4:
+        # off-lattice frequencies occupy every lattice frequency
+        off = [WaveSum(n, [(1 - 1j, (0.3, -0.0, 1.0)), (0.5j, (0.0, -0.7, 0.3))]).sample_on_grid(grid)
+               for _ in range(n)]
+        ref = grid_oracle_tuple_accumulation(off, grid, cfg)
+        assert grid_oracle_star(off, grid, cfg).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n, N, L", [(3, 4, 2 * math.pi), (3, 6, 2.5), (4, 4, 1.0)])
+def test_sample_on_grid_distinct_value_tables_equal_per_term_tables_bytes(n, N, L):
+    rng = random.Random(90 + 10 * n + N)
+    spec = GridSpec(n, N, L)
+    # repeated values, off-lattice ones, and 0.0 next to -0.0
+    values = [0.0, -0.0, 1.0, -1.0, 0.37, -2.5, spec.base_freq]
+    for terms in (1, 5, SAMPLE_BLOCK + 3):
+        w = WaveSum(n, [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                         tuple(rng.choice(values) for _ in range(n))) for _ in range(terms)])
+        assert w.sample_on_grid(spec).tobytes() == sample_per_term_tables(w, spec).tobytes()
+    freq = np.array([f for _, f in w.terms])
+    zero = freq == 0
+    assert (zero & np.signbit(freq)).any() and (zero & ~np.signbit(freq)).any()
+    mixed = WaveSum(n, [(1.0, (0.0, -0.0) + (1.0,) * (n - 2)), (2j, (-0.0, 0.0) + (-1.0,) * (n - 2))])
+    assert mixed.sample_on_grid(spec).tobytes() == sample_per_term_tables(mixed, spec).tobytes()
+
+
 def test_distinct_rows_in_lexicographic_order():
     rng = np.random.default_rng(5)
     # 8000 values per column: the five-column code outgrows int64 and is re-ranked

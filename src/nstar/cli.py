@@ -15,7 +15,7 @@ command line only.
 Exit codes: 0 success, 1 a guaranteed audit claim failed, 2 usage error
 (bad flags, malformed expressions, dimension mismatches, out-of-range
 values, an --output that cannot be written or a config file that cannot
-be read).
+be read).  An --output's directory is checked before any command's work.
 """
 
 from __future__ import annotations
@@ -57,19 +57,9 @@ LATTICE_FIT_TOL = 1e-9
 
 
 class UsageError(Exception):
-    def __init__(self, message: str, code: str = "usage", line: int | None = None,
-                 col: int | None = None):
+    def __init__(self, message: str, code: str = "usage"):
         super().__init__(message)
         self.code = code
-        self.line = line
-        self.col = col
-
-    def to_json(self) -> str:
-        body = {"code": self.code, "message": str(self)}
-        if self.line is not None:
-            body["line"] = self.line
-            body["col"] = self.col
-        return json.dumps({"error": body})
 
 
 class Flag(NamedTuple):
@@ -125,11 +115,15 @@ def _component(part: str, index: int, conv, what: str, text: str):
     """Component `index` (1-based) of the flag value `text`, converted with
     `conv`; a usage error names the component and why it is rejected."""
     try:
-        return conv(part.strip())
+        value = conv(part.strip())
     except ZeroDivisionError:
         reason = "zero denominator"
     except ValueError:
         reason = "not an integer" if conv is int else "not a number"
+    else:
+        if conv is not float or math.isfinite(value):
+            return value
+        reason = "not a finite number"
     raise UsageError(f"malformed {what} {text!r}: component {index}: {reason}")
 
 
@@ -139,14 +133,8 @@ def _parse_list(text: str, what: str, conv=Fraction) -> tuple:
 
 def _theta_config(args) -> ThetaConfig:
     if args.theta is None:
-        theta = (Fraction(1),) * args.n
-    else:
-        theta = _parse_list(args.theta, "theta")
-    return ThetaConfig(args.n, theta)
-
-
-def _parse_exprs(texts, n):
-    return [parse_expression(t, n) for t in texts]
+        return ThetaConfig.uniform(args.n)
+    return ThetaConfig(args.n, _parse_list(args.theta, "theta"))
 
 
 def _write_json(path: str, body) -> None:
@@ -162,8 +150,8 @@ def _write(path: str, save) -> None:
 
 
 def _check_output_dir(path: str) -> None:
-    """The usage error _write would raise, before any work, when path's
-    directory is missing, not a directory or not writable."""
+    """The usage error _write would raise when path's directory is missing,
+    not a directory or not writable; main asks before any command's work."""
     parent = Path(path).parent
     problem = (errno.ENOENT if not parent.exists() else errno.ENOTDIR if not parent.is_dir()
                else errno.EACCES if not os.access(parent, os.W_OK) else None)
@@ -205,7 +193,7 @@ def _cmd_product(args) -> int:
         takes = (f"the two outer factors plus {cfg.n - 2} middle factors ({cfg.n} expressions)"
                  if args.command == "bracket" else f"exactly {cfg.n} expressions")
         raise UsageError(f"{args.command} takes {takes}, got {len(args.exprs)}")
-    nodes = _parse_exprs(args.exprs, cfg.n)
+    nodes = [parse_expression(t, cfg.n) for t in args.exprs]
     if args.command == "star" and any(contains_wave(nd) for nd in nodes):
         result = star_waves([lower_wave(nd, cfg.n) for nd in nodes], cfg)
     else:
@@ -241,7 +229,6 @@ def _cmd_omega(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_output_dir(args.output)  # before the audit, not after it
     reports = run_suite(seed=args.seed, trials=args.trials)
     _write(args.output, lambda path: Path(path).write_text(reports_to_json(reports) + "\n"))
     for rep in reports:
@@ -355,7 +342,7 @@ def _cmd_oracle(args) -> int:
     if args.N ** cfg.n > args.budget:
         raise WorkBudgetError(f"lattice of N^n = {args.N}^{cfg.n} points exceeds "
                               f"budget {args.budget:.3g}")
-    nodes = _parse_exprs(args.exprs, cfg.n)
+    nodes = [parse_expression(t, cfg.n) for t in args.exprs]
     waves = [lower_wave(nd, cfg.n) for nd in nodes]
     _check_lattice_fit(args.exprs, waves, grid)
     closed = star_waves(waves, cfg)
@@ -470,20 +457,26 @@ def main(argv=None) -> int:
             if getattr(args, name) is None:
                 setattr(args, name, _config_value(flag, name, config[name])
                         if name in config and not flag.repeat else flag.default)
+        if args.output:
+            _check_output_dir(args.output)
         return command.handler(args)
-    except ExprError as exc:
-        err = UsageError(exc.message, code="parse-error", line=exc.line, col=exc.col)
-        print(err.to_json(), file=sys.stderr)
+    except (UsageError, ValueError, OverflowError, WorkBudgetError) as exc:
+        print(_diagnostic(exc), file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(exc.to_json(), file=sys.stderr)
-        return 2
-    except WorkBudgetError as exc:
-        print(UsageError(str(exc), code="budget").to_json(), file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:  # out-of-range values
-        print(UsageError(str(exc)).to_json(), file=sys.stderr)
-        return 2
+
+
+def _diagnostic(exc: Exception) -> str:
+    """The JSON line main prints for a failure it exits 2 on: an ExprError
+    is a parse-error with its line and column, a WorkBudgetError a budget
+    error, a UsageError has its own code, and any other (out-of-range
+    values) is a usage error."""
+    if isinstance(exc, ExprError):
+        body = {"code": "parse-error", "message": exc.message, "line": exc.line, "col": exc.col}
+    else:
+        code = (exc.code if isinstance(exc, UsageError)
+                else "budget" if isinstance(exc, WorkBudgetError) else "usage")
+        body = {"code": code, "message": str(exc)}
+    return json.dumps({"error": body})
 
 
 if __name__ == "__main__":

@@ -22,25 +22,29 @@ Parentheses nest at most MAX_DEPTH (50) deep.
 Parsed trees round-trip through the printer: parse(print(tree)) == tree.
 Polynomial expressions lower to exact Polynomial values; wave atoms
 lower to WaveSum; mixing the two classes in one expression is rejected.
+A wave expression lowers node by node to one of two values: a complex
+for a subtree without waves, else the node's merged (coefficient,
+frequency) terms, which the top node hands to WaveSum as they are.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 import string
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import NamedTuple
 
 from .closedforms import complex_pair
 from .polynomials import Polynomial
 from .scalars import ExactComplex
-from .waves import WaveSum, _coeff_overflow_error, _nonzero_terms, merge_terms
+from .waves import WaveSum, _coeff_overflow_error, _merge_key, _nonzero_terms, merge_terms
 
 
 class ExprError(ValueError):
@@ -436,16 +440,10 @@ def lower_poly(node: Node, n: int) -> Polynomial:
     if isinstance(node, Wave):
         raise ExprError("wave atoms cannot appear in a polynomial expression", *node.pos)
     if isinstance(node, Sum):
-        total = Polynomial.zero(n)
-        for sign, term in zip(node.signs, node.terms):
-            p = lower_poly(term, n)
-            total = total + (p if sign > 0 else -p)
-        return total
+        return reduce(operator.add, (lower_poly(t, n) if s > 0 else -lower_poly(t, n)
+                                     for s, t in zip(node.signs, node.terms)))
     if isinstance(node, Prod):
-        total = Polynomial.constant(1, n)
-        for f in node.factors:
-            total = total * lower_poly(f, n)
-        return total
+        return reduce(operator.mul, (lower_poly(f, n) for f in node.factors))
     if isinstance(node, Pow):
         return lower_poly(node.base, n) ** node.exp
     raise TypeError(f"unknown node {node!r}")
@@ -454,23 +452,24 @@ def lower_poly(node: Node, n: int) -> Polynomial:
 def lower_wave(node: Node, n: int) -> WaveSum:
     """Lower to a WaveSum; coordinate atoms are rejected.
 
-    The tree lowers to plain (coeff, freq) term lists, and one WaveSum is
-    built from the top one.  Its terms are exactly those of a merged
-    WaveSum built at every node: each node's list is merged (merge_terms),
-    except a Sum's, which is merged where it is used (by a product, a
-    power, a minus sign or an enclosing Sum, or at the top by WaveSum).
-    A subtree without waves folds to the one coefficient its merged
-    frequency-0 term would have, by the same float operations in the same
-    order.
+    Each node lowers to its merged (coeff, freq) terms, exactly those of a
+    WaveSum built at every node: a product or a power merges the products
+    of its operands' terms, and a Sum merges its signed terms where it is
+    built (merge_terms).  A subtree without waves folds to the one
+    coefficient its merged frequency-0 term would have, by the same float
+    operations in the same order.  The top node's terms are wrapped as
+    they are, with no second merge.
     """
-    return WaveSum(n, _listed(_wave_terms(node, n), n))
+    terms = _wave_terms(node, n)
+    if type(terms) is complex:
+        terms = ((terms, (0.0,) * n),) if terms else ()
+    return WaveSum._canonical(n, terms)
 
 
 def _wave_terms(node: Node, n: int):
-    """node's terms: a complex for a subtree without waves (its merged
-    frequency-0 coefficient, 0 for no term); for a Sum with waves, a list of
-    its terms' merged terms, negated by sign, one after another; for any
-    other node, its merged terms as a tuple."""
+    """node's value: a complex for a subtree without waves (its merged
+    frequency-0 coefficient, 0 for no term), else its merged terms as a
+    tuple."""
     if isinstance(node, Lit):
         try:
             return complex(0, float(node.im)) if node.im else complex(float(node.re), 0)
@@ -481,50 +480,32 @@ def _wave_terms(node: Node, n: int):
     if isinstance(node, Wave):
         if len(node.freqs) != n:
             raise ExprError(f"wave arity {len(node.freqs)} does not match dimension {n}", *node.pos)
-        return merge_terms(n, [(1.0 + 0j, node.freqs)])
+        return ((1.0 + 0j, _merge_key(n, node.freqs)[0]),)
     if isinstance(node, Sum):
         terms = []
         has_waves = False
         for sign, term in zip(node.signs, node.terms):
-            part = _merged(_wave_terms(term, n), n)
-            if type(part) is complex:
-                if part:
-                    terms.append(part if sign > 0 else part * -1.0)
-            else:
+            part = _wave_terms(term, n)
+            if type(part) is not complex:
                 has_waves = True
-                terms.extend(part if sign > 0 else [(c * -1.0, f) for c, f in part])
+                terms += part if sign > 0 else [(c * -1.0, f) for c, f in part]
+            elif part:
+                terms.append(part if sign > 0 else part * -1.0)
         if has_waves:
-            return [(c, (0.0,) * n) if type(c) is complex else c for c in terms]
-        if not terms:
-            return 0j
-        total = terms[0]
-        for c in terms[1:]:
-            total += c
-        return _constant(total, n)
+            return merge_terms(n, [(c, (0.0,) * n) if type(c) is complex else c for c in terms])
+        return _constant(reduce(operator.add, terms) if terms else 0j, n)
     if isinstance(node, Prod):
         total = 1.0 + 0j
         for f in node.factors:
-            total = _times(total, _merged(_wave_terms(f, n), n), n)
+            total = _times(total, _wave_terms(f, n), n)
         return total
     if isinstance(node, Pow):
-        base = _merged(_wave_terms(node.base, n), n)
+        base = _wave_terms(node.base, n)
         total = 1.0 + 0j
         for _ in range(node.exp):
             total = _times(total, base, n)
         return total
     raise TypeError(f"unknown node {node!r}")
-
-
-def _merged(terms, n: int):
-    """_wave_terms' value for a node, merged where it is a Sum's list."""
-    return merge_terms(n, terms) if type(terms) is list else terms
-
-
-def _listed(terms, n: int):
-    """_wave_terms' value as a sequence of (coeff, freq) terms."""
-    if type(terms) is not complex:
-        return terms
-    return [(terms, (0.0,) * n)] if terms else []
 
 
 def _constant(coeff: complex, n: int) -> complex:
@@ -536,12 +517,14 @@ def _constant(coeff: complex, n: int) -> complex:
 
 
 def _times(a, b, n: int):
-    """The merged product of two merged values of _wave_terms, as
-    WaveSum.__mul__ forms it."""
+    """The merged product of two values of _wave_terms, as WaveSum.__mul__
+    forms it."""
+    if type(b) is complex:  # complex products and 0.0 + v commute bit for bit
+        a, b = b, a
     if type(a) is complex:
         if type(b) is complex:
             return _constant(a * b, n)
         # 0.0 + v keeps the merge key of v, so b's terms stay distinct and sorted
         return _nonzero_terms([(a * c, tuple([0.0 + v for v in f])) for c, f in b])
     return merge_terms(n, [(c1 * c2, tuple([u + v for u, v in zip(f1, f2)]))
-                           for c1, f1 in _listed(a, n) for c2, f2 in _listed(b, n)])
+                           for c1, f1 in a for c2, f2 in b])

@@ -245,48 +245,48 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
     # differentiate axis k in slot 0, so a slot-0 node that counts a
     # derivative along one holds only compositions that use an omitted term
     idle = [a for a in range(n) if not cfg.theta[a]]
-    last = n - 1
     mirrored = all(derivs[j] is derivs[n - j] for j in range(1, (n + 1) // 2))
-
-    def diffed(slot: int, counts: tuple[int, ...]):
-        cache = derivs[slot]
-        got = cache.get(counts)
-        if got is not None:
-            return got
-        prev, axis = _peel(counts)
-        below = diffed(slot, prev)  # a zero derivative stays zero
-        val = cache[counts] = below if below.is_zero() else below.diff(axis)
-        return val
-
-    def walk(node, j: int, chain: tuple, weights: list, chains: list) -> None:
-        for counts, child in node:
-            if j == 0 and idle and any(counts[a] for a in idle):
-                continue  # the whole subtree uses a term with theta_k = 0
-            if diffed(j, counts).is_zero():
-                continue  # the whole subtree has this zero slot
-            if j < last:
-                walk(child, j + 1, chain + (counts,), weights, chains)
-            else:
-                weights.append(child)
-                chains.append(chain + (counts,))
-
     if order is None:
         if bound is None:
             raise ValueError("the series does not terminate: give an order")
         order = bound
     elif order < 0:
         raise ValueError("order must be non-negative")
-    try:
-        for m in range(order + 1):
-            weights: list[ExactComplex] = []
-            chains: list[tuple[tuple[int, ...], ...]] = []
-            if (bound is None or m <= bound) and not (mirrored and m % 2):
-                walk(_plan(n, m), 0, (), weights, chains)
-            yield weights, chains
-    finally:
-        # both closures reach themselves through their cells; without this
-        # each call's derivative memo lives on until the cyclic collector runs
-        diffed = walk = None
+    for m in range(order + 1):
+        weights: list[ExactComplex] = []
+        chains: list[tuple[tuple[int, ...], ...]] = []
+        if (bound is None or m <= bound) and not (mirrored and m % 2):
+            _walk(_plan(n, m), 0, (), derivs, idle, weights, chains)
+        yield weights, chains
+
+
+def _diffed(memo: dict, counts: tuple[int, ...]):
+    """The slot derivative at counts, from and into its memo (a dict of
+    ``_derivative_memos``), one ``_peel`` step from counts already there."""
+    got = memo.get(counts)
+    if got is not None:
+        return got
+    prev, axis = _peel(counts)
+    below = _diffed(memo, prev)  # a zero derivative stays zero
+    val = memo[counts] = below if below.is_zero() else below.diff(axis)
+    return val
+
+
+def _walk(node, j: int, chain: tuple, derivs: list[dict], idle: list[int], weights: list,
+          chains: list) -> None:
+    """Append the unit weight and chain of every live leaf below node, a
+    plan node of slot j reached by chain (``_live_chains``)."""
+    last = len(derivs) - 1
+    for counts, child in node:
+        if j == 0 and idle and any(counts[a] for a in idle):
+            continue  # the whole subtree uses a term with theta_k = 0
+        if _diffed(derivs[j], counts).is_zero():
+            continue  # the whole subtree has this zero slot
+        if j < last:
+            _walk(child, j + 1, chain + (counts,), derivs, idle, weights, chains)
+        else:
+            weights.append(child)
+            chains.append(chain + (counts,))
 
 
 def _multiply_out(weights: list, chains: list, derivs: list[dict], cfg: ThetaConfig,

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .starcore import ThetaConfig, sigma_power
+from .starcore import ThetaConfig, _check_arity, sigma_power
 
 MERGE_TOL = 1e-12
 # The largest frequency component whose merge key round(v / MERGE_TOL) is finite.
@@ -52,7 +52,8 @@ def freq_cross(q: Sequence[float], r: Sequence[float]) -> tuple:
     """Antisymmetric frequency combination for dimension 3.
 
     Component j is q_{s(j)} r_{s2(j)} - q_{s2(j)} r_{s(j)}, which is the
-    ordinary cross product q x r.  Exact when the inputs are ints.
+    ordinary cross product q x r.  Exact when the inputs are ints; a float
+    component that is not finite raises OverflowError naming q and r.
     """
     if len(q) != 3 or len(r) != 3:
         raise ValueError(f"defined for dimension 3 vectors only, got {len(q)} and {len(r)} "
@@ -61,6 +62,9 @@ def freq_cross(q: Sequence[float], r: Sequence[float]) -> tuple:
     for j in range(1, 4):
         s1, s2 = sigma_power(j, 1, 3) - 1, sigma_power(j, 2, 3) - 1
         out.append(q[s1] * r[s2] - q[s2] * r[s1])
+    if any(isinstance(v, float) and not math.isfinite(v) for v in out):
+        raise OverflowError(f"frequency cross product of q = {list(q)} and r = {list(r)} "
+                            f"is not finite: {out}")
     return tuple(out)
 
 
@@ -75,6 +79,11 @@ def kernel_exponent(freqs: Sequence, cfg: ThetaConfig) -> complex | np.ndarray:
     (last axis n).  The slots broadcast against each other and the
     result is an array of exponents over the broadcast shape; n plain
     vectors give a Python complex.
+
+    The sigma-routing is written out here, not read from
+    ``starcore.deformation_terms`` or its plan, on purpose: it is the one
+    copy of the routing the exact engine does not share, so comparing the
+    two (the kernel is the symbol of the operator) checks both.
     """
     n = cfg.n
     if len(freqs) != n:
@@ -173,13 +182,8 @@ def merge_terms(n: int, terms: Iterable[tuple[complex, Sequence[float]]]) -> tup
     coefficients, added in input order.  Keys come out sorted and exact
     zeros are dropped.  A frequency whose key is not finite raises
     OverflowError, and a non-finite coefficient KernelOverflowError, both
-    naming the frequency.  A list or tuple of one term skips the dict and
-    the sort.
+    naming the frequency.
     """
-    if type(terms) in (list, tuple) and len(terms) == 1:
-        (coeff, freq), = terms
-        freq, _ = _merge_key(n, freq)  # the key only for its range check
-        return _nonzero_terms(((complex(coeff), freq),))
     merged: dict[tuple[int, ...], list] = {}
     for coeff, freq in terms:
         freq, key = _merge_key(n, freq)
@@ -343,12 +347,8 @@ def _weighted_products(coeffs: Sequence[np.ndarray], slots: Sequence[np.ndarray]
 
 def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:
     """n-ary star product of finite wave sums, by multilinearity."""
+    _check_arity(factors, cfg)
     n = cfg.n
-    if len(factors) != n:
-        raise ValueError(f"expected {n} factors, got {len(factors)}")
-    for w in factors:
-        if w.n != n:
-            raise ValueError("factor dimension mismatch")
     if not all(w.terms for w in factors):
         return WaveSum._canonical(n, ())
     coeffs = [np.array([c for c, _ in w.terms], dtype=complex) for w in factors]

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import itertools
 import json
@@ -361,6 +362,32 @@ def test_omega_command(capsys):
     assert capsys.readouterr().out.strip() == "omega = [1.0, 0.0, 0.0]"
 
 
+# The float wave commands print no NaN or inf: a non-finite component is
+# rejected where it is read, and a cross product that overflows raises.
+@pytest.mark.parametrize("argv, message", [
+    (["omega", "nan,0,0", "0,1,0"],
+     "malformed frequency vector 'nan,0,0': component 1: not a finite number"),
+    (["omega", "--format", "json", "nan,0,0", "0,1,0"],
+     "malformed frequency vector 'nan,0,0': component 1: not a finite number"),
+    (["omega", "0,1,0", "0,0,1e999"],
+     "malformed frequency vector '0,0,1e999': component 3: not a finite number"),
+    (["omega", "1e308,1e308,0", "1e308,-1e308,0"],
+     "frequency cross product of q = [1e+308, 1e+308, 0.0] and r = [1e+308, -1e+308, 0.0] "
+     "is not finite: [0.0, 0.0, -inf]"),
+    (["kernel", "--theta", "0,0,0", "nan,0,0", "0,1,0", "0,0,1"],
+     "malformed frequency vector 'nan,0,0': component 1: not a finite number"),
+    (["kernel", "1,0,0", "0,-inf,0", "0,0,1"],
+     "malformed frequency vector '0,-inf,0': component 2: not a finite number"),
+], ids=["omega-nan", "omega-nan-json", "omega-1e999", "omega-overflow", "kernel-nan", "kernel-inf"])
+def test_non_finite_wave_vectors_are_usage_errors_pinned(argv, message, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)  # no config file
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": {"code": "usage", "message": message}}) + "\n"
+
+
 def test_verify_deterministic_and_exit_zero(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -402,6 +429,31 @@ def test_unwritable_output_or_config_exits_2_naming_the_path(tmp_path, monkeypat
     assert main(["omega", "0,1,0", "0,0,1"]) == 2
     body = json.loads(capsys.readouterr().err)["error"]
     assert body == {"code": "io", "message": "cannot read config file nstar.json: Permission denied"}
+
+
+@pytest.mark.parametrize("argv, engine", [
+    (["star", "x1", "x2", "x3", "--output", "missing/o.json"], "star_n"),
+    (["star", "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)", "--output", "missing/o.json"],
+     "star_waves"),
+    # the --output is checked before the handler finds the wrong arity
+    (["star", "x1", "x2", "--output", "missing/o.json"], "star_n"),
+    (["residual", "--output", "missing/t.csv"], "residual_report"),
+    (["spectrum", "--format", "json", "--output", "missing/t.json"], "energy"),
+    (["oracle", "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)", "--output", "missing/l.bin"],
+     "star_waves"),
+], ids=["star", "star-waves", "star-arity", "residual", "spectrum", "oracle"])
+def test_unwritable_output_exits_before_the_engine_runs(argv, engine, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def not_called(*args, **kwargs):
+        raise AssertionError(f"{engine} ran before --output was checked")
+    monkeypatch.setattr(cli, engine, not_called)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {"code": "io", "message":
+                                         f"cannot write {argv[-1]}: No such file or directory"}}
 
 
 def test_residual_csv(tmp_path):
@@ -961,6 +1013,30 @@ def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
             assert out == comment.strip() + "\n", line
             shown.add(comment.strip())
     assert shown == README_OUTPUTS
+
+
+# The README comments that show a library call's result, up to a colon.
+README_TOUR_RESULTS = {"x1*x2*x3 + (1/2)i", "i", "(1+0j)"}
+
+
+def test_readme_library_quick_tour(tmp_path, monkeypatch):
+    # every statement of the block runs; a call commented with a result shows it
+    monkeypatch.chdir(tmp_path)
+    section = (REPO / "README.md").read_text().split("\n## Library quick tour\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```\n", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = set()
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        result = lines[stmt.lineno - 1].partition("#")[2].split(":")[0].strip()
+        if result in README_TOUR_RESULTS:
+            assert str(value) == result, lines[stmt.lineno - 1]
+            shown.add(result)
+    assert shown == README_TOUR_RESULTS
 
 
 # sha256 of the stdout of the demos that print only exact values; 03 and 05

@@ -255,6 +255,15 @@ def _assert_lowers_as_node_by_node(text, n=3):
     # (0.2 + 0.3) + 0.1 is 0.6, (0.1 + 0.2) + 0.3 is 0.6000000000000001
     "1/5 + 3/10 + 1/10*wave(0,0,0)",
     "1/5 + wave(-0,0,0)",
+    # a constant on the right of a wave product, next to -0.0 components
+    "wave(-0,1,-0)*(1/3 - 2i)",
+    "wave(1,-0,0)*2*wave(-0,0,1)*(-1i)",
+    # a negated sum of waves
+    "-(wave(1,0,0) + 1/3*wave(0,1,0) - wave(1,0,-0))",
+    # a power of a sum that mixes constants and waves
+    "(1/2 + wave(1,0,0) - 1/3i + wave(-0,0,1))^3",
+    # no wave at all
+    "(1/3 + 2i)*(1/7 - 1/5i)^2 - 1/9",
 ])
 def test_lower_wave_matches_node_by_node_lowering(text):
     _assert_lowers_as_node_by_node(text)
@@ -281,6 +290,12 @@ def test_lower_wave_matches_node_by_node_lowering_on_random_trees():
     rng = random.Random("flat-lowering")
     for _ in range(300):
         _assert_lowers_as_node_by_node(_random_wave_text(rng, 3))
+
+
+@settings(deadline=None)  # the ci profile draws 500 examples
+@given(st.integers(0, 2**32 - 1))
+def test_lower_wave_matches_node_by_node_lowering_hypothesis_seeds(seed):
+    _assert_lowers_as_node_by_node(_random_wave_text(random.Random(seed), 3))
 
 
 def test_round_trip_examples():

@@ -44,6 +44,7 @@ from .starcore import ThetaConfig, conjugate_star_n, star_bracket, star_n
 from .waves import (
     GridSpec,
     WorkBudgetError,
+    float_theta,
     freq_cross,
     grid_oracle_star,
     kernel_weights,
@@ -137,6 +138,15 @@ def _theta_config(args) -> ThetaConfig:
     return ThetaConfig(args.n, _parse_list(args.theta, "theta"))
 
 
+def _check_wave_theta(cfg: ThetaConfig, args) -> None:
+    """The wave commands compute in floats: a --theta component past the
+    float range (``float_theta``) is a usage error that names it."""
+    try:
+        float_theta(cfg)
+    except OverflowError as exc:
+        raise UsageError(f"--theta {args.theta!r}: {exc}") from None
+
+
 def _write_json(path: str, body) -> None:
     Path(path).write_text(json.dumps(body, indent=2, check_circular=False) + "\n")
 
@@ -195,6 +205,7 @@ def _cmd_product(args) -> int:
         raise UsageError(f"{args.command} takes {takes}, got {len(args.exprs)}")
     nodes = [parse_expression(t, cfg.n) for t in args.exprs]
     if args.command == "star" and any(contains_wave(nd) for nd in nodes):
+        _check_wave_theta(cfg, args)
         result = star_waves([lower_wave(nd, cfg.n) for nd in nodes], cfg)
     else:
         polys = [lower_poly(nd, cfg.n) for nd in nodes]
@@ -210,6 +221,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_kernel(args) -> int:
     cfg = _theta_config(args)
+    _check_wave_theta(cfg, args)
     vectors = [_parse_list(v, "frequency vector", float) for v in args.freqs]
     expo, weight = kernel_weights(vectors, cfg)
     mult = complex(weight)
@@ -335,6 +347,7 @@ def _cmd_oracle(args) -> int:
     cfg = _theta_config(args)
     if len(args.exprs) != cfg.n:
         raise UsageError(f"oracle takes exactly {cfg.n} wave expressions, got {len(args.exprs)}")
+    _check_wave_theta(cfg, args)
     grid = GridSpec(cfg.n, args.N, args.L)
     if not args.budget > 0:  # a NaN budget would pass every comparison below
         raise UsageError(f"--budget must be positive (inf for no limit), got {args.budget!r}")

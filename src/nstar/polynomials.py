@@ -524,8 +524,9 @@ def _sum_of_products(weights: Sequence[ExactComplex], chains: Sequence[Sequence]
 
     Every term dict is packed once, the term dicts of slot j together
     over one denominator D_j, the least common denominator of all their
-    coefficients.  Every chain's numerators are then over the weights'
-    denominator times prod_j D_j, and ``_fold`` multiplies all of them
+    coefficients; slots that are one mapping object share its packing.
+    Every chain's numerators are then over the weights' denominator
+    times prod_j D_j, and ``_fold`` multiplies all of them
     out into one accumulator, unpacked once.  The keys are packed at
     the bit width of `degree`, the coefficients at the width ``_width``
     gives the weights' norm times, per slot, the largest norm among its
@@ -536,10 +537,15 @@ def _sum_of_products(weights: Sequence[ExactComplex], chains: Sequence[Sequence]
         return {}
     shifts, _ = layout = _layout(degree.bit_length(), n)
     den, [(norm, rows)] = _split([{(i,): wt for i, wt in enumerate(weights)}])
-    split = [_split(slot.values()) for slot in slots]
+    # a mapping object that fills several slots is split and packed once
+    split_of: dict[int, tuple] = {}
+    split = [split_of.get(id(slot)) or split_of.setdefault(id(slot), _split(slot.values()))
+             for slot in slots]
     den = math.prod([d for d, _ in split], start=den)
     w = _width(math.prod([max([part[0] for part in parts]) for _, parts in split], start=norm))
-    packed = [{key: _encode(part[1], shifts, w) for key, part in zip(slot, parts)}
+    packed_of: dict[int, dict] = {}
+    packed = [packed_of.get(id(slot)) or packed_of.setdefault(
+                  id(slot), {key: _encode(part[1], shifts, w) for key, part in zip(slot, parts)})
               for slot, (_, parts) in zip(slots, split)]
     return _unpack(_fold(0, _encode(rows, (0,), w), chains, packed), den, layout, w)
 

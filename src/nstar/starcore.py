@@ -44,6 +44,15 @@ of Moyal's product).  The engine sees this by object identity, from the
 one derivative memo per factor object, and walks no odd order of a
 mirrored product.
 
+Slots 2..n that hold one factor object form a class: permuting the
+counts of a chain inside a class permutes equal slot derivatives, so it
+leaves the slot product as it is.  When some class has two slots or
+more, a product walks a merged plan (``_merged_plan``), built once per
+process from ``_plan``'s leaves for that pattern of classes, with one
+leaf per such permutation orbit of chains under their summed unit
+weight; the slots of a class share one dict of derivatives, packed
+once.  The first slot joins no class: theta^e scales it.
+
 The engine has two callers:
 
 * ``star_n``                        polynomials; walks every order up to
@@ -225,6 +234,51 @@ def _freeze(node):
     return tuple([pair for pair in frozen if pair[1]])
 
 
+def _leaves(node, chain: tuple = ()):
+    """The (chain, unit weight) pairs of a plan's leaves, in the plan's
+    order."""
+    for counts, child in node:
+        if isinstance(child, tuple):
+            yield from _leaves(child, chain + (counts,))
+        else:
+            yield chain + (counts,), child
+
+
+# (n, m, classes) -> the merged plan of ``_merged_plan``
+_merged_plans: dict[tuple, tuple] = {}
+
+
+def _merged_plan(plan: tuple, n: int, m: int, classes: tuple[int, ...]) -> tuple:
+    """``_plan(n, m)``, passed as plan, with the chains that differ only by
+    a permutation of counts inside a class of slots merged into one leaf.
+
+    classes[j - 1] names slot j's class, j = 1..n-1: slots of one class
+    hold one factor object, so permuting their counts permutes equal slot
+    derivatives and leaves every slot product as it is.  A merged leaf
+    holds its class members' summed unit weight under the chain whose
+    counts inside each class descend, and a sum of 0 is left out, as
+    ``_freeze`` does.  Slot 0 is in no class: theta^e scales it.  The
+    merged plan depends on n, m and the classes only, so it is built once
+    per process."""
+    key = (n, m, classes)
+    merged = _merged_plans.get(key)
+    if merged is None:
+        groups = [[j for j in range(1, n) if classes[j - 1] == c] for c in set(classes)]
+        groups = [group for group in groups if len(group) > 1]
+        root: dict = {}
+        for chain, weight in _leaves(plan):
+            chain = list(chain)
+            for group in groups:
+                for j, counts in zip(group, sorted([chain[j] for j in group], reverse=True)):
+                    chain[j] = counts
+            node = root
+            for counts in chain[:-1]:
+                node = node.setdefault(counts, {})
+            node[chain[-1]] = node.get(chain[-1], ZERO) + weight
+        merged = _merged_plans[key] = _freeze(root)
+    return merged
+
+
 def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs: list[dict]):
     """Yield, for m = 0..order, the unit weights and slot chains of order
     m's live compositions: those whose terms all have theta_k != 0 and
@@ -239,13 +293,24 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
 
     When slots 1..n-1 hold the same factor objects read backwards (their
     memos are one object), the product is its own reflection, and an odd
-    order yields no chains without asking for its plan."""
+    order yields no chains without asking for its plan.  When some of
+    slots 1..n-1 share a memo, the walk asks for ``_plan(n, m)`` as
+    always and walks its merge over those classes of slots
+    (``_merged_plan``) instead: a chain there stands for every
+    permutation of its counts inside each class."""
     n = cfg.n
     # the axes k with theta_k = 0: theta_k's two terms, and no other term,
     # differentiate axis k in slot 0, so a slot-0 node that counts a
     # derivative along one holds only compositions that use an omitted term
     idle = [a for a in range(n) if not cfg.theta[a]]
     mirrored = all(derivs[j] is derivs[n - j] for j in range(1, (n + 1) // 2))
+    # slot j's class, j = 1..n-1: the first of slots 1..n-1 with its memo;
+    # worked out only when some slots share a memo
+    merged = False
+    if len(set(map(id, derivs))) < n:
+        first: dict[int, int] = {}
+        classes = tuple([first.setdefault(id(derivs[j]), j) for j in range(1, n)])
+        merged = len(first) < n - 1
     if order is None:
         if bound is None:
             raise ValueError("the series does not terminate: give an order")
@@ -256,7 +321,10 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
         weights: list[ExactComplex] = []
         chains: list[tuple[tuple[int, ...], ...]] = []
         if (bound is None or m <= bound) and not (mirrored and m % 2):
-            _walk(_plan(n, m), 0, (), derivs, idle, weights, chains)
+            plan = _plan(n, m)
+            if merged:
+                plan = _merged_plan(plan, n, m, classes)
+            _walk(plan, 0, (), derivs, idle, weights, chains)
         yield weights, chains
 
 
@@ -303,6 +371,15 @@ def _multiply_out(weights: list, chains: list, derivs: list[dict], cfg: ThetaCon
     # each slot's distinct derivatives, by their counts; none when every
     # product has a zero slot
     slots = [{chain[j]: derivs[j][chain[j]].terms for chain in chains} for j in range(n)]
+    if len(set(map(id, derivs))) < n:
+        # slots 1..n-1 of one factor object (one memo) share one dict, so
+        # it is packed once
+        by_memo: dict[int, dict] = {}
+        for j in range(1, n):
+            shared = by_memo.setdefault(id(derivs[j]), slots[j])
+            if shared is not slots[j]:
+                shared.update(slots[j])
+                slots[j] = shared
     powers: dict[tuple[int, int], ExactComplex] = {}  # (k, c) -> theta_k^c
     for e, terms in slots[0].items():
         if any(e):
@@ -362,7 +439,12 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     walk.  So is every odd increment when slots 1..n-1 hold the same
     factor objects read backwards: the product is then its own
     reflection star_-theta, and increment m changes by (-1)^m under theta
-    -> -theta.  Equal but distinct factor objects take the full walk.
+    -> -theta.  When slots 1..n-1 repeat a factor object, chains that
+    permute counts among that object's slots have one slot product, so
+    the walk takes a merged plan (``_merged_plan``) with one chain per
+    such orbit under its summed unit weight, and the object's slots share
+    one dict of derivatives, packed once.  Equal but distinct factor
+    objects take the full walk.
 
     Each factor's degree is computed once.  It gives the series bound and
     the packing width: at order m a slot's polynomial part has at most its

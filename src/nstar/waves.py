@@ -68,6 +68,22 @@ def freq_cross(q: Sequence[float], r: Sequence[float]) -> tuple:
     return tuple(out)
 
 
+def float_theta(cfg: ThetaConfig) -> tuple[float, ...]:
+    """theta rounded to floats, the one place the wave path converts it.
+
+    Raises OverflowError naming the first component that rounds past the
+    largest float.
+    """
+    out = []
+    for k, th in enumerate(cfg.theta, 1):
+        try:
+            out.append(float(th))
+        except OverflowError:
+            raise OverflowError(f"theta component {k} is beyond the float limit "
+                                f"{sys.float_info.max!r}") from None
+    return tuple(out)
+
+
 def kernel_exponent(freqs: Sequence, cfg: ThetaConfig) -> complex | np.ndarray:
     """Exponent acquired by a star product of n single plane waves.
 
@@ -95,8 +111,7 @@ def kernel_exponent(freqs: Sequence, cfg: ThetaConfig) -> complex | np.ndarray:
                              f"{s.shape[-1] if s.ndim else 'a scalar'}")
     shape = np.broadcast_shapes(*(s.shape[:-1] for s in slots))
     total = np.zeros(shape)
-    for k in range(1, n + 1):
-        th = float(cfg.theta[k - 1])
+    for k, th in enumerate(float_theta(cfg), 1):
         if th == 0.0:
             continue
         fwd = 1.0

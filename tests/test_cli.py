@@ -388,6 +388,39 @@ def test_non_finite_wave_vectors_are_usage_errors_pinned(argv, message, tmp_path
     assert captured.err == json.dumps({"error": {"code": "usage", "message": message}}) + "\n"
 
 
+LIMIT = "the float limit 1.7976931348623157e+308"
+
+
+# The wave commands round theta to floats in one place; a component past the
+# float range is a usage error naming --theta and the component, while the
+# polynomial commands keep the same theta exact.
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "--theta", "1e400,0,0", "1,0,0", "0,1,0", "0,0,1"],
+     f"--theta '1e400,0,0': theta component 1 is beyond {LIMIT}"),
+    (["star", "--theta", "1e400,1,1", "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"],
+     f"--theta '1e400,1,1': theta component 1 is beyond {LIMIT}"),
+    (["star", "--format", "json", "--theta", "1,1,-1e400", "wave(1,0,0)", "x2", "wave(0,0,1)"],
+     f"--theta '1,1,-1e400': theta component 3 is beyond {LIMIT}"),
+    (["oracle", "--N", "4", "--theta", "1,-1e400,1e400", "wave(1,0,0)", "wave(0,1,0)",
+      "wave(0,0,1)"],
+     f"--theta '1,-1e400,1e400': theta component 2 is beyond {LIMIT}"),
+], ids=["kernel", "star-waves", "star-waves-json", "oracle"])
+def test_theta_past_the_float_range_is_a_usage_error_on_the_wave_commands(argv, message, tmp_path,
+                                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # no config file
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": {"code": "usage", "message": message}}) + "\n"
+
+
+def test_theta_past_the_float_range_stays_exact_on_the_polynomial_commands(tmp_path, monkeypatch,
+                                                                           capsys):
+    monkeypatch.chdir(tmp_path)  # no config file
+    assert main(["star", "--theta", "1e400,1,1", "x1", "x2", "x3"]) == 0
+    assert capsys.readouterr().out.strip() == f"x1*x2*x3 + {5 * 10 ** 399}i"
+
+
 def test_verify_deterministic_and_exit_zero(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

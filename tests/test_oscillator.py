@@ -393,6 +393,40 @@ def test_star_polygauss_hand_first_order():
     assert out2.poly == expected
 
 
+def double_factorial(k):
+    return math.prod(range(k, 0, -2))
+
+
+# (n, theta, s) -> increments 0, 2, 4, ... of the star series of n copies of
+# psi_s = exp(-s|x|^2/2), at the origin
+GAUSSIAN_SERIES = {
+    (3, 1, 1): [1, Fraction(3, 4), Fraction(15, 16), Fraction(105, 64), Fraction(945, 256)],
+    (3, 1, 2): [1, 6, 60, 840, 15120],
+    (3, Fraction(3, 2), 1): [1, Fraction(27, 16), Fraction(1215, 256), Fraction(76545, 4096)],
+    (4, 1, 1): [1, -1, Fraction(13, 4), -24],
+    (5, 1, 1): [1, Fraction(5, 4), Fraction(125, 16)],
+}
+
+
+@pytest.mark.parametrize("n, theta, s", list(GAUSSIAN_SERIES))
+@pytest.mark.parametrize("shared", [True, False], ids=["one-object", "copies"])
+def test_gaussian_series_grows_without_bound_pinned(n, theta, s, shared):
+    # the series of star_polygauss_truncated with a Gaussian in every slot
+    # diverges: at n = 3, uniform theta, increment 2k at the origin is
+    # (2k+1)!! (theta^2 s^3 / 4)^k; n = 4 alternates and n = 5 grows.  Every
+    # odd increment is zero: the slots read the same backwards.  One object
+    # in every slot walks the merged plan, copies walk the plan itself
+    pins = GAUSSIAN_SERIES[n, theta, s]
+    if n == 3:
+        assert pins == [double_factorial(2 * k + 1) * (Fraction(theta) ** 2 * s ** 3 / 4) ** k
+                        for k in range(len(pins))]
+    psi = PolyGauss(Polynomial.constant(1, n), s)
+    factors = [psi] * n if shared else [PolyGauss(Polynomial.constant(1, n), s) for _ in range(n)]
+    incs = star_increments(factors, ThetaConfig.uniform(n, theta), 2 * len(pins) - 2)
+    assert all(inc.is_zero() for inc in incs[1::2])
+    assert [inc.terms.get((0,) * n, 0) for inc in incs[::2]] == pins
+
+
 def test_star_increments_agree_with_star_n():
     # the series engine's two callers: polynomials embedded at scale 0 give
     # increments that sum to star_n and vanish past the smallest degree

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nstar.starcore as starcore
+from nstar import polynomials
 from nstar.audit import CorpusSpec, sample_poly, sample_theta
 from nstar.oscillator import PolyGauss, ground_state, star_increments
 from nstar.polynomials import Polynomial, _sum_of_products, x
@@ -14,6 +15,7 @@ from nstar.scalars import SQRT2, ExactComplex, I
 from nstar.starcore import (
     ThetaConfig,
     _live_chains,
+    _merged_plan,
     _plan,
     _plan_terms,
     conjugate_star_n,
@@ -431,6 +433,25 @@ def test_sum_of_products_puts_each_slot_over_one_denominator():
                          + ExactComplex(Fraction(5, 9)) * Fraction(1, 3)) * Fraction(1, 6)
 
 
+def test_sum_of_products_packs_a_slot_dict_shared_by_slots_once(monkeypatch):
+    # slots 1 and 2 are one dict (one factor object): its term dicts are
+    # packed once, and each of the two slots still counts its own
+    # denominator and norm
+    f = Polynomial(2, {(1, 0): Fraction(1, 6), (0, 1): ExactComplex(0, 0, Fraction(1, 4))})
+    g = Polynomial(2, {(0, 1): Fraction(2, 3), (0, 0): ExactComplex(Fraction(-1, 5), 3)})
+    shared = {0: g.terms, 1: g.diff(2).terms, 2: (g * g).terms}
+    slots = [{0: f.terms, 1: f.diff(1).terms}, shared, shared]
+    weights = [ExactComplex(Fraction(1, 2), 0, Fraction(-1, 3)), ExactComplex(0, Fraction(2, 7)),
+               ExactComplex(1), ExactComplex(0, 0, 0, Fraction(3, 4))]
+    chains = [(0, 0, 0), (1, 2, 0), (0, 1, 2), (1, 1, 1)]
+    encoded = []
+    encode = polynomials._encode
+    monkeypatch.setattr(polynomials, "_encode", lambda rows, *a: encoded.append(rows) or encode(rows, *a))
+    assert_sum_of_products_matches_reference(weights, chains, slots, 2)
+    # the weights, slot 0's two term dicts and the shared dict's three
+    assert len(encoded) == 1 + 2 + 3
+
+
 def rt2_poly(rng, n, nterms, degree):
     """A seeded polynomial with fractional and sqrt(2) parts, one term of
     the full degree."""
@@ -570,6 +591,84 @@ def test_plan_holds_every_composition_once_under_its_slot_counts(n, m):
     assert {chain: parts(w) for chain, w in leaves} == \
         {chain: w for chain, w in expected.items() if w != ZERO4}
     assert (len(expected), len(leaves)) == PLAN_SIZES[n, m]
+
+
+# slots 1..n-1's classes (each slot named by the first slot holding its
+# object): every slot one object, mirrored classes, and adjacent pairs
+CLASS_PATTERNS = {3: [(1, 1)], 4: [(1, 1, 1), (1, 2, 1), (1, 1, 3)],
+                  5: [(1, 1, 1, 1), (1, 2, 2, 1), (1, 1, 3, 3)]}
+# (n, m) -> leaves of the plan and of its merge with slots 1..n-1 in one class
+MERGED_SIZES = {(3, 2): (21, 12), (3, 4): (120, 63), (4, 2): (34, 20), (4, 4): (259, 139),
+                (5, 2): (55, 30), (5, 4): (715, 365)}
+
+
+def class_orbit(chain, classes):
+    """A chain up to permutations of counts inside each class: slot 0's
+    counts and the multiset of (class, counts) of slots 1..n-1."""
+    return chain[0], tuple(sorted(zip(classes, chain[1:])))
+
+
+@pytest.mark.parametrize("n, top", [(3, 6), (4, 4), (5, 4)])
+def test_merged_plan_sums_the_plan_over_permutations_inside_each_class(n, top):
+    # every merged leaf is the plan's unit weight summed over one orbit of
+    # chains under permutations inside the classes, one leaf per orbit with
+    # a nonzero sum; a pattern closed under the mirror j -> n - j holds the
+    # reflection law, so its odd orders are empty
+    for classes in CLASS_PATTERNS[n]:
+        mirror_closed = all(classes[j - 1] == classes[n - j - 1] for j in range(1, n))
+        for m in range(top + 1):
+            expected = {}
+            plan = list(plan_leaves(_plan(n, m), n))
+            for chain, weight in plan:
+                orbit = class_orbit(chain, classes)
+                expected[orbit] = plus4(expected.get(orbit, ZERO4), parts(weight))
+            merged = list(plan_leaves(_merged_plan(_plan(n, m), n, m, classes), n))
+            got = {class_orbit(chain, classes): parts(weight) for chain, weight in merged}
+            assert len(got) == len(merged)
+            assert got == {orbit: w for orbit, w in expected.items() if w != ZERO4}
+            if mirror_closed and m % 2:
+                assert merged == []
+            if classes == (1,) * (n - 1) and (n, m) in MERGED_SIZES:
+                assert (len(plan), len(merged)) == MERGED_SIZES[n, m]
+
+
+def merge_cases(n):
+    """(factors, copies, theta, order or None) with slots 1..n-1 grouped
+    into classes by object, slot 0 in some cases one of them too: seeded
+    polynomials with sqrt(2) parts at generic theta, one with a zero
+    component, then Gaussian-weighted slots behind a polynomial lead."""
+    rng = random.Random(f"merged-slots-{n}")
+    patterns = {3: ["fgg", "fff"], 4: ["fggg", "fghh", "ffgg", "fggh"],
+                5: ["fghhg", "fgghh", "fgggh"]}[n]
+    coords = [x(k, n) for k in range(1, n + 1)]
+    for pattern in patterns:
+        # the square of a linear form in three axes keeps increments past 0
+        # nonzero
+        polys = {name: rt2_poly(rng, n, 3, 3 if n < 5 else 2)
+                 + sum((c * rng.randint(1, 3) for c in rng.sample(coords, 3)), Polynomial.zero(n)) ** 2
+                 for name in sorted(set(pattern))}
+        generic = tuple(Fraction(rng.choice((-1, 1)) * (k + 1), rng.randint(1, 4)) for k in range(n))
+        factors = [polys[name] for name in pattern]
+        for theta in (generic, zero_pattern_thetas(rng, n)[0]):
+            yield factors, [copy_of(f) for f in factors], ThetaConfig(n, theta), None
+        weighted = {name: PolyGauss(p, 0 if name == pattern[0] else 1) for name, p in polys.items()}
+        factors = [weighted[name] for name in pattern]
+        yield factors, [copy_of(f) for f in factors], ThetaConfig(n, generic), 4 if n < 5 else 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_products_over_one_object_in_several_slots_equal_those_over_copies(n):
+    # one object in several of slots 1..n-1 walks the merged plan; equal but
+    # distinct copies walk the plan itself, to the same increments
+    merged = 0
+    for factors, copies, cfg, order in merge_cases(n):
+        shared = list(star_series(factors, cfg, order))
+        assert shared == list(star_series(copies, cfg, order))
+        assert any(not inc.is_zero() for inc in shared[1:])
+        if order is None:
+            assert star_n(factors, cfg) == star_n(copies, cfg) == sum(shared[1:], shared[0])
+        merged += len({id(f) for f in factors[1:]}) < n - 1
+    assert merged == len(list(merge_cases(n)))
 
 
 def zero_pattern_thetas(rng, n):

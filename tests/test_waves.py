@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,18 @@ def test_kernel_rejects_slots_of_another_length():
         kernel_exponent([np.zeros((5, 3)), np.zeros((5, 4)), (0, 0, 1)], cfg)
     with pytest.raises(ValueError, match=r"^frequency vector must have 3 components, got a scalar$"):
         kernel_exponent([(1, 0, 0), 2.0, (0, 0, 1)], cfg)
+
+
+def test_kernel_rounds_theta_once_and_names_a_component_past_the_float_range():
+    # the largest float itself is in range; 10^309 and its negative are not,
+    # and a theta far below the smallest float rounds to 0, as float() does
+    top = Fraction(int(sys.float_info.max))
+    assert waves.float_theta(theta3(top, Fraction(1, 3), Fraction(1, 10 ** 400))) == \
+        (sys.float_info.max, 1 / 3, 0.0)
+    for theta, k in (((10 ** 309, 0, 0), 1), ((1, -10 ** 309, 10 ** 309), 2)):
+        with pytest.raises(OverflowError, match=rf"^theta component {k} is beyond the float limit "
+                                                 rf"1\.7976931348623157e\+308$"):
+            kernel_exponent([(1, 0, 0), (0, 1, 0), (0, 0, 1)], theta3(*theta))
 
 
 def test_kernel_zero_theta():

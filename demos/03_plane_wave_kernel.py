@@ -37,10 +37,11 @@ print("star of the three unit waves:", out)
 
 print("\n-- antisymmetric frequency combination ------------------------------")
 print("freq_cross((0,1,0), (0,0,1)) =", freq_cross((0, 1, 0), (0, 0, 1)))
-p, q, r = (3, 1, 4), (1, 5, 9), (2, 6, 5)
-triple = [sum(a * b for a, b in zip(u, freq_cross(v, w)))
-          for u, v, w in ((p, q, r), (r, p, q), (q, r, p))]
-print("cyclic triple products p.(q x r), r.(p x q), q.(r x p) on (3,1,4),(1,5,9),(2,6,5):",
+# integer vectors of their own: k, q, r stay the unit waves sampled below
+a, b, c = (3, 1, 4), (1, 5, 9), (2, 6, 5)
+triple = [sum(x * y for x, y in zip(u, freq_cross(v, w)))
+          for u, v, w in ((a, b, c), (c, a, b), (b, c, a))]
+print("cyclic triple products a.(b x c), c.(a x b), b.(c x a) on (3,1,4),(1,5,9),(2,6,5):",
       triple)
 
 print("\n-- lattice oracle ----------------------------------------------------")

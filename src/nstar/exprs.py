@@ -459,6 +459,11 @@ def lower_wave(node: Node, n: int) -> WaveSum:
     coefficient its merged frequency-0 term would have, by the same float
     operations in the same order.  The top node's terms are wrapped as
     they are, with no second merge.
+
+    Constants fold in float arithmetic node by node, not exactly, so a
+    power is repeated float multiplication: 10^200 lowers to
+    1.0000000000000003e+200 and (1/3)^5 to 0.004115226337448559, where the
+    correctly rounded values are 1e+200 and 0.00411522633744856.
     """
     terms = _wave_terms(node, n)
     if type(terms) is complex:

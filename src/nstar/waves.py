@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,8 +31,8 @@ _MAX_FREQ = MERGE_TOL * sys.float_info.max
 # A lattice frequency is occupied when its amplitude exceeds this fraction
 # of the largest one (or of 1, whichever is larger).
 OCCUPANCY_CUTOFF = 1e-12
-# Terms per matrix product in WaveSum.sample_on_grid; bounds its scratch
-# memory to SAMPLE_BLOCK * N^(n-1) samples.
+# Grouped rows per block in WaveSum.sample_on_grid; bounds each of its
+# intermediates to SAMPLE_BLOCK * N^(n-1) samples.
 SAMPLE_BLOCK = 64
 
 # i^(n+1) without float drift
@@ -289,25 +290,43 @@ class WaveSum:
         """sum_a c_a exp(i s_a . x) at every lattice point.
 
         exp(i s . x) is the product over axes of exp(i s_k x_k), read from
-        one table per distinct frequency value; each block of terms is one
-        matrix product of its first-axis factors, scaled by the
-        coefficients, with the outer product of its other axes' factors."""
+        one table per distinct frequency value, and the sum is contracted
+        one axis at a time from the last: terms whose table rows agree on
+        axes 0..k-1 form a run (contiguous, as the terms are sorted), and
+        each run's sum over axis k and the axes after it is one row.  The
+        last axis scales each term's row by its coefficient and sums the
+        runs; each middle axis k takes, per block of at most SAMPLE_BLOCK
+        rows, the outer product with the axis-k rows and sums the runs on
+        axes 0..k-1; the first axis is one matrix product whose inner
+        dimension is the block's number of distinct axis-0 values.  A run
+        split by the term order is only one more row."""
         if spec.n != self.n:
             raise ValueError("dimension mismatch")
         n, N = self.n, spec.points_per_axis
         out = np.zeros((N, N ** (n - 1)), dtype=complex)
         if self.terms:
             coeff = np.array([c for c, _ in self.terms], dtype=complex)
-            freq = np.array([f for _, f in self.terms], dtype=float)
+            freq = np.fromiter(chain.from_iterable([f for _, f in self.terms]), dtype=float,
+                               count=len(self.terms) * n).reshape(-1, n)
             values, inverse = np.unique(freq, return_inverse=True)
-            tables = np.exp(1j * (values[:, None] * spec.axis_points()))[
-                inverse.reshape(freq.shape)]  # term, axis, point
-            for lo in range(0, len(coeff), SAMPLE_BLOCK):
-                block = tables[lo:lo + SAMPLE_BLOCK]
-                rest = block[:, n - 1]
+            table = np.exp(1j * (values[:, None] * spec.axis_points()))
+            index = inverse.reshape(freq.shape)  # term, axis -> table row
+            # the first axis on which each row's table rows differ from the
+            # previous row's: a row starts a run on axes 0..k-1 when it is < k
+            level = np.zeros(len(index), dtype=np.intp)
+            level[1:] = (index[1:] != index[:-1]).argmax(axis=1)
+            starts = (level < n - 1).nonzero()[0]
+            part = _sum_runs(coeff[:, None] * table[index[:, n - 1]], starts)
+            index, level = index[starts], level[starts]
+            level[::SAMPLE_BLOCK] = 0  # each block starts a run on every axis
+            for lo in range(0, len(index), SAMPLE_BLOCK):
+                rows, lv = index[lo:lo + SAMPLE_BLOCK], level[lo:lo + SAMPLE_BLOCK]
+                block = part[lo:lo + SAMPLE_BLOCK]
                 for k in range(n - 2, 0, -1):
-                    rest = (block[:, k, :, None] * rest[:, None, :]).reshape(len(block), -1)
-                out += (coeff[lo:lo + SAMPLE_BLOCK, None] * block[:, 0]).T @ rest
+                    block = (table[rows[:, k], :, None] * block[:, None, :]).reshape(len(rows), -1)
+                    starts = (lv < k).nonzero()[0]
+                    block, rows, lv = _sum_runs(block, starts), rows[starts], lv[starts]
+                out += table[rows[:, 0]].T @ block
         return out.reshape((N,) * n)
 
     def to_json_terms(self) -> list[dict]:
@@ -330,6 +349,14 @@ class WaveSum:
     def __repr__(self) -> str:
         body = " + ".join(f"({c:.6g})e^(i{list(f)}.x)" for c, f in self.terms) or "0"
         return f"<WaveSum n={self.n} {body}>"
+
+
+def _sum_runs(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sums of the runs of rows that begin at starts (starts[0] is 0).
+
+    When every run is one row the rows are their own sums; np.add.reduceat
+    would copy them one sample at a time."""
+    return rows if len(starts) == len(rows) else np.add.reduceat(rows, starts)
 
 
 def _along(j: int, arr: np.ndarray, n: int) -> np.ndarray:

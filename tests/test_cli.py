@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -1088,3 +1089,12 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     if demo.name in DEMO_STDOUT_SHA256:
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.name]
+
+
+def test_plane_wave_demo_oracle_errors_are_rounding(tmp_path):
+    # demo 03 is not hash-pinned, so its lattice cross-checks are bounded here
+    proc = run_child([str(REPO / "demos" / "03_plane_wave_kernel.py")], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    errors = [float(v) for v in re.findall(r"max relative error (\S+)", proc.stdout)]
+    assert len(errors) == 2
+    assert all(err <= 1e-12 for err in errors), proc.stdout

@@ -600,7 +600,10 @@ def _sample_direct(w, spec):
     return out.reshape((spec.points_per_axis,) * w.n)
 
 
-@pytest.mark.parametrize("n, N, terms", [(3, 6, 5), (3, 4, 2 * SAMPLE_BLOCK + 7), (4, 4, SAMPLE_BLOCK + 1)])
+# off-lattice values: no two terms share one, so no run of the contraction
+# has two rows
+@pytest.mark.parametrize("n, N, terms", [(3, 6, 5), (3, 4, 2 * SAMPLE_BLOCK + 7), (4, 4, SAMPLE_BLOCK + 1),
+                                         (3, 4, 200), (4, 4, 200)])
 def test_sample_on_grid_matches_direct_evaluation(n, N, terms):
     rng = random.Random(70 + terms)
     spec = GridSpec(n, N, 2.5)  # 2*pi/L does not divide these frequencies
@@ -618,7 +621,50 @@ def test_sample_on_grid_of_empty_sum_is_zero():
         assert out.shape == (4,) * n and out.dtype == complex and not out.any()
 
 
-# -- the flat spectrum and the distinct-value exp tables, bit for bit ----------
+def _assert_samples_direct(w, spec):
+    got, ref = w.sample_on_grid(spec), _sample_direct(w, spec)
+    assert got.shape == (spec.points_per_axis,) * w.n
+    assert np.abs(got - ref).max() <= 1e-12 * sum(abs(c) for c, _ in w.terms)
+
+
+def _dense_wave(rng, n, reach):
+    """Every frequency in {-reach..reach}^n once, with random coefficients."""
+    return WaveSum(n, [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), tuple(map(float, f)))
+                       for f in itertools.product(range(-reach, reach + 1), repeat=n)])
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_sample_on_grid_of_dense_lattice_sum_matches_direct_evaluation(N):
+    # 343 terms in runs of 7 on every axis: the closed-form shape of the
+    # oracle's n = 3 products
+    w = _dense_wave(random.Random(100 + N), 3, 3)
+    assert len(w.terms) == 343
+    _assert_samples_direct(w, GridSpec(3, N, 2 * math.pi))
+
+
+def test_sample_on_grid_of_n4_closed_form_matches_direct_evaluation():
+    # the product of four factors over the frequencies 0 and +-e_k
+    rng = random.Random(104)
+    unit = [tuple(float(i == k) for i in range(4)) for k in range(4)]
+    freqs = [(0.0,) * 4] + unit + [tuple(-v for v in u) for u in unit]
+    factors = [WaveSum(4, [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), f) for f in freqs])
+               for _ in range(4)]
+    closed = star_waves(factors, _random_theta(rng, 4))
+    assert len(closed.terms) == 321
+    _assert_samples_direct(closed, GridSpec(4, 8, 2 * math.pi))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_sample_on_grid_with_runs_split_across_blocks(monkeypatch, block):
+    # runs of 3 and of 5 rows cut by blocks of 1 and 3 rows
+    monkeypatch.setattr(waves, "SAMPLE_BLOCK", block)
+    rng = random.Random(110 + block)
+    for n, reach in ((3, 1), (3, 2), (4, 1)):
+        _assert_samples_direct(_dense_wave(rng, n, reach), GridSpec(n, 6, 2 * math.pi))
+
+
+
+# -- the flat spectrum bit for bit, and the per-term exp tables ----------------
 
 def grid_oracle_tuple_accumulation(factors, spec, cfg):
     """Reference: the lattice oracle accumulating its weighted tuples into an
@@ -681,8 +727,16 @@ def test_grid_oracle_flat_spectrum_equals_tuple_accumulation_bytes(n, N, reach):
         assert grid_oracle_star(off, grid, cfg).tobytes() == ref.tobytes()
 
 
+def _sample_bound(w):
+    """16 eps times the sum of |c_a|: the bound, per sample, on the gap
+    between two summation orders of w's samples."""
+    return 16 * sys.float_info.epsilon * sum(abs(c) for c, _ in w.terms)
+
+
 @pytest.mark.parametrize("n, N, L", [(3, 4, 2 * math.pi), (3, 6, 2.5), (4, 4, 1.0)])
-def test_sample_on_grid_distinct_value_tables_equal_per_term_tables_bytes(n, N, L):
+def test_sample_on_grid_within_bound_of_per_term_tables(n, N, L):
+    # the grouped contraction sums in another order than the per-term
+    # blocks, so the samples agree to a bound, not bit for bit
     rng = random.Random(90 + 10 * n + N)
     spec = GridSpec(n, N, L)
     # repeated values, off-lattice ones, and 0.0 next to -0.0
@@ -690,12 +744,12 @@ def test_sample_on_grid_distinct_value_tables_equal_per_term_tables_bytes(n, N, 
     for terms in (1, 5, SAMPLE_BLOCK + 3):
         w = WaveSum(n, [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                          tuple(rng.choice(values) for _ in range(n))) for _ in range(terms)])
-        assert w.sample_on_grid(spec).tobytes() == sample_per_term_tables(w, spec).tobytes()
+        assert np.abs(w.sample_on_grid(spec) - sample_per_term_tables(w, spec)).max() <= _sample_bound(w)
     freq = np.array([f for _, f in w.terms])
     zero = freq == 0
     assert (zero & np.signbit(freq)).any() and (zero & ~np.signbit(freq)).any()
     mixed = WaveSum(n, [(1.0, (0.0, -0.0) + (1.0,) * (n - 2)), (2j, (-0.0, 0.0) + (-1.0,) * (n - 2))])
-    assert mixed.sample_on_grid(spec).tobytes() == sample_per_term_tables(mixed, spec).tobytes()
+    assert np.abs(mixed.sample_on_grid(spec) - sample_per_term_tables(mixed, spec)).max() <= _sample_bound(mixed)
 
 
 def test_distinct_rows_in_lexicographic_order():

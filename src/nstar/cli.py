@@ -219,13 +219,19 @@ def _cmd_product(args) -> int:
     return 0
 
 
+def _complex_text(z: complex) -> str:
+    """z as 'a + bi', or as 'a - |b|i' when b's sign bit is set."""
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+    return f"{z.real!r} {sign} {abs(z.imag)!r}i"
+
+
 def _cmd_kernel(args) -> int:
     cfg = _theta_config(args)
     _check_wave_theta(cfg, args)
     vectors = [_parse_list(v, "frequency vector", float) for v in args.freqs]
     expo, weight = kernel_weights(vectors, cfg)
     mult = complex(weight)
-    text = f"exponent = {expo.real!r} + {expo.imag!r}i\nmultiplier = {mult.real!r} + {mult.imag!r}i"
+    text = f"exponent = {_complex_text(expo)}\nmultiplier = {_complex_text(mult)}"
     body = {"exponent": {"re": expo.real, "im": expo.imag},
             "multiplier": {"re": mult.real, "im": mult.imag}}
     _emit(lambda: text, lambda: body, args)

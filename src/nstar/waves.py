@@ -97,6 +97,15 @@ def kernel_exponent(freqs: Sequence, cfg: ThetaConfig) -> complex | np.ndarray:
     result is an array of exponents over the broadcast shape; n plain
     vectors give a Python complex.
 
+    sigma^0 is the identity, so slot 1 enters both products of theta_k as
+    its component k and is factored out: the products over slots 2..n
+    and their difference are formed on those slots' broadcast shape
+    alone, and each k costs three passes over the full shape
+    (s_1[k] * difference, times theta_k, added to the total in k order).
+    Products and differences of small integers are exact, so every
+    integer-valued frequency gives the exponent of the unfactored
+    product bit for bit; other floats may move in their last bits.
+
     The sigma-routing is written out here, not read from
     ``starcore.deformation_terms`` or its plan, on purpose: it is the one
     copy of the routing the exact engine does not share, so comparing the
@@ -115,13 +124,13 @@ def kernel_exponent(freqs: Sequence, cfg: ThetaConfig) -> complex | np.ndarray:
     for k, th in enumerate(float_theta(cfg), 1):
         if th == 0.0:
             continue
-        fwd = 1.0
-        for j in range(1, n + 1):
-            fwd = fwd * slots[j - 1][..., sigma_power(k, j - 1, n) - 1]
-        rev = slots[0][..., k - 1]
+        fwd = rev = 1.0
         for j in range(2, n + 1):
+            fwd = fwd * slots[j - 1][..., sigma_power(k, j - 1, n) - 1]
             rev = rev * slots[j - 1][..., sigma_power(k, n - j + 1, n) - 1]
-        total = total + th * (fwd - rev)
+        term = slots[0][..., k - 1] * (fwd - rev)
+        term *= th
+        total += term
     expo = _I_POW[(n + 1) % 4] * (total / 2.0)
     return expo if shape else complex(expo)
 
@@ -375,8 +384,8 @@ def _weighted_products(coeffs: Sequence[np.ndarray], slots: Sequence[np.ndarray]
     with np.errstate(over="ignore", invalid="ignore"):
         for j, c in enumerate(coeffs):
             coeff = coeff * _along(j, c, n)
-        out = coeff * weight
-    bad = ~np.isfinite(out)
+        coeff *= weight  # in place: the tuple grid gets no second complex array
+    bad = ~np.isfinite(coeff)
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
         raise KernelOverflowError(
@@ -384,7 +393,7 @@ def _weighted_products(coeffs: Sequence[np.ndarray], slots: Sequence[np.ndarray]
             f"{[int(i) for i in first]}: factor coefficients "
             f"{[complex(c[i]) for c, i in zip(coeffs, first)]} times multiplier "
             f"{complex(weight[first])!r}")
-    return out
+    return coeff
 
 
 def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:
@@ -470,11 +479,11 @@ def _merge(n: int, coeff: np.ndarray, slots: Sequence[np.ndarray]) -> WaveSum:
     first = np.full(len(distinct_keys), len(coeff))
     np.minimum.at(first, key_of_row, first_row)
     group = key_of_row.reshape(-1, m)[prefix].ravel()
-    rest = np.ones(len(coeff), dtype=bool)
-    rest[first] = False
-    sums = coeff[first]
+    # -0.0 is the additive identity (-0.0 + x is x, signed zeros included),
+    # so each key's sum is its first coefficient plus the rest, in row order
+    sums = np.full(len(distinct_keys), complex(-0.0, -0.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(sums, group[rest], coeff[rest])
+        np.add.at(sums, group, coeff)
     freq = freq[prefix[first // m] * m + first % m]  # the first frequency of each key
     bad = ~np.isfinite(sums)
     if bad.any():
@@ -523,11 +532,15 @@ def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaCo
     ints = spec.int_freqs()
     coeffs = [F[tuple(idx.T)] for F, idx in zip(specs, occupied)]
     coeff = _weighted_products(coeffs, [spec.base_freq * ints[idx] for idx in occupied], cfg)
-    # each tuple's output frequency as one flat index in C order: per axis,
-    # the slots' indices summed mod N
+    # each tuple's output frequency as one flat index in C order: per axis k,
+    # the indices of slots 1..n-1 summed mod N on their own grid pick a row
+    # of an N x m table whose column b is N^(n-1-k) * ((row + b's index) mod N)
+    # for the m occupied frequencies b of slot n
     flat = 0
     for k in range(n):
-        flat = flat * N + sum(_along(j, idx[:, k], n) for j, idx in enumerate(occupied)) % N
+        head = sum(_along(j, idx[:, k], n - 1) for j, idx in enumerate(occupied[:-1])) % N
+        table = N ** (n - 1 - k) * ((np.arange(N)[:, None] + occupied[-1][:, k]) % N)
+        flat += np.take(table, head, axis=0)
     out_spec = np.zeros(N**n, dtype=complex)
     np.add.at(out_spec, flat.ravel(), coeff.ravel())
     return np.fft.ifftn(out_spec.reshape(shape)) * N**n

@@ -357,6 +357,23 @@ def test_kernel_command(capsys):
     assert "exponent = 1.0" in out
 
 
+def test_kernel_command_text_signs_pinned(capsys):
+    # an imaginary part with its sign bit set prints as "a - |b|i"; the JSON
+    # form keeps the signed floats
+    argv = ["kernel", "--n", "4", "--theta=-1,1,1,1", "1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ("exponent = -0.0 - 0.5i\n"
+                                       "multiplier = 0.8775825618903728 - 0.479425538604203i\n")
+    assert main(["kernel", "--format", "json", *argv[1:]]) == 0
+    assert capsys.readouterr().out == (
+        '{"exponent": {"re": -0.0, "im": -0.5}, '
+        '"multiplier": {"re": 0.8775825618903728, "im": -0.479425538604203}}\n')
+    # README's example
+    assert main(["kernel", "--theta", "2,0,0", "1,0,0", "0,1,0", "0,0,1"]) == 0
+    assert capsys.readouterr().out == ("exponent = 1.0 + 0.0i\n"
+                                       "multiplier = 2.718281828459045 + 0.0i\n")
+
+
 def test_omega_command(capsys):
     code = main(["omega", "0,1,0", "0,0,1"])
     assert code == 0

@@ -11,7 +11,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from nstar import waves
 from nstar.scalars import ExactComplex, I
-from nstar.starcore import ThetaConfig, deformation_terms
+from nstar.starcore import ThetaConfig, deformation_terms, sigma_power
 from nstar.waves import (
     MERGE_TOL,
     SAMPLE_BLOCK,
@@ -146,6 +146,79 @@ def test_kernel_exponent_is_the_symbol_of_the_operator(n):
         assert abs(kernel_exponent(freqs, cfg) - symbol.to_complex()) <= 1e-13 * max(1.0, scale)
         nonzero += bool(symbol)
     assert nonzero >= 40
+
+
+def kernel_exponent_product_order(freqs, cfg):
+    """Reference: the kernel with slot 1 inside both products of theta_k,
+    ((1 * s_1[k]) * s_2[sigma(k)]) * ... and (s_1[k] * s_2[sigma^(n-1)(k)]) * ...,
+    and theta_k times their difference added to a zero total in k order."""
+    n = cfg.n
+    slots = [np.asarray(s, dtype=float) for s in freqs]
+    total = np.zeros(np.broadcast_shapes(*(s.shape[:-1] for s in slots)))
+    for k, th in enumerate(waves.float_theta(cfg), 1):
+        if th == 0.0:
+            continue
+        fwd = 1.0
+        for j in range(1, n + 1):
+            fwd = fwd * slots[j - 1][..., sigma_power(k, j - 1, n) - 1]
+        rev = slots[0][..., k - 1]
+        for j in range(2, n + 1):
+            rev = rev * slots[j - 1][..., sigma_power(k, n - j + 1, n) - 1]
+        total = total + th * (fwd - rev)
+    return waves._I_POW[(n + 1) % 4] * (total / 2.0)
+
+
+def _kernel_bound(freqs, cfg):
+    """4 n eps sum_k |theta_k| |s_1[k]| (prod |forward factors| + prod |reverse
+    factors|) over slots 2..n: the bound, per tuple, on the gap between two
+    association orders of the kernel's products."""
+    n = cfg.n
+    slots = [np.abs(np.asarray(s, dtype=float)) for s in freqs]
+    scale = 0.0
+    for k, th in enumerate(waves.float_theta(cfg), 1):
+        fwd = rev = 1.0
+        for j in range(2, n + 1):
+            fwd = fwd * slots[j - 1][..., sigma_power(k, j - 1, n) - 1]
+            rev = rev * slots[j - 1][..., sigma_power(k, n - j + 1, n) - 1]
+        scale = scale + abs(th) * slots[0][..., k - 1] * (fwd + rev)
+    return 4 * n * sys.float_info.epsilon * scale
+
+
+def _kernel_slot_cases(rng, n, component):
+    """Plain vectors, one array per tensor axis, and slots of mixed shapes
+    that broadcast (a plain first slot, and a full first slot against plain
+    others), with components drawn by component()."""
+    def draw(shape):
+        return np.array([component() for _ in range(math.prod(shape) * n)]).reshape(shape + (n,))
+    yield [tuple(component() for _ in range(n)) for _ in range(n)]
+    yield [draw((1,) * j + (3,) + (1,) * (n - 1 - j)) for j in range(n)]
+    yield [draw(())] + [draw((2, 1)), draw((1, 3))] + [draw((3,)) for _ in range(n - 3)]
+    yield [draw((2, 3))] + [draw(()) for _ in range(n - 1)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kernel_exponent_equals_product_order_bytes_on_integer_frequencies(n):
+    # products and differences of small integers are exact, so factoring
+    # slot 1 out of both products changes no bit, signed zeros included
+    rng = random.Random(f"kernel-int-{n}")
+    for _ in range(40):
+        theta = [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) if rng.random() < 0.7 else 0
+                 for _ in range(n)]
+        cfg = ThetaConfig(n, tuple(map(Fraction, theta)))
+        for freqs in _kernel_slot_cases(rng, n, lambda: float(rng.randint(-7, 7))):
+            got = kernel_exponent(freqs, cfg)
+            ref = kernel_exponent_product_order(freqs, cfg)
+            assert np.asarray(got).tobytes() == np.asarray(ref, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kernel_exponent_within_bound_of_product_order_on_float_frequencies(n):
+    rng = random.Random(f"kernel-float-{n}")
+    for _ in range(40):
+        cfg = ThetaConfig(n, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)))
+        for freqs in _kernel_slot_cases(rng, n, lambda: rng.uniform(-3, 3)):
+            gap = np.abs(kernel_exponent(freqs, cfg) - kernel_exponent_product_order(freqs, cfg))
+            assert (gap <= _kernel_bound(freqs, cfg)).all()
 
 
 def test_kernel_arity():
@@ -395,6 +468,22 @@ def test_empty_factor_gives_zero():
     zero = np.zeros((4, 4, 4), dtype=complex)
     out = grid_oracle_star([w.sample_on_grid(grid), zero, w.sample_on_grid(grid)], grid, cfg)
     assert out.shape == (4, 4, 4) and not out.any()
+    # an empty or all-zero factor in every slot, at n = 3 and 4; in the last
+    # slot it leaves the oracle's index table no column
+    for n in (3, 4):
+        cfg = ThetaConfig(n, tuple(Fraction(k) for k in range(1, n + 1)))
+        unit = [tuple(float(i == k) for i in range(n)) for k in range(n)]
+        w = WaveSum(n, [(1.0, unit[0]), (2j, tuple(-v for v in unit[1])), (-0.5, unit[-1])])
+        grid = GridSpec(n, 4, 2 * math.pi)
+        zero = np.zeros((4,) * n, dtype=complex)
+        for slot in range(n):
+            factors = [w] * n
+            factors[slot] = WaveSum(n)
+            assert star_waves(factors, cfg) == WaveSum(n)
+            samples = [w.sample_on_grid(grid)] * n
+            samples[slot] = zero
+            out = grid_oracle_star(samples, grid, cfg)
+            assert out.shape == (4,) * n and not out.any()
 
 
 def test_kernel_overflow_names_the_tuple():
@@ -551,6 +640,20 @@ def test_star_waves_merge_cascade_cases():
     assert _assert_merge_matches_dict_merge([pair[0], WaveSum(3), pair[1]], flat) == WaveSum(3)
 
 
+def test_merge_keeps_signed_zeros_by_repr():
+    # a key whose one coefficient has a -0.0 part, and a key whose rows sum
+    # (-0.0) + (-0.0): both keep the sign, as WaveSum's dict merge does
+    zero, e1 = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)
+    slots = [np.array([zero]), np.array([zero, e1]), np.array([e1, zero])]
+    coeff = np.array([complex(-0.0, 1.0), complex(1.0, -0.0), 0.5 + 0.5j, complex(-0.0, 2.0)])
+    freqs = [tuple(a + b + c for a, b, c in zip(*row))
+             for row in itertools.product(*(s.tolist() for s in slots))]
+    got = waves._merge(3, coeff, slots)
+    assert repr(got.terms) == repr(WaveSum(3, zip(coeff.tolist(), freqs)).terms)
+    assert repr(got.terms) == ("(((1-0j), (0.0, 0.0, 0.0)), ((-0+3j), (1.0, 0.0, 0.0)), "
+                               "((0.5+0.5j), (2.0, 0.0, 0.0)))")
+
+
 _merge_components = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.builds(lambda v, d: v + d, st.sampled_from([-1.0, 0.0, 1.0]),
@@ -702,7 +805,7 @@ def sample_per_term_tables(w, spec):
     return out.reshape((N,) * n)
 
 
-@pytest.mark.parametrize("n, N, reach", [(3, 4, 1), (3, 8, 2), (4, 4, 1)])
+@pytest.mark.parametrize("n, N, reach", [(3, 4, 1), (3, 8, 2), (4, 4, 1), (5, 4, 1)])
 def test_grid_oracle_flat_spectrum_equals_tuple_accumulation_bytes(n, N, reach):
     # N = 4 holds frequencies -2..1 per axis, so tuples with components in
     # -1..1 sum past the band and wrap; at N = 8, components in -2..2 do too
@@ -717,6 +820,10 @@ def test_grid_oracle_flat_spectrum_equals_tuple_accumulation_bytes(n, N, reach):
         # a factor with a single occupied frequency
         single = WaveSum.single(1.5 - 0.5j, (-1.0,) + (0.0,) * (n - 1)).sample_on_grid(grid)
         samples[1] = single
+        ref = grid_oracle_tuple_accumulation(samples, grid, cfg)
+        assert grid_oracle_star(samples, grid, cfg).tobytes() == ref.tobytes()
+        # and in the last slot, whose indices join through the oracle's table
+        samples[-1] = single
         ref = grid_oracle_tuple_accumulation(samples, grid, cfg)
         assert grid_oracle_star(samples, grid, cfg).tobytes() == ref.tobytes()
     if n == 3 and N == 4:

@@ -15,10 +15,11 @@ that exponential, as polynomials, over any slot value that can be
 differentiated and tested for zero and has a polynomial part (for a
 Gaussian-weighted value, the polynomial its weight multiplies).  The
 compositions of each order (how many times each tensor term is applied)
-are structure: they depend on n and the order only, so ``_plan`` builds
-them once per process as a trie keyed by each slot's derivative counts
-in turn, over the terms of ``deformation_terms`` at uniform theta
-(``_plan_terms``: their slot axes, and their unit weights +-i/2).
+are structure: they depend on n, the order and the slot classes below
+only, so ``_plan`` builds them once per process as a trie keyed by each
+slot's derivative counts in turn, over the terms of ``deformation_terms``
+at uniform theta (``_plan_terms``: their slot axes, and their unit
+weights +-i/2).
 theta_k's two terms are the only ones that differentiate axis k in slot
 0, so a composition's weight is theta^e, where e is slot 0's derivative
 counts, times a unit weight that depends on n and the order only.  The
@@ -35,23 +36,22 @@ one integer pass: every slot derivative is packed once, and the
 weighted slot products are multiplied as packed integer rows through
 the loop of ``Polynomial.__mul__``.
 
-Reversing slots 2..n turns each forward term into the reverse term of
-the same k, so star_theta(f1, fn, ..., f2) = star_-theta(f1, ..., fn),
-and increment m, homogeneous of degree m in theta, changes by (-1)^m.
-When slots 2..n read the same backwards the product is its own
-reflection, so every odd increment is zero (the n-ary form of the parity
-of Moyal's product).  The engine sees this by object identity, from the
-one derivative memo per factor object, and walks no odd order of a
-mirrored product.
-
-Slots 2..n that hold one factor object form a class: permuting the
+Slots 2..n that hold one factor object form a class, seen by object
+identity from the one derivative memo per factor object: permuting the
 counts of a chain inside a class permutes equal slot derivatives, so it
-leaves the slot product as it is.  When some class has two slots or
-more, a product walks a merged plan (``_merged_plan``), built once per
-process from ``_plan``'s leaves for that pattern of classes, with one
-leaf per such permutation orbit of chains under their summed unit
-weight; the slots of a class share one dict of derivatives, packed
-once.  The first slot joins no class: theta^e scales it.
+leaves the slot product as it is.  The plan of a pattern of classes has
+one leaf per such permutation orbit of chains, under their summed unit
+weight, and the slots of a class share one dict of derivatives, packed
+once; with every class one slot, it is one leaf per chain.  The first
+slot joins no class: theta^e scales it.  Reversing slots 2..n turns each
+forward term into the reverse term of the same k, so
+star_theta(f1, fn, ..., f2) = star_-theta(f1, ..., fn), and increment m,
+homogeneous of degree m in theta, changes by (-1)^m.  When the classes
+of slots 2..n read the same backwards, reversing the slots maps each
+orbit onto itself, so at odd m the unit weights of an orbit sum to
+minus themselves: every odd plan of such a mirror-closed pattern is
+empty, and its odd increments are zero (the n-ary form of the parity of
+Moyal's product).
 
 The engine has two callers:
 
@@ -189,22 +189,31 @@ def _peel(counts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 @functools.cache
-def _plan(n: int, m: int) -> tuple:
+def _plan(n: int, m: int, classes: tuple[int, ...]) -> tuple:
     """The compositions of order m over the 2n tensor terms in dimension n,
-    as a trie keyed by each slot's derivative counts in turn.
+    as a trie keyed by each slot's derivative counts in turn, merged over
+    the classes of slots 1..n-1.
 
     A node of slot j is a tuple of (counts, child) pairs: counts[a] is
     the number of derivatives along axis a + 1 that slot j takes, and the
-    children of slot n - 1 are leaves.  The compositions that reach one
-    leaf differentiate every slot alike, so they share their slot
-    products, and the leaf holds their summed unit weight: U = sum of
+    children of slot n - 1 are leaves.  classes[j - 1] names slot j's
+    class, j = 1..n-1: slots of one class hold one factor object, so
+    permuting their counts permutes equal slot derivatives and leaves the
+    slot product as it is.  A composition's chain of slot counts is
+    therefore taken with the counts inside each class in descending
+    order, and the compositions that reach one leaf share their slot
+    products: the leaf holds their summed unit weight, U = sum of
     prod_t u_t^c_t / c_t!, with u_t the unit weight +-i/2 of term t in
-    ``_plan_terms``.  A chain whose U sums to 0 is left out.  The pairs
-    of a node keep the order in which the lexicographic enumeration of
-    the compositions (c_1..c_T) first reaches them.  The plan depends on
-    n and m only, so it is built once per process.
+    ``_plan_terms``.  A chain whose U sums to 0 is left out.  Slot 0 is
+    in no class: theta^e scales it.  With every class one slot, each leaf
+    is one chain of slot counts.  The pairs of a node keep the order in
+    which the lexicographic enumeration of the compositions (c_1..c_T)
+    first reaches them.  The plan depends on n, m and the classes only,
+    so it is built once per process for each.
     """
     terms = _plan_terms(n)
+    groups = [[j for j in range(1, n) if classes[j - 1] == c] for c in set(classes)]
+    groups = [group for group in groups if len(group) > 1]
     # one copy of each equal counts tuple: few distinct counts recur across
     # many nodes
     shared: dict[tuple, tuple] = {}
@@ -216,12 +225,18 @@ def _plan(n: int, m: int) -> tuple:
     # order of the nodes and so the term order of every product
     for used in reversed(list(itertools.combinations_with_replacement(range(len(terms)), m))):
         weight = math.prod([factor(t, len(list(run))) for t, run in itertools.groupby(used)], start=ONE)
-        node = root
+        chain = []
         for j in range(n):
             axes = [terms[t].slot_axes[j] for t in used]
             key = tuple([axes.count(a) for a in range(1, n + 1)])
-            parent, node = node, node.setdefault(shared.setdefault(key, key), {} if j < n - 1 else ZERO)
-        parent[key] = node + weight
+            chain.append(shared.setdefault(key, key))
+        for group in groups:
+            for j, counts in zip(group, sorted([chain[j] for j in group], reverse=True)):
+                chain[j] = counts
+        node = root
+        for counts in chain[:-1]:
+            node = node.setdefault(counts, {})
+        node[chain[-1]] = node.get(chain[-1], ZERO) + weight
     return _freeze(root)
 
 
@@ -234,83 +249,31 @@ def _freeze(node):
     return tuple([pair for pair in frozen if pair[1]])
 
 
-def _leaves(node, chain: tuple = ()):
-    """The (chain, unit weight) pairs of a plan's leaves, in the plan's
-    order."""
-    for counts, child in node:
-        if isinstance(child, tuple):
-            yield from _leaves(child, chain + (counts,))
-        else:
-            yield chain + (counts,), child
-
-
-# (n, m, classes) -> the merged plan of ``_merged_plan``
-_merged_plans: dict[tuple, tuple] = {}
-
-
-def _merged_plan(plan: tuple, n: int, m: int, classes: tuple[int, ...]) -> tuple:
-    """``_plan(n, m)``, passed as plan, with the chains that differ only by
-    a permutation of counts inside a class of slots merged into one leaf.
-
-    classes[j - 1] names slot j's class, j = 1..n-1: slots of one class
-    hold one factor object, so permuting their counts permutes equal slot
-    derivatives and leaves every slot product as it is.  A merged leaf
-    holds its class members' summed unit weight under the chain whose
-    counts inside each class descend, and a sum of 0 is left out, as
-    ``_freeze`` does.  Slot 0 is in no class: theta^e scales it.  The
-    merged plan depends on n, m and the classes only, so it is built once
-    per process."""
-    key = (n, m, classes)
-    merged = _merged_plans.get(key)
-    if merged is None:
-        groups = [[j for j in range(1, n) if classes[j - 1] == c] for c in set(classes)]
-        groups = [group for group in groups if len(group) > 1]
-        root: dict = {}
-        for chain, weight in _leaves(plan):
-            chain = list(chain)
-            for group in groups:
-                for j, counts in zip(group, sorted([chain[j] for j in group], reverse=True)):
-                    chain[j] = counts
-            node = root
-            for counts in chain[:-1]:
-                node = node.setdefault(counts, {})
-            node[chain[-1]] = node.get(chain[-1], ZERO) + weight
-        merged = _merged_plans[key] = _freeze(root)
-    return merged
-
-
 def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs: list[dict]):
     """Yield, for m = 0..order, the unit weights and slot chains of order
     m's live compositions: those whose terms all have theta_k != 0 and
     whose slot derivatives are all nonzero.  Both kinds of dead
     composition are dropped a whole subtree at a time, by slot 0's counts
     and at the first zero slot.  A chain holds each slot's derivative
-    counts, and its unit weight is its plan leaf (``_plan``), taken as it
-    is: theta enters in ``_multiply_out``.  derivs[j] maps slot j's counts
-    to its derivative and is filled in on the way, one ``_peel`` step from
-    counts already there.  Without an order, the orders run to the series
-    bound (``_series_bound``); past the bound nothing is walked.
+    counts, and its unit weight is its plan leaf, taken as it is: theta
+    enters in ``_multiply_out``.  derivs[j] maps slot j's counts to its
+    derivative and is filled in on the way, one ``_peel`` step from counts
+    already there.  Without an order, the orders run to the series bound
+    (``_series_bound``); past the bound nothing is walked.
 
-    When slots 1..n-1 hold the same factor objects read backwards (their
-    memos are one object), the product is its own reflection, and an odd
-    order yields no chains without asking for its plan.  When some of
-    slots 1..n-1 share a memo, the walk asks for ``_plan(n, m)`` as
-    always and walks its merge over those classes of slots
-    (``_merged_plan``) instead: a chain there stands for every
-    permutation of its counts inside each class."""
+    Slots 1..n-1 that share a memo form a class, and every order walks
+    ``_plan(n, m, classes)``: a chain there stands for every permutation
+    of its counts inside each class.  When slots 1..n-1 read the same
+    backwards by memo, the product is its own reflection, and the plan
+    of every odd order is empty."""
     n = cfg.n
     # the axes k with theta_k = 0: theta_k's two terms, and no other term,
     # differentiate axis k in slot 0, so a slot-0 node that counts a
     # derivative along one holds only compositions that use an omitted term
     idle = [a for a in range(n) if not cfg.theta[a]]
-    mirrored = all(derivs[j] is derivs[n - j] for j in range(1, (n + 1) // 2))
-    # slot j's class, j = 1..n-1: the first of slots 1..n-1 with its memo;
-    # worked out only when some slots share a memo
-    merged = False
-    if len(set(map(id, derivs))) < n:
-        first: dict[int, int] = {}
-        classes = tuple([first.setdefault(id(derivs[j]), j) for j in range(1, n)])
-        merged = len(first) < n - 1
+    # slot j's class, j = 1..n-1: the first of slots 1..n-1 with its memo
+    first: dict[int, int] = {}
+    classes = tuple([first.setdefault(id(derivs[j]), j) for j in range(1, n)])
     if order is None:
         if bound is None:
             raise ValueError("the series does not terminate: give an order")
@@ -320,11 +283,8 @@ def _live_chains(cfg: ThetaConfig, order: int | None, bound: int | None, derivs:
     for m in range(order + 1):
         weights: list[ExactComplex] = []
         chains: list[tuple[tuple[int, ...], ...]] = []
-        if (bound is None or m <= bound) and not (mirrored and m % 2):
-            plan = _plan(n, m)
-            if merged:
-                plan = _merged_plan(plan, n, m, classes)
-            _walk(plan, 0, (), derivs, idle, weights, chains)
+        if bound is None or m <= bound:
+            _walk(_plan(n, m, classes), 0, (), derivs, idle, weights, chains)
         yield weights, chains
 
 
@@ -366,20 +326,17 @@ def _multiply_out(weights: list, chains: list, derivs: list[dict], cfg: ThetaCon
     theta_k's two terms are the only ones that differentiate axis k in
     slot 0, so theta^e is the theta part of every composition's weight.
     It scales each distinct slot-0 derivative once, from theta powers
-    built once per call; slot 0 at zero counts is left alone."""
+    built once per call; slot 0 at zero counts is left alone.  So slot 0
+    gets a dict of derivatives of its own, and slots 1..n-1 share one
+    dict per memo (per factor object), which ``_sum_of_products`` packs
+    once."""
     n = cfg.n
     # each slot's distinct derivatives, by their counts; none when every
     # product has a zero slot
-    slots = [{chain[j]: derivs[j][chain[j]].terms for chain in chains} for j in range(n)]
-    if len(set(map(id, derivs))) < n:
-        # slots 1..n-1 of one factor object (one memo) share one dict, so
-        # it is packed once
-        by_memo: dict[int, dict] = {}
-        for j in range(1, n):
-            shared = by_memo.setdefault(id(derivs[j]), slots[j])
-            if shared is not slots[j]:
-                shared.update(slots[j])
-                slots[j] = shared
+    by_memo: dict[int, dict] = {}
+    slots = [{}] + [by_memo.setdefault(id(derivs[j]), {}) for j in range(1, n)]
+    for j, slot in enumerate(slots):
+        slot.update({chain[j]: derivs[j][chain[j]].terms for chain in chains})
     powers: dict[tuple[int, int], ExactComplex] = {}  # (k, c) -> theta_k^c
     for e, terms in slots[0].items():
         if any(e):
@@ -417,8 +374,9 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     (``_check_arity``); an increment is the polynomial part of the
     product (for Gaussian-weighted slots, the part at the summed scale).
 
-    The compositions of order m come from ``_plan(n, m)``, a trie built
-    once per process and keyed by each slot's derivative counts in turn.
+    The compositions of order m come from ``_plan(n, m, classes)``, a trie
+    built once per process and keyed by each slot's derivative counts in
+    turn, with the classes of slots 1..n-1 by factor object.
     The walk differentiates slot j by a node's counts and drops the whole
     subtree when that derivative is zero.  Slot 0's counts along axis k
     are the applications of theta_k's two terms, so at theta_k = 0 a
@@ -436,15 +394,14 @@ def star_series(factors: Sequence, cfg: ThetaConfig, order: int | None = None):
     weighted slot products out as packed integer rows into one
     accumulator, unpacked once.  Past the series bound
     (``_series_bound``) every increment is zero and is yielded without a
-    walk.  So is every odd increment when slots 1..n-1 hold the same
-    factor objects read backwards: the product is then its own
-    reflection star_-theta, and increment m changes by (-1)^m under theta
-    -> -theta.  When slots 1..n-1 repeat a factor object, chains that
-    permute counts among that object's slots have one slot product, so
-    the walk takes a merged plan (``_merged_plan``) with one chain per
-    such orbit under its summed unit weight, and the object's slots share
-    one dict of derivatives, packed once.  Equal but distinct factor
-    objects take the full walk.
+    walk.  When slots 1..n-1 repeat a factor object, chains that permute
+    counts among that object's slots have one slot product, so the plan
+    holds one chain per such orbit under its summed unit weight, and the
+    object's slots share one dict of derivatives, packed once.  When
+    slots 1..n-1 hold the same factor objects read backwards, the product
+    is its own reflection star_-theta, increment m changes by (-1)^m
+    under theta -> -theta, and the plan of every odd order is empty.
+    Equal but distinct factor objects take the plan of distinct slots.
 
     Each factor's degree is computed once.  It gives the series bound and
     the packing width: at order m a slot's polynomial part has at most its

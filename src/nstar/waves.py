@@ -165,6 +165,10 @@ class GridSpec:
     period: float
 
     def __post_init__(self):
+        for name in ("n", "points_per_axis"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool too: True would act as 1
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 3:
             raise ValueError("dimension must be at least 3")
         if self.points_per_axis < 1:
@@ -556,10 +560,20 @@ def save_lattice(path: str, arr: np.ndarray, spec: GridSpec) -> None:
 
 
 def load_lattice(path: str) -> tuple[np.ndarray, GridSpec]:
+    """The lattice and grid that ``save_lattice`` wrote to path.  A header
+    that is no grid, or a payload of another size than the header's N^n
+    complex values, raises ValueError naming path."""
     with open(path, "rb") as fh:
         header = fh.readline()
+        payload = fh.read()
+    try:
         meta = json.loads(header.decode("utf-8"))
         spec = GridSpec(meta["n"], meta["N"], meta["L"])
-        data = np.frombuffer(fh.read(), dtype=np.complex128)
-    shape = (spec.points_per_axis,) * spec.n
-    return data.reshape(shape).copy(), spec
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"lattice file {path}: bad header: {exc}") from exc
+    expected = spec.points_per_axis ** spec.n
+    found, stray = divmod(len(payload), np.dtype(np.complex128).itemsize)
+    if (found, stray) != (expected, 0):
+        raise ValueError(f"lattice file {path}: expected {expected} complex values, found {found}"
+                         + (f" and {stray} stray bytes" if stray else ""))
+    return np.frombuffer(payload, dtype=np.complex128).reshape((spec.points_per_axis,) * spec.n).copy(), spec

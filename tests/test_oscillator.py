@@ -513,22 +513,26 @@ def test_series_bound_changes_no_increment(monkeypatch):
     # the increments past the smallest degree among the scale-0 factors are
     # the ones a full walk finds, and the walk asks the composition plan for
     # no order past that degree; with one state object in every slot from 2
-    # on (the first and third cases) it asks for no odd order either
+    # on (the first and third cases) every odd order walks an empty plan
     asked = []
     plan = starcore._plan
-    monkeypatch.setattr(starcore, "_plan", lambda n, m: asked.append(m) or plan(n, m))
+    monkeypatch.setattr(starcore, "_plan", lambda n, m, classes: asked.append(m) or plan(n, m, classes))
     a, _ = complex_pair(1, 2, 3)
     cases = [(UNIT3, PolyGauss(a, 0), [ground_state(0, 3)] * 2, 4),
              (ThetaConfig(3, (1, Fraction(1, 2), 2)), PolyGauss(radial_sq(3), 0),
               [ground_state(1, 3), PolyGauss(x(2, 3) - 1, 0)], 4),
              (ThetaConfig(4, (1, 2, 1, 1)), PolyGauss(x(3, 4) ** 2 * x(1, 4), 0),
               [ground_state(1, 4)] * 3, 5)]
-    for (cfg, lead, rest, order), step in zip(cases, (2, 1, 2)):
+    for (cfg, lead, rest, order), mirrored in zip(cases, (True, False, True)):
         bound = min(f.degree() for f in [lead, *rest] if f.scale == 0)
         assert bound < order
         asked.clear()
         bounded = star_increments([lead, *rest], cfg, order)
-        assert asked == list(range(0, bound + 1, step))
+        assert asked == list(range(bound + 1))
+        if mirrored:
+            derivs = starcore._derivative_memos([lead, *rest], cfg.n)
+            walked = list(starcore._live_chains(cfg, order, bound, derivs))
+            assert all(walked[m] == ([], []) for m in range(1, bound + 1, 2))
         asked.clear()
         full = star_increments([Unbounded(f.poly, f.scale) for f in [lead, *rest]], cfg, order)
         assert asked == list(range(order + 1))

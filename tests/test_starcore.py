@@ -14,8 +14,8 @@ from nstar.polynomials import Polynomial, _sum_of_products, x
 from nstar.scalars import SQRT2, ExactComplex, I
 from nstar.starcore import (
     ThetaConfig,
+    _derivative_memos,
     _live_chains,
-    _merged_plan,
     _plan,
     _plan_terms,
     conjugate_star_n,
@@ -585,7 +585,8 @@ def test_plan_holds_every_composition_once_under_its_slot_counts(n, m):
                 weight = times4(weight, parts(term.weight))
             weight = tuple(v * Fraction(1, math.factorial(c)) for v in weight)
         expected[chain] = plus4(expected.get(chain, ZERO4), weight)
-    leaves = list(plan_leaves(_plan(n, m), n))
+    # every slot its own class: no counts are merged
+    leaves = list(plan_leaves(_plan(n, m, tuple(range(1, n))), n))
     assert all(isinstance(w, ExactComplex) for _, w in leaves)
     assert len(dict(leaves)) == len(leaves)
     assert {chain: parts(w) for chain, w in leaves} == \
@@ -618,11 +619,11 @@ def test_merged_plan_sums_the_plan_over_permutations_inside_each_class(n, top):
         mirror_closed = all(classes[j - 1] == classes[n - j - 1] for j in range(1, n))
         for m in range(top + 1):
             expected = {}
-            plan = list(plan_leaves(_plan(n, m), n))
+            plan = list(plan_leaves(_plan(n, m, tuple(range(1, n))), n))
             for chain, weight in plan:
                 orbit = class_orbit(chain, classes)
                 expected[orbit] = plus4(expected.get(orbit, ZERO4), parts(weight))
-            merged = list(plan_leaves(_merged_plan(_plan(n, m), n, m, classes), n))
+            merged = list(plan_leaves(_plan(n, m, classes), n))
             got = {class_orbit(chain, classes): parts(weight) for chain, weight in merged}
             assert len(got) == len(merged)
             assert got == {orbit: w for orbit, w in expected.items() if w != ZERO4}
@@ -720,16 +721,25 @@ def test_walk_weights_are_the_operator_weights(n):
 
 
 def test_plan_is_built_once_per_dimension_and_order():
-    # mixed theta (zeros included) and inputs: the plans built are exactly
-    # the distinct (n, m) walked, so nothing of theta or the factors keys them
+    # mixed theta (zeros included) and inputs, distinct and repeated factor
+    # objects: the plans built are exactly the distinct (n, m, classes)
+    # walked, so nothing else of theta or the factors keys them
     _plan.cache_clear()
     rng = random.Random("plan-cache")
     walked = set()
     for n, degree in ((3, 2), (3, 3), (4, 2), (3, 3), (5, 1), (4, 2)):
         for theta in zero_pattern_thetas(rng, n) + [(1,) * n]:
-            factors = [rt2_poly(rng, n, rng.randint(1, 3), degree) for _ in range(n)]
-            star_n(factors, ThetaConfig(n, theta))
-            walked.update((n, m) for m in range(min(f.degree() for f in factors) + 1))
+            f, g, h = (rt2_poly(rng, n, rng.randint(1, 3), degree) for _ in range(3))
+            products = [[rt2_poly(rng, n, rng.randint(1, 3), degree) for _ in range(n)], [f] * n]
+            products += [[f, g, g]] if n == 3 else [[f, g, h, g]] if n == 4 else []
+            for factors in products:
+                star_n(factors, ThetaConfig(n, theta))
+                # slot j's class: the first of slots 1..n-1 holding its object
+                classes = tuple(next(i for i in range(1, n) if factors[i] is factors[j])
+                                for j in range(1, n))
+                walked.update((n, m, classes) for m in range(min(p.degree() for p in factors) + 1))
+    assert {classes for _, _, classes in walked} == {(1, 2), (1, 1), (1, 2, 3), (1, 1, 1), (1, 2, 1),
+                                                     (1, 2, 3, 4), (1, 1, 1, 1)}
     assert _plan.cache_info().currsize == len(walked)
 
 
@@ -815,11 +825,12 @@ def palindromes(n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_mirrored_slots_skip_odd_orders_and_match_the_full_walk(n, monkeypatch):
     # slot j and slot n - j one object: the product is its own reflection,
-    # so every odd increment is zero and the engine asks for no odd plan;
-    # equal but distinct copies take the full walk to the same increments
+    # so every odd increment is zero and the plan of every odd order is
+    # empty; equal but distinct copies take the full walk to the same
+    # increments
     asked = []
     plan = _plan
-    monkeypatch.setattr(starcore, "_plan", lambda n, m: asked.append(m) or plan(n, m))
+    monkeypatch.setattr(starcore, "_plan", lambda n, m, classes: asked.append(m) or plan(n, m, classes))
     for factors, cfg, order in palindromes(n):
         assert all(factors[j] is factors[n - j] for j in range(1, n))
         copies = [copy_of(f) for f in factors]
@@ -828,7 +839,9 @@ def test_mirrored_slots_skip_odd_orders_and_match_the_full_walk(n, monkeypatch):
         walked = (bound if order is None else min(order, bound)) + 1
         asked.clear()
         shortcut = list(star_series(factors, cfg, order))
-        assert asked == list(range(0, walked, 2))
+        assert asked == list(range(walked))
+        chains = list(_live_chains(cfg, order, bound, _derivative_memos(factors, n)))
+        assert all(chains[m] == ([], []) for m in range(1, walked, 2))
         asked.clear()
         full = list(star_series(copies, cfg, order))
         assert asked == list(range(walked))

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -373,6 +374,35 @@ def test_lattice_io_round_trip(tmp_path):
     loaded, spec2 = load_lattice(str(path))
     assert spec2 == grid
     assert np.array_equal(loaded, arr)
+
+
+@pytest.mark.parametrize("n, N", [(3, True), (3, 4.0), (3.0, 4), (True, 4), (3, np.int64(4))])
+def test_grid_spec_rejects_a_size_that_is_not_an_int(n, N):
+    with pytest.raises(ValueError, match=r"^(n|points_per_axis) must be an int, got "):
+        GridSpec(n, N, 1.0)
+
+
+def test_lattice_load_rejects_a_payload_of_another_size(tmp_path):
+    # the header's grid of 4^3 points asks for exactly 64 complex values
+    path = tmp_path / "lattice.bin"
+    save_lattice(str(path), np.ones((4, 4, 4), dtype=complex), GridSpec(3, 4, 1.0))
+    good = path.read_bytes()
+    header = good[:-64 * 16]
+    for payload, found in ((good + bytes(16), "65"), (good[:-16], "63"),
+                           (good + bytes(3), "64 and 3 stray bytes"), (header, "0")):
+        path.write_bytes(payload)
+        with pytest.raises(ValueError, match=f"^lattice file {re.escape(str(path))}: "
+                                             f"expected 64 complex values, found {found}$"):
+            load_lattice(str(path))
+
+
+@pytest.mark.parametrize("header", [b'{"n": 3, "N": 4.0, "L": 1.0}', b'{"n": 3, "N": 4}',
+                                    b'{"n": 3, "N": 4, "L": "1"}', b'[3, 4, 1.0]', b'not json'])
+def test_lattice_load_rejects_a_header_that_is_no_grid(tmp_path, header):
+    path = tmp_path / "lattice.bin"
+    path.write_bytes(header + b"\n" + bytes(64 * 16))
+    with pytest.raises(ValueError, match=f"^lattice file {re.escape(str(path))}: bad header: "):
+        load_lattice(str(path))
 
 
 # -- the array kernel against per-tuple loops ----------------------------------

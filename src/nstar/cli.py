@@ -335,18 +335,21 @@ def _check_lattice_fit(texts, waves, grid: GridSpec) -> None:
     ints = grid.int_freqs()
     low, high = int(ints.min()), int(ints.max())
     for pos, (text, wave) in enumerate(zip(texts, waves), start=1):
-        for _, freq in wave.terms:
-            for v in freq:
-                steps = v / grid.base_freq
-                k = round(steps)
-                if abs(steps - k) > LATTICE_FIT_TOL:
-                    raise UsageError(
-                        f"wave {pos} ({text}) has frequency {v!r}, which is not an integer "
-                        f"multiple of 2*pi/L for L = {grid.period!r}")
-                if not low <= k <= high:
-                    raise UsageError(
-                        f"wave {pos} ({text}) has frequency {v!r} = {k} x 2*pi/L, "
-                        f"outside the band {low}..{high} that an N = {N} lattice resolves")
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite step is out of band
+            steps = wave.freq / grid.base_freq
+            k = np.rint(steps)  # half to even, as round() is
+            off = np.abs(steps - k) > LATTICE_FIT_TOL
+            bad = off | (k < low) | (k > high)
+        if bad.any():
+            first = bad.argmax()  # term by term, then component by component
+            v = wave.freq.flat[first].item()
+            if off.flat[first]:
+                raise UsageError(
+                    f"wave {pos} ({text}) has frequency {v!r}, which is not an integer "
+                    f"multiple of 2*pi/L for L = {grid.period!r}")
+            raise UsageError(
+                f"wave {pos} ({text}) has frequency {v!r} = {int(k.flat[first])} x 2*pi/L, "
+                f"outside the band {low}..{high} that an N = {N} lattice resolves")
 
 
 def _cmd_oracle(args) -> int:

@@ -38,7 +38,8 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .closedforms import complex_pair
@@ -121,8 +122,9 @@ _TOKEN_RE = re.compile(r"""
     | \S )
 """, re.VERBOSE)
 
-# A token's kind is that of its first character; a "number" ending in 'i'
-# is "imag", and one with '.', 'e' or 'E' is "float".
+# A token's kind is that of its first character; the parser tells a number
+# ending in 'i' ("imag") or holding '.', 'e' or 'E' ("float") apart where it
+# reads one (_number_kind).
 _KIND_OF_FIRST = {**dict.fromkeys("-+*^(),", "op"),
                   **dict.fromkeys("0123456789.", "number"),
                   **dict.fromkeys(string.ascii_letters + "_", "name")}
@@ -136,33 +138,42 @@ class Token(NamedTuple):
     col: int
 
 
-_new_token = partial(tuple.__new__, Token)
+def _lex(text: str) -> tuple[list[str], list[str], list[int]]:
+    """text's tokens as three columns: their texts, their kinds by first
+    character ("op", "number" or "name") and their 0-based start offsets,
+    each ending with an "eof" token at len(text).  A character that starts
+    no token raises at its offset."""
+    first = operator.itemgetter(0)
+    matches = _TOKEN_RE.findall(text)
+    texts = list(map(operator.itemgetter(1), matches))
+    kinds = list(map(_KIND_OF_FIRST.get, map(first, texts)))
+    # a token starts after its own whitespace and the previous token
+    offsets = list(accumulate(map(operator.add, map(len, map(first, matches)),
+                                  chain((0,), map(len, texts)))))
+    if None in kinds:
+        bad = kinds.index(None)
+        raise ExprError(f"unexpected character {texts[bad]!r}",
+                        *_line_col(_line_starts(text), offsets[bad]))
+    texts.append("")
+    kinds.append("eof")
+    offsets.append(len(text))
+    return texts, kinds, offsets
+
+
+def _number_kind(tok: str) -> str:
+    """The kind of a token whose first character is a digit or '.'."""
+    if tok[-1] == "i":
+        return "imag"
+    return "number" if _FLOAT_MARKS.isdisjoint(tok) else "float"
 
 
 def tokenize(text: str) -> list[Token]:
     """text's tokens, each with its 1-based line and column (a tab is one
     column), then an "eof" token."""
-    tokens: list[Token] = []
-    append = tokens.append
-    offset = 0
-    for space, tok in _TOKEN_RE.findall(text):
-        offset += len(space)
-        kind = _KIND_OF_FIRST.get(tok[0])
-        if kind == "number":
-            if tok[-1] == "i":
-                kind = "imag"
-            elif not _FLOAT_MARKS.isdisjoint(tok):
-                kind = "float"
-        elif kind is None:
-            raise ExprError(f"unexpected character {tok!r}", *_line_col(_line_starts(text), offset))
-        append(_new_token((kind, tok, 1, offset + 1)))
-        offset += len(tok)
-    append(_new_token(("eof", "", 1, len(text) + 1)))
-    if "\n" in text:  # so far every column is the offset + 1, on line 1
-        starts = _line_starts(text)
-        tokens = [_new_token((kind, tok, *_line_col(starts, col - 1)))
-                  for kind, tok, _, col in tokens]
-    return tokens
+    texts, kinds, offsets = _lex(text)
+    starts = _line_starts(text)
+    return [Token(_number_kind(tok) if kind == "number" else kind, tok, *_line_col(starts, offset))
+            for tok, kind, offset in zip(texts, kinds, offsets)]
 
 
 def _line_starts(text: str) -> list[int]:
@@ -190,169 +201,177 @@ _SIGNS = {"+": 1, "-": -1}
 
 
 class _Parser:
-    """Recursive descent over tokenize's list.  An op token is known by its
-    text alone, and only '(' recurses."""
+    """Recursive descent over _lex's columns, token by index.  An op token is
+    known by its text alone, and only '(' recurses."""
 
     def __init__(self, text: str, n: int):
-        self.tokens = tokenize(text)
+        self.texts, self.kinds, self.offsets = _lex(text)
+        self.line_starts = _line_starts(text) if "\n" in text else None
         self.n = n
         self.idx = 0
         self.depth = 0  # parentheses open around the current token
         self.rationals: dict[str, Fraction] = {}  # each distinct text is read once
 
-    def error(self, message: str, tok: Token):
-        raise ExprError(message, tok.line, tok.col)
+    def pos(self, i: int) -> tuple[int, int]:
+        """The 1-based (line, col) of token i."""
+        if self.line_starts is None:
+            return 1, self.offsets[i] + 1
+        return _line_col(self.line_starts, self.offsets[i])
+
+    def error(self, message: str, i: int):
+        raise ExprError(message, *self.pos(i))
 
     def expect(self, op: str) -> None:
-        tok = self.tokens[self.idx]
-        if tok.text != op:
-            self.error(f"expected {op!r}", tok)
+        if self.texts[self.idx] != op:
+            self.error(f"expected {op!r}", self.idx)
         self.idx += 1
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.tokens[self.idx]
-        if tok.kind != "eof":
-            self.error(f"unexpected trailing input {tok.text!r}", tok)
+        if self.kinds[self.idx] != "eof":
+            self.error(f"unexpected trailing input {self.texts[self.idx]!r}", self.idx)
         return node
 
     def expr(self) -> Node:
         """'-'? term (('+'|'-') term)*"""
-        tokens = self.tokens
-        tok = tokens[self.idx]
-        if tok.text == "-":
+        texts = self.texts
+        start = self.idx
+        if texts[start] == "-":
             self.idx += 1
             signs = [-1]
         else:
             signs = [1]
         terms = [self.term()]
-        while sign := _SIGNS.get(tokens[self.idx].text):
+        while sign := _SIGNS.get(texts[self.idx]):
             self.idx += 1
             signs.append(sign)
             terms.append(self.term())
         if len(terms) == 1 and signs[0] == 1:
             return terms[0]
-        return Sum(tuple(signs), tuple(terms), pos=(tok.line, tok.col))
+        return Sum(tuple(signs), tuple(terms), pos=self.pos(start))
 
     def term(self) -> Node:
         """factor ('*' factor)*, where factor := atom ('^' uint)?"""
-        tokens = self.tokens
-        first = tokens[self.idx]
+        texts = self.texts
+        start = self.idx
         factors = []
         while True:
             node = self.atom()
-            if tokens[self.idx].text == "^":
+            if texts[self.idx] == "^":
                 self.idx += 1
                 node = Pow(node, self.uint("a non-negative integer exponent"), pos=node.pos)
             factors.append(node)
-            if tokens[self.idx].text != "*":
+            if texts[self.idx] != "*":
                 break
             self.idx += 1
         if len(factors) == 1:
             return factors[0]
-        return Prod(tuple(factors), pos=(first.line, first.col))
+        return Prod(tuple(factors), pos=self.pos(start))
 
     def atom(self) -> Node:
-        tok = self.tokens[self.idx]
+        i = self.idx
         self.idx += 1
-        kind, text, line, col = tok
+        kind, text = self.kinds[i], self.texts[i]
         if kind == "number":
-            return Lit(self.rational(tok, text), _ZERO, pos=(line, col))
-        if kind == "imag":
-            return Lit(_ZERO, self.rational(tok, text[:-1]), pos=(line, col))
+            kind = _number_kind(text)
+            if kind == "number":
+                return Lit(self.rational(i, text), _ZERO, pos=self.pos(i))
+            if kind == "imag":
+                return Lit(_ZERO, self.rational(i, text[:-1]), pos=self.pos(i))
+            self.error("float literals are only allowed inside wave(...)", i)
         if kind == "name":
-            return self.named(tok)
+            return self.named(i)
         if text == "(":
             if self.depth == MAX_DEPTH:
-                self.error(f"more than {MAX_DEPTH} nested parentheses", tok)
+                self.error(f"more than {MAX_DEPTH} nested parentheses", i)
             self.depth += 1
             inner = self.expr()
             self.depth -= 1
             self.expect(")")
             return inner
-        if kind == "float":
-            self.error("float literals are only allowed inside wave(...)", tok)
         self.error(f"expected an atom, found {text!r}" if kind != "eof"
-                   else "unexpected end of input", tok)
+                   else "unexpected end of input", i)
 
-    def named(self, tok: Token) -> Node:
-        """The atom that starts with the name token tok, already read."""
-        name, pos = tok.text, (tok.line, tok.col)
+    def named(self, i: int) -> Node:
+        """The atom that starts with the name token i, already read."""
+        name = self.texts[i]
         if name == "wave":
             self.expect("(")
             freqs = [self.real("frequency component")]
-            while self.tokens[self.idx].text == ",":
+            while self.texts[self.idx] == ",":
                 self.idx += 1
                 freqs.append(self.real("frequency component"))
             self.expect(")")
             if len(freqs) != self.n:
-                self.error(f"wave arity {len(freqs)} does not match dimension {self.n}", tok)
-            return Wave(tuple(freqs), pos=pos)
+                self.error(f"wave arity {len(freqs)} does not match dimension {self.n}", i)
+            return Wave(tuple(freqs), pos=self.pos(i))
         if name[0] == "x" and name[1:].isdigit():  # names are ASCII
-            k = self.integer(tok, name[1:])
+            k = self.integer(i, name[1:])
             if not 1 <= k <= self.n:
-                self.error(f"coordinate index {k} out of range 1..{self.n}", tok)
-            return Coord(k, pos=pos)
+                self.error(f"coordinate index {k} out of range 1..{self.n}", i)
+            return Coord(k, pos=self.pos(i))
         if name in ("a", "abar"):
             self.expect("(")
-            i = self.uint("a coordinate index")
+            a = self.uint("a coordinate index")
             self.expect(",")
-            j = self.uint("a coordinate index")
+            b = self.uint("a coordinate index")
             self.expect(")")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                self.error(f"coordinate index out of range 1..{self.n}", tok)
-            if i == j:
-                self.error("complex coordinate requires distinct indices", tok)
-            return ComplexCoord(i, j, name == "abar", pos=pos)
-        self.error(f"unknown symbol {name!r}", tok)
+            if not (1 <= a <= self.n and 1 <= b <= self.n):
+                self.error(f"coordinate index out of range 1..{self.n}", i)
+            if a == b:
+                self.error("complex coordinate requires distinct indices", i)
+            return ComplexCoord(a, b, name == "abar", pos=self.pos(i))
+        self.error(f"unknown symbol {name!r}", i)
 
     def uint(self, what: str) -> int:
-        tok = self.tokens[self.idx]
-        if tok.kind != "number" or "/" in tok.text:
-            self.error(f"expected {what}", tok)
+        i = self.idx
+        text = self.texts[i]
+        if self.kinds[i] != "number" or not text.isdigit():  # digits alone: no '/', '.', 'e' or 'i'
+            self.error(f"expected {what}", i)
         self.idx += 1
-        return self.integer(tok, tok.text)
+        return self.integer(i, text)
 
-    def integer(self, tok: Token, digits: str) -> int:
-        """The int of the ASCII digits `digits`, read from tok.  This is
+    def integer(self, i: int, digits: str) -> int:
+        """The int of the ASCII digits `digits`, read from token i.  This is
         the one place the parser converts digits, so a number longer than
         Python converts (``sys.get_int_max_str_digits``) is an error at
         its token."""
         try:
             return int(digits)
         except ValueError:
-            self.error(f"integer with more than {sys.get_int_max_str_digits()} digits", tok)
+            self.error(f"integer with more than {sys.get_int_max_str_digits()} digits", i)
 
-    def rational(self, tok: Token, text: str) -> Fraction:
-        """The rational p or p/q in text, read from tok."""
+    def rational(self, i: int, text: str) -> Fraction:
+        """The rational p or p/q in text, read from token i."""
         value = self.rationals.get(text)
         if value is None:
             num, _, den = text.partition("/")
-            p, q = self.integer(tok, num), self.integer(tok, den) if den else 1
+            p, q = self.integer(i, num), self.integer(i, den) if den else 1
             if not q:
-                self.error(f"zero denominator in {text!r}", tok)
+                self.error(f"zero denominator in {text!r}", i)
             value = self.rationals[text] = Fraction(p, q)
         return value
 
     def real(self, what: str) -> float:
-        tok = self.tokens[self.idx]
+        i = self.idx
         sign = 1.0
-        if tok.text == "-":
-            self.idx += 1
+        if self.texts[i] == "-":
+            i += 1
             sign = -1.0
-            tok = self.tokens[self.idx]
-        kind, text = tok.kind, tok.text
-        if kind not in ("number", "float"):
-            self.error(f"expected {what}", tok)
-        self.idx += 1
+        text = self.texts[i]
+        kind = _number_kind(text) if self.kinds[i] == "number" else None
+        # a lone '.' lexes as a float, but no float reads it
+        if kind not in ("number", "float") or text == ".":
+            self.error(f"expected {what}", i)
+        self.idx = i + 1
         # an integer needs no Fraction: float(int) rounds as float(Fraction) does
         try:
             value = float(text if kind == "float" else
-                          self.rational(tok, text) if "/" in text else self.integer(tok, text))
+                          self.rational(i, text) if "/" in text else self.integer(i, text))
         except OverflowError:  # an int or Fraction past the float range
             value = math.inf
         if value == math.inf:  # a float literal past the range rounds to inf
-            self.error(f"{what} out of float range", tok)
+            self.error(f"{what} out of float range", i)
         return sign * value
 
 

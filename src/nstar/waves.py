@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -173,6 +173,8 @@ class GridSpec:
             raise ValueError("dimension must be at least 3")
         if self.points_per_axis < 1:
             raise ValueError("points_per_axis must be positive")
+        if type(self.period) is bool or not isinstance(self.period, numbers.Real):
+            raise ValueError(f"period must be a real number, got {self.period!r}")
         if not (0 < self.period < math.inf and math.isfinite(self.base_freq)):
             raise ValueError(f"period L = {self.period!r} must be positive and finite, "
                              f"with 2*pi/L finite")
@@ -249,21 +251,43 @@ def _nonzero_terms(terms) -> tuple:
 
 class WaveSum:
     """Finite sum of plane waves sum_a c_a exp(i s_a . x), canonicalized so
-    no two stored frequencies coincide (within MERGE_TOL per component)."""
+    no two stored frequencies coincide (within MERGE_TOL per component).
 
-    __slots__ = ("n", "terms")
+    The terms are held as two read-only arrays in canonical order: coeff
+    (complex, shape (m,)) and freq (float, shape (m, n)).  terms is the
+    same sum as a tuple of (complex, tuple of floats) pairs, built from
+    the arrays on first use when the sum was not made from such a tuple."""
+
+    __slots__ = ("n", "coeff", "freq", "_terms")
 
     def __init__(self, n: int, terms: Iterable[tuple[complex, Sequence[float]]] = ()):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", merge_terms(n, terms))
+        self._hold(n, merge_terms(n, terms))
 
     @staticmethod
-    def _canonical(n: int, terms: tuple) -> "WaveSum":
-        """Wrap terms that are already merged, sorted and free of zeros."""
+    def _canonical(n: int, terms: tuple | None = None, coeff: np.ndarray | None = None,
+                   freq: np.ndarray | None = None) -> "WaveSum":
+        """Wrap terms that are already merged, sorted and free of zeros, or
+        the coeff and freq arrays of such terms, which the sum then owns."""
         w = object.__new__(WaveSum)
-        object.__setattr__(w, "n", n)
-        object.__setattr__(w, "terms", terms)
+        w._hold(n, terms, coeff, freq)
         return w
+
+    def _hold(self, n: int, terms: tuple | None, coeff: np.ndarray | None = None,
+              freq: np.ndarray | None = None) -> None:
+        if terms is not None:
+            coeff = np.array([c for c, _ in terms], dtype=complex)
+            freq = np.array([f for _, f in terms], dtype=float).reshape(-1, n)
+        coeff.flags.writeable = freq.flags.writeable = False
+        for name, value in zip(WaveSum.__slots__, (n, coeff, freq, terms)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def terms(self) -> tuple:
+        """The (coeff, freq) pairs, as a tuple of (complex, tuple of floats)."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", tuple(zip(self.coeff.tolist(),
+                                                         map(tuple, self.freq.tolist()))))
+        return self._terms
 
     def __setattr__(self, name, value):
         raise AttributeError("WaveSum is immutable")
@@ -317,10 +341,8 @@ class WaveSum:
             raise ValueError("dimension mismatch")
         n, N = self.n, spec.points_per_axis
         out = np.zeros((N, N ** (n - 1)), dtype=complex)
-        if self.terms:
-            coeff = np.array([c for c, _ in self.terms], dtype=complex)
-            freq = np.fromiter(chain.from_iterable([f for _, f in self.terms]), dtype=float,
-                               count=len(self.terms) * n).reshape(-1, n)
+        coeff, freq = self.coeff, self.freq
+        if len(coeff):
             values, inverse = np.unique(freq, return_inverse=True)
             table = np.exp(1j * (values[:, None] * spec.axis_points()))
             index = inverse.reshape(freq.shape)  # term, axis -> table row
@@ -343,7 +365,8 @@ class WaveSum:
         return out.reshape((N,) * n)
 
     def to_json_terms(self) -> list[dict]:
-        return [{"re": c.real, "im": c.imag, "freq": list(f)} for c, f in self.terms]
+        return [{"re": re, "im": im, "freq": f} for re, im, f in
+                zip(self.coeff.real.tolist(), self.coeff.imag.tolist(), self.freq.tolist())]
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "terms": self.to_json_terms()})
@@ -404,11 +427,10 @@ def star_waves(factors: Sequence[WaveSum], cfg: ThetaConfig) -> WaveSum:
     """n-ary star product of finite wave sums, by multilinearity."""
     _check_arity(factors, cfg)
     n = cfg.n
-    if not all(w.terms for w in factors):
+    if not all(len(w.coeff) for w in factors):
         return WaveSum._canonical(n, ())
-    coeffs = [np.array([c for c, _ in w.terms], dtype=complex) for w in factors]
-    slots = [np.array([f for _, f in w.terms], dtype=float).reshape(-1, n) for w in factors]
-    return _merge(n, _weighted_products(coeffs, slots, cfg).ravel(), slots)
+    slots = [w.freq for w in factors]
+    return _merge(n, _weighted_products([w.coeff for w in factors], slots, cfg).ravel(), slots)
 
 
 def _distinct(rows: np.ndarray) -> tuple:
@@ -494,7 +516,7 @@ def _merge(n: int, coeff: np.ndarray, slots: Sequence[np.ndarray]) -> WaveSum:
         first = np.argmax(bad)
         raise _coeff_overflow_error(complex(sums[first]), freq[first].tolist())
     keep = sums != 0
-    return WaveSum._canonical(n, tuple(zip(sums[keep].tolist(), map(tuple, freq[keep].tolist()))))
+    return WaveSum._canonical(n, coeff=sums[keep], freq=freq[keep])
 
 
 def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaConfig,
@@ -551,8 +573,13 @@ def grid_oracle_star(factors: Sequence[np.ndarray], spec: GridSpec, cfg: ThetaCo
 
 
 def save_lattice(path: str, arr: np.ndarray, spec: GridSpec) -> None:
-    """Row-major complex-pair binary with a one-line JSON header {n, N, L}."""
+    """Row-major complex-pair binary with a one-line JSON header {n, N, L}.
+    arr must have the grid's shape (N,)*n, or ValueError is raised before
+    path is opened."""
     arr = np.ascontiguousarray(np.asarray(arr, dtype=np.complex128))
+    shape = (spec.points_per_axis,) * spec.n
+    if arr.shape != shape:
+        raise ValueError(f"lattice shape {arr.shape} does not match the grid's (N,)*n = {shape}")
     header = json.dumps({"n": spec.n, "N": spec.points_per_axis, "L": spec.period})
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")

@@ -21,7 +21,7 @@ from nstar.cli import main
 from nstar.exprs import MAX_DEPTH
 from nstar.polynomials import Polynomial, x
 from nstar.starcore import ThetaConfig, star_n
-from nstar.waves import WaveSum
+from nstar.waves import GridSpec, WaveSum
 
 # The directory holding the nstar package this test run imported.
 IMPORT_ROOT = str(Path(nstar.__file__).resolve().parent.parent)
@@ -797,6 +797,73 @@ def test_oracle_rejects_wave_outside_lattice_band(wave, capsys):
     assert "N = 4" in error["message"]
     assert main(["oracle", "--N", "4", "wave(-2,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 0
     assert float(capsys.readouterr().out.split("=")[1]) <= 1e-9
+
+def _check_lattice_fit_loop(texts, waves, grid):
+    """Reference: the lattice-fit check component by component, in term order."""
+    N = grid.points_per_axis
+    ints = grid.int_freqs()
+    low, high = int(ints.min()), int(ints.max())
+    for pos, (text, wave) in enumerate(zip(texts, waves), start=1):
+        for _, freq in wave.terms:
+            for v in freq:
+                steps = v / grid.base_freq
+                k = round(steps)
+                if abs(steps - k) > cli.LATTICE_FIT_TOL:
+                    raise cli.UsageError(
+                        f"wave {pos} ({text}) has frequency {v!r}, which is not an integer "
+                        f"multiple of 2*pi/L for L = {grid.period!r}")
+                if not low <= k <= high:
+                    raise cli.UsageError(
+                        f"wave {pos} ({text}) has frequency {v!r} = {k} x 2*pi/L, "
+                        f"outside the band {low}..{high} that an N = {N} lattice resolves")
+
+
+def _fit_outcome(check, texts, waves, grid):
+    try:
+        check(texts, waves, grid)
+    except (cli.UsageError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lattice_fit_check_matches_the_component_loop(n):
+    rng = random.Random(900 + n)
+    N = 8
+    outcomes = set()
+    for case in range(300):
+        grid = GridSpec(n, N, rng.choice([2 * math.pi, 2 * math.pi / 3, 1.5]))
+        step, bad = grid.base_freq, rng.choice([0.0, 0.1, 0.4])  # the share of bad components
+
+        def component():
+            kind = rng.random()
+            if kind >= bad:  # in band
+                return step * rng.randint(-N // 2, N // 2 - 1)
+            if kind < bad / 2:  # out of band, on the lattice
+                return step * rng.choice([-N // 2 - 1, N // 2, N // 2 + 3, -3 * N])
+            return step * (rng.randint(-4, 4) + rng.choice([0.5, 0.25, 1e-6, -0.3]))  # off lattice
+
+        waves = [WaveSum(n, [(1 + 0j, tuple(component() for _ in range(n)))
+                                 for _ in range(rng.randint(1, 6))]) for _ in range(n)]
+        texts = [f"w{j}" for j in range(n)]
+        want = _fit_outcome(_check_lattice_fit_loop, texts, waves, grid)
+        assert _fit_outcome(cli._check_lattice_fit, texts, waves, grid) == want
+        outcomes.add("fits" if want is None else
+                     "off lattice" if "not an integer multiple" in want[1] else "out of band")
+    assert outcomes == {"fits", "off lattice", "out of band"}
+
+
+def test_lattice_fit_check_matches_the_component_loop_at_extremes():
+    # an infinite step (2*pi/L underflows against the frequency) fails as the
+    # loop's round() does; -0.0 and a half step round half to even
+    grid = GridSpec(3, 8, 1e300)
+    huge = [WaveSum(3, [(1, (0, 0, 1e290))]), WaveSum(3), WaveSum.constant(1, 3)]
+    tiny = [WaveSum(3, [(1, (-0.0, 2.5 * grid.base_freq, 0))])] * 3
+    for waves in (huge, tiny):
+        want = _fit_outcome(_check_lattice_fit_loop, "abc", waves, grid)
+        assert want is not None
+        assert _fit_outcome(cli._check_lattice_fit, "abc", waves, grid) == want
+
 
 # -- wave output, byte for byte ---------------------------------------------------
 

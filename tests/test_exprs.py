@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from nstar.closedforms import complex_pair
 from nstar.exprs import (
+    _FLOAT_MARKS,
+    _KIND_OF_FIRST,
+    _TOKEN_RE,
     MAX_DEPTH,
     ComplexCoord,
     Coord,
@@ -459,6 +462,83 @@ def test_token_positions_match_a_naive_count(pieces):
         assert tok.col == len(before) - (before.rfind("\n") + 1) + 1
     assert tokens[-1].kind == "eof" and _naive_offset(text, tokens[-1].line, tokens[-1].col) == len(text)
     assert "".join(tok.text for tok in tokens) == "".join(text.split())
+
+
+def _tokenize_loop(text):
+    """Reference: the tokens one by one from _TOKEN_RE's matches, each with
+    its kind, text and 1-based line and column counted from the text before
+    it, then an "eof" token."""
+    tokens = []
+    offset = 0
+
+    def position(offset):
+        before = text[:offset]
+        return before.count("\n") + 1, offset - (before.rfind("\n") + 1) + 1
+
+    for space, tok in _TOKEN_RE.findall(text):
+        offset += len(space)
+        kind = _KIND_OF_FIRST.get(tok[0])
+        if kind == "number":
+            if tok[-1] == "i":
+                kind = "imag"
+            elif not _FLOAT_MARKS.isdisjoint(tok):
+                kind = "float"
+        elif kind is None:
+            raise ExprError(f"unexpected character {tok!r}", *position(offset))
+        tokens.append(Token(kind, tok, *position(offset)))
+        offset += len(tok)
+    tokens.append(Token("eof", "", *position(len(text))))
+    return tokens
+
+
+def _lex_outcome(lexer, text):
+    try:
+        return [tuple(tok) for tok in lexer(text)]
+    except ExprError as exc:
+        return exc.message, exc.line, exc.col
+
+
+_LEX_PIECES = ["3/4", "3/4i", "12/5i", "7", "2i", "1.5", "1.", ".5", "2e3", "1.5E-2", ".5e+1",
+               ".", "/", "@", "\u0663", "x1", "x12", "wave", "a", "abar", "_q", "i", "(", ")", ",",
+               "-", "+", "*", "^", " ", "\t", "\n", "\n\t ", "\r\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=30))
+def test_tokenize_matches_the_token_loop(pieces):
+    # one field at a time: kind, text, line and col, or the same error
+    text = "".join(pieces)
+    assert _lex_outcome(tokenize, text) == _lex_outcome(_tokenize_loop, text)
+
+
+def test_tokenize_matches_the_token_loop_on_kinds():
+    text = "3/4 3/4i 1.5 1. .5 2e3 2i x1 (\n\t) . wave"
+    tokens = tokenize(text)
+    assert tokens == _tokenize_loop(text)
+    assert [tok.kind for tok in tokens] == ["number", "imag", "float", "float", "float", "float",
+                                            "imag", "name", "op", "op", "float", "name", "eof"]
+    assert tokens[-3:-1] == [Token("float", ".", 2, 4), Token("name", "wave", 2, 6)]
+    for text in ("1 + 2 / 3", "x1 @ x2", "\n\t\u0663"):
+        with pytest.raises(ExprError) as err:
+            tokenize(text)
+        assert (err.value.message, err.value.line, err.value.col) == _lex_outcome(_tokenize_loop, text)
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("x1 +\n  wave(1, 0)", 2, 3, "wave arity 2 does not match dimension 3"),
+    ("x1 +\n\twave(1, 2/0, 3)", 2, 10, "zero denominator in '2/0'"),
+    ("1 +\nwave(1,0,0", 2, 11, "expected ')'"),
+    ("x1\n + wave(1, ., 0)", 2, 12, "expected frequency component"),
+    ("x1\n + wave(1, 2i, 0)", 2, 12, "expected frequency component"),
+    ("x1 +\n\t@", 2, 2, "unexpected character '@'"),
+    ("\n\n  x2 * \u0663", 3, 8, "unexpected character '\u0663'"),
+    ("x1 * 2\n/3", 2, 1, "unexpected character '/'"),
+    ("\n1.5 * x1", 2, 1, "float literals are only allowed inside wave(...)"),
+])
+def test_diagnostic_position_after_a_newline(text, line, col, message):
+    with pytest.raises(ExprError) as err:
+        parse_expression(text, 3)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
 
 
 def _naive_offset(text, line, col):

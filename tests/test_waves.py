@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import Phase, given, reject, settings, strategies as st
 
 from nstar import waves
+from nstar.exprs import lower_wave, parse_expression
 from nstar.scalars import ExactComplex, I
 from nstar.starcore import ThetaConfig, deformation_terms, sigma_power
 from nstar.waves import (
@@ -24,6 +25,7 @@ from nstar.waves import (
     grid_oracle_star,
     kernel_exponent,
     load_lattice,
+    merge_terms,
     save_lattice,
     star_waves,
 )
@@ -396,6 +398,27 @@ def test_lattice_load_rejects_a_payload_of_another_size(tmp_path):
             load_lattice(str(path))
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (4, 4, 4, 4), (4, 4, 3), (64,)])
+def test_lattice_save_rejects_an_array_of_another_shape(tmp_path, shape):
+    # the header would ask for 4^3 values; a file holding others is never written
+    path = tmp_path / "lattice.bin"
+    with pytest.raises(ValueError, match=re.escape(f"lattice shape {shape} does not match the "
+                                                   f"grid's (N,)*n = (4, 4, 4)")):
+        save_lattice(str(path), np.ones(shape), GridSpec(3, 4, 1.0))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("period", [True, False, "x", "1", 1j, None, [1.0]])
+def test_grid_spec_rejects_a_period_that_is_not_a_real_number(period):
+    with pytest.raises(ValueError, match=r"^period must be a real number, got "):
+        GridSpec(3, 4, period)
+
+
+@pytest.mark.parametrize("period", [1, 2.5, Fraction(1, 3), np.float64(2.0)])
+def test_grid_spec_takes_a_real_period(period):
+    assert GridSpec(3, 4, period).base_freq == 2.0 * math.pi / period
+
+
 @pytest.mark.parametrize("header", [b'{"n": 3, "N": 4.0, "L": 1.0}', b'{"n": 3, "N": 4}',
                                     b'{"n": 3, "N": 4, "L": "1"}', b'[3, 4, 1.0]', b'not json'])
 def test_lattice_load_rejects_a_header_that_is_no_grid(tmp_path, header):
@@ -710,6 +733,80 @@ def _merge_cases(draw):
 def test_star_waves_merge_matches_dict_merge_hypothesis(case):
     factors, cfg = case
     _assert_merge_matches_dict_merge(factors, cfg)
+
+
+@st.composite
+def _finite_merge_cases(draw):
+    n = draw(st.integers(3, 5))
+    theta = draw(st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-2, 2)] * n)))
+    coeffs = st.builds(complex, *[st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])] * 2)
+    factors = [WaveSum(n, draw(st.lists(st.tuples(coeffs, st.tuples(*[_merge_components] * n)),
+                                        min_size=1, max_size=4)))
+               for _ in range(n)]
+    return factors, ThetaConfig(n, tuple(map(Fraction, theta)))
+
+
+# no explain phase: it traces a failing case line by line, for minutes on a
+# 1,024-row product
+@settings(deadline=None, phases=[phase for phase in Phase if phase is not Phase.explain])
+@given(_finite_merge_cases())
+def test_merge_arrays_match_merge_terms_bytes(case):
+    # _merge's arrays hold exactly merge_terms' terms on the same rows, signed
+    # zeros included
+    factors, cfg = case
+    n = cfg.n
+    slots = [w.freq for w in factors]
+    rows = [tuple(map(sum, zip(*combo))) for combo in itertools.product(*(s.tolist() for s in slots))]
+    if not rows:  # star_waves merges no product with an empty factor
+        reject()
+    try:
+        coeff = waves._weighted_products([w.coeff for w in factors], slots, cfg).ravel()
+        ref = merge_terms(n, zip(coeff.tolist(), rows))
+    except OverflowError:  # the same errors: test_star_waves_merge_matches_dict_merge_hypothesis
+        reject()
+    got = waves._merge(n, coeff, slots)
+    assert got.coeff.shape == (len(ref),) and got.freq.shape == (len(ref), n)
+    assert got.coeff.tobytes() == np.array([c for c, _ in ref], dtype=complex).tobytes()
+    assert got.freq.tobytes() == np.array([f for _, f in ref], dtype=float).reshape(-1, n).tobytes()
+
+
+def _assert_terms_view(w):
+    assert w.coeff.dtype == complex and w.freq.dtype == float
+    assert w.coeff.shape == (len(w.terms),) and w.freq.shape == (len(w.terms), w.n)
+    assert repr(w.terms) == repr(tuple(zip(w.coeff.tolist(), map(tuple, w.freq.tolist()))))
+    assert len(w.terms) == len(w.coeff)
+
+
+def test_wave_sum_terms_are_a_view_of_its_arrays():
+    flat = theta3(0, 0, 0)
+    lowered = lower_wave(parse_expression("wave(1,0,0) - 2i*wave(0,-0.5,3) + 1 - wave(1,0,0)", 3), 3)
+    sums = [lowered, WaveSum(3), WaveSum(4), WaveSum.constant(-0.0j + 2, 3),
+            WaveSum(3, [(1, (2, 0, 0)), (-0.5j, (0, 0, 1)), (3, (2, 0, 0))])]
+    merged = star_waves([sums[-1], lowered, sums[-1]], theta3(1, 2, 3))
+    empty = star_waves([lowered, WaveSum(3), lowered], flat)
+    cancelled = waves._merge(3, np.array([1.0 + 0j, -1.0 + 0j]),
+                             [np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((1, 3))])
+    for w in sums + [merged, empty, cancelled]:
+        _assert_terms_view(w)
+    assert len(merged.terms) == 6
+    for w in (WaveSum(3), WaveSum(4), empty, cancelled):
+        assert w.terms == () and w.coeff.shape == (0,) and w.freq.shape == (0, w.n)
+    assert merged == WaveSum(3, merged.terms) and str(merged) == str(WaveSum(3, merged.terms))
+
+
+def test_wave_sum_arrays_are_read_only():
+    flat = theta3(0, 0, 0)
+    w = WaveSum(3, [(1, (1, 0, 0)), (2j, (0, 1, 0))])
+    merged = star_waves([w, w, WaveSum.constant(1, 3)], flat)
+    for s in (w, merged, WaveSum(3)):
+        for arr in (s.coeff, s.freq):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        for name in ("n", "coeff", "freq", "terms", "_terms", "other"):
+            with pytest.raises(AttributeError, match="^WaveSum is immutable$"):
+                setattr(s, name, None)
+    assert merged.terms == ((-4 + 0j, (0.0, 2.0, 0.0)), (4j, (1.0, 1.0, 0.0)), (1 + 0j, (2.0, 0.0, 0.0)))
 
 
 def test_star_waves_merge_key_overflow_names_the_frequency():

@@ -189,11 +189,22 @@ def _emit(text, body, args, save=None) -> None:
     A failed write prints nothing.
 
     text and body are callables, so only the forms printed or written are
-    rendered: formatting a large product takes as long as computing it."""
-    data = body() if args.format == "json" or (args.output and save is None) else None
-    if args.output:
-        _write(args.output, save or (lambda path: _write_json(path, data)))
-    print(json.dumps(data, check_circular=False) if args.format == "json" else text())
+    rendered: formatting a large product takes as long as computing it.  A
+    result holding an integer longer than Python converts to text
+    (sys.get_int_max_str_digits()) is a usage error, found while the
+    printed form is rendered, before anything is written or printed."""
+    try:
+        data = body() if args.format == "json" or (args.output and save is None) else None
+        out = json.dumps(data, check_circular=False) if args.format == "json" else text()
+        if args.output:
+            _write(args.output, save or (lambda path: _write_json(path, data)))
+    except ValueError as exc:
+        if "set_int_max_str_digits" not in str(exc):  # the interpreter's int-to-text limit only
+            raise
+        raise UsageError(f"the result is too long to print: it holds an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, the most Python converts to "
+                         f"text (sys.get_int_max_str_digits())") from None
+    print(out)
 
 
 def _cmd_product(args) -> int:
@@ -347,8 +358,11 @@ def _check_lattice_fit(texts, waves, grid: GridSpec) -> None:
                 raise UsageError(
                     f"wave {pos} ({text}) has frequency {v!r}, which is not an integer "
                     f"multiple of 2*pi/L for L = {grid.period!r}")
+            step = k.flat[first]
+            size = (f" = {int(step)} x 2*pi/L" if np.isfinite(step)
+                    else ", which is past the float range in units of 2*pi/L")
             raise UsageError(
-                f"wave {pos} ({text}) has frequency {v!r} = {int(k.flat[first])} x 2*pi/L, "
+                f"wave {pos} ({text}) has frequency {v!r}{size}, "
                 f"outside the band {low}..{high} that an N = {N} lattice resolves")
 
 

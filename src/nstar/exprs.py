@@ -36,16 +36,16 @@ import re
 import string
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .closedforms import complex_pair
 from .polynomials import Polynomial
 from .scalars import ExactComplex
-from .waves import WaveSum, _coeff_overflow_error, _merge_key, _nonzero_terms, merge_terms
+from .waves import (MERGE_TOL, WaveSum, _coeff_overflow_error, _freq_range_error, _nonzero_terms,
+                    merge_terms)
 
 
 class ExprError(ValueError):
@@ -53,127 +53,175 @@ class ExprError(ValueError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line} col {col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col
 
 
 # -- AST --------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Node:
-    pos: tuple[int, int] = field(default=(1, 1), compare=False, kw_only=True)
+    """An immutable tree node.  A node class lists its fields in _fields,
+    which equality, hashing and repr read in that order; pos, the 1-based
+    (line, col) where the node's text starts, is left out of equality and
+    hashing."""
+
+    __slots__ = ("pos",)
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):  # no value: called as __delattr__
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = "".join(f", {name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}(pos={self.pos!r}{fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), (*self._values(), self.pos)
 
 
-@dataclass(frozen=True)
 class Lit(Node):
-    re: Fraction
-    im: Fraction
+    """The rational literal re + im*i."""
+    __slots__ = _fields = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction, pos=(1, 1)):
+        _put_re(self, re)
+        _put_im(self, im)
+        _put_pos(self, pos)
 
 
-@dataclass(frozen=True)
 class Coord(Node):
-    k: int
+    """The coordinate x<k>."""
+    __slots__ = _fields = ("k",)
+
+    def __init__(self, k: int, pos=(1, 1)):
+        _put_k(self, k)
+        _put_pos(self, pos)
 
 
-@dataclass(frozen=True)
 class ComplexCoord(Node):
-    i: int
-    j: int
-    conj: bool
+    """a(i,j), or abar(i,j) when conj is true."""
+    __slots__ = _fields = ("i", "j", "conj")
+
+    def __init__(self, i: int, j: int, conj: bool, pos=(1, 1)):
+        _put_i(self, i)
+        _put_j(self, j)
+        _put_conj(self, conj)
+        _put_pos(self, pos)
 
 
-@dataclass(frozen=True)
 class Wave(Node):
-    freqs: tuple[float, ...]
+    """wave(freqs), with freqs a tuple of floats."""
+    __slots__ = _fields = ("freqs",)
+
+    def __init__(self, freqs: tuple[float, ...], pos=(1, 1)):
+        _put_freqs(self, freqs)
+        _put_pos(self, pos)
 
 
-@dataclass(frozen=True)
 class Sum(Node):
-    signs: tuple[int, ...]
-    terms: tuple[Node, ...]
+    """The terms, each added (sign 1) or subtracted (sign -1) in order."""
+    __slots__ = _fields = ("signs", "terms")
+
+    def __init__(self, signs: tuple[int, ...], terms: tuple[Node, ...], pos=(1, 1)):
+        _put_signs(self, signs)
+        _put_terms(self, terms)
+        _put_pos(self, pos)
 
 
-@dataclass(frozen=True)
 class Prod(Node):
-    factors: tuple[Node, ...]
+    __slots__ = _fields = ("factors",)
+
+    def __init__(self, factors: tuple[Node, ...], pos=(1, 1)):
+        _put_factors(self, factors)
+        _put_pos(self, pos)
 
 
-@dataclass(frozen=True)
 class Pow(Node):
-    base: Node
-    exp: int
+    __slots__ = _fields = ("base", "exp")
+
+    def __init__(self, base: Node, exp: int, pos=(1, 1)):
+        _put_base(self, base)
+        _put_exp(self, exp)
+        _put_pos(self, pos)
+
+
+# The setters of the nodes' slots, through which each __init__ fills them:
+# they pass over Node.__setattr__ and cost less than object.__setattr__.
+_put_pos = Node.pos.__set__
+_put_re, _put_im = Lit.re.__set__, Lit.im.__set__
+_put_k = Coord.k.__set__
+_put_i, _put_j, _put_conj = ComplexCoord.i.__set__, ComplexCoord.j.__set__, ComplexCoord.conj.__set__
+_put_freqs = Wave.freqs.__set__
+_put_signs, _put_terms = Sum.signs.__set__, Sum.terms.__set__
+_put_factors = Prod.factors.__set__
+_put_base, _put_exp = Pow.base.__set__, Pow.exp.__set__
 
 
 # -- tokenizer ---------------------------------------------------------------
 
-# One match per token: the whitespace before it, then the token, or any other
-# single character, which tokenize reports as unexpected.  Digits are ASCII
-# only, so a number from another script is an unexpected character.
+# One match per token, with the whitespace before it.  A character that
+# starts no token matches with the rest of the text, so the last match is
+# the only one that can hold it.  Digits are ASCII only, so a number from
+# another script is an unexpected character.
 _TOKEN_RE = re.compile(r"""
-    (\s*)
-    ( [-+*^(),]
+    \s*
+    (?: [-+*^(),]
     | [0-9]+ (?: /[0-9]+ (?:i\b)?                 # p/q or p/qi
                | i\b                              # pi
                | \.[0-9]* (?:[eE][+-]?[0-9]+)?    # float
                | [eE][+-]?[0-9]+ )?               # float
-    | \.[0-9]+ (?:[eE][+-]?[0-9]+)?               # float
+    | \. (?: [0-9]+ (?:[eE][+-]?[0-9]+)? )?       # float, or a lone '.'
     | [A-Za-z_][A-Za-z_0-9]*
-    | \S )
-""", re.VERBOSE)
+    | \S.* )                                      # no token: the rest of the text
+""", re.VERBOSE | re.DOTALL)
 
-# A token's kind is that of its first character; the parser tells a number
-# ending in 'i' ("imag") or holding '.', 'e' or 'E' ("float") apart where it
-# reads one (_number_kind).
-_KIND_OF_FIRST = {**dict.fromkeys("-+*^(),", "op"),
+# A token's kind is that of its first character ("" for the eof token); a
+# number ending in 'i' is "imag" and one holding '.', 'e' or 'E' "float".
+_KIND_OF_FIRST = {"": "eof", **dict.fromkeys("-+*^(),", "op"),
                   **dict.fromkeys("0123456789.", "number"),
                   **dict.fromkeys(string.ascii_letters + "_", "name")}
 _FLOAT_MARKS = frozenset(".eE")
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = NamedTuple("Token", [("kind", str), ("text", str), ("line", int), ("col", int)])
 
 
-def _lex(text: str) -> tuple[list[str], list[str], list[int]]:
-    """text's tokens as three columns: their texts, their kinds by first
-    character ("op", "number" or "name") and their 0-based start offsets,
-    each ending with an "eof" token at len(text).  A character that starts
-    no token raises at its offset."""
-    first = operator.itemgetter(0)
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """text's tokens as two columns, their texts and the 0-based offsets
+    where they end, then an "eof" token ("") at len(text); a token starts at
+    its end less its length.  A character that starts no token raises at
+    its offset."""
     matches = _TOKEN_RE.findall(text)
-    texts = list(map(operator.itemgetter(1), matches))
-    kinds = list(map(_KIND_OF_FIRST.get, map(first, texts)))
-    # a token starts after its own whitespace and the previous token
-    offsets = list(accumulate(map(operator.add, map(len, map(first, matches)),
-                                  chain((0,), map(len, texts)))))
-    if None in kinds:
-        bad = kinds.index(None)
-        raise ExprError(f"unexpected character {texts[bad]!r}",
-                        *_line_col(_line_starts(text), offsets[bad]))
-    texts.append("")
-    kinds.append("eof")
-    offsets.append(len(text))
-    return texts, kinds, offsets
-
-
-def _number_kind(tok: str) -> str:
-    """The kind of a token whose first character is a digit or '.'."""
-    if tok[-1] == "i":
-        return "imag"
-    return "number" if _FLOAT_MARKS.isdisjoint(tok) else "float"
+    if matches and (last := matches[-1].lstrip())[0] not in _KIND_OF_FIRST:
+        raise ExprError(f"unexpected character {last[0]!r}",  # last runs to the end
+                        *_line_col(_line_starts(text), len(text) - len(last)))
+    return [*map(str.lstrip, matches), ""], [*accumulate(map(len, matches)), len(text)]
 
 
 def tokenize(text: str) -> list[Token]:
-    """text's tokens, each with its 1-based line and column (a tab is one
-    column), then an "eof" token."""
-    texts, kinds, offsets = _lex(text)
+    """text's tokens, each with its kind, its 1-based line and column (a tab
+    is one column), then an "eof" token."""
+    texts, ends = _lex(text)
     starts = _line_starts(text)
-    return [Token(_number_kind(tok) if kind == "number" else kind, tok, *_line_col(starts, offset))
-            for tok, kind, offset in zip(texts, kinds, offsets)]
+    return [Token(_token_kind(tok), tok, *_line_col(starts, end - len(tok)))
+            for tok, end in zip(texts, ends)]
+
+
+def _token_kind(tok: str) -> str:
+    kind = _KIND_OF_FIRST[tok[:1]]
+    if kind != "number":
+        return kind
+    return "imag" if tok[-1] == "i" else "number" if _FLOAT_MARKS.isdisjoint(tok) else "float"
 
 
 def _line_starts(text: str) -> list[int]:
@@ -202,21 +250,23 @@ _SIGNS = {"+": 1, "-": -1}
 
 class _Parser:
     """Recursive descent over _lex's columns, token by index.  An op token is
-    known by its text alone, and only '(' recurses."""
+    known by its text alone, any other by its first character, and only '('
+    recurses."""
 
     def __init__(self, text: str, n: int):
-        self.texts, self.kinds, self.offsets = _lex(text)
+        self.texts, self.ends = _lex(text)
         self.line_starts = _line_starts(text) if "\n" in text else None
         self.n = n
-        self.idx = 0
-        self.depth = 0  # parentheses open around the current token
-        self.rationals: dict[str, Fraction] = {}  # each distinct text is read once
+        self.idx = self.depth = 0  # depth: parentheses open around the current token
+        # each distinct number text is read once, as a literal (a Fraction)
+        # and as a wave component (a float)
+        self.rationals, self.reals = {}, {}
 
     def pos(self, i: int) -> tuple[int, int]:
         """The 1-based (line, col) of token i."""
         if self.line_starts is None:
-            return 1, self.offsets[i] + 1
-        return _line_col(self.line_starts, self.offsets[i])
+            return 1, self.ends[i] - len(self.texts[i]) + 1
+        return _line_col(self.line_starts, self.ends[i] - len(self.texts[i]))
 
     def error(self, message: str, i: int):
         raise ExprError(message, *self.pos(i))
@@ -228,7 +278,7 @@ class _Parser:
 
     def parse(self) -> Node:
         node = self.expr()
-        if self.kinds[self.idx] != "eof":
+        if self.texts[self.idx]:  # not the eof token
             self.error(f"unexpected trailing input {self.texts[self.idx]!r}", self.idx)
         return node
 
@@ -236,11 +286,10 @@ class _Parser:
         """'-'? term (('+'|'-') term)*"""
         texts = self.texts
         start = self.idx
+        signs = [1]
         if texts[start] == "-":
             self.idx += 1
             signs = [-1]
-        else:
-            signs = [1]
         terms = [self.term()]
         while sign := _SIGNS.get(texts[self.idx]):
             self.idx += 1
@@ -248,7 +297,7 @@ class _Parser:
             terms.append(self.term())
         if len(terms) == 1 and signs[0] == 1:
             return terms[0]
-        return Sum(tuple(signs), tuple(terms), pos=self.pos(start))
+        return Sum(tuple(signs), tuple(terms), self.pos(start))
 
     def term(self) -> Node:
         """factor ('*' factor)*, where factor := atom ('^' uint)?"""
@@ -259,25 +308,25 @@ class _Parser:
             node = self.atom()
             if texts[self.idx] == "^":
                 self.idx += 1
-                node = Pow(node, self.uint("a non-negative integer exponent"), pos=node.pos)
+                node = Pow(node, self.uint("a non-negative integer exponent"), node.pos)
             factors.append(node)
             if texts[self.idx] != "*":
                 break
             self.idx += 1
         if len(factors) == 1:
             return factors[0]
-        return Prod(tuple(factors), pos=self.pos(start))
+        return Prod(tuple(factors), self.pos(start))
 
     def atom(self) -> Node:
         i = self.idx
-        self.idx += 1
-        kind, text = self.kinds[i], self.texts[i]
+        self.idx = i + 1
+        text = self.texts[i]
+        kind = _KIND_OF_FIRST[text[:1]]
         if kind == "number":
-            kind = _number_kind(text)
-            if kind == "number":
-                return Lit(self.rational(i, text), _ZERO, pos=self.pos(i))
-            if kind == "imag":
-                return Lit(_ZERO, self.rational(i, text[:-1]), pos=self.pos(i))
+            if text[-1] == "i":
+                return Lit(_ZERO, self.rational(i, text[:-1]), self.pos(i))
+            if _FLOAT_MARKS.isdisjoint(text):
+                return Lit(self.rational(i, text), _ZERO, self.pos(i))
             self.error("float literals are only allowed inside wave(...)", i)
         if kind == "name":
             return self.named(i)
@@ -297,19 +346,19 @@ class _Parser:
         name = self.texts[i]
         if name == "wave":
             self.expect("(")
-            freqs = [self.real("frequency component")]
+            freqs = [self.real()]
             while self.texts[self.idx] == ",":
                 self.idx += 1
-                freqs.append(self.real("frequency component"))
+                freqs.append(self.real())
             self.expect(")")
             if len(freqs) != self.n:
                 self.error(f"wave arity {len(freqs)} does not match dimension {self.n}", i)
-            return Wave(tuple(freqs), pos=self.pos(i))
+            return Wave(tuple(freqs), self.pos(i))
         if name[0] == "x" and name[1:].isdigit():  # names are ASCII
             k = self.integer(i, name[1:])
             if not 1 <= k <= self.n:
                 self.error(f"coordinate index {k} out of range 1..{self.n}", i)
-            return Coord(k, pos=self.pos(i))
+            return Coord(k, self.pos(i))
         if name in ("a", "abar"):
             self.expect("(")
             a = self.uint("a coordinate index")
@@ -320,16 +369,15 @@ class _Parser:
                 self.error(f"coordinate index out of range 1..{self.n}", i)
             if a == b:
                 self.error("complex coordinate requires distinct indices", i)
-            return ComplexCoord(a, b, name == "abar", pos=self.pos(i))
+            return ComplexCoord(a, b, name == "abar", self.pos(i))
         self.error(f"unknown symbol {name!r}", i)
 
     def uint(self, what: str) -> int:
         i = self.idx
-        text = self.texts[i]
-        if self.kinds[i] != "number" or not text.isdigit():  # digits alone: no '/', '.', 'e' or 'i'
+        if not self.texts[i].isdigit():  # a number of ASCII digits alone: no '/', '.', 'e' or 'i'
             self.error(f"expected {what}", i)
         self.idx += 1
-        return self.integer(i, text)
+        return self.integer(i, self.texts[i])
 
     def integer(self, i: int, digits: str) -> int:
         """The int of the ASCII digits `digits`, read from token i.  This is
@@ -352,26 +400,29 @@ class _Parser:
             value = self.rationals[text] = Fraction(p, q)
         return value
 
-    def real(self, what: str) -> float:
+    def real(self) -> float:
+        """'-'? number, a wave component: an integer, p/q or a float."""
         i = self.idx
         sign = 1.0
         if self.texts[i] == "-":
             i += 1
             sign = -1.0
-        text = self.texts[i]
-        kind = _number_kind(text) if self.kinds[i] == "number" else None
-        # a lone '.' lexes as a float, but no float reads it
-        if kind not in ("number", "float") or text == ".":
-            self.error(f"expected {what}", i)
         self.idx = i + 1
-        # an integer needs no Fraction: float(int) rounds as float(Fraction) does
-        try:
-            value = float(text if kind == "float" else
-                          self.rational(i, text) if "/" in text else self.integer(i, text))
-        except OverflowError:  # an int or Fraction past the float range
-            value = math.inf
-        if value == math.inf:  # a float literal past the range rounds to inf
-            self.error(f"{what} out of float range", i)
+        text = self.texts[i]
+        value = self.reals.get(text)
+        if value is None:
+            # a lone '.' lexes as a float, but no float reads it
+            if _KIND_OF_FIRST[text[:1]] != "number" or text[-1] == "i" or text == ".":
+                self.error("expected frequency component", i)
+            # an integer needs no Fraction: float(int) rounds as float(Fraction) does
+            try:
+                value = float(text if not _FLOAT_MARKS.isdisjoint(text) else
+                              self.rational(i, text) if "/" in text else self.integer(i, text))
+            except OverflowError:  # an int or Fraction past the float range
+                value = math.inf
+            if value == math.inf:  # a float literal past the range rounds to inf
+                self.error("frequency component out of float range", i)
+            self.reals[text] = value
         return sign * value
 
 
@@ -385,62 +436,39 @@ def parse_expression(text: str, n: int) -> Node:
 # -- printer -----------------------------------------------------------------
 
 def to_text(node: Node) -> str:
-    """Parseable canonical text; parse(to_text(t)) == t for parser output."""
-    return _print(node)
-
-
-def _print(node: Node) -> str:
-    """The text of node; a parent wraps a child in parentheses where its
-    grouping needs them (a Sum in a Sum, Prod or Pow, a Prod in a Prod or
-    Pow, a Pow in a Pow)."""
+    """Parseable canonical text; parse(to_text(t)) == t for parser output.
+    A parent wraps a child in parentheses where its grouping needs them: a
+    Sum in a Sum, Prod or Pow, a Prod in a Prod or Pow, a Pow in a Pow."""
     if isinstance(node, Lit):
         return f"{node.im}i" if node.im else str(node.re)
     if isinstance(node, Coord):
         return f"x{node.k}"
     if isinstance(node, ComplexCoord):
-        name = "abar" if node.conj else "a"
-        return f"{name}({node.i},{node.j})"
+        return f"{'abar' if node.conj else 'a'}({node.i},{node.j})"
     if isinstance(node, Wave):
         return "wave(" + ",".join(map(repr, node.freqs)) + ")"
     if isinstance(node, Pow):
-        base = _print(node.base)
-        if isinstance(node.base, (Sum, Prod, Pow)):
-            base = f"({base})"
-        return f"{base}^{node.exp}"
-    if isinstance(node, Prod):
-        parts = []
-        for f in node.factors:
-            body = _print(f)
-            if isinstance(f, (Sum, Prod)):  # nested products keep their grouping
-                body = f"({body})"
-            parts.append(body)
-        return "*".join(parts)
+        return f"{_grouped(node.base, (Sum, Prod, Pow))}^{node.exp}"
+    if isinstance(node, Prod):  # nested products keep their grouping
+        return "*".join(_grouped(f, (Sum, Prod)) for f in node.factors)
     if isinstance(node, Sum):
-        parts = []
-        for idx, (sign, term) in enumerate(zip(node.signs, node.terms)):
-            body = _print(term)
-            if isinstance(term, Sum):
-                body = f"({body})"
-            if idx == 0:
-                parts.append(f"-{body}" if sign < 0 else body)
-            else:
-                parts.append(f" - {body}" if sign < 0 else f" + {body}")
-        return "".join(parts)
+        text = "".join((" - " if sign < 0 else " + ") + _grouped(term, Sum)
+                       for sign, term in zip(node.signs, node.terms))
+        return ("-" if node.signs[0] < 0 else "") + text[3:]
     raise TypeError(f"unknown node {node!r}")
+
+
+def _grouped(node: Node, kinds) -> str:
+    """node's text, in parentheses when node is one of kinds."""
+    return f"({to_text(node)})" if isinstance(node, kinds) else to_text(node)
 
 
 # -- lowering ----------------------------------------------------------------
 
 def contains_wave(node: Node) -> bool:
-    if isinstance(node, Wave):
-        return True
-    if isinstance(node, Sum):
-        return any(contains_wave(t) for t in node.terms)
-    if isinstance(node, Prod):
-        return any(contains_wave(f) for f in node.factors)
-    if isinstance(node, Pow):
-        return contains_wave(node.base)
-    return False
+    if isinstance(node, (Sum, Prod)):
+        return any(map(contains_wave, node.terms if isinstance(node, Sum) else node.factors))
+    return isinstance(node, Wave) or isinstance(node, Pow) and contains_wave(node.base)
 
 
 def lower_poly(node: Node, n: int) -> Polynomial:
@@ -494,18 +522,20 @@ def _wave_terms(node: Node, n: int):
     """node's value: a complex for a subtree without waves (its merged
     frequency-0 coefficient, 0 for no term), else its merged terms as a
     tuple."""
-    if isinstance(node, Lit):
-        try:
-            return complex(0, float(node.im)) if node.im else complex(float(node.re), 0)
+    kind = type(node)
+    if kind is Lit:
+        try:  # p / q is float(Fraction(p, q)), bit for bit
+            if node.im:
+                return complex(0, node.im.numerator / node.im.denominator)
+            return complex(node.re.numerator / node.re.denominator, 0)
         except OverflowError:
             raise ExprError("literal out of float range in a wave expression", *node.pos) from None
-    if isinstance(node, (Coord, ComplexCoord)):
-        raise ExprError("coordinate atoms cannot appear in a wave expression", *node.pos)
-    if isinstance(node, Wave):
-        if len(node.freqs) != n:
-            raise ExprError(f"wave arity {len(node.freqs)} does not match dimension {n}", *node.pos)
-        return ((1.0 + 0j, _merge_key(n, node.freqs)[0]),)
-    if isinstance(node, Sum):
+    if kind is Prod:  # the running product, factor by factor
+        total = 1.0 + 0j
+        for f in node.factors:
+            total = _times(total, _wave_terms(f, n), n)
+        return total
+    if kind is Sum:
         terms = []
         has_waves = False
         for sign, term in zip(node.signs, node.terms):
@@ -518,17 +548,18 @@ def _wave_terms(node: Node, n: int):
         if has_waves:
             return merge_terms(n, [(c, (0.0,) * n) if type(c) is complex else c for c in terms])
         return _constant(reduce(operator.add, terms) if terms else 0j, n)
-    if isinstance(node, Prod):
-        total = 1.0 + 0j
-        for f in node.factors:
-            total = _times(total, _wave_terms(f, n), n)
-        return total
-    if isinstance(node, Pow):
+    if kind is Wave:
+        if len(node.freqs) != n:
+            raise ExprError(f"wave arity {len(node.freqs)} does not match dimension {n}", *node.pos)
+        # the frequency has a merge key when its largest component has one
+        if not math.isfinite(max(map(abs, node.freqs)) / MERGE_TOL):
+            raise _freq_range_error(node.freqs)
+        return ((1.0 + 0j, node.freqs),)
+    if kind is Pow:
         base = _wave_terms(node.base, n)
-        total = 1.0 + 0j
-        for _ in range(node.exp):
-            total = _times(total, base, n)
-        return total
+        return reduce(lambda total, b: _times(total, b, n), repeat(base, node.exp), 1.0 + 0j)
+    if kind is Coord or kind is ComplexCoord:
+        raise ExprError("coordinate atoms cannot appear in a wave expression", *node.pos)
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -256,6 +256,25 @@ def test_unreadable_numbers_are_positioned_parse_errors(argv, message, col, caps
         "code": "parse-error", "message": message, "line": 1, "col": col}}) + "\n"
 
 
+@needs_limit
+@pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--output", "out.json"],
+                                   ["--format", "json", "--output", "out.json"]])
+def test_a_result_too_long_to_print_is_a_usage_error(extra, tmp_path, monkeypatch, capsys):
+    # the product is computed; an integer of INT_DIGITS + 1 digits cannot be
+    # turned into text, so nothing is printed or written and the diagnostic
+    # names the limit
+    monkeypatch.chdir(tmp_path)
+    assert main(["star", *extra, f"10^{INT_DIGITS}", "x2", "x3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "usage", "message": (
+        f"the result is too long to print: it holds an integer of more than {INT_DIGITS} "
+        f"digits, the most Python converts to text (sys.get_int_max_str_digits())")}}
+    assert not (tmp_path / "out.json").exists()
+    assert sys.get_int_max_str_digits() == INT_DIGITS  # the interpreter's limit is left alone
+    assert main(["star", *extra, f"10^{INT_DIGITS - 1}", "x2", "x3"]) == 0
+
+
 def test_non_ascii_digit_is_a_parse_error(capsys):
     assert main(["star", "--n", "3", "\u0663*x1", "x2", "x3"]) == 2
     captured = capsys.readouterr()
@@ -798,6 +817,20 @@ def test_oracle_rejects_wave_outside_lattice_band(wave, capsys):
     assert main(["oracle", "--N", "4", "wave(-2,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 0
     assert float(capsys.readouterr().out.split("=")[1]) <= 1e-9
 
+
+@pytest.mark.parametrize("component", ["1e290", "-1e290"])
+def test_oracle_rejects_a_frequency_past_the_float_range_in_lattice_steps(component, capsys):
+    # at L = 1e300 a step 2*pi/L is about 6.3e-300, so 1e290 is an infinite
+    # number of steps: out of band, named like any other out-of-band frequency
+    wave = f"wave({component},0,0)"
+    assert main(["oracle", "--N", "8", "--L", "1e300", wave, "wave(0,1,0)", "wave(0,0,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"code": "usage", "message": (
+        f"wave 1 ({wave}) has frequency {float(component)!r}, which is past the float range in "
+        f"units of 2*pi/L, outside the band -4..3 that an N = 8 lattice resolves")}}
+
+
 def _check_lattice_fit_loop(texts, waves, grid):
     """Reference: the lattice-fit check component by component, in term order."""
     N = grid.points_per_axis
@@ -807,6 +840,11 @@ def _check_lattice_fit_loop(texts, waves, grid):
         for _, freq in wave.terms:
             for v in freq:
                 steps = v / grid.base_freq
+                if math.isinf(steps):
+                    raise cli.UsageError(
+                        f"wave {pos} ({text}) has frequency {v!r}, which is past the float range "
+                        f"in units of 2*pi/L, outside the band {low}..{high} that an N = {N} "
+                        f"lattice resolves")
                 k = round(steps)
                 if abs(steps - k) > cli.LATTICE_FIT_TOL:
                     raise cli.UsageError(
@@ -821,7 +859,7 @@ def _check_lattice_fit_loop(texts, waves, grid):
 def _fit_outcome(check, texts, waves, grid):
     try:
         check(texts, waves, grid)
-    except (cli.UsageError, OverflowError) as exc:
+    except cli.UsageError as exc:
         return type(exc), str(exc)
     return None
 
@@ -854,14 +892,15 @@ def test_lattice_fit_check_matches_the_component_loop(n):
 
 
 def test_lattice_fit_check_matches_the_component_loop_at_extremes():
-    # an infinite step (2*pi/L underflows against the frequency) fails as the
-    # loop's round() does; -0.0 and a half step round half to even
+    # an infinite step (2*pi/L underflows against the frequency) is out of
+    # band, at either sign; -0.0 and a half step round half to even
     grid = GridSpec(3, 8, 1e300)
     huge = [WaveSum(3, [(1, (0, 0, 1e290))]), WaveSum(3), WaveSum.constant(1, 3)]
+    negative = [WaveSum(3, [(1, (-1e290, 0, 0))])] * 3
     tiny = [WaveSum(3, [(1, (-0.0, 2.5 * grid.base_freq, 0))])] * 3
-    for waves in (huge, tiny):
+    for waves in (huge, negative, tiny):
         want = _fit_outcome(_check_lattice_fit_loop, "abc", waves, grid)
-        assert want is not None
+        assert want is not None and want[0] is cli.UsageError
         assert _fit_outcome(cli._check_lattice_fit, "abc", waves, grid) == want
 
 

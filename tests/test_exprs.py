@@ -1,4 +1,10 @@
+import cmath
+import copy
+import functools
 import itertools
+import math
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +21,7 @@ from nstar.exprs import (
     Coord,
     ExprError,
     Lit,
+    Node,
     Pow,
     Prod,
     Sum,
@@ -29,6 +36,7 @@ from nstar.exprs import (
 )
 from nstar.polynomials import Polynomial, x
 from nstar.scalars import ExactComplex
+from nstar import waves
 from nstar.waves import WaveSum
 
 
@@ -465,9 +473,9 @@ def test_token_positions_match_a_naive_count(pieces):
 
 
 def _tokenize_loop(text):
-    """Reference: the tokens one by one from _TOKEN_RE's matches, each with
-    its kind, text and 1-based line and column counted from the text before
-    it, then an "eof" token."""
+    """Reference: the tokens one by one from _TOKEN_RE's matches (each a
+    token after its whitespace), each with its kind, text and 1-based line
+    and column counted from the text before it, then an "eof" token."""
     tokens = []
     offset = 0
 
@@ -475,16 +483,17 @@ def _tokenize_loop(text):
         before = text[:offset]
         return before.count("\n") + 1, offset - (before.rfind("\n") + 1) + 1
 
-    for space, tok in _TOKEN_RE.findall(text):
-        offset += len(space)
+    for match in _TOKEN_RE.findall(text):
+        tok = match.lstrip()
+        offset += len(match) - len(tok)
         kind = _KIND_OF_FIRST.get(tok[0])
         if kind == "number":
             if tok[-1] == "i":
                 kind = "imag"
             elif not _FLOAT_MARKS.isdisjoint(tok):
                 kind = "float"
-        elif kind is None:
-            raise ExprError(f"unexpected character {tok!r}", *position(offset))
+        elif kind is None:  # the match runs to the end of the text
+            raise ExprError(f"unexpected character {tok[0]!r}", *position(offset))
         tokens.append(Token(kind, tok, *position(offset)))
         offset += len(tok)
     tokens.append(Token("eof", "", *position(len(text))))
@@ -564,3 +573,198 @@ def test_overflowing_constants_raise_as_node_by_node_lowering(text):
         _lower_wave_node_by_node(tree, 3)
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
+
+
+# -- nodes --------------------------------------------------------------------
+
+def _nodes(node):
+    """node and every node under it, parents before children, left to right."""
+    yield node
+    for name in node._fields:
+        value = getattr(node, name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Node):
+                yield from _nodes(child)
+
+
+# one expression with every node kind, on one line and spread over lines
+EVERY_KIND = "-(1/2 + 3i)*wave(1,0,-0.5)^2 + x1*abar(1,2) - a(2,3)^0"
+EVERY_KIND_LINES = "-(1/2 +\n 3i)*wave(1,\n0,-0.5)^2\n + x1*abar(1,2)\n\t- a(2,3)^0"
+
+
+@pytest.mark.parametrize("text, positions", [
+    (EVERY_KIND, [("Sum", (1, 1)), ("Prod", (1, 2)), ("Sum", (1, 3)), ("Lit", (1, 3)),
+                  ("Lit", (1, 9)), ("Pow", (1, 13)), ("Wave", (1, 13)), ("Prod", (1, 32)),
+                  ("Coord", (1, 32)), ("ComplexCoord", (1, 35)), ("Pow", (1, 47)),
+                  ("ComplexCoord", (1, 47))]),
+    (EVERY_KIND_LINES, [("Sum", (1, 1)), ("Prod", (1, 2)), ("Sum", (1, 3)), ("Lit", (1, 3)),
+                        ("Lit", (2, 2)), ("Pow", (2, 6)), ("Wave", (2, 6)), ("Prod", (4, 4)),
+                        ("Coord", (4, 4)), ("ComplexCoord", (4, 7)), ("Pow", (5, 4)),
+                        ("ComplexCoord", (5, 4))]),
+])
+def test_every_node_kind_keeps_its_position(text, positions):
+    # a node starts at its first token; a Sum or Prod in parentheses starts
+    # after the '(', and a Pow where its base does
+    assert [(type(node).__name__, node.pos) for node in _nodes(parse_expression(text, 3))] == positions
+
+
+def test_node_repr_is_pinned():
+    assert repr(parse_expression("-(1/2 + 3i)*wave(1,0,-0.5)^2", 3)) == (
+        "Sum(pos=(1, 1), signs=(-1,), terms=(Prod(pos=(1, 2), factors=(Sum(pos=(1, 3), "
+        "signs=(1, 1), terms=(Lit(pos=(1, 3), re=Fraction(1, 2), im=Fraction(0, 1)), "
+        "Lit(pos=(1, 9), re=Fraction(0, 1), im=Fraction(3, 1)))), Pow(pos=(1, 13), "
+        "base=Wave(pos=(1, 13), freqs=(1.0, 0.0, -0.5)), exp=2))),))")
+    assert repr(parse_expression("x1*abar(1,2) - a(2,3)^0", 3)) == (
+        "Sum(pos=(1, 1), signs=(1, -1), terms=(Prod(pos=(1, 1), factors=(Coord(pos=(1, 1), k=1), "
+        "ComplexCoord(pos=(1, 4), i=1, j=2, conj=True))), Pow(pos=(1, 16), "
+        "base=ComplexCoord(pos=(1, 16), i=2, j=3, conj=False), exp=0)))")
+
+
+def test_equality_and_hashing_ignore_pos():
+    one, other = parse_expression(EVERY_KIND, 3), parse_expression(EVERY_KIND_LINES, 3)
+    moved = 0
+    for a, b in zip(_nodes(one), _nodes(other)):
+        assert a == b and hash(a) == hash(b) and not a != b
+        moved += a.pos != b.pos
+    assert moved == 8  # all but the nodes that start on the first line
+    assert Lit(Fraction(1), Fraction(0), (4, 2)) == Lit(Fraction(1), Fraction(0))
+    assert len({Coord(2, (1, 1)), Coord(2, (9, 9)), Coord(3)}) == 2
+    # the class and every field count
+    assert Coord(1) != Lit(Fraction(1), Fraction(0)) and Coord(1) != 1 and Coord(1) != Coord(2)
+    assert Prod((Coord(1),)) != Sum((1,), (Coord(1),))
+    assert ComplexCoord(1, 2, True) != ComplexCoord(1, 2, False)
+    assert Pow(Coord(1), 2) != Pow(Coord(1), 3) and Wave((1.0, 0.0)) != Wave((1.0, -1.0))
+
+
+def test_nodes_are_immutable():
+    for node in _nodes(parse_expression(EVERY_KIND, 3)):
+        for name in (*node._fields, "pos"):
+            before = getattr(node, name)
+            with pytest.raises(AttributeError):
+                setattr(node, name, before)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+            assert getattr(node, name) is before
+        with pytest.raises(AttributeError):
+            node.note = 1
+
+
+def test_nodes_copy_and_pickle_with_their_positions():
+    tree = parse_expression(EVERY_KIND_LINES, 3)
+    for twin in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert twin == tree
+        assert [node.pos for node in _nodes(twin)] == [node.pos for node in _nodes(tree)]
+
+
+# -- wave lowering, byte for byte -------------------------------------------------
+
+def _lower_wave_through_merge_keys(node, n):
+    """Reference: lower_wave as it stood when a wave atom took its frequency
+    from waves._merge_key and a literal converted through float(Fraction)."""
+    terms = _merge_key_terms(node, n)
+    if type(terms) is complex:
+        terms = ((terms, (0.0,) * n),) if terms else ()
+    return WaveSum._canonical(n, terms)
+
+
+def _merge_key_terms(node, n):
+    if isinstance(node, Lit):
+        try:
+            return complex(0, float(node.im)) if node.im else complex(float(node.re), 0)
+        except OverflowError:
+            raise ExprError("literal out of float range in a wave expression", *node.pos) from None
+    if isinstance(node, Wave):
+        return ((1.0 + 0j, waves._merge_key(n, node.freqs)[0]),)
+    if isinstance(node, Sum):
+        terms, has_waves = [], False
+        for sign, term in zip(node.signs, node.terms):
+            part = _merge_key_terms(term, n)
+            if type(part) is not complex:
+                has_waves = True
+                terms += part if sign > 0 else [(c * -1.0, f) for c, f in part]
+            elif part:
+                terms.append(part if sign > 0 else part * -1.0)
+        if has_waves:
+            return waves.merge_terms(n, [(c, (0.0,) * n) if type(c) is complex else c for c in terms])
+        return _merge_key_constant(functools.reduce(operator.add, terms) if terms else 0j, n)
+    factors = node.factors if isinstance(node, Prod) else [node.base] * node.exp
+    total = 1.0 + 0j
+    for f in factors:
+        total = _merge_key_times(total, _merge_key_terms(f, n), n)
+    return total
+
+
+def _merge_key_constant(coeff, n):
+    if coeff and not cmath.isfinite(coeff):
+        raise waves._coeff_overflow_error(coeff, (0.0,) * n)
+    return coeff
+
+
+def _merge_key_times(a, b, n):
+    if type(b) is complex:
+        a, b = b, a
+    if type(a) is complex:
+        if type(b) is complex:
+            return _merge_key_constant(a * b, n)
+        return waves._nonzero_terms([(a * c, tuple([0.0 + v for v in f])) for c, f in b])
+    return waves.merge_terms(n, [(c1 * c2, tuple([u + v for u, v in zip(f1, f2)]))
+                                 for c1, f1 in a for c2, f2 in b])
+
+
+def _lowered_bytes(lower, text, n):
+    tree = parse_expression(text, n)
+    try:
+        w = lower(tree, n)
+    except (OverflowError, ExprError) as exc:
+        return type(exc), str(exc)
+    return w.coeff.tobytes(), w.freq.tobytes(), repr(w.terms)
+
+
+def _benchmark_text(rng, n):
+    """A factor as the oracle benchmark writes one: 27 terms at n = 3, 9 at n = 4."""
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    freqs = (list(itertools.product((-1, 0, 1), repeat=3)) if n == 3
+             else [(0,) * n] + unit + [tuple(-v for v in u) for u in unit])
+    parts = []
+    for f in freqs:
+        a, b = rng.randint(-8, 8), rng.randint(-8, 8)
+        if a == b == 0:
+            a = 1
+        im = f"+ {b}/8i" if b >= 0 else f"- {-b}/8i"
+        parts.append(f"({a}/8 {im})*wave({','.join(map(str, f))})")
+    return " + ".join(parts)
+
+
+# the largest frequency component whose merge key round(v / MERGE_TOL) is
+# finite, and the float after it
+_EDGE = waves._MAX_FREQ
+while math.isfinite(math.nextafter(_EDGE, math.inf) / waves.MERGE_TOL):
+    _EDGE = math.nextafter(_EDGE, math.inf)
+while not math.isfinite(_EDGE / waves.MERGE_TOL):
+    _EDGE = math.nextafter(_EDGE, 0)
+_PAST_EDGE = math.nextafter(_EDGE, math.inf)
+
+SIGNED_ZERO_TEXTS = [
+    "wave(-0,0,-0) + (0/8 - 0/8i)*wave(0,-0,1)",
+    "-(1/8 - 0/8i)*wave(-0,-1,0) + (0/8 + 3/8i)*wave(-0,-1,-0)",
+    "(0/8 + 0/8i)*wave(1,0,0) - wave(-0,0,0) - 0i",
+    "-0i*wave(-0,1,0) + (-0/8 - 1/8i)*wave(0,0,-0)",
+]
+EDGE_TEXTS = [f"wave({_EDGE!r},0,0)", f"wave(0,-{_EDGE!r},0)",
+              f"(1/8 - 3/8i)*wave({_EDGE!r},-0,1) + wave(1,0,0)",
+              f"wave({_PAST_EDGE!r},0,0)", f"2*wave(0,0,-{_PAST_EDGE!r})",
+              f"wave(1,0,0) - (1/8 + 1/8i)*wave(0,{_PAST_EDGE!r},0)"]
+
+
+def test_lower_wave_keeps_the_bytes_of_the_merge_key_lowering():
+    assert _EDGE / waves.MERGE_TOL < math.inf == _PAST_EDGE / waves.MERGE_TOL
+    cases = [(3, text) for text in SIGNED_ZERO_TEXTS + EDGE_TEXTS]
+    for seed in (42, 7):
+        rng = random.Random(f"benchmark-shaped:{seed}")
+        cases += [(n, _benchmark_text(rng, n)) for n in (3, 3, 3, 4, 4, 4)]
+    outcomes = set()
+    for n, text in cases:
+        want = _lowered_bytes(_lower_wave_through_merge_keys, text, n)
+        assert _lowered_bytes(lower_wave, text, n) == want, text
+        outcomes.add(want[0] if isinstance(want[0], type) else "sum")
+    assert outcomes == {"sum", OverflowError}

@@ -39,7 +39,6 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, repeat
-from typing import NamedTuple
 
 from .closedforms import complex_pair
 from .polynomials import Polynomial
@@ -193,9 +192,6 @@ _KIND_OF_FIRST = {"": "eof", **dict.fromkeys("-+*^(),", "op"),
 _FLOAT_MARKS = frozenset(".eE")
 
 
-Token = NamedTuple("Token", [("kind", str), ("text", str), ("line", int), ("col", int)])
-
-
 def _lex(text: str) -> tuple[list[str], list[int]]:
     """text's tokens as two columns, their texts and the 0-based offsets
     where they end, then an "eof" token ("") at len(text); a token starts at
@@ -206,22 +202,6 @@ def _lex(text: str) -> tuple[list[str], list[int]]:
         raise ExprError(f"unexpected character {last[0]!r}",  # last runs to the end
                         *_line_col(_line_starts(text), len(text) - len(last)))
     return [*map(str.lstrip, matches), ""], [*accumulate(map(len, matches)), len(text)]
-
-
-def tokenize(text: str) -> list[Token]:
-    """text's tokens, each with its kind, its 1-based line and column (a tab
-    is one column), then an "eof" token."""
-    texts, ends = _lex(text)
-    starts = _line_starts(text)
-    return [Token(_token_kind(tok), tok, *_line_col(starts, end - len(tok)))
-            for tok, end in zip(texts, ends)]
-
-
-def _token_kind(tok: str) -> str:
-    kind = _KIND_OF_FIRST[tok[:1]]
-    if kind != "number":
-        return kind
-    return "imag" if tok[-1] == "i" else "number" if _FLOAT_MARKS.isdisjoint(tok) else "float"
 
 
 def _line_starts(text: str) -> list[int]:
@@ -572,8 +552,8 @@ def _constant(coeff: complex, n: int) -> complex:
 
 
 def _times(a, b, n: int):
-    """The merged product of two values of _wave_terms, as WaveSum.__mul__
-    forms it."""
+    """The merged product of two values of _wave_terms: each pair of terms
+    multiplied, frequencies added, then merged."""
     if type(b) is complex:  # complex products and 0.0 + v commute bit for bit
         a, b = b, a
     if type(a) is complex:

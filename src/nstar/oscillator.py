@@ -15,8 +15,6 @@ from .polynomials import Polynomial, SamplePoints
 from .scalars import _to_complex
 from .starcore import ThetaConfig, star_series
 
-RationalLike = int | Fraction
-
 # Axes of the complex coordinate (x_1 + i x_2)/sqrt(2) in the ground-state
 # annihilation equation of residual_report.
 COMPLEX_AXES = (1, 2)

@@ -32,7 +32,6 @@ L1 norms, so no coordinate of any output term outgrows its field.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from fractions import Fraction
@@ -289,28 +288,6 @@ class Polynomial:
                 rec["rt2_im_den"] = rt2_im_den
             out.append(rec)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "terms": self.to_json_terms()})
-
-    @staticmethod
-    def from_json_terms(n: int, records: Iterable[Mapping]) -> "Polynomial":
-        terms: dict[MultiIndex, ExactComplex] = {}
-        for rec in records:
-            exps = tuple(rec["exponents"])
-            c = ExactComplex(
-                Fraction(rec["re_num"], rec["re_den"]),
-                Fraction(rec["im_num"], rec["im_den"]),
-                Fraction(rec.get("rt2_re_num", 0), rec.get("rt2_re_den", 1)),
-                Fraction(rec.get("rt2_im_num", 0), rec.get("rt2_im_den", 1)),
-            )
-            terms[exps] = c
-        return Polynomial(n, terms)
-
-    @staticmethod
-    def from_json(text: str) -> "Polynomial":
-        data = json.loads(text)
-        return Polynomial.from_json_terms(data["n"], data["terms"])
 
 
 class SamplePoints:

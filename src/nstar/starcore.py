@@ -82,8 +82,6 @@ from typing import Sequence
 from .polynomials import Polynomial, _sum_of_products
 from .scalars import ONE, ZERO, ExactComplex
 
-RationalLike = int | Fraction
-
 
 @dataclass(frozen=True)
 class ThetaConfig:
@@ -104,8 +102,8 @@ class ThetaConfig:
         return ThetaConfig(self.n, tuple(-t for t in self.theta))
 
     @staticmethod
-    def uniform(n: int, value: RationalLike = 1) -> "ThetaConfig":
-        return ThetaConfig(n, (Fraction(value),) * n)
+    def uniform(n: int) -> "ThetaConfig":
+        return ThetaConfig(n, (Fraction(1),) * n)
 
 
 def sigma_power(k: int, p: int, n: int) -> int:

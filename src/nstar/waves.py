@@ -254,11 +254,9 @@ class WaveSum:
     no two stored frequencies coincide (within MERGE_TOL per component).
 
     The terms are held as two read-only arrays in canonical order: coeff
-    (complex, shape (m,)) and freq (float, shape (m, n)).  terms is the
-    same sum as a tuple of (complex, tuple of floats) pairs, built from
-    the arrays on first use when the sum was not made from such a tuple."""
+    (complex, shape (m,)) and freq (float, shape (m, n))."""
 
-    __slots__ = ("n", "coeff", "freq", "_terms")
+    __slots__ = ("n", "coeff", "freq")
 
     def __init__(self, n: int, terms: Iterable[tuple[complex, Sequence[float]]] = ()):
         self._hold(n, merge_terms(n, terms))
@@ -278,16 +276,13 @@ class WaveSum:
             coeff = np.array([c for c, _ in terms], dtype=complex)
             freq = np.array([f for _, f in terms], dtype=float).reshape(-1, n)
         coeff.flags.writeable = freq.flags.writeable = False
-        for name, value in zip(WaveSum.__slots__, (n, coeff, freq, terms)):
+        for name, value in zip(WaveSum.__slots__, (n, coeff, freq)):
             object.__setattr__(self, name, value)
 
     @property
     def terms(self) -> tuple:
         """The (coeff, freq) pairs, as a tuple of (complex, tuple of floats)."""
-        if self._terms is None:
-            object.__setattr__(self, "_terms", tuple(zip(self.coeff.tolist(),
-                                                         map(tuple, self.freq.tolist()))))
-        return self._terms
+        return tuple(zip(self.coeff.tolist(), map(tuple, self.freq.tolist())))
 
     def __setattr__(self, name, value):
         raise AttributeError("WaveSum is immutable")
@@ -296,32 +291,10 @@ class WaveSum:
     def single(coeff: complex, freq: Sequence[float]) -> "WaveSum":
         return WaveSum(len(freq), [(coeff, freq)])
 
-    @staticmethod
-    def constant(coeff: complex, n: int) -> "WaveSum":
-        return WaveSum(n, [(coeff, (0.0,) * n)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WaveSum):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: "WaveSum") -> "WaveSum":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return WaveSum(self.n, list(self.terms) + list(other.terms))
-
-    def scale(self, c: complex) -> "WaveSum":
-        return WaveSum(self.n, [(coeff * c, f) for coeff, f in self.terms])
-
-    def __mul__(self, other: "WaveSum") -> "WaveSum":
-        """Pointwise product (frequencies add); the theta = 0 star product."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        out = []
-        for c1, f1 in self.terms:
-            for c2, f2 in other.terms:
-                out.append((c1 * c2, tuple(a + b for a, b in zip(f1, f2))))
-        return WaveSum(self.n, out)
 
     def sample_on_grid(self, spec: GridSpec) -> np.ndarray:
         """sum_a c_a exp(i s_a . x) at every lattice point.
@@ -368,19 +341,9 @@ class WaveSum:
         return [{"re": re, "im": im, "freq": f} for re, im, f in
                 zip(self.coeff.real.tolist(), self.coeff.imag.tolist(), self.freq.tolist())]
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "terms": self.to_json_terms()})
-
-    @staticmethod
-    def from_json(text: str) -> "WaveSum":
-        data = json.loads(text)
-        return WaveSum(data["n"], [(complex(t["re"], t["im"]), t["freq"]) for t in data["terms"]])
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         return " + ".join(f"({c!r})*exp(i[{', '.join(repr(v) for v in f)}].x)"
-                          for c, f in self.terms)
+                          for c, f in self.terms) or "0"
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c:.6g})e^(i{list(f)}.x)" for c, f in self.terms) or "0"

@@ -19,6 +19,7 @@ from nstar.audit import (
 )
 from nstar.polynomials import Polynomial, x
 from nstar.starcore import ThetaConfig, star_n, star_n_stepwise
+from references import poly_from_json_terms
 
 
 def test_claim_registry_covers_expected_ids():
@@ -80,7 +81,7 @@ def test_counterexample_is_recheckable():
     n = ce["inputs"]["n"]
     theta = tuple(Fraction(t) for t in ce["inputs"]["theta"])
     cfg = ThetaConfig(n, theta)
-    polys = [Polynomial.from_json_terms(n, rec["terms"]) for rec in ce["inputs"]["polys"]]
+    polys = [poly_from_json_terms(n, rec["terms"]) for rec in ce["inputs"]["polys"]]
     f1, g1, h1, g2, h2 = polys
     lhs = star_n_stepwise([star_n_stepwise([f1, g1, h1], cfg), g2, h2], cfg)
     rhs = star_n_stepwise([f1, g1, star_n_stepwise([h1, g2, h2], cfg)], cfg)
@@ -93,7 +94,7 @@ def test_shrunk_counterexample_still_fails():
     rep = audit_claim("cf-complex-1", seed=7, trials=10)
     assert rep.verdict == VERDICT_FAILS
     ce = rep.counterexample
-    diff = Polynomial.from_json_terms(3, ce["difference"]["terms"])
+    diff = poly_from_json_terms(3, ce["difference"]["terms"])
     assert not diff.is_zero()
 
 
@@ -122,7 +123,7 @@ def test_noncomm_witness_found():
     rep = audit_claim("noncomm-witness-1", seed=13, trials=30)
     assert rep.verdict == VERDICT_HOLDS
     assert rep.witness is not None
-    diff = Polynomial.from_json_terms(3, rep.witness["difference"]["terms"])
+    diff = poly_from_json_terms(3, rep.witness["difference"]["terms"])
     assert not diff.is_zero()
     assert rep.witness["oracle_confirmed"] is True
 

@@ -17,11 +17,13 @@ import pytest
 
 import nstar
 from nstar import cli
+from nstar.audit import VERDICT_FAILS, ClaimReport, reports_to_json
 from nstar.cli import main
 from nstar.exprs import MAX_DEPTH
 from nstar.polynomials import Polynomial, x
 from nstar.starcore import ThetaConfig, star_n
 from nstar.waves import GridSpec, WaveSum
+from references import constant, poly_from_json_terms
 
 # The directory holding the nstar package this test run imported.
 IMPORT_ROOT = str(Path(nstar.__file__).resolve().parent.parent)
@@ -141,9 +143,9 @@ def test_star_printed_output_pinned(capsys):
     out = capsys.readouterr().out
     assert out == "".join(STAR_PIN_JSON) + "\n"
     data = json.loads(out)
-    product = Polynomial.from_json_terms(data["n"], data["terms"])
+    product = poly_from_json_terms(data["n"], data["terms"])
     assert any("rt2_re_num" in rec for rec in data["terms"])
-    assert Polynomial.from_json_terms(3, product.to_json_terms()) == product
+    assert poly_from_json_terms(3, product.to_json_terms()) == product
 
 
 def test_only_the_requested_format_is_rendered(monkeypatch, capsys):
@@ -472,6 +474,18 @@ def test_verify_deterministic_and_exit_zero(tmp_path):
     assert {r["claim"] for r in reports} >= {"associativity", "jacobi-six-term"}
 
 
+def test_verify_exits_1_when_a_guaranteed_claim_fails(tmp_path, monkeypatch, capsys):
+    reports = [ClaimReport("theta-zero", VERDICT_FAILS, 1, 42, "corpus"),
+               ClaimReport("associativity", VERDICT_FAILS, 1, 42, "corpus")]
+    monkeypatch.setattr(cli, "run_suite", lambda seed, trials: reports)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--trials", "1", "--output", str(out)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:2] == ["theta-zero: fails", "associativity: fails"]
+    assert printed[-1] == "guaranteed claims: FAILURE"
+    assert out.read_text() == reports_to_json(reports) + "\n"
+
+
 def test_unwritable_output_or_config_exits_2_naming_the_path(tmp_path, monkeypatch, capsys):
     # exit 1 means a guaranteed claim failed; a failed write or read is a usage error
     monkeypatch.chdir(tmp_path)
@@ -491,6 +505,10 @@ def test_unwritable_output_or_config_exits_2_naming_the_path(tmp_path, monkeypat
     assert main(["verify", "--output", "plain/r.json"]) == 2
     body = json.loads(capsys.readouterr().err)["error"]
     assert body == {"code": "io", "message": "cannot write plain/r.json: Not a directory"}
+    (tmp_path / "folder").mkdir()  # its parent is writable; the write itself fails
+    assert main(["spectrum", "--nbar", "1,0,0", "--format", "json", "--output", "folder"]) == 2
+    body = json.loads(capsys.readouterr().err)["error"]
+    assert body == {"code": "io", "message": "cannot write folder: Is a directory"}
     (tmp_path / "nstar.json").write_text("{}")
 
     def unreadable(path, *args, **kwargs):
@@ -721,17 +739,19 @@ def test_oracle_rejects_non_finite_period(period, capsys):
     assert f"period L = {float(period)!r}" in error["message"]
 
 
-def test_oracle_budget_is_checked_before_sampling(monkeypatch, capsys):
+@pytest.mark.parametrize("budget", ["100", "0.5"])
+def test_oracle_budget_is_checked_before_sampling(budget, monkeypatch, capsys):
+    # a budget in (0, 1] is a positive budget too: a budget error, not a usage error
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the budget check")
     monkeypatch.setattr(WaveSum, "sample_on_grid", no_sampling)
-    assert main(["oracle", "--N", "8", "--budget", "100",
+    assert main(["oracle", "--N", "8", "--budget", budget,
                  "wave(1,0,0)", "wave(0,1,0)", "wave(0,0,1)"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["code"] == "budget"
-    assert "8^3" in error["message"] and "budget 100" in error["message"]
+    assert "8^3" in error["message"] and f"budget {float(budget):.3g}" in error["message"]
 
 
 @pytest.mark.parametrize("budget", ["nan", "0", "-1", "-2.5"])
@@ -895,7 +915,7 @@ def test_lattice_fit_check_matches_the_component_loop_at_extremes():
     # an infinite step (2*pi/L underflows against the frequency) is out of
     # band, at either sign; -0.0 and a half step round half to even
     grid = GridSpec(3, 8, 1e300)
-    huge = [WaveSum(3, [(1, (0, 0, 1e290))]), WaveSum(3), WaveSum.constant(1, 3)]
+    huge = [WaveSum(3, [(1, (0, 0, 1e290))]), WaveSum(3), constant(1, 3)]
     negative = [WaveSum(3, [(1, (-1e290, 0, 0))])] * 3
     tiny = [WaveSum(3, [(1, (-0.0, 2.5 * grid.base_freq, 0))])] * 3
     for waves in (huge, negative, tiny):

@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from nstar.closedforms import complex_pair
 from nstar.exprs import (
-    _FLOAT_MARKS,
     _KIND_OF_FIRST,
     _TOKEN_RE,
+    _Parser,
+    _lex,
     MAX_DEPTH,
     ComplexCoord,
     Coord,
@@ -25,19 +26,18 @@ from nstar.exprs import (
     Pow,
     Prod,
     Sum,
-    Token,
     Wave,
     contains_wave,
     lower_poly,
     lower_wave,
     parse_expression,
     to_text,
-    tokenize,
 )
 from nstar.polynomials import Polynomial, x
 from nstar.scalars import ExactComplex
 from nstar import waves
 from nstar.waves import WaveSum
+from references import add, constant, mul, scale
 
 
 def test_parse_simple_polynomial():
@@ -132,7 +132,7 @@ def _running_sum_lowering(node, n):
     total = WaveSum(n)
     for sign, term in zip(node.signs, node.terms):
         w = lower_wave(term, n)
-        total = total + (w if sign > 0 else w.scale(-1.0))
+        total = add(total, w if sign > 0 else scale(w, -1.0))
     return total
 
 
@@ -162,15 +162,20 @@ def test_lower_wave_sum_after_exact_cancellation():
     assert got == ref
 
 
+def _lexed(text):
+    """_lex's columns with the parser's position of each token: one
+    (text, end offset, line, col) tuple per token, the eof token ("") last."""
+    texts, ends = _lex(text)
+    pos = _Parser(text, 3).pos
+    return [(tok, end, *pos(i)) for i, (tok, end) in enumerate(zip(texts, ends))]
+
+
 def test_token_positions_across_lines_and_tabs():
     # a tab is one column; a newline starts the next line at column 1
-    tokens = tokenize("\tx1 *\n\t\tx2^2\n+ 3i")
-    assert tokens == [Token("name", "x1", 1, 2), Token("op", "*", 1, 5),
-                      Token("name", "x2", 2, 3), Token("op", "^", 2, 5),
-                      Token("number", "2", 2, 6), Token("op", "+", 3, 1),
-                      Token("imag", "3i", 3, 3), Token("eof", "", 3, 5)]
-    assert tokens[2].line == 2 and tokens[2].col == 3
-    assert tokenize(" x1 \n ")[-1] == Token("eof", "", 2, 2)
+    assert _lexed("\tx1 *\n\t\tx2^2\n+ 3i") == [
+        ("x1", 3, 1, 2), ("*", 5, 1, 5), ("x2", 10, 2, 3), ("^", 11, 2, 5),
+        ("2", 12, 2, 6), ("+", 14, 3, 1), ("3i", 17, 3, 3), ("", 17, 3, 5)]
+    assert _lexed(" x1 \n ")[-1] == ("", 6, 2, 2)
 
 
 @pytest.mark.parametrize("text, line, col, message", [
@@ -215,26 +220,26 @@ def _lower_wave_node_by_node(node, n):
     """Reference: the lowering that builds a merged WaveSum at every node."""
     if isinstance(node, Lit):
         if node.im:
-            return WaveSum.constant(complex(0, float(node.im)), n)
-        return WaveSum.constant(complex(float(node.re), 0), n)
+            return constant(complex(0, float(node.im)), n)
+        return constant(complex(float(node.re), 0), n)
     if isinstance(node, Wave):
         return WaveSum.single(1.0 + 0j, node.freqs)
     if isinstance(node, Sum):
         terms = []
         for sign, term in zip(node.signs, node.terms):
             w = _lower_wave_node_by_node(term, n)
-            terms.extend((w if sign > 0 else w.scale(-1.0)).terms)
+            terms.extend((w if sign > 0 else scale(w, -1.0)).terms)
         return WaveSum(n, terms)
     if isinstance(node, Prod):
-        total = WaveSum.constant(1.0 + 0j, n)
+        total = constant(1.0 + 0j, n)
         for f in node.factors:
-            total = total * _lower_wave_node_by_node(f, n)
+            total = mul(total, _lower_wave_node_by_node(f, n))
         return total
     if isinstance(node, Pow):
         base = _lower_wave_node_by_node(node.base, n)
-        total = WaveSum.constant(1.0 + 0j, n)
+        total = constant(1.0 + 0j, n)
         for _ in range(node.exp):
-            total = total * base
+            total = mul(total, base)
         return total
     raise TypeError(f"unknown node {node!r}")
 
@@ -461,21 +466,22 @@ def test_lower_wave_matches_node_by_node_lowering_on_benchmark_shaped_sums():
                                  " ", "\t", "\n", "\n\t ", "  "]), max_size=40))
 def test_token_positions_match_a_naive_count(pieces):
     text = "".join(pieces)
-    tokens = tokenize(text)
-    for tok in tokens:
-        offset = _naive_offset(text, tok.line, tok.col)
-        assert text.startswith(tok.text, offset)
+    tokens = _lexed(text)
+    for tok, end, line, col in tokens:
+        offset = _naive_offset(text, line, col)
+        assert offset == end - len(tok) and text.startswith(tok, offset)
         before = text[:offset]
-        assert tok.line == before.count("\n") + 1
-        assert tok.col == len(before) - (before.rfind("\n") + 1) + 1
-    assert tokens[-1].kind == "eof" and _naive_offset(text, tokens[-1].line, tokens[-1].col) == len(text)
-    assert "".join(tok.text for tok in tokens) == "".join(text.split())
+        assert line == before.count("\n") + 1
+        assert col == len(before) - (before.rfind("\n") + 1) + 1
+    assert tokens[-1][:2] == ("", len(text)) and _naive_offset(text, *tokens[-1][2:]) == len(text)
+    assert "".join(tok for tok, *_ in tokens) == "".join(text.split())
 
 
 def _tokenize_loop(text):
     """Reference: the tokens one by one from _TOKEN_RE's matches (each a
-    token after its whitespace), each with its kind, text and 1-based line
-    and column counted from the text before it, then an "eof" token."""
+    token after its whitespace), each as its text, the offset where it
+    ends and its 1-based line and column counted from the text before it,
+    then an "eof" token ("")."""
     tokens = []
     offset = 0
 
@@ -486,17 +492,11 @@ def _tokenize_loop(text):
     for match in _TOKEN_RE.findall(text):
         tok = match.lstrip()
         offset += len(match) - len(tok)
-        kind = _KIND_OF_FIRST.get(tok[0])
-        if kind == "number":
-            if tok[-1] == "i":
-                kind = "imag"
-            elif not _FLOAT_MARKS.isdisjoint(tok):
-                kind = "float"
-        elif kind is None:  # the match runs to the end of the text
+        if tok[0] not in _KIND_OF_FIRST:  # the match runs to the end of the text
             raise ExprError(f"unexpected character {tok[0]!r}", *position(offset))
-        tokens.append(Token(kind, tok, *position(offset)))
+        tokens.append((tok, offset + len(tok), *position(offset)))
         offset += len(tok)
-    tokens.append(Token("eof", "", *position(len(text))))
+    tokens.append(("", len(text), *position(len(text))))
     return tokens
 
 
@@ -515,21 +515,27 @@ _LEX_PIECES = ["3/4", "3/4i", "12/5i", "7", "2i", "1.5", "1.", ".5", "2e3", "1.5
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_LEX_PIECES), max_size=30))
 def test_tokenize_matches_the_token_loop(pieces):
-    # one field at a time: kind, text, line and col, or the same error
+    # one field at a time: text, end, line and col, or the same error
     text = "".join(pieces)
-    assert _lex_outcome(tokenize, text) == _lex_outcome(_tokenize_loop, text)
+    assert _lex_outcome(_lexed, text) == _lex_outcome(_tokenize_loop, text)
 
 
 def test_tokenize_matches_the_token_loop_on_kinds():
     text = "3/4 3/4i 1.5 1. .5 2e3 2i x1 (\n\t) . wave"
-    tokens = tokenize(text)
+    tokens = _lexed(text)
     assert tokens == _tokenize_loop(text)
-    assert [tok.kind for tok in tokens] == ["number", "imag", "float", "float", "float", "float",
-                                            "imag", "name", "op", "op", "float", "name", "eof"]
-    assert tokens[-3:-1] == [Token("float", ".", 2, 4), Token("name", "wave", 2, 6)]
+    assert tokens[-3:-1] == [(".", 35, 2, 4), ("wave", 40, 2, 6)]
+    # the parser reads a number token by its kind: rational, imaginary or float
+    assert [parse_expression(tok, 3) for tok in ("3/4", "3/4i", "2i")] == [
+        Lit(Fraction(3, 4), Fraction(0)), Lit(Fraction(0), Fraction(3, 4)),
+        Lit(Fraction(0), Fraction(2))]
+    for tok in ("1.5", "1.", ".5", "2e3", "."):
+        with pytest.raises(ExprError, match="float literals are only allowed inside wave"):
+            parse_expression(tok, 3)
+    assert parse_expression("wave(1.5,1.,.5)", 3).freqs == (1.5, 1.0, 0.5)
     for text in ("1 + 2 / 3", "x1 @ x2", "\n\t\u0663"):
         with pytest.raises(ExprError) as err:
-            tokenize(text)
+            _lex(text)
         assert (err.value.message, err.value.line, err.value.col) == _lex_outcome(_tokenize_loop, text)
 
 

@@ -422,7 +422,7 @@ def test_gaussian_series_grows_without_bound_pinned(n, theta, s, shared):
                         for k in range(len(pins))]
     psi = PolyGauss(Polynomial.constant(1, n), s)
     factors = [psi] * n if shared else [PolyGauss(Polynomial.constant(1, n), s) for _ in range(n)]
-    incs = star_increments(factors, ThetaConfig.uniform(n, theta), 2 * len(pins) - 2)
+    incs = star_increments(factors, ThetaConfig(n, (theta,) * n), 2 * len(pins) - 2)
     assert all(inc.is_zero() for inc in incs[1::2])
     assert [inc.terms.get((0,) * n, 0) for inc in incs[::2]] == pins
 

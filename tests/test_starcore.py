@@ -854,7 +854,7 @@ def test_mirrored_slots_skip_odd_orders_and_match_the_full_walk(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_cyclic_shift_of_the_slots_fixes_every_increment_at_uniform_theta(n):
-    cfg = ThetaConfig.uniform(n, Fraction(3, 2))
+    cfg = ThetaConfig(n, (Fraction(3, 2),) * n)
     for factors, _ in law_cases(n):
         increments = list(star_series(factors, cfg))
         for shift in range(1, n):
